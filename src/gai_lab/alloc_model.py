@@ -98,6 +98,15 @@ def free_index(seq: Sequence[SymbolicEvent], back: int) -> Optional[int]:
     return None
 
 
+def back_index(seq: Sequence[SymbolicEvent], i: int) -> int:
+    """The ``back`` with which a free appended to ``seq`` releases position ``i``.
+
+    Counts the successful mallocs after the 1-based position ``i``; the
+    inverse of :func:`free_index`.
+    """
+    return sum(1 for p in range(i, len(seq)) if isinstance(seq[p], SymMalloc))
+
+
 def malloc_free_rel(seq: Sequence[SymbolicEvent], i: int, j: int) -> bool:
     """Does the free at position ``j`` release the malloc at position ``i``?
 
@@ -176,10 +185,6 @@ class Strategy(ABC):
 
     @abstractmethod
     def free(self, heap: Heap, state: object, addr: Addr) -> tuple[Heap, object]: ...
-
-    def clone(self) -> "Strategy":
-        # Instances are immutable configuration; sharing is safe.
-        return self
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
@@ -453,8 +458,7 @@ def gen_symbolic_seq(seed: int, max_len: int) -> SymbolicSeq:
     for _ in range(rng.randint(0, max_len)):
         if live and rng.random() < 0.35:
             i = live.pop(rng.randrange(len(live)))
-            back = sum(1 for p in range(i, len(out)) if isinstance(out[p], SymMalloc))
-            out.append(SymFree(back))
+            out.append(SymFree(back_index(out, i)))
         elif rng.random() < 0.2:
             out.append(SymFail(rng.choice(_SIZES)))
         else:
@@ -486,12 +490,9 @@ def _gen_feasible_history(
         h = upd.apply(h, addresses_of(m) | reserved)
         if m and rng.random() < 0.4:
             entry = rng.choice(sorted(m, key=lambda e: e.index))
-            back = sum(
-                1 for p in range(entry.index, len(sigma)) if isinstance(sigma[p], SymMalloc)
-            )
             h, state = strategy.free(h, state, entry.addr)
             m = m - {entry}
-            sigma.append(SymFree(back))
+            sigma.append(SymFree(back_index(sigma, entry.index)))
         else:
             size = _HUGE if rng.random() < 0.12 else rng.choice(_SIZES)
             h, state, a = strategy.malloc(h, state, size)

@@ -83,24 +83,6 @@ def clause_name(cls: EventClass) -> str:
 # Impact approximations
 
 
-def impact_member(
-    strategy: Strategy,
-    program: Program,
-    env: dict,
-    heap: Heap,
-    t: Sequence[Event],
-    fuel: int = 100_000,
-) -> tuple[bool, Optional[int]]:
-    """Can this allocator produce a trace similar to ``t``?
-
-    Tests the given strategy only (the finite stand-in for the full
-    quantification).  Returns the witnessing prefix length when yes.
-    """
-    outcome = run(env, strategy, program, heap, fuel)
-    hits = prefixes_similar_to(t, outcome.trace)
-    return (True, hits[0]) if hits else (False, None)
-
-
 def _class_candidates(cls: EventClass, probe_trace: Trace) -> list:
     """Finite candidate events for the existential over the class.
 
@@ -126,22 +108,8 @@ def _class_candidates(cls: EventClass, probe_trace: Trace) -> list:
     return [cls.event]
 
 
-def reaches_class(
-    strategy: Strategy,
-    program: Program,
-    env: dict,
-    heap: Heap,
-    t: Sequence[Event],
-    cls: EventClass,
-    fuel: int = 100_000,
-) -> bool:
-    """Does some prefix of the strategy's run realize ``t`` extended by an
-    event from ``cls``?"""
-    outcome = run(env, strategy, program, heap, fuel)
-    return _reaches_on_trace(tuple(t), cls, outcome.trace)
-
-
 def _reaches_on_trace(t: Trace, cls: EventClass, probe: Trace) -> bool:
+    """Does some prefix of ``probe`` realize ``t`` extended by an event from ``cls``?"""
     for cand in _class_candidates(cls, probe):
         extended = t + (cand,)
         for p in range(len(probe) + 1):

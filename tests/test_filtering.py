@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gai_lab import filtering
 from gai_lab.alloc_model import (
     NO_UPDATE,
     AllocEntry,
@@ -195,6 +196,74 @@ def test_similar_reflexive(t):
 @given(traces, traces)
 def test_similar_symmetric(t1, t2):
     assert similar(t1, t2)[0] == similar(t2, t1)[0]
+
+
+def test_eager_vs_bump_loop_pair_at_k500():
+    # one address reused every iteration against a fresh address each time
+    k = 500
+    eager_trace = tuple(ev for _ in range(k) for ev in (MallocEv(1, 7), FreeEv(7))) + (ObsEv(k),)
+    bump_trace = tuple(ev for i in range(k) for ev in (MallocEv(1, 7 + i), FreeEv(7 + i)))
+    bump_trace += (ObsEv(k),)
+    assert len(eager_trace) == len(bump_trace) == 1001
+    for t1, t2 in ((eager_trace, bump_trace), (bump_trace, eager_trace)):
+        ok, sigma = similar(t1, t2)
+        assert ok
+        assert sym_filter(t1, sigma).residue == sym_filter(t2, sigma).residue == (ObsEv(k),)
+
+
+def test_witness_rejected_by_the_filter_raises(monkeypatch):
+    # the check must survive ``python -O``, so it cannot be an assert
+    monkeypatch.setattr(filtering, "sym_filter", lambda trace, seq: None)
+    t = (MallocEv(8, 5), FreeEv(5))
+    with pytest.raises(RuntimeError, match="witness"):
+        similar(t, t)
+
+
+@st.composite
+def same_shape_pairs(draw):
+    """Two long traces with one event-kind sequence and independent addresses.
+
+    A ``("f", n)`` step frees, in each trace, the address of that trace's
+    n-th most recent malloc; ``("x", a)`` frees address ``a`` in both.
+    """
+    step = st.one_of(
+        st.sampled_from(["m", "m", "n", "o"]),
+        st.tuples(st.just("f"), st.integers(0, 3)),
+        st.tuples(st.just("x"), st.sampled_from(ADDRS)),
+    )
+    shape = draw(st.lists(step, min_size=20, max_size=80))
+    pair = []
+    for _ in range(2):
+        trace, addrs = [], []
+        for kind in shape:
+            if kind == "m":
+                addrs.append(draw(st.sampled_from(ADDRS)))
+                trace.append(MallocEv(1, addrs[-1]))
+            elif kind == "n":
+                trace.append(MallocFailEv(1))
+            elif kind == "o":
+                trace.append(ObsEv(len(trace)))
+            elif kind[0] == "x":
+                trace.append(FreeEv(kind[1]))
+            elif kind[1] >= len(addrs):
+                trace.append(FreeEv(draw(st.sampled_from(ADDRS))))
+            else:
+                trace.append(FreeEv(addrs[-1 - kind[1]]))
+        pair.append(tuple(trace))
+    return tuple(pair)
+
+
+@settings(max_examples=100, deadline=None)
+@given(same_shape_pairs())
+def test_long_pairs_symmetric_with_valid_witnesses(pair):
+    t1, t2 = pair
+    ok, sigma = similar(t1, t2)
+    ok_rev, sigma_rev = similar(t2, t1)
+    assert ok == ok_rev
+    if ok:
+        for witness in (sigma, sigma_rev):
+            f1, f2 = sym_filter(t1, witness), sym_filter(t2, witness)
+            assert f1 is not None and f2 is not None and f1.residue == f2.residue
 
 
 def test_clean_filter_replays_through_feasibility():
