@@ -170,6 +170,10 @@ class Strategy(ABC):
     instance holds configuration only, never run state.  Run state is the
     value threaded through ``init``/``malloc``/``free``.  ``null`` takes the
     state because the null allocator fixes its null address at init time.
+
+    ``malloc`` and ``free`` return either the heap they were given or a new
+    one, and keep no reference to either: the interpreter writes client
+    cells into the heap it passes in place.
     """
 
     name: str = "strategy"
@@ -250,12 +254,12 @@ class ClientUpdate:
     writes: tuple  # tuple[tuple[int, int], ...] of (slot, value)
 
     def apply(self, heap: Heap, allowed: Iterable[Addr]) -> Heap:
+        """The heap after the writes, made in one copy; a later write to a
+        slot's cell wins."""
         cells = sorted(allowed)
-        if not cells:
+        if not cells or not self.writes:
             return heap
-        for slot, value in self.writes:
-            heap = heap.define([cells[slot % len(cells)]], value)
-        return heap
+        return heap.define_many({cells[slot % len(cells)]: value for slot, value in self.writes})
 
 
 NO_UPDATE = ClientUpdate(())
@@ -357,7 +361,7 @@ def _single_exec_violations(
                 out.append(("Basic-1", f"allocations {a} and {b} overlap"))
             if a.addr == b.addr:
                 out.append(("Zero-Alloc-1", f"address {a.addr} reused ({a} vs {b})"))
-    missing = (client | reserved) - heap.domain()
+    missing = [a for a in client | reserved if a not in heap]
     if missing:
         out.append(("Basic-2", f"client-accessible addresses missing from heap: {sorted(missing)[:8]}"))
     if client & reserved:
@@ -519,7 +523,7 @@ def wf_check(
     Rejection-sound: a failing report carries a witness that
     :func:`check_history` reproduces.  Acceptance is bounded by ``trials``.
     """
-    if not reserved <= heap.domain():
+    if any(a not in heap for a in reserved):
         raise ValueError("reserved memory must be inside the heap domain")
     failures: dict[str, tuple[int, WfWitness]] = {}
     for trial in range(trials):

@@ -117,9 +117,10 @@ class BumpAlloc(Strategy):
 
     def init(self, heap: Heap):
         p = self.params
-        fresh = [a for a in interval(p.n2 + 1, p.n3) if a not in heap]
-        heap = heap.define(fresh, 0)
-        return self._init_null_cell(heap), p.n2 + 1
+        # The null cell lies outside the filled range, so it goes first, on
+        # the small heap.
+        heap = self._init_null_cell(heap).fill_undefined(interval(p.n2 + 1, p.n3), 0)
+        return heap, p.n2 + 1
 
     def _init_null_cell(self, heap: Heap) -> Heap:
         return heap.undefine([self.params.n2])

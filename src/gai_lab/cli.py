@@ -116,7 +116,7 @@ def cmd_run(program_path, alloc, fuel, base, inits, out_path, as_json):
 def _load_trace(path: str):
     try:
         return notac.load_trace(_read_text(path))
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         _fail(f"{path}: bad trace file ({exc})")
 
 

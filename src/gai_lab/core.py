@@ -6,13 +6,21 @@ map's domain is *inaccessible*; reads report that distinctly (``None``)
 rather than returning a default, and client-level writes to inaccessible
 addresses raise -- that is exactly what makes client programs get stuck.
 
-Heaps are immutable: every mutator returns a fresh heap, so values can be
-shared freely across threads and replays.
+Heaps are values: :meth:`Heap.write`, :meth:`Heap.define` and the other
+mutators return a fresh heap, so a heap can be shared freely across
+threads and replays.  The one exception is :meth:`Heap.write_in_place`,
+which is only for a heap nobody else can see: ``notac.run`` copies the
+heap once after the allocator's ``init`` and from then on owns that copy,
+writes client cells into it in place, and hands it out only live (to
+``on_step``) and at the end (as ``Outcome.heap``).
+
+Every mutator costs the cells it touches plus at most one dict copy made
+at C speed.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 Addr = int
 Val = int
@@ -35,11 +43,29 @@ def _check_addr(a: Addr, h_max: int) -> None:
         raise ValueError(f"address {a!r} outside [0, {h_max})")
 
 
-class Heap:
-    """Immutable finite partial map ``Addr -> Val``.
+def _checked(addrs: Iterable[Addr], h_max: int) -> Sequence[Addr]:
+    """``addrs`` as a sequence whose every address lies in ``[0, h_max)``.
 
-    Mutators (:meth:`write`, :meth:`define`, :meth:`undefine`) return new
-    heaps; the receiver is never changed.
+    A ``range`` is monotone, so checking its two ends checks every cell.
+    """
+    if isinstance(addrs, range):
+        if addrs:
+            _check_addr(addrs[0], h_max)
+            _check_addr(addrs[-1], h_max)
+        return addrs
+    addrs = list(addrs)
+    for a in addrs:
+        _check_addr(a, h_max)
+    return addrs
+
+
+class Heap:
+    """Finite partial map ``Addr -> Val`` with value semantics.
+
+    :meth:`write`, :meth:`define`, :meth:`define_many`, :meth:`undefine`
+    and :meth:`fill_undefined` return new heaps; the receiver is never
+    changed.  :meth:`write_in_place` changes the receiver and is reserved
+    to the owner of a private copy (see the module docstring).
     """
 
     __slots__ = ("_m", "h_max")
@@ -57,28 +83,59 @@ class Heap:
 
     def write(self, a: Addr, v: Val) -> "Heap":
         """Remap an existing address.  The domain never changes here."""
+        h = self.copy()
+        h.write_in_place(a, v)
+        return h
+
+    def write_in_place(self, a: Addr, v: Val) -> None:
+        """:meth:`write` into this heap itself; only for a heap the caller owns."""
         if a not in self._m:
             raise InaccessibleWrite(a)
-        m = dict(self._m)
-        m[a] = v
-        return self._wrap(m)
+        self._m[a] = v
 
     def define(self, addrs: Iterable[Addr], v: Val) -> "Heap":
         """Allocator-side domain extension: map every address in ``addrs`` to ``v``."""
-        m = dict(self._m)
-        for a in addrs:
+        fresh = dict.fromkeys(_checked(addrs, self.h_max), v)
+        h = self.copy()
+        h._m.update(fresh)
+        return h
+
+    def define_many(self, entries: Mapping[Addr, Val]) -> "Heap":
+        """:meth:`define` with a value per address, in one copy."""
+        for a in entries:
             _check_addr(a, self.h_max)
-            m[a] = v
+        h = self.copy()
+        h._m.update(entries)
+        return h
+
+    def fill_undefined(self, addrs: Iterable[Addr], v: Val) -> "Heap":
+        """Map the addresses of ``addrs`` outside the domain to ``v``.
+
+        Defined cells keep their values.
+        """
+        m = dict.fromkeys(_checked(addrs, self.h_max), v)
+        m.update(self._m)
         return self._wrap(m)
 
     def undefine(self, addrs: Iterable[Addr]) -> "Heap":
-        """Drop addresses from the domain (make them inaccessible)."""
-        m = dict(self._m)
+        """Drop addresses from the domain (make them inaccessible).
+
+        Walks whichever is smaller, the heap or an address ``range``.
+        """
+        h = self.copy()
+        m = h._m
+        if isinstance(addrs, range) and len(m) < len(addrs):
+            addrs = [a for a in m if a in addrs]
         for a in addrs:
             m.pop(a, None)
-        return self._wrap(m)
+        return h
+
+    def copy(self) -> "Heap":
+        """An equal heap that shares nothing with this one."""
+        return self._wrap(dict(self._m))
 
     def _wrap(self, m: dict) -> "Heap":
+        # Every heap a mutator or copy makes is built here from a new dict.
         h = Heap.__new__(Heap)
         h._m = m
         h.h_max = self.h_max

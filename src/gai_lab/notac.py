@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from typing import Callable, Iterable, Optional
 
 from .alloc_model import Strategy
@@ -86,33 +86,43 @@ Event = ObsEv | MallocEv | MallocFailEv | FreeEv | CastEv
 Trace = tuple  # tuple[Event, ...]
 
 
+# JSON kind -> (event class, its integer fields in constructor order).
+_EVENT_KINDS = {
+    "obs": (ObsEv, ("val",)),
+    "malloc": (MallocEv, ("size", "addr")),
+    "mfail": (MallocFailEv, ("size",)),
+    "free": (FreeEv, ("addr",)),
+    "cast": (CastEv, ("val",)),
+}
+# Sizes and allocated addresses are never negative; a free carries whatever
+# value its expression had, and observed or cast values are any integer.
+_NON_NEGATIVE = {("malloc", "size"), ("malloc", "addr"), ("mfail", "size")}
+
+
 def event_to_json(ev: Event) -> dict:
-    if isinstance(ev, ObsEv):
-        return {"kind": "obs", "val": ev.val}
-    if isinstance(ev, MallocEv):
-        return {"kind": "malloc", "size": ev.size, "addr": ev.addr}
-    if isinstance(ev, MallocFailEv):
-        return {"kind": "mfail", "size": ev.size}
-    if isinstance(ev, FreeEv):
-        return {"kind": "free", "addr": ev.addr}
-    if isinstance(ev, CastEv):
-        return {"kind": "cast", "val": ev.val}
+    for kind, (cls, fields) in _EVENT_KINDS.items():
+        if type(ev) is cls:
+            return {"kind": kind, **{f: getattr(ev, f) for f in fields}}
     raise TypeError(f"not an event: {ev!r}")
 
 
 def event_from_json(obj: dict) -> Event:
-    kind = obj["kind"]
-    if kind == "obs":
-        return ObsEv(obj["val"])
-    if kind == "malloc":
-        return MallocEv(obj["size"], obj["addr"])
-    if kind == "mfail":
-        return MallocFailEv(obj["size"])
-    if kind == "free":
-        return FreeEv(obj["addr"])
-    if kind == "cast":
-        return CastEv(obj["val"])
-    raise ValueError(f"unknown event kind {kind!r}")
+    """The event a JSON object describes; ``ValueError`` when it is malformed."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, found {obj!r}")
+    kind = obj.get("kind")
+    if kind not in _EVENT_KINDS:
+        raise ValueError(f"unknown event kind {kind!r}")
+    cls, fields = _EVENT_KINDS[kind]
+    values = []
+    for f in fields:
+        v = obj.get(f)
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"{kind} event needs an integer {f!r}, found {v!r}")
+        if v < 0 and (kind, f) in _NON_NEGATIVE:
+            raise ValueError(f"{kind} event has negative {f!r} {v}")
+        values.append(v)
+    return cls(*values)
 
 
 def format_trace(trace: Iterable[Event]) -> str:
@@ -125,7 +135,19 @@ def dump_trace(trace: Iterable[Event]) -> str:
 
 
 def load_trace(text: str) -> Trace:
-    return tuple(event_from_json(json.loads(line)) for line in text.splitlines() if line.strip())
+    """Parse :func:`dump_trace` output; blank lines are skipped.
+
+    Raises ``ValueError`` naming the 1-based line of the first bad event.
+    """
+    events = []
+    for n, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            events.append(event_from_json(json.loads(line)))
+        except (ValueError, RecursionError) as exc:  # json.loads recurses on nested arrays
+            raise ValueError(f"line {n}: {exc}") from None
+    return tuple(events)
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +327,18 @@ def _tokenize(src: str) -> list[_Tok]:
 # connectives and the comparisons, as in C).
 _BINOP_LEVELS = [["||"], ["&&"], ["^"], ["==", "!="], ["<", "<=", ">", ">="], ["+", "-"], ["*"]]
 
+# Deepest expression nesting the parser accepts.  Each parenthesis, prefix
+# operator and chained binary operator adds a level, so both the recursive
+# parser and the recursive evaluator stay well inside Python's recursion
+# limit.
+MAX_EXPR_DEPTH = 50
+
 
 class _Parser:
     def __init__(self, src: str):
         self.toks = _tokenize(src)
         self.i = 0
+        self.depth = 0  # expression nesting at the current token
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -328,29 +357,39 @@ class _Parser:
     def at(self, text: str) -> bool:
         return self.peek().text == text
 
+    def nest(self, tok: _Tok) -> None:
+        """Enter one more level of expression nesting at ``tok``."""
+        self.depth += 1
+        if self.depth > MAX_EXPR_DEPTH:
+            raise ParseError(f"expression nested deeper than MAX_EXPR_DEPTH = {MAX_EXPR_DEPTH}", tok.pos)
+
     # -- expressions
 
     def expr(self, level: int = 0) -> Expr:
         if level == len(_BINOP_LEVELS):
             return self.unary()
         left = self.expr(level + 1)
+        depth = self.depth
         while self.peek().text in _BINOP_LEVELS[level]:
-            op = self.next().text
+            tok = self.next()
+            self.nest(tok)  # the chain so far becomes the left operand
             right = self.expr(level + 1)
-            left = Binop(op, left, right)
+            left = Binop(tok.text, left, right)
+        self.depth = depth
         return left
 
     def unary(self) -> Expr:
         tok = self.peek()
-        if tok.text == "-":
+        if tok.text in ("-", "*"):
             self.next()
+            self.nest(tok)
             inner = self.unary()
+            self.depth -= 1
+            if tok.text == "*":
+                return Deref(inner)
             if isinstance(inner, Const):
                 return Const(-inner.value)
             return Binop("-", Const(0), inner)
-        if tok.text == "*":
-            self.next()
-            return Deref(self.unary())
         if tok.text == "&":
             self.next()
             name = self.next()
@@ -362,8 +401,10 @@ class _Parser:
     def atom(self) -> Expr:
         tok = self.next()
         if tok.text == "(":
+            self.nest(tok)
             e = self.expr()
             self.expect(")")
+            self.depth -= 1
             return e
         if tok.kind == "num":
             return Const(int(tok.text))
@@ -469,34 +510,20 @@ def _seq(cmds: list) -> Cmd:
     return out
 
 
-def _collect_vars(node, seen: Optional[dict] = None) -> list:
-    if seen is None:
-        seen = {}
-    if isinstance(node, (Var, AddrOf, LVar)):
-        seen.setdefault(node.name, None)
-    elif isinstance(node, Binop):
-        _collect_vars(node.left, seen)
-        _collect_vars(node.right, seen)
-    elif isinstance(node, (Deref, LDeref)):
-        _collect_vars(node.addr, seen)
-    elif isinstance(node, (Assign, CastAssign)):
-        _collect_vars(node.lval, seen)
-        _collect_vars(node.expr, seen)
-    elif isinstance(node, MallocAssign):
-        _collect_vars(node.lval, seen)
-        _collect_vars(node.size, seen)
-    elif isinstance(node, (FreeCmd, Observe)):
-        _collect_vars(node.expr, seen)
-    elif isinstance(node, Seq):
-        _collect_vars(node.first, seen)
-        _collect_vars(node.second, seen)
-    elif isinstance(node, If):
-        _collect_vars(node.cond, seen)
-        _collect_vars(node.then, seen)
-        _collect_vars(node.orelse, seen)
-    elif isinstance(node, While):
-        _collect_vars(node.cond, seen)
-        _collect_vars(node.body, seen)
+def _collect_vars(root) -> list:
+    """Variable names in first-occurrence order.
+
+    A left-to-right walk on an explicit stack: a program's ``Seq`` chain is
+    as deep as it has statements.
+    """
+    seen: dict = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Var, AddrOf, LVar)):
+            seen.setdefault(node.name, None)
+        else:
+            stack.extend(reversed([v for v in vars(node).values() if is_dataclass(v)]))
     return list(seen)
 
 
@@ -586,7 +613,7 @@ class Stuck(Exception):
 @dataclass(frozen=True)
 class Config:
     stack: tuple  # tuple[Cmd, ...]; head runs first
-    heap: Heap
+    heap: Heap  # step writes client cells into it in place
     state: object
 
 
@@ -674,7 +701,10 @@ def eval_lval(env: dict, strategy: Strategy, state: object, heap: Heap, lv: Lval
 def step(env: dict, strategy: Strategy, cfg: Config) -> Optional[tuple[Config, Optional[Event]]]:
     """One small step; ``None`` when the configuration is fully reduced.
 
-    Raises :class:`Stuck` when no rule applies.
+    Client writes (assignments, casts, and the target cell of a malloc)
+    go into ``cfg.heap`` in place, so the caller must own that heap (see
+    :func:`run`).  Allocator steps may return a new heap.  Raises
+    :class:`Stuck` when no rule applies.
     """
     stack = cfg.stack
     while stack and isinstance(stack[0], Seq):
@@ -703,18 +733,13 @@ def step(env: dict, strategy: Strategy, cfg: Config) -> Optional[tuple[Config, O
     if isinstance(cmd, Observe):
         v = at(cmd, lambda: eval_expr(env, strategy, state, heap, cmd.expr))
         return Config(rest, heap, state), ObsEv(v)
-    if isinstance(cmd, Assign):
+    if isinstance(cmd, (Assign, CastAssign)):
         a = at(cmd, lambda: eval_lval(env, strategy, state, heap, cmd.lval))
         v = at(cmd, lambda: eval_expr(env, strategy, state, heap, cmd.expr))
         if a < 0 or a not in heap:
             raise Stuck(f"write to inaccessible address {a}", cmd.pos)
-        return Config(rest, heap.write(a, v), state), None
-    if isinstance(cmd, CastAssign):
-        a = at(cmd, lambda: eval_lval(env, strategy, state, heap, cmd.lval))
-        v = at(cmd, lambda: eval_expr(env, strategy, state, heap, cmd.expr))
-        if a < 0 or a not in heap:
-            raise Stuck(f"write to inaccessible address {a}", cmd.pos)
-        return Config(rest, heap.write(a, v), state), CastEv(v)
+        heap.write_in_place(a, v)
+        return Config(rest, heap, state), (CastEv(v) if isinstance(cmd, CastAssign) else None)
     if isinstance(cmd, MallocAssign):
         n = at(cmd, lambda: eval_expr(env, strategy, state, heap, cmd.size))
         if n < 0:
@@ -725,7 +750,8 @@ def step(env: dict, strategy: Strategy, cfg: Config) -> Optional[tuple[Config, O
         if a_lval < 0 or a_lval not in h2:
             raise Stuck(f"malloc target address {a_lval} is inaccessible", cmd.pos)
         ev = MallocFailEv(n) if a == strategy.null(state) else MallocEv(n, a)
-        return Config(rest, h2.write(a_lval, a), st2), ev
+        h2.write_in_place(a_lval, a)
+        return Config(rest, h2, st2), ev
     if isinstance(cmd, FreeCmd):
         v = at(cmd, lambda: eval_expr(env, strategy, state, heap, cmd.expr))
         h2, st2 = strategy.free(heap, state, v)
@@ -743,16 +769,19 @@ def run(
 ) -> Outcome:
     """Initialize the strategy and iterate small steps until done.
 
-    The accumulated trace is returned in every outcome.  ``on_step``, when
-    given, is called with each reduced configuration (for instrumentation).
+    ``heap`` is left unchanged: the run copies the heap once after
+    ``strategy.init`` and :func:`step` writes into that copy in place.  The
+    accumulated trace is returned in every outcome, and ``Outcome.heap`` is
+    the run's heap.  ``on_step``, when given, is called with each reduced
+    configuration (for instrumentation); the heap it sees is live and keeps
+    changing, so copy it to keep a snapshot.
     """
-    image = frozenset(env.values())
-    if not image <= heap.domain():
-        raise CompatibilityError(
-            f"environment cells {sorted(image - heap.domain())[:8]} not in the heap"
-        )
+    missing = [a for a in env.values() if a not in heap]
+    if missing:
+        raise CompatibilityError(f"environment cells {sorted(missing)[:8]} not in the heap")
     h0, st0 = strategy.init(heap)
-    cfg = Config((program.body,), h0, st0)
+    # The copy is the run's own heap; NullAlloc.init returns the caller's.
+    cfg = Config((program.body,), h0.copy(), st0)
     trace: list[Event] = []
     for _ in range(fuel):
         try:

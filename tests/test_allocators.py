@@ -1,5 +1,7 @@
 """Unit behavior of the shipped allocation strategies."""
 
+import time
+
 import pytest
 
 from gai_lab.allocators import (
@@ -193,6 +195,13 @@ class TestCurious:
         h, st = c.init(Heap({3: 9, 60: 4}))
         assert 3 not in h
         assert h.read(60) == 4
+
+    def test_init_costs_the_heap_not_the_world(self):
+        # The world has 2**31 + 1 cells; init walks the three-cell heap.
+        start = time.perf_counter()
+        h, st = CuriousAlloc(3, 2**31).init(Heap({3: 9, 2**31: 1, 2**31 + 5: 4}))
+        assert time.perf_counter() - start < 1.0
+        assert dict(h.items()) == {2**31 + 5: 4} and st == ("none",)
 
 
 class TestNullAlloc:

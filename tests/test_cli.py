@@ -76,6 +76,17 @@ def test_similar_and_filter(tmp_path):
     assert res.exit_code == 1 and "no match" in res.output
 
 
+def test_malformed_trace_files_exit_2(tmp_path):
+    good = write(tmp_path, "good.jsonl", '{"kind": "obs", "val": 1}\n')
+    bad = write(tmp_path, "bad.jsonl",
+                '{"kind": "obs", "val": 1}\n{"kind": "malloc", "size": "8", "addr": 3}\n')
+    for args in (("similar", good, bad), ("similar", bad, good), ("filter", bad, "--sigma", "M8")):
+        res = invoke(*args)
+        assert res.exit_code == 2
+        assert "bad.jsonl: bad trace file (line 2: malloc event needs an integer 'size'" in res.output
+        assert "Traceback" not in res.output
+
+
 def test_similar_identical_files(tmp_path):
     prog = write(tmp_path, "prog.ntc", "p = malloc(8); observe(p);")
     ta = str(tmp_path / "a.jsonl")

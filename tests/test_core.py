@@ -84,3 +84,82 @@ def test_eq_on_monotone_under_restriction(h1, h2, s, s2):
 @given(heaps, addr_sets)
 def test_eq_on_reflexive(h, s):
     assert heap_eq_on(h, h, s)
+
+
+# -- mutators against a plain-dict model ------------------------------------
+
+H_MAX_SMALL = 64
+# Addresses on both sides of [0, H_MAX_SMALL), so some cells are out of range.
+model_addrs = st.integers(-3, H_MAX_SMALL + 3)
+model_ranges = st.builds(range, model_addrs, model_addrs)
+model_cells = st.one_of(model_ranges, st.lists(model_addrs, max_size=6))
+values = st.integers(-9, 9)
+heap_ops = st.one_of(
+    st.tuples(st.just("define"), model_cells, values),
+    st.tuples(st.just("define_many"), st.dictionaries(st.integers(0, H_MAX_SMALL - 1), values, max_size=4)),
+    st.tuples(st.just("undefine"), model_cells),
+    st.tuples(st.just("fill_undefined"), model_ranges, values),
+    st.tuples(st.just("write"), model_addrs, values),
+    st.tuples(st.just("write_in_place"), model_addrs, values),
+)
+
+
+def _model_step(model: dict, op: tuple) -> dict:
+    """What ``op`` makes of the map ``model``; raises like the heap does."""
+    name, *args = op
+    out = dict(model)
+    if name in ("define", "fill_undefined"):
+        cells, v = args
+        if any(not 0 <= a < H_MAX_SMALL for a in cells):
+            raise ValueError("out of range")
+        for a in cells:
+            if name == "define" or a not in out:
+                out[a] = v
+    elif name == "define_many":
+        out.update(args[0])
+    elif name == "undefine":
+        for a in args[0]:
+            out.pop(a, None)
+    else:
+        a, v = args
+        if a not in out:
+            raise InaccessibleWrite(a)
+        out[a] = v
+    return out
+
+
+@given(st.lists(heap_ops, max_size=12))
+def test_mutators_match_dict_model(ops):
+    heap, model = Heap(h_max=H_MAX_SMALL), {}
+    for op in ops:
+        name, *args = op
+        before = dict(heap.items())
+        try:
+            expected = _model_step(model, op)
+        except (ValueError, InaccessibleWrite) as exc:
+            target = heap.copy() if name == "write_in_place" else heap
+            with pytest.raises(type(exc)):
+                getattr(target, name)(*args)
+            assert dict(heap.items()) == before  # a failed mutation changes nothing
+            continue
+        if name == "write_in_place":
+            owned = heap.copy()
+            owned.write_in_place(*args)
+            result = owned
+        else:
+            result = getattr(heap, name)(*args)
+        assert dict(heap.items()) == before  # the receiver keeps its value
+        assert dict(result.items()) == expected and len(result) == len(expected)
+        assert result.domain() == frozenset(expected)
+        heap, model = result, expected
+
+
+def test_range_checks_cover_both_ends():
+    with pytest.raises(ValueError):
+        Heap().define(range(-1, 5), 0)
+    with pytest.raises(ValueError):
+        Heap().define(range(2**32 - 1, 2**32 + 1), 0)
+    with pytest.raises(ValueError):
+        Heap().fill_undefined(range(5, -2, -1), 0)  # descending, ends at -1
+    assert Heap().define(range(2**32 - 2, 2**32), 3).domain() == {2**32 - 2, 2**32 - 1}
+    assert len(Heap().define(range(5, 5), 0)) == 0

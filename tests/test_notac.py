@@ -295,6 +295,85 @@ def test_trace_serialization_roundtrip():
     assert "malloc(8,101)" in format_trace(trace)
 
 
+def test_trace_loader_rejects_malformed_events():
+    good = '{"kind": "obs", "val": -3}\n'
+    bad_lines = [
+        '{"kind": "malloc", "size": "8", "addr": 3}',
+        '{"kind": "malloc", "size": true, "addr": 3}',
+        '{"kind": "malloc", "size": 8, "addr": -1}',
+        '{"kind": "mfail", "size": -8}',
+        '{"kind": "mfail", "size": 8.0}',
+        '{"kind": "free"}',
+        '{"kind": "alloc", "size": 8}',
+        '[1, 2]',
+        '{"kind": "obs", "val": 1',
+        "[" * 100_000,
+    ]
+    for line in bad_lines:
+        with pytest.raises(ValueError, match="^line 3: "):
+            load_trace(good + "\n" + line + "\n" + good)
+    # a free carries whatever value its expression had
+    assert load_trace('{"kind": "free", "addr": -5}') == (FreeEv(-5),)
+
+
+def test_long_straight_line_program_parses_and_runs():
+    prog = parse("x = 0;\n" * 2500 + "x = x + 1;\n" * 2500 + "observe(x);")
+    assert prog.variables == ("x",)
+    out, _ = setup_run("x = 0;\n" * 2500 + "x = x + 1;\n" * 2500 + "observe(x);", bump(0, 8, 72), base=0)
+    assert out.terminated and out.trace == (ObsEv(2500),)
+
+
+def test_expression_nesting_is_bounded():
+    deep = "observe(" + "(" * 400 + "1" + ")" * 400 + ");"
+    with pytest.raises(ParseError, match=f"MAX_EXPR_DEPTH = {notac.MAX_EXPR_DEPTH}"):
+        parse(deep)
+    n = notac.MAX_EXPR_DEPTH
+    for src in (
+        "observe(" + "+".join(["1"] * 2000) + ");",  # a left-nested chain
+        "observe(" + "-" * (n + 1) + "1);",
+        "x = " + "*" * (n + 1) + "x;",
+    ):
+        with pytest.raises(ParseError, match="MAX_EXPR_DEPTH"):
+            parse(src)
+    at_limit = parse("observe(" + "(" * n + "1" + ")" * n + ");")
+    assert at_limit.body == notac.Observe(Const(1))
+    out, _ = setup_run("observe(" + "+".join(["1"] * (n + 1)) + ");", null_alloc())
+    assert out.trace == (ObsEv(n + 1),)
+
+
+def test_run_copies_arena_once_not_per_step(monkeypatch):
+    """Heap cells copied in a 2,000-iteration loop under a 20,000-cell bump
+    arena grow with arena + steps, not with their product."""
+    copied = []
+    wrap = Heap._wrap
+
+    def counting_wrap(self, m):
+        copied.append(len(m))
+        return wrap(self, m)
+
+    monkeypatch.setattr(Heap, "_wrap", counting_wrap)
+    arena = 20_000
+    steps = []
+    prog = parse(
+        "i = 0; s = 0; while (i < 2000) { p = malloc(2); "
+        "if (p != NULL) { *(p + 1) = i; s = s + *(p + 1); free(p); } i = i + 1; } observe(s);"
+    )
+    env, heap, _ = make_env(prog, 0)
+    out = run(env, bump(0, 8, arena), prog, heap, on_step=lambda cfg, ev: steps.append(1))
+    assert out.terminated and out.trace[-1] == ObsEv(sum(range(2000)))
+    assert len(steps) > 2000 * 5
+    assert sum(copied) <= 2 * (arena + len(steps))
+
+
+def test_run_leaves_the_callers_heap_alone():
+    prog = parse("x = 5; p = malloc(0);")
+    env, heap, _ = make_env(prog, 10)
+    for strategy in (null_alloc(), bump(0, 100, 200), eager(0, 100, 200)):
+        out = run(env, strategy, prog, heap)
+        assert out.heap.read(env["x"]) == 5
+        assert heap.read(env["x"]) == 0 and heap.read(env["p"]) == 0
+
+
 def test_run_events_replay_symbolically():
     """The malloc/free events of a run replay through feasible_run."""
     src = "p = malloc(8); q = malloc(4); free(p); free(q);"
