@@ -178,13 +178,6 @@ CASES: tuple[CorpusCase, ...] = (
 )
 
 
-def case_by_name(name: str) -> CorpusCase:
-    for case in CASES:
-        if case.name == name:
-            return case
-    raise KeyError(name)
-
-
 def prepare_case(case: CorpusCase, base: int = DEFAULT_ENV_BASE):
     """Parse a case and build its (program, env, seeded heap)."""
     program = notac.parse(case.source)

@@ -315,6 +315,23 @@ def similar_bruteforce(t1: Sequence[Event], t2: Sequence[Event], bound: int = 10
 
 
 def prefixes_similar_to(t: Sequence[Event], run: Sequence[Event]) -> list[int]:
-    """All prefix lengths ``p`` of ``run`` with ``run[:p]`` similar to ``t``."""
+    """All prefix lengths ``p`` of ``run`` with ``run[:p]`` similar to ``t``.
+
+    Similar traces have equal alloc shapes and equal observe/cast residues,
+    so they hold equally many non-free events.  That count never falls as
+    ``p`` grows, so the only candidates form one stretch: ``run`` up to its
+    k-th non-free event (k as in ``t``) and the frees right after it.  One
+    pass finds the stretch, and ``similar`` runs only on it.
+    """
     t, run = tuple(t), tuple(run)
-    return [p for p in range(len(run) + 1) if similar(t, run[:p])[0]]
+    need = sum(not isinstance(ev, FreeEv) for ev in t)
+    stretch = []
+    count = 0  # non-free events in run[:p]
+    for p in range(len(run) + 1):
+        if count == need:
+            stretch.append(p)
+        if p < len(run) and not isinstance(run[p], FreeEv):
+            count += 1
+            if count > need:
+                break
+    return [p for p in stretch if similar(t, run[:p])[0]]

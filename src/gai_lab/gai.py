@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from . import allocators
 from .alloc_model import Strategy, wf_check
 from .core import Heap
-from .filtering import prefixes_similar_to, similar
+from .filtering import prefixes_similar_to
 from .notac import (
     CastEv,
     Event,
@@ -32,6 +32,7 @@ from .notac import (
     Outcome,
     Program,
     Trace,
+    event_to_json,
     format_trace,
     run,
 )
@@ -110,12 +111,7 @@ def _class_candidates(cls: EventClass, probe_trace: Trace) -> list:
 
 def _reaches_on_trace(t: Trace, cls: EventClass, probe: Trace) -> bool:
     """Does some prefix of ``probe`` realize ``t`` extended by an event from ``cls``?"""
-    for cand in _class_candidates(cls, probe):
-        extended = t + (cand,)
-        for p in range(len(probe) + 1):
-            if similar(extended, probe[:p])[0]:
-                return True
-    return False
+    return any(prefixes_similar_to(t + (c,), probe) for c in _class_candidates(cls, probe))
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +160,6 @@ class GaiReport:
         return {"pass": 0, "violation": 1, "inconclusive": 2}[self.verdict]
 
     def to_json(self) -> dict:
-        from .notac import event_to_json
-
         out = {
             "verdict": self.verdict,
             "runs": {
@@ -234,7 +228,6 @@ def gai_check(
     fuel: int = 100_000,
     wf_trials: int = 25,
     wf_seed: int = 0,
-    check_wf: bool = True,
 ) -> GaiReport:
     """Differential GAI verdict for one program under one family.
 
@@ -246,8 +239,7 @@ def gai_check(
     inconclusive, never as a violation.
     """
     family = list(default_family() if family is None else family)
-    if check_wf:
-        check_family_wf(family, frozenset(env.values()), heap, wf_trials, wf_seed)
+    check_family_wf(family, frozenset(env.values()), heap, wf_trials, wf_seed)
 
     outcomes: list[tuple[Strategy, Outcome]] = [
         (beta, run(env, beta, program, heap, fuel)) for beta in family

@@ -23,13 +23,15 @@ agree with its Notac cell, and the translated program must satisfy GAI.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Optional, Sequence
 
 from . import notac
 from .alloc_model import Strategy
-from .gai import GaiReport, gai_check
+from .gai import DEFAULT_ENV_BASE, GaiReport, default_family, gai_check
 from .notac import (
+    MAX_BLOCK_DEPTH,
+    MAX_EXPR_DEPTH,
     Assign,
     Binop,
     Cmd,
@@ -193,6 +195,9 @@ _MS_TOKEN = re.compile(
 
 _MS_KEYWORDS = {"skip", "if", "then", "else", "end", "while", "do", "alloc", "nil"}
 
+# Binary operator precedence, loosest first; ``=`` spells ``==``.
+_MS_BINOP_LEVELS = [("==", "=", "<="), ("+", "-"), ("*",)]
+
 
 class _MsParser:
     def __init__(self, src: str):
@@ -207,6 +212,8 @@ class _MsParser:
             i = m.end()
         self.toks.append(("eof", ""))
         self.i = 0
+        self.depth = 0  # expression nesting, bounded as in Notac
+        self.blocks = 0  # block nesting
 
     def peek(self):
         return self.toks[self.i]
@@ -224,34 +231,35 @@ class _MsParser:
     def at(self, text):
         return self.peek()[1] == text
 
-    # expressions: == and <= loosest, then + -, then *
-    def expr(self):
-        e = self.additive()
-        while self.peek()[1] in ("==", "=", "<="):
-            tok = self.next()[1]
-            e = MsBinop("<=" if tok == "<=" else "==", e, self.additive())
-        return e
+    def nest(self):
+        """Enter one more level of expression nesting."""
+        self.depth += 1
+        if self.depth > MAX_EXPR_DEPTH:
+            raise MsParseError(f"expression nested deeper than MAX_EXPR_DEPTH = {MAX_EXPR_DEPTH}")
 
-    def additive(self):
-        e = self.term()
-        while self.peek()[1] in ("+", "-"):
-            e = MsBinop(self.next()[1], e, self.term())
-        return e
-
-    def term(self):
-        e = self.atom()
-        while self.at("*"):
-            self.next()
-            e = MsBinop("*", e, self.atom())
+    def expr(self, level=0):
+        if level == len(_MS_BINOP_LEVELS):
+            return self.atom()
+        e = self.expr(level + 1)
+        depth = self.depth
+        while self.peek()[1] in _MS_BINOP_LEVELS[level]:
+            op = self.next()[1]
+            self.nest()  # the chain so far becomes the left operand
+            e = MsBinop("==" if op == "=" else op, e, self.expr(level + 1))
+        self.depth = depth
         return e
 
     def atom(self):
         kind, text = self.next()
         if text == "(":
+            self.nest()
             e = self.expr()
             self.expect(")")
+            self.depth -= 1
             return e
         if text == "-":
+            self.nest()  # a level, as in Notac, though only a literal follows
+            self.depth -= 1
             kind2, text2 = self.next()
             if kind2 != "num":
                 raise MsParseError("'-' prefix is only for integer literals")
@@ -263,6 +271,15 @@ class _MsParser:
         if kind == "name" and text not in _MS_KEYWORDS:
             return MsVar(text)
         raise MsParseError(f"expected an expression, found {text or 'end of input'!r}")
+
+    def block(self):
+        """A command nested in an ``if`` or ``while``."""
+        self.blocks += 1
+        if self.blocks > MAX_BLOCK_DEPTH:
+            raise MsParseError(f"blocks nested deeper than MAX_BLOCK_DEPTH = {MAX_BLOCK_DEPTH}")
+        c = self.command()
+        self.blocks -= 1
+        return c
 
     def command(self):
         cmds = [self.simple()]
@@ -285,16 +302,16 @@ class _MsParser:
             self.next()
             cond = self.expr()
             self.expect("then")
-            then = self.command()
+            then = self.block()
             self.expect("else")
-            orelse = self.command()
+            orelse = self.block()
             self.expect("end")
             return MsIf(cond, then, orelse)
         if text == "while":
             self.next()
             cond = self.expr()
             self.expect("do")
-            body = self.command()
+            body = self.block()
             self.expect("end")
             return MsWhile(cond, body)
         if text == "[":
@@ -393,96 +410,73 @@ def _ms_binop(op: str, l: MsValue, r: MsValue) -> MsValue:
     raise _Undefined(f"{op} undefined on {l!r} and {r!r}")
 
 
+@dataclass(frozen=True)
+class _Guard:
+    """A pending guard check of a running loop, on ``ms_eval_cmd``'s stack."""
+
+    loop: MsWhile
+
+
 def ms_eval_cmd(state: MsState, cmd: MsCmd, fuel: int = 100_000) -> MsOutcome:
-    """Run a command; fuel bounds the number of executed commands."""
-    budget = [fuel]
+    """Run a command; fuel bounds the number of executed commands.
 
-    def tick() -> bool:
-        budget[0] -= 1
-        return budget[0] < 0
-
-    def go(st: MsState, c: MsCmd) -> MsOutcome:
-        if tick():
-            return MsOutcome("diverged", reason="fuel exhausted")
-        if isinstance(c, MsSkip):
-            return MsOutcome("ok", st)
-        if isinstance(c, MsSeq):
-            out = go(st, c.first)
-            return go(out.state, c.second) if out.ok else out
-        if isinstance(c, MsIf):
-            try:
-                v = ms_eval_expr(st, c.cond)
-            except _Undefined as exc:
-                return MsOutcome("error", reason=str(exc))
-            if not isinstance(v, int):
-                return MsOutcome("error", reason=f"guard is not an integer: {v!r}")
-            return go(st, c.then if v != 0 else c.orelse)
-        if isinstance(c, MsWhile):
-            while True:
-                if tick():
-                    return MsOutcome("diverged", reason="fuel exhausted")
-                try:
-                    v = ms_eval_expr(st, c.cond)
-                except _Undefined as exc:
-                    return MsOutcome("error", reason=str(exc))
-                if not isinstance(v, int):
-                    return MsOutcome("error", reason=f"guard is not an integer: {v!r}")
-                if v == 0:
-                    return MsOutcome("ok", st)
-                out = go(st, c.body)
-                if not out.ok:
-                    return out
-                st = out.state
-        if isinstance(c, MsAssign):
-            try:
-                v = ms_eval_expr(st, c.expr)
-            except _Undefined as exc:
-                return MsOutcome("error", reason=str(exc))
-            st.store[c.var] = v
-            return MsOutcome("ok", st)
-        if isinstance(c, MsLoad):
-            try:
-                p = ms_eval_expr(st, c.addr)
-            except _Undefined as exc:
-                return MsOutcome("error", reason=str(exc))
-            v = _ms_read(st, p)
-            if v is None:
-                return MsOutcome("error", reason=f"load through {p!r}")
-            st.store[c.var] = v
-            return MsOutcome("ok", st)
-        if isinstance(c, MsStore):
-            try:
+    Every command node, ``MsSeq`` included, costs one unit, and so does every
+    check of a loop guard.  Commands wait on an explicit stack, head last, so
+    a ``;``-chain as long as the program needs no recursion.
+    """
+    st = state
+    stack: list = [cmd]
+    try:
+        while stack:
+            c = stack.pop()
+            fuel -= 1
+            if fuel < 0:
+                return MsOutcome("diverged", reason="fuel exhausted")
+            if isinstance(c, MsSeq):
+                stack += [c.second, c.first]
+            elif isinstance(c, MsIf):
+                stack.append(c.then if _eval_guard(st, c.cond) != 0 else c.orelse)
+            elif isinstance(c, MsWhile):
+                stack.append(_Guard(c))
+            elif isinstance(c, _Guard):
+                if _eval_guard(st, c.loop.cond) != 0:
+                    stack += [c, c.loop.body]
+            elif isinstance(c, MsAssign):
+                st.store[c.var] = ms_eval_expr(st, c.expr)
+            elif isinstance(c, MsLoad):
+                st.store[c.var] = _ms_read(st, ms_eval_expr(st, c.addr), "load")
+            elif isinstance(c, MsStore):
                 p = ms_eval_expr(st, c.addr)
                 v = ms_eval_expr(st, c.expr)
-            except _Undefined as exc:
-                return MsOutcome("error", reason=str(exc))
-            if _ms_read(st, p) is None:
-                return MsOutcome("error", reason=f"store through {p!r}")
-            st.heap[p.block][p.offset] = v
-            return MsOutcome("ok", st)
-        if isinstance(c, MsAlloc):
-            try:
+                _ms_read(st, p, "store")
+                st.heap[p.block][p.offset] = v
+            elif isinstance(c, MsAlloc):
                 n = ms_eval_expr(st, c.size)
-            except _Undefined as exc:
-                return MsOutcome("error", reason=str(exc))
-            if not isinstance(n, int) or n < 0:
-                return MsOutcome("error", reason=f"alloc size {n!r}")
-            block = st.next_id
-            st.next_id += 1  # ids are never reused
-            st.heap[block] = [0] * n
-            st.store[c.var] = MsPtr(block, n, 0)
-            return MsOutcome("ok", st)
-        raise TypeError(f"not a command: {c!r}")
+                if not isinstance(n, int) or n < 0:
+                    raise _Undefined(f"alloc size {n!r}")
+                block = st.next_id
+                st.next_id += 1  # ids are never reused
+                st.heap[block] = [0] * n
+                st.store[c.var] = MsPtr(block, n, 0)
+            elif not isinstance(c, MsSkip):
+                raise TypeError(f"not a command: {c!r}")
+    except _Undefined as exc:
+        return MsOutcome("error", reason=str(exc))
+    return MsOutcome("ok", st)
 
-    return go(state, cmd)
+
+def _eval_guard(state: MsState, e: MsExpr) -> int:
+    v = ms_eval_expr(state, e)
+    if not isinstance(v, int):
+        raise _Undefined(f"guard is not an integer: {v!r}")
+    return v
 
 
-def _ms_read(state: MsState, p: MsValue) -> Optional[MsValue]:
-    if not isinstance(p, MsPtr):
-        return None
-    cells = state.heap.get(p.block)
+def _ms_read(state: MsState, p: MsValue, access: str) -> MsValue:
+    """The cell ``p`` points at; undefined unless ``p`` is in bounds of a live block."""
+    cells = state.heap.get(p.block) if isinstance(p, MsPtr) else None
     if cells is None or not (0 <= p.offset < p.bound) or p.bound != len(cells):
-        return None
+        raise _Undefined(f"{access} through {p!r}")
     return cells[p.offset]
 
 
@@ -504,40 +498,20 @@ class ReservedVariableError(Exception):
 
 
 def ms_variables(cmd: MsCmd) -> list[str]:
+    """Variable names in first-occurrence order.
+
+    A left-to-right walk on an explicit stack, as ``notac`` collects its
+    variables: a ``;``-chain is as deep as the program is long.
+    """
     seen: dict[str, None] = {}
-
-    def expr(e):
-        if isinstance(e, MsVar):
-            seen.setdefault(e.name, None)
-        elif isinstance(e, MsBinop):
-            expr(e.left)
-            expr(e.right)
-
-    def go(c):
-        if isinstance(c, MsSeq):
-            go(c.first)
-            go(c.second)
-        elif isinstance(c, MsIf):
-            expr(c.cond)
-            go(c.then)
-            go(c.orelse)
-        elif isinstance(c, MsWhile):
-            expr(c.cond)
-            go(c.body)
-        elif isinstance(c, MsAssign):
-            seen.setdefault(c.var, None)
-            expr(c.expr)
-        elif isinstance(c, MsLoad):
-            seen.setdefault(c.var, None)
-            expr(c.addr)
-        elif isinstance(c, MsStore):
-            expr(c.addr)
-            expr(c.expr)
-        elif isinstance(c, MsAlloc):
-            seen.setdefault(c.var, None)
-            expr(c.size)
-
-    go(cmd)
+    stack = [cmd]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, MsVar):
+            seen.setdefault(node.name, None)
+        elif isinstance(node, (MsAssign, MsLoad, MsAlloc)):
+            seen.setdefault(node.var, None)  # the target precedes its operand
+        stack.extend(reversed([v for v in vars(node).values() if is_dataclass(v)]))
     return list(seen)
 
 
@@ -570,7 +544,16 @@ class _Translator:
         if isinstance(c, MsSkip):
             return Skip()
         if isinstance(c, MsSeq):
-            return Seq(self.cmd(c.first), self.cmd(c.second))
+            # Walk the chain in a loop, translating in source order so loop
+            # guards are numbered as they appear, then rebuild it from the end.
+            parts = []
+            while isinstance(c, MsSeq):
+                parts.append(self.cmd(c.first))
+                c = c.second
+            out = self.cmd(c)
+            for part in reversed(parts):
+                out = Seq(part, out)
+            return out
         if isinstance(c, MsIf):
             return self.guard(If(translate_expr(c.cond), self.cmd(c.then), self.cmd(c.orelse)))
         if isinstance(c, MsWhile):
@@ -694,7 +677,6 @@ def differential_check(
     fuel: int = 100_000,
     family: Optional[Sequence[Strategy]] = None,
     initial_store: Optional[dict] = None,
-    env_base: Optional[int] = None,
     check_gai: bool = True,
     wf_trials: int = 25,
 ) -> DiffReport:
@@ -705,8 +687,6 @@ def differential_check(
     must equal its Notac cell.  The translated program must also satisfy
     GAI (bounded check).
     """
-    from .gai import DEFAULT_ENV_BASE, default_family
-
     store = dict(initial_store) if initial_store else {}
     for name, value in store.items():
         if not isinstance(value, int):
@@ -717,8 +697,7 @@ def differential_check(
 
     program, _manifest = translate(cmd)
     family = list(default_family() if family is None else family)
-    base = DEFAULT_ENV_BASE if env_base is None else env_base
-    env, heap, _reserved = notac.make_env(program, base)
+    env, heap, _reserved = notac.make_env(program, DEFAULT_ENV_BASE)
     for name, value in store.items():
         heap = heap.write(env[name], value)
 

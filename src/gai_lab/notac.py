@@ -332,6 +332,10 @@ _BINOP_LEVELS = [["||"], ["&&"], ["^"], ["==", "!="], ["<", "<=", ">", ">="], ["
 # parser and the recursive evaluator stay well inside Python's recursion
 # limit.
 MAX_EXPR_DEPTH = 50
+# Deepest block nesting the parsers of Notac and Memsafe accept.  Parsing,
+# printing and translating recurse once or twice per block, so the deepest
+# blocks holding the deepest expression stay inside the recursion limit.
+MAX_BLOCK_DEPTH = 100
 
 
 class _Parser:
@@ -339,6 +343,7 @@ class _Parser:
         self.toks = _tokenize(src)
         self.i = 0
         self.depth = 0  # expression nesting at the current token
+        self.blocks = 0  # block nesting at the current token
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -484,11 +489,15 @@ class _Parser:
         return Assign(target, e, pos)
 
     def block(self) -> Cmd:
-        self.expect("{")
+        tok = self.expect("{")
+        self.blocks += 1
+        if self.blocks > MAX_BLOCK_DEPTH:
+            raise ParseError(f"blocks nested deeper than MAX_BLOCK_DEPTH = {MAX_BLOCK_DEPTH}", tok.pos)
         cmds = []
         while not self.at("}"):
             cmds.append(self.statement())
         self.expect("}")
+        self.blocks -= 1
         if self.at(";"):  # tolerate `};`
             self.next()
         return _seq(cmds)
@@ -570,7 +579,13 @@ def to_source(cmd: Cmd, indent: int = 0) -> str:
     if isinstance(cmd, Observe):
         return f"{pad}observe({_expr_src(cmd.expr)});"
     if isinstance(cmd, Seq):
-        return f"{to_source(cmd.first, indent)}\n{to_source(cmd.second, indent)}"
+        # Walk the chain in a loop: it is as long as the program.
+        lines = []
+        while isinstance(cmd, Seq):
+            lines.append(to_source(cmd.first, indent))
+            cmd = cmd.second
+        lines.append(to_source(cmd, indent))
+        return "\n".join(lines)
     if isinstance(cmd, If):
         return (
             f"{pad}if ({_expr_src(cmd.cond)}) {{\n{to_source(cmd.then, indent + 1)}\n{pad}}} else {{\n"

@@ -146,6 +146,24 @@ def test_ms_run_error_exit(tmp_path):
     assert "error" in res.output
 
 
+def test_nesting_past_the_bounds_exits_2(tmp_path):
+    memsafe_sources = {
+        "parens.ms": "x <- " + "(" * 2000 + "1" + ")" * 2000,
+        "loops.ms": "while 0 do " * 1000 + "skip" + " end" * 1000,
+        "sum.ms": "x <- " + " + ".join(["1"] * 3000),
+    }
+    for name, text in memsafe_sources.items():
+        ms = write(tmp_path, name, text)
+        for args in (("ms-run", ms), ("translate", ms)):
+            res = invoke(*args)
+            assert res.exit_code == 2, (args, res.output)
+            assert "nested deeper than MAX_" in res.output
+            assert "Traceback" not in res.output
+    ntc = write(tmp_path, "deep.ntc", "if (1) {" * 1000 + "skip;" + "}" * 1000)
+    res = invoke("run", ntc)
+    assert res.exit_code == 2 and "MAX_BLOCK_DEPTH" in res.output
+
+
 def test_corpus_table():
     res = invoke("corpus", "--wf-trials", "5")
     assert res.exit_code == 0, res.output

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gai_lab import filtering
@@ -264,6 +264,53 @@ def test_long_pairs_symmetric_with_valid_witnesses(pair):
         for witness in (sigma, sigma_rev):
             f1, f2 = sym_filter(t1, witness), sym_filter(t2, witness)
             assert f1 is not None and f2 is not None and f1.residue == f2.residue
+
+
+@st.composite
+def trace_and_run(draw):
+    """A run and a trace drawn to hit it: a prefix of the run, that prefix with
+    frees appended or removed, or an unrelated trace (maybe longer than the
+    run).  Frees are frequent, so stretches have frees on both edges."""
+    free_heavy = st.sampled_from(ALPHABET + [FreeEv(a) for a in ADDRS] * 4)
+    run_trace = tuple(draw(st.lists(free_heavy, max_size=10)))
+    k = draw(st.integers(0, len(run_trace)))
+    extra = tuple(draw(st.lists(st.sampled_from([FreeEv(a) for a in ADDRS]), max_size=2)))
+    t = draw(st.sampled_from([
+        run_trace[:k],
+        run_trace[:k] + extra,
+        tuple(ev for ev in run_trace[:k] if not isinstance(ev, FreeEv)),
+        tuple(draw(st.lists(free_heavy, max_size=12))),
+    ]))
+    return t, run_trace
+
+
+M1, M2, F1, F2 = MallocEv(8, 100), MallocEv(8, 200), FreeEv(100), FreeEv(200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_and_run())
+@example(((F1,), (F1, F2, M1, F1)))  # need = 0: the stretch is the leading frees
+@example(((), (M1,)))  # need = 0, no frees: only the empty prefix
+@example(((M1, F1), (F2, M1, F1, F2, ObsEv(1))))  # frees on both edges of the stretch
+@example(((M1, F1, M2, F2), (M1, F1)))  # t longer than the run
+def test_prefix_scan_equals_every_prefix(pair):
+    t, run_trace = pair
+    reference = [p for p in range(len(run_trace) + 1) if similar(t, run_trace[:p])[0]]
+    assert prefixes_similar_to(t, run_trace) == reference
+
+
+def test_prefix_scan_tries_only_prefixes_of_equal_non_free_count(monkeypatch):
+    tried = []
+    real = filtering.similar
+
+    def spy(t1, t2):
+        tried.append(len(t2))
+        return real(t1, t2)
+
+    monkeypatch.setattr(filtering, "similar", spy)
+    run_trace = (F1, M1, F1, F2, ObsEv(1), F1, M2, F2)
+    assert prefixes_similar_to((F1, M2, F2), run_trace) == [3]
+    assert tried == [2, 3, 4]  # up to M1, then the two frees after it
 
 
 def test_clean_filter_replays_through_feasibility():

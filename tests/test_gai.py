@@ -166,6 +166,31 @@ class TestGaiCheck:
         report = gai_check(prog, env, heap, wf_trials=5)
         assert report.verdict == "pass"
 
+    def test_similarity_calls_grow_linearly_in_trace_length(self, monkeypatch):
+        """On the 16-node XOR list, ``similar`` runs O(|F|^2 L) times: each
+        (producer, position, member) triple tries one prefix for the impact
+        and one per reach candidate, plus one per free that follows."""
+        from gai_lab import filtering
+        from gai_lab.corpus import xor_script
+
+        calls = []
+        real = filtering.similar
+
+        def counting(t1, t2):
+            calls.append(1)
+            return real(t1, t2)
+
+        monkeypatch.setattr(filtering, "similar", counting)
+        ops = [("new", 1)] + [("push", v) for v in range(2, 17)] + [("get", 3), ("get", 0), ("get", 15)]
+        prog, env, heap = prepared(xor_script(ops))
+        report = gai_check(prog, env, heap, wf_trials=5)
+        assert report.verdict == "pass"
+        members = len(report.runs)
+        longest = max(len(trace) for _, trace in report.runs.values())
+        assert members == 7 and longest == 19
+        # an all-prefix scan makes 33,220 calls here
+        assert len(calls) <= 4 * members**2 * longest
+
     def test_report_json_shape(self):
         prog, env, heap = prepared("p = malloc(87); *(p) = 42; observe(*(p));")
         report = gai_check(prog, env, heap, wf_trials=5)

@@ -15,6 +15,7 @@ from gai_lab.memsafe import (
     ms_eval_expr,
     ms_parse,
     ms_run,
+    ms_variables,
     translate,
     translate_to_source,
     translate_expr,
@@ -210,3 +211,57 @@ def test_guarded_commands_do_nothing_after_oom():
     first_values = snapshots[0][1]
     assert all(values == first_values for _, values in snapshots)
     assert all(ev is None for ev, _ in snapshots[1:])  # no events after oom
+
+
+class TestLongAndDeepPrograms:
+    def test_long_command_chain_runs_and_translates(self):
+        n = 2000
+        cmd = ms_parse("x <- 0; " + "; ".join(f"x <- x + 1; v{k % 7} <- x" for k in range(n // 2)))
+        assert ms_variables(cmd) == ["x"] + [f"v{k}" for k in range(7)]
+        out = ms_run(cmd)
+        assert out.ok and out.state.store["x"] == n // 2
+        program, _ = translate(cmd)
+        src, _ = translate_to_source(cmd)
+        assert src.count("\n") > n
+        env, heap, _ = notac.make_env(program, DEFAULT_ENV_BASE)
+        assert notac.run(env, null_alloc(), program, heap).heap.read(env["x"]) == n // 2
+
+    def test_fuel_counts_command_nodes_and_guard_checks(self):
+        # x <- 1; y <- 2 is one MsSeq and two assignments
+        cmd = ms_parse("x <- 1; y <- 2")
+        assert ms_run(cmd, fuel=3).ok and ms_run(cmd, fuel=2).kind == "diverged"
+        # the loop node, three guard checks, and two bodies of three nodes each
+        loop = ms_parse("while x <= 1 do x <- x + 1; skip end")
+        assert ms_run(loop, {"x": 0}, fuel=10).ok
+        assert ms_run(loop, {"x": 0}, fuel=9).kind == "diverged"
+
+    def test_expression_nesting_is_bounded(self):
+        n = notac.MAX_EXPR_DEPTH
+        for src in (
+            "x <- " + "(" * 2000 + "1" + ")" * 2000,
+            "x <- " + " + ".join(["1"] * 3000),
+            "x <- " + "(" * n + "-1" + ")" * n,
+        ):
+            with pytest.raises(MsParseError, match="MAX_EXPR_DEPTH"):
+                ms_parse(src)
+        assert ms_run(ms_parse("x <- " + " + ".join(["1"] * (n + 1)))).state.store["x"] == n + 1
+
+    def test_block_nesting_is_bounded(self):
+        with pytest.raises(MsParseError, match=f"MAX_BLOCK_DEPTH = {notac.MAX_BLOCK_DEPTH}"):
+            ms_parse("while 0 do " * 1000 + "skip" + " end" * 1000)
+        b = notac.MAX_BLOCK_DEPTH
+        with pytest.raises(MsParseError, match="MAX_BLOCK_DEPTH"):
+            ms_parse("if 1 then " * (b + 1) + "skip" + " else skip end" * (b + 1))
+
+    def test_deepest_blocks_with_deepest_expression_run_and_translate(self):
+        b, e = notac.MAX_BLOCK_DEPTH, notac.MAX_EXPR_DEPTH
+        body = f"x <- {'(' * e}1{')' * e}; y <- {' + '.join(['1'] * (e + 1))}"
+        cmd = ms_parse("x <- 0; " + "while x <= 0 do " * b + body + " end" * b)
+        out = ms_run(cmd)
+        assert out.ok and out.state.store == {"x": 1, "y": e + 1}
+        program, manifest = translate(cmd)
+        assert len(manifest["loop_guards"]) == b
+        translate_to_source(cmd)
+        env, heap, _ = notac.make_env(program, DEFAULT_ENV_BASE)
+        ran = notac.run(env, null_alloc(), program, heap)
+        assert ran.terminated and ran.heap.read(env["y"]) == e + 1

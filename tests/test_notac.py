@@ -341,6 +341,30 @@ def test_expression_nesting_is_bounded():
     assert out.trace == (ObsEv(n + 1),)
 
 
+def test_block_nesting_is_bounded():
+    deep = "if (1) {" * 1000 + "skip;" + "}" * 1000
+    with pytest.raises(ParseError, match=f"MAX_BLOCK_DEPTH = {notac.MAX_BLOCK_DEPTH}"):
+        parse(deep)
+    b = notac.MAX_BLOCK_DEPTH
+    with pytest.raises(ParseError, match="MAX_BLOCK_DEPTH"):
+        parse("while (0) {" * (b + 1) + "}" * (b + 1))
+
+
+def test_deepest_blocks_with_deepest_expression_parse_run_and_print():
+    b, e = notac.MAX_BLOCK_DEPTH, notac.MAX_EXPR_DEPTH
+    chain = "+".join(["1"] * (e + 1))
+    body = f"observe({'(' * e}1{')' * e}); observe({chain});"
+    src = "i = 0; while (i < 1) {" * b + body + "i = i + 1; }" * b
+    out, _ = setup_run(src, null_alloc())
+    assert out.terminated and out.trace == (ObsEv(1), ObsEv(e + 1))
+    assert to_source(parse(src).body).count("while (") == b
+
+
+def test_long_program_prints_without_recursion():
+    prog = parse("x = 1;\n" * 3000)
+    assert to_source(prog.body) == "x = 1;\n" * 2999 + "x = 1;"
+
+
 def test_run_copies_arena_once_not_per_step(monkeypatch):
     """Heap cells copied in a 2,000-iteration loop under a 20,000-cell bump
     arena grow with arena + steps, not with their product."""
