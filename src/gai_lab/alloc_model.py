@@ -448,30 +448,6 @@ def _gen_update(rng: random.Random) -> ClientUpdate:
     return ClientUpdate(writes)
 
 
-def gen_update_seq(seed: int, length: int) -> tuple:
-    """Deterministic update sequence of exactly ``length`` client updates."""
-    rng = random.Random(seed)
-    return tuple(_gen_update(rng) for _ in range(length))
-
-
-def gen_symbolic_seq(seed: int, max_len: int) -> SymbolicSeq:
-    """A pseudo-random well-formed symbolic sequence of length <= max_len."""
-    rng = random.Random(seed)
-    out: list[SymbolicEvent] = []
-    live: list[int] = []  # positions of unfreed mallocs
-    for _ in range(rng.randint(0, max_len)):
-        if live and rng.random() < 0.35:
-            i = live.pop(rng.randrange(len(live)))
-            out.append(SymFree(back_index(out, i)))
-        elif rng.random() < 0.2:
-            out.append(SymFail(rng.choice(_SIZES)))
-        else:
-            out.append(SymMalloc(rng.choice(_SIZES)))
-            live.append(len(out))
-    assert symseq_well_formed(tuple(out))
-    return tuple(out)
-
-
 def _gen_feasible_history(
     strategy: Strategy,
     reserved: frozenset,

@@ -153,11 +153,7 @@ def cmd_filter(trace_path, sigma, as_json):
         click.echo("no match" if not as_json else json.dumps({"match": False}))
         sys.exit(1)
     if as_json:
-        click.echo(
-            json.dumps(
-                {"match": True, "residue": [notac.event_to_json(e) for e in outcome.residue]}
-            )
-        )
+        click.echo(json.dumps({"match": True, "residue": [notac.event_to_json(e) for e in outcome.residue]}))
     else:
         click.echo(f"residue: {notac.format_trace(outcome.residue)}")
     sys.exit(0)
@@ -195,6 +191,16 @@ def cmd_gai(program_path, family, fuel, base, inits, seed, wf_trials, as_json):
     sys.exit(report.exit_code)
 
 
+def _wf_report_json(r) -> dict:
+    out = {"clause": r.clause, "status": "pass" if r.passed else "fail"}
+    if r.witness is not None:
+        w = r.witness
+        out["trial"] = r.failed_trial
+        updates = {key: [u.writes for u in getattr(w, key)] for key in ("updates1", "updates2")}
+        out["witness"] = {"sigma": format_symseq(w.sigma), **updates, "detail": w.detail}
+    return out
+
+
 @main.command("wf")
 @click.argument("alloc_spec")
 @click.option("--trials", default=200, show_default=True)
@@ -218,14 +224,7 @@ def cmd_wf(alloc_spec, trials, seed, maxlen, reserved, as_json):
     reports = wf_check(strategy, rset, heap, trials, seed, maxlen)
     failed = [r for r in reports if not r.passed]
     if as_json:
-        click.echo(
-            json.dumps(
-                [
-                    {"clause": r.clause, "status": "pass" if r.passed else "fail"}
-                    for r in reports
-                ]
-            )
-        )
+        click.echo(json.dumps([_wf_report_json(r) for r in reports]))
     else:
         click.echo(f"# {strategy.name}: bounded check, {trials} trials (rejection-sound)")
         for r in reports:

@@ -30,15 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .alloc_model import (
-    AllocEntry,
-    SymbolicSeq,
-    SymFail,
-    SymFree,
-    SymMalloc,
-    back_index,
-    free_index,
-)
+from .alloc_model import SymbolicSeq, SymFail, SymFree, SymMalloc, back_index
 from .notac import CastEv, Event, FreeEv, MallocEv, MallocFailEv, ObsEv, Trace
 
 # ---------------------------------------------------------------------------
@@ -50,42 +42,36 @@ class FilterOutcome:
     residue: Trace
 
 
-def x_filter_free(m: frozenset, addr: int, prefix: SymbolicSeq, rest: SymbolicSeq) -> bool:
-    """Is a free of ``addr`` filterable right now?
-
-    True iff ``rest`` starts with a free whose back-index resolves to a
-    malloc position ``i`` of ``prefix`` and the map holds (addr, size; i).
-    """
-    if not rest or not isinstance(rest[0], SymFree):
-        return False
-    i = free_index(prefix, rest[0].back)
-    if i is None or not isinstance(prefix[i - 1], SymMalloc):
-        return False
-    return AllocEntry(addr, prefix[i - 1].size, i) in m
-
-
 def sym_filter(trace: Sequence[Event], seq) -> Optional[FilterOutcome]:
-    """Run the filter; ``None`` when the trace and sequence do not match."""
+    """Run the filter; ``None`` when the trace and sequence do not match.
+
+    ``returned`` holds the addresses the filter's mallocs returned, oldest
+    first, so the free item ``SymFree(b)`` names ``returned[-1 - b]``; like
+    the allocation map it never shrinks.
+    """
     seq = tuple(seq)
-    m: frozenset = frozenset()
+    returned: list[int] = []
     residue: list[Event] = []
     k = 0  # cursor into seq
     for ev in trace:
+        item = seq[k] if k < len(seq) else None
         if isinstance(ev, MallocEv):
-            if k >= len(seq) or seq[k] != SymMalloc(ev.size):
+            if item != SymMalloc(ev.size):
                 return None
-            m = m | {AllocEntry(ev.addr, ev.size, k + 1)}
+            returned.append(ev.addr)
             k += 1
         elif isinstance(ev, MallocFailEv):
-            if k >= len(seq) or seq[k] != SymFail(ev.size):
+            if item != SymFail(ev.size):
                 return None
             k += 1
-        elif isinstance(ev, FreeEv):
-            if x_filter_free(m, ev.addr, seq[:k], seq[k:]):
-                k += 1  # the map deliberately does not shrink
-            else:
-                residue.append(ev)
-        else:  # observe/cast are never filtered
+        elif (
+            isinstance(ev, FreeEv)
+            and isinstance(item, SymFree)
+            and 0 <= item.back < len(returned)
+            and returned[-1 - item.back] == ev.addr
+        ):
+            k += 1
+        else:  # observe/cast, and frees the next item does not release
             residue.append(ev)
     if k != len(seq):
         return None

@@ -13,6 +13,12 @@ For every producer run, at every event, the allocators whose runs have a
 prefix similar to the current trace must be able to reach the event's
 downgrading class: the exact event for frees and observes, any same-size
 allocation outcome for malloc/mfail, any cast for casts.
+
+The event belongs to its class, so reach at position ``j`` is impact at
+``j + 1`` unless another class member (the other allocation outcome,
+another cast value) extends the prefix.  A malloc's address does not matter
+there: it ends the extended trace, where no free follows that could pass on
+it.  So one impact scan per position and distinct member trace serves both.
 """
 
 from __future__ import annotations
@@ -87,10 +93,10 @@ def clause_name(cls: EventClass) -> str:
 def _class_candidates(cls: EventClass, probe_trace: Trace) -> list:
     """Finite candidate events for the existential over the class.
 
-    Malloc addresses never appear in filters, so one successful-malloc
-    candidate drawn from the probe's own events suffices; cast and
-    singleton events are matched by exact value, so only values the probe
-    actually produced can ever work.
+    A candidate ends the extended trace, where no free follows that could
+    pass on a malloc's address, so one successful malloc drawn from the
+    probe stands for every address; cast and singleton events are matched
+    by exact value, so only values the probe actually produced can work.
     """
     if isinstance(cls, AllocClass):
         cands: list = [MallocFailEv(cls.size)]
@@ -109,9 +115,14 @@ def _class_candidates(cls: EventClass, probe_trace: Trace) -> list:
     return [cls.event]
 
 
-def _reaches_on_trace(t: Trace, cls: EventClass, probe: Trace) -> bool:
-    """Does some prefix of ``probe`` realize ``t`` extended by an event from ``cls``?"""
-    return any(prefixes_similar_to(t + (c,), probe) for c in _class_candidates(cls, probe))
+def _reached_by_another(t: Trace, ev: Event, probe: Trace) -> bool:
+    """Does a prefix of ``probe`` realize ``t`` extended by a member of ``ev``'s
+    class other than ``ev``?  Mallocs of one size count as one (see above)."""
+    return any(
+        prefixes_similar_to(t + (c,), probe)
+        for c in _class_candidates(dchar(ev), probe)
+        if c != ev and not (isinstance(c, MallocEv) and isinstance(ev, MallocEv))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +248,10 @@ def gai_check(
     order, positions ascending, witnesses in family order) is reported.  A
     reaching-check that fails against a fuel-exhausted probe is recorded as
     inconclusive, never as a violation.
+
+    Each distinct member trace ``d`` is checked once: ``now[d]`` and
+    ``nxt[d]`` say whether it is in the impact of ``u[:j]`` and of
+    ``u[:j+1]``, the latter being reach by ``u[j]`` itself.
     """
     family = list(default_family() if family is None else family)
     check_family_wf(family, frozenset(env.values()), heap, wf_trials, wf_seed)
@@ -245,17 +260,22 @@ def gai_check(
         (beta, run(env, beta, program, heap, fuel)) for beta in family
     ]
     runs = {beta.name: (o.kind, o.trace) for beta, o in outcomes}
+    index: dict = {}  # distinct trace -> its position in ``traces``
+    member_trace = [index.setdefault(o.trace, len(index)) for _, o in outcomes]
+    traces = list(index)
     inconclusive: list[str] = []
 
     for alpha, out_a in outcomes:
         u = out_a.trace
-        for j in range(len(u)):
-            t, ev = u[:j], u[j]
-            cls = dchar(ev)
-            for beta, out_b in outcomes:
-                if not prefixes_similar_to(t, out_b.trace):
-                    continue  # beta is outside the impact of t
-                if _reaches_on_trace(t, cls, out_b.trace):
+        now = [True] * len(traces)  # the empty prefix of every run is similar to ()
+        for j, ev in enumerate(u):
+            nxt = [bool(prefixes_similar_to(u[: j + 1], v)) for v in traces]
+            unreached = [
+                now[d] and not nxt[d] and not _reached_by_another(u[:j], ev, v)
+                for d, v in enumerate(traces)
+            ]
+            for (beta, out_b), d in zip(outcomes, member_trace):
+                if not unreached[d]:
                     continue
                 if out_b.kind == "out-of-fuel":
                     inconclusive.append(
@@ -266,13 +286,14 @@ def gai_check(
                     producer=alpha.name,
                     witness_member=beta.name,
                     position=j,
-                    clause=clause_name(cls),
-                    prefix=t,
+                    clause=clause_name(dchar(ev)),
+                    prefix=u[:j],
                     event=ev,
                     producer_trace=u,
                     witness_trace=out_b.trace,
                 )
                 return GaiReport("violation", violation, tuple(inconclusive), runs)
+            now = nxt
     if inconclusive:
         return GaiReport("inconclusive", None, tuple(inconclusive), runs)
     return GaiReport("pass", None, (), runs)

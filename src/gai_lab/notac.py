@@ -332,9 +332,9 @@ _BINOP_LEVELS = [["||"], ["&&"], ["^"], ["==", "!="], ["<", "<=", ">", ">="], ["
 # parser and the recursive evaluator stay well inside Python's recursion
 # limit.
 MAX_EXPR_DEPTH = 50
-# Deepest block nesting the parsers of Notac and Memsafe accept.  Parsing,
-# printing and translating recurse once or twice per block, so the deepest
-# blocks holding the deepest expression stay inside the recursion limit.
+# Deepest block nesting Notac accepts; Memsafe's bound derives from it.
+# Parsing, printing and translating recurse once or twice per block, so the
+# deepest blocks holding the deepest expression stay inside the recursion limit.
 MAX_BLOCK_DEPTH = 100
 
 

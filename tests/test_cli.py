@@ -123,6 +123,37 @@ def test_wf_subcommand():
     assert res.exit_code == 2
 
 
+def test_wf_json_carries_the_failing_trial_and_a_witness_that_replays():
+    from gai_lab.alloc_model import ClientUpdate, check_history, parse_symseq
+    from gai_lab.allocators import parse_alloc_spec
+    from gai_lab.core import Heap
+
+    res = invoke("wf", "bump:0,4,20", "--json", "--trials", "50")
+    assert res.exit_code == 1
+    entries = json.loads(res.output)
+    assert len(entries) == 10
+    failed = [e for e in entries if e["status"] == "fail"]
+    assert failed
+    reserved = frozenset(range(0, 8))  # the default --reserved 0:8
+    for entry in entries:
+        if entry["status"] == "pass":
+            assert set(entry) == {"clause", "status"}
+            continue
+        assert set(entry) == {"clause", "status", "trial", "witness"}
+        assert 0 <= entry["trial"] < 50
+        w = entry["witness"]
+        assert set(w) == {"sigma", "updates1", "updates2", "detail"}
+        updates1, updates2 = (
+            tuple(ClientUpdate(tuple(map(tuple, writes))) for writes in w[key])
+            for key in ("updates1", "updates2")
+        )
+        violations = check_history(
+            parse_alloc_spec("bump:0,4,20"), reserved, Heap({a: 0 for a in reserved}),
+            parse_symseq(w["sigma"]), updates1, updates2,
+        )
+        assert violations[entry["clause"]] == w["detail"]
+
+
 def test_ms_run_and_translate(tmp_path):
     ms = write(tmp_path, "prog.ms", "x <- alloc(2); [x] <- 7; y <- [x]")
     res = invoke("ms-run", ms)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from gai_lab import filtering
 from gai_lab.alloc_model import (
     NO_UPDATE,
-    AllocEntry,
+    SymFree,
+    SymMalloc,
     feasible_run,
     parse_symseq,
     symseq_well_formed,
@@ -21,26 +22,45 @@ from gai_lab.filtering import (
     similar,
     similar_bruteforce,
     sym_filter,
-    x_filter_free,
 )
 from gai_lab.notac import CastEv, FreeEv, MallocEv, MallocFailEv, ObsEv, make_env, parse, run
 
 
 class TestXFilterFree:
+    # The filter's free rule: a free passes exactly when the next item is a
+    # free naming a malloc of the filter that returned the freed address.
     def test_matching_entry(self):
-        m = frozenset({AllocEntry(0x1000, 8, 1)})
-        assert x_filter_free(m, 0x1000, parse_symseq("M8"), parse_symseq("F0"))
+        t = (MallocEv(8, 0x1000), FreeEv(0x1000))
+        assert sym_filter(t, parse_symseq("M8,F0")).residue == ()
 
     def test_wrong_address(self):
-        m = frozenset({AllocEntry(0x1000, 8, 1)})
-        assert not x_filter_free(m, 0x1001, parse_symseq("M8"), parse_symseq("F0"))
+        t = (MallocEv(8, 0x1000), FreeEv(0x1001))
+        assert sym_filter(t, parse_symseq("M8,F0")) is None
+        assert sym_filter(t, parse_symseq("M8")).residue == (FreeEv(0x1001),)
 
     def test_empty_map(self):
-        assert not x_filter_free(frozenset(), 5, parse_symseq("M8"), parse_symseq("F0"))
+        # the free comes before any malloc, even one returning its address
+        t = (FreeEv(5), MallocEv(8, 5))
+        assert sym_filter(t, parse_symseq("F0,M8")) is None
+        assert sym_filter(t, parse_symseq("M8")).residue == (FreeEv(5),)
 
     def test_rest_must_start_with_free(self):
-        m = frozenset({AllocEntry(0x1000, 8, 1)})
-        assert not x_filter_free(m, 0x1000, parse_symseq("M8"), parse_symseq("M4,F0"))
+        t = (MallocEv(8, 0x1000), FreeEv(0x1000), MallocEv(4, 0x2000))
+        assert sym_filter(t, parse_symseq("M8,M4,F0")) is None
+        assert sym_filter(t, parse_symseq("M8,M4")).residue == (FreeEv(0x1000),)
+
+    def test_back_past_the_mallocs(self):
+        t = (MallocEv(8, 5), FreeEv(5))
+        assert sym_filter(t, parse_symseq("M8,F1")) is None
+        assert sym_filter(t, (SymMalloc(8), SymFree(-1))) is None
+
+    def test_failed_malloc_between_malloc_and_free_is_not_counted(self):
+        t = (MallocEv(8, 5), MallocFailEv(4), FreeEv(5))
+        assert sym_filter(t, parse_symseq("M8,MF4,F0")).residue == ()
+        assert sym_filter(t, parse_symseq("M8,MF4,F1")) is None
+        t2 = (MallocEv(8, 5), MallocEv(4, 6), MallocFailEv(4), FreeEv(5))
+        assert sym_filter(t2, parse_symseq("M8,M4,MF4,F1")).residue == ()
+        assert sym_filter(t2, parse_symseq("M8,M4,MF4,F0")) is None
 
 
 class TestSymFilter:

@@ -1,7 +1,10 @@
 """The differential GAI checker."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from gai_lab import gai
 from gai_lab.allocators import bump, eager, lenient_bump, null_alloc
 from gai_lab.filtering import prefixes_similar_to
 from gai_lab.gai import (
@@ -10,13 +13,15 @@ from gai_lab.gai import (
     DEFAULT_ENV_BASE,
     FamilyNotWellFormed,
     Singleton,
-    _reaches_on_trace,
+    _class_candidates,
+    _reached_by_another,
     check_family_wf,
     dchar,
     default_family,
     gai_check,
 )
 from gai_lab.notac import CastEv, FreeEv, MallocEv, MallocFailEv, ObsEv, make_env, parse, run
+from test_gai_oracle import bruteforce_prefixes_similar, bruteforce_reaches
 
 
 def prepared(src, base=DEFAULT_ENV_BASE, inits=None):
@@ -44,6 +49,11 @@ def trace_of(strategy, prog, env, heap):
     return run(env, strategy, prog, heap).trace
 
 
+def reaches(t, cls, probe):
+    """Some prefix of ``probe`` is similar to ``t`` extended by a candidate of ``cls``."""
+    return any(prefixes_similar_to(t + (c,), probe) for c in _class_candidates(cls, probe))
+
+
 class TestImpactMember:
     # A member is in the impact of t when some prefix of its run is similar to t.
     def test_own_trace_is_in_impact(self):
@@ -66,21 +76,21 @@ class TestReachesClass:
     def test_alloc_class_reached_by_success_and_failure(self):
         prog, env, heap = prepared("p = malloc(8);")
         for strategy in (eager(2048, 2112, 6208), null_alloc()):
-            assert _reaches_on_trace((), AllocClass(8), trace_of(strategy, prog, env, heap))
+            assert reaches((), AllocClass(8), trace_of(strategy, prog, env, heap))
 
     def test_singleton_unreached_when_stuck(self):
         prog, env, heap = prepared("p = malloc(87); *(p) = 42; observe(42);")
         strict = bump(2048, 2112, 2176)  # malloc(87) fails, null protected
         cls = Singleton(ObsEv(42))
         t = (MallocFailEv(87),)
-        assert not _reaches_on_trace(t, cls, trace_of(strict, prog, env, heap))
+        assert not reaches(t, cls, trace_of(strict, prog, env, heap))
         lenient = lenient_bump(2048, 2112, 2176)
-        assert _reaches_on_trace(t, cls, trace_of(lenient, prog, env, heap))
+        assert reaches(t, cls, trace_of(lenient, prog, env, heap))
 
     def test_cast_class_needs_a_cast(self):
         prog, env, heap = prepared("p = malloc(8); observe(1);")
         trace = trace_of(eager(2048, 2112, 6208), prog, env, heap)
-        assert not _reaches_on_trace((), CastClass(), trace)
+        assert not reaches((), CastClass(), trace)
 
     def test_singleton_equals_impact_of_extension(self):
         prog, env, heap = prepared("p = malloc(8); free(p); observe(3);")
@@ -88,7 +98,19 @@ class TestReachesClass:
         t = (MallocEv(8, 2113), FreeEv(2113))
         ev = ObsEv(3)
         in_impact = bool(prefixes_similar_to(t + (ev,), trace))
-        assert _reaches_on_trace(t, Singleton(ev), trace) == in_impact
+        assert _class_candidates(Singleton(ev), trace) == [ev]
+        assert reaches(t, Singleton(ev), trace) == in_impact
+
+    def test_malloc_address_never_matters_at_the_end(self):
+        prog, env, heap = prepared("p = malloc(8); free(p); q = malloc(8);")
+        trace = trace_of(eager(2048, 2112, 6208), prog, env, heap)
+        t = (MallocEv(8, 2113), FreeEv(2113))
+        assert trace[2] == MallocEv(8, 2113)  # eager reuses the freed block
+        for addr in (2113, 3000):  # the probe's address and another one
+            assert prefixes_similar_to(t + (MallocEv(8, addr),), trace) == [3]
+        # so the probe's own malloc is no other candidate for a malloc at 3000
+        assert not _reached_by_another(t, MallocEv(8, 3000), trace)
+        assert reaches(t, AllocClass(8), trace)
 
 
 class TestGaiCheck:
@@ -114,7 +136,7 @@ class TestGaiCheck:
         assert out_p.trace == v.producer_trace
         assert out_w.trace == v.witness_trace
         assert out_p.trace[: v.position] == v.prefix
-        assert not _reaches_on_trace(v.prefix, dchar(v.event), out_w.trace)
+        assert not reaches(v.prefix, dchar(v.event), out_w.trace)
 
     def test_null_checked_passes(self):
         prog, env, heap = prepared("p = malloc(87); if (p != NULL) { *(p) = 42; observe(*(p)); }")
@@ -156,15 +178,31 @@ class TestGaiCheck:
         assert report.verdict == "inconclusive"
         assert report.inconclusive
 
-    def test_alloc_free_loop_k8_passes(self):
-        # eight iterations under an allocator that reuses one address and
-        # one that bumps: every similarity query pairs those traces
+    def test_alloc_free_loop_k8_passes(self, monkeypatch):
+        """Eight iterations under an allocator that reuses one address and one
+        that bumps: every similarity query pairs those traces.
+        ``prefixes_similar_to`` runs about once per (producer, position,
+        distinct member trace); scanning impact and reach separately for
+        every member makes 1,704 calls here."""
+        calls = []
+        real = gai.prefixes_similar_to
+
+        def counting(t, run_trace):
+            calls.append(1)
+            return real(t, run_trace)
+
+        monkeypatch.setattr(gai, "prefixes_similar_to", counting)
         prog, env, heap = prepared(
             "i = 0; while (i < 8) { p = malloc(1); if (p != NULL) { *(p) = i; free(p); } "
             "i = i + 1; } observe(i);"
         )
         report = gai_check(prog, env, heap, wf_trials=5)
         assert report.verdict == "pass"
+        members = len(report.runs)
+        distinct = len({trace for _, trace in report.runs.values()})
+        longest = max(len(trace) for _, trace in report.runs.values())
+        assert (members, distinct, longest) == (7, 4, 17)
+        assert len(calls) <= members * distinct * longest
 
     def test_similarity_calls_grow_linearly_in_trace_length(self, monkeypatch):
         """On the 16-node XOR list, ``similar`` runs O(|F|^2 L) times: each
@@ -191,6 +229,22 @@ class TestGaiCheck:
         # an all-prefix scan makes 33,220 calls here
         assert len(calls) <= 4 * members**2 * longest
 
+    def test_inconclusive_entries_name_every_member_sharing_a_trace(self):
+        src = "p = malloc(8); observe(1); i = 0; while (i < p - 2110) { i = i + 1; } observe(2);"
+        prog, env, heap = prepared(src)
+        fast = bump(2048, 2112, 2176)
+        slow, slow_lenient = bump(2048, 2200, 2400), lenient_bump(2048, 2200, 2400)
+        family = [slow, fast, slow_lenient, null_alloc()]
+        report = gai_check(prog, env, heap, family=family, fuel=120, wf_trials=5)
+        assert report.runs[slow.name] == report.runs[slow_lenient.name]
+        assert report.runs[slow.name][0] == "out-of-fuel"
+        assert report.verdict == "inconclusive"
+        # only the producer that observes 2 finds the slow runs stuck
+        assert list(report.inconclusive) == [
+            f"{slow.name} ran out of fuel while checking event #3 of {fast.name}",
+            f"{slow_lenient.name} ran out of fuel while checking event #3 of {fast.name}",
+        ]
+
     def test_report_json_shape(self):
         prog, env, heap = prepared("p = malloc(87); *(p) = 42; observe(*(p));")
         report = gai_check(prog, env, heap, wf_trials=5)
@@ -214,3 +268,53 @@ def test_corpus_violations_survive_family_enlargement():
     for name, verdict in plain.items():
         if verdict == "UNSAFE":
             assert enlarged[name] == "UNSAFE", name
+
+
+# --- reach at j is impact at j + 1, up to the other class members ----------
+
+_ADDRS = (100, 101, 200)
+_ALPHABET = (
+    [MallocEv(s, a) for s in (1, 8) for a in _ADDRS]
+    + [MallocFailEv(s) for s in (1, 8)]
+    + [FreeEv(a) for a in _ADDRS] * 2
+    + [ObsEv(v) for v in (0, 1)]
+    + [CastEv(v) for v in (0, 1)]
+)
+
+
+@st.composite
+def producer_and_probe(draw):
+    """A probe run, and a producer run drawn near it: the probe itself with
+    malloc addresses moved and events dropped, or an unrelated run."""
+    events = st.sampled_from(_ALPHABET)
+    probe = tuple(draw(st.lists(events, max_size=6)))
+    near = []
+    for ev in probe:
+        if draw(st.integers(0, 4)) == 0:
+            continue
+        if isinstance(ev, MallocEv):
+            ev = MallocEv(ev.size, draw(st.sampled_from(_ADDRS)))
+        near.append(ev)
+    if draw(st.booleans()):
+        near.append(draw(events))
+    producer = draw(st.sampled_from([tuple(near), tuple(draw(st.lists(events, max_size=6)))]))
+    return producer, probe
+
+
+M1, M2, F1 = MallocEv(8, 100), MallocEv(8, 200), FreeEv(100)
+
+
+@settings(max_examples=250, deadline=None)
+@given(producer_and_probe())
+@example(((M1,), (M2,)))  # the probe's malloc returned another address
+@example(((M1, F1, M1), (M1, F1, M2)))
+@example(((MallocFailEv(8),), (M1,)))  # the other allocation outcome reaches
+@example(((CastEv(0),), (CastEv(1),)))  # another cast value reaches
+def test_reach_is_impact_of_the_next_prefix_or_another_candidate(pair):
+    u, v = pair
+    for j, ev in enumerate(u):
+        t, cls = u[:j], dchar(ev)
+        reach = bruteforce_reaches(t, cls, v)
+        if prefixes_similar_to(u[: j + 1], v):
+            assert reach
+        assert reach == (bool(bruteforce_prefixes_similar(u[: j + 1], v)) or _reached_by_another(t, ev, v))

@@ -1,11 +1,14 @@
 """Memsafe evaluation, the translation to Notac, and the differential check."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gai_lab import notac
 from gai_lab.allocators import no_zero, bump, null_alloc
 from gai_lab.gai import DEFAULT_BUMP_SEGMENT, DEFAULT_ENV_BASE
 from gai_lab.memsafe import (
+    MAX_MS_BLOCK_DEPTH,
     NIL,
     MsParseError,
     MsPtr,
@@ -244,24 +247,72 @@ class TestLongAndDeepPrograms:
         ):
             with pytest.raises(MsParseError, match="MAX_EXPR_DEPTH"):
                 ms_parse(src)
-        assert ms_run(ms_parse("x <- " + " + ".join(["1"] * (n + 1)))).state.store["x"] == n + 1
+        # the Notac printer parenthesizes each operation, so a chain of k
+        # terms prints k levels deep; two more stay free for ``*( )``
+        assert ms_run(ms_parse("x <- " + " + ".join(["1"] * (n - 2)))).state.store["x"] == n - 2
+        for src in ("x <- {}", "x <- [{}]", "x <- alloc({})", "if {} then skip else skip end"):
+            with pytest.raises(MsParseError, match="prints nested deeper than MAX_EXPR_DEPTH"):
+                ms_parse(src.format(" + ".join(["1"] * (n - 1))))
 
     def test_block_nesting_is_bounded(self):
-        with pytest.raises(MsParseError, match=f"MAX_BLOCK_DEPTH = {notac.MAX_BLOCK_DEPTH}"):
+        with pytest.raises(MsParseError, match=f"MAX_MS_BLOCK_DEPTH = {MAX_MS_BLOCK_DEPTH}"):
             ms_parse("while 0 do " * 1000 + "skip" + " end" * 1000)
-        b = notac.MAX_BLOCK_DEPTH
-        with pytest.raises(MsParseError, match="MAX_BLOCK_DEPTH"):
+        b = MAX_MS_BLOCK_DEPTH
+        assert b == 48
+        with pytest.raises(MsParseError, match="MAX_MS_BLOCK_DEPTH"):
             ms_parse("if 1 then " * (b + 1) + "skip" + " else skip end" * (b + 1))
 
     def test_deepest_blocks_with_deepest_expression_run_and_translate(self):
-        b, e = notac.MAX_BLOCK_DEPTH, notac.MAX_EXPR_DEPTH
-        body = f"x <- {'(' * e}1{')' * e}; y <- {' + '.join(['1'] * (e + 1))}"
+        b, e = MAX_MS_BLOCK_DEPTH, notac.MAX_EXPR_DEPTH
+        body = f"x <- {'(' * e}1{')' * e}; y <- {' + '.join(['1'] * (e - 2))}; z <- alloc(1)"
         cmd = ms_parse("x <- 0; " + "while x <= 0 do " * b + body + " end" * b)
         out = ms_run(cmd)
-        assert out.ok and out.state.store == {"x": 1, "y": e + 1}
+        assert out.ok and out.state.store["y"] == e - 2
         program, manifest = translate(cmd)
         assert len(manifest["loop_guards"]) == b
-        translate_to_source(cmd)
+        assert notac.parse(translate_to_source(cmd)[0]).body == program.body
         env, heap, _ = notac.make_env(program, DEFAULT_ENV_BASE)
         ran = notac.run(env, null_alloc(), program, heap)
-        assert ran.terminated and ran.heap.read(env["y"]) == e + 1
+        assert ran.terminated and ran.heap.read(env["y"]) == e - 2
+
+
+@st.composite
+def ms_expr_sources(draw, parens=12):
+    """Expression text mixing precedences and negative literals, with chains
+    long enough to reach MAX_EXPR_DEPTH and one parenthesized chain nested
+    up to ``parens`` deep."""
+    size = draw(st.one_of(st.integers(1, 3), st.integers(40, 55)))
+    terms = draw(st.lists(st.sampled_from(["1", "x", "nil", "-3", "-0"]), min_size=size, max_size=size))
+    ops = draw(st.lists(st.sampled_from(["+", "-", "*", "==", "<="]), min_size=size - 1, max_size=size - 1))
+    if parens and draw(st.booleans()):
+        terms[draw(st.integers(0, size - 1))] = "(" + draw(ms_expr_sources(parens - 1)) + ")"
+    return terms[0] + "".join(f" {op} {t}" for op, t in zip(ops, terms[1:]))
+
+
+@st.composite
+def ms_sources(draw):
+    """Programs with blocks nested around MAX_MS_BLOCK_DEPTH around every kind
+    of command; deep expressions sit in the innermost command and in the
+    outermost condition."""
+    e = ms_expr_sources()
+    inner = draw(st.sampled_from(["x <- {}", "x <- [{}]", "[{}] <- {}", "x <- alloc({})", "skip"]))
+    src = inner.format(*(draw(e) for _ in range(inner.count("{}"))))
+    kinds = draw(st.one_of(st.lists(st.booleans(), max_size=2), st.lists(st.booleans(), min_size=46, max_size=50)))
+    for level, is_if in enumerate(kinds, start=1):
+        cond = draw(e) if level == len(kinds) else "x <= 1"
+        src = f"if {cond} then {src} else skip end" if is_if else f"while {cond} do {src} end"
+    return src
+
+
+@settings(max_examples=100, deadline=None)
+@given(ms_sources())
+@example("if 1 then " * 48 + "x <- alloc(1)" + " else skip end" * 48)
+@example("x <- [" + " + ".join(["1"] * 48) + "]")
+@example("x <- 1 == 2 + 3 * (1 == 2 + 3 * (1 == 2 + 3 * -4))")
+def test_accepted_programs_translate_to_notac_that_parses(src):
+    try:
+        cmd = ms_parse(src)
+    except MsParseError:
+        return
+    text, _ = translate_to_source(cmd)
+    assert notac.parse(text).body == translate(cmd)[0].body

@@ -1,6 +1,8 @@
 """Symbolic sequences: the free index, the malloc-free relation,
 well-formedness, and the sequence generators."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,16 +13,40 @@ from gai_lab.alloc_model import (
     SymFree,
     SymMalloc,
     addresses_of,
+    back_index,
     format_symseq,
     free_index,
-    gen_symbolic_seq,
-    gen_update_seq,
+    _gen_update,
     malloc_free_rel,
     parse_symseq,
     symseq_well_formed,
 )
 
 FIG_SEQ = parse_symseq("M100,MF800,M200,F0,F1")
+SIZES = (0, 1, 2, 3, 5, 8)
+
+
+def gen_update_seq(seed: int, length: int) -> tuple:
+    """Deterministic update sequence of exactly ``length`` client updates."""
+    rng = random.Random(seed)
+    return tuple(_gen_update(rng) for _ in range(length))
+
+
+def gen_symbolic_seq(seed: int, max_len: int) -> tuple:
+    """A pseudo-random well-formed symbolic sequence of length <= max_len."""
+    rng = random.Random(seed)
+    out: list = []
+    live: list[int] = []  # positions of unfreed mallocs
+    for _ in range(rng.randint(0, max_len)):
+        if live and rng.random() < 0.35:
+            i = live.pop(rng.randrange(len(live)))
+            out.append(SymFree(back_index(out, i)))
+        elif rng.random() < 0.2:
+            out.append(SymFail(rng.choice(SIZES)))
+        else:
+            out.append(SymMalloc(rng.choice(SIZES)))
+            live.append(len(out))
+    return tuple(out)
 
 
 def test_free_index_examples():

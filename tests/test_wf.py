@@ -6,13 +6,13 @@ from gai_lab.alloc_model import (
     WF_CLAUSES,
     Strategy,
     check_history,
-    gen_update_seq,
     parse_symseq,
     replay_wf_witness,
     wf_check,
 )
 from gai_lab.allocators import bump, curious, eager, guarded_eager, lenient_bump, no_zero, null_alloc
 from gai_lab.core import Heap
+from test_symbolic import gen_update_seq
 
 RESERVED = frozenset(range(0, 8))
 HEAP = Heap({a: 0 for a in RESERVED})
