@@ -497,7 +497,10 @@ def wf_check(
     """Randomized allocator well-formedness check: one report per clause.
 
     Rejection-sound: a failing report carries a witness that
-    :func:`check_history` reproduces.  Acceptance is bounded by ``trials``.
+    :func:`check_history` reproduces; each is replayed before it is
+    reported, and ``RuntimeError`` is raised when one does not reproduce,
+    which would mean a nondeterministic strategy.  Acceptance is bounded by
+    ``trials``.
     """
     if any(a not in heap for a in reserved):
         raise ValueError("reserved memory must be inside the heap domain")
@@ -515,7 +518,10 @@ def wf_check(
     for clause in WF_CLAUSES:
         if clause in failures:
             trial, witness = failures[clause]
-            reports.append(WfReport(strategy.name, clause, False, seed, trials, trial, witness))
+            report = WfReport(strategy.name, clause, False, seed, trials, trial, witness)
+            if not replay_wf_witness(strategy, reserved, heap, report):
+                raise RuntimeError(f"{strategy.name}: {clause} failure of trial {trial} does not replay")
+            reports.append(report)
         else:
             reports.append(WfReport(strategy.name, clause, True, seed, trials))
     return reports

@@ -24,6 +24,10 @@ from .filtering import similar, sym_filter
 from .gai import DEFAULT_ENV_BASE, FamilyNotWellFormed, default_family, gai_check
 
 
+# Counts, bounds and addresses: click rejects a negative one with exit 2.
+NATURAL = click.IntRange(min=0)
+
+
 def _fail(msg: str, code: int = 2):
     click.echo(f"error: {msg}", err=True)
     sys.exit(code)
@@ -63,6 +67,8 @@ def _family_from(spec: str):
     if spec == "default":
         return default_family()
     items = [s for chunk in spec.split(";") for s in chunk.split() if s]
+    if not items:
+        _fail(f"--family {spec!r} names no allocator")
     try:
         return [parse_alloc_spec(s) for s in items]
     except ValueError as exc:
@@ -77,8 +83,8 @@ def main():
 @main.command("run")
 @click.argument("program_path")
 @click.option("--alloc", default="eager:2048,2112,6208", show_default=True, help="Allocator spec.")
-@click.option("--fuel", default=100_000, show_default=True)
-@click.option("--base", default=None, type=int,
+@click.option("--fuel", default=100_000, show_default=True, type=NATURAL)
+@click.option("--base", default=None, type=NATURAL,
               help="Variable base address (default: the allocator's reserved window).")
 @click.option("--init", "inits", multiple=True, help="Initial variable value, name=int.")
 @click.option("--out", "out_path", default=None, help="Write the trace (JSON lines) here.")
@@ -163,11 +169,11 @@ def cmd_filter(trace_path, sigma, as_json):
 @click.argument("program_path")
 @click.option("--family", default="default", show_default=True,
               help="Allocator specs separated by ';' (or 'default').")
-@click.option("--fuel", default=100_000, show_default=True)
-@click.option("--base", default=DEFAULT_ENV_BASE, show_default=True)
+@click.option("--fuel", default=100_000, show_default=True, type=NATURAL)
+@click.option("--base", default=DEFAULT_ENV_BASE, show_default=True, type=NATURAL)
 @click.option("--init", "inits", multiple=True)
 @click.option("--seed", default=0, show_default=True, help="Well-formedness check seed.")
-@click.option("--wf-trials", default=25, show_default=True)
+@click.option("--wf-trials", default=25, show_default=True, type=NATURAL)
 @click.option("--json", "as_json", is_flag=True)
 def cmd_gai(program_path, family, fuel, base, inits, seed, wf_trials, as_json):
     """Differential gradual-allocator-independence check."""
@@ -203,9 +209,9 @@ def _wf_report_json(r) -> dict:
 
 @main.command("wf")
 @click.argument("alloc_spec")
-@click.option("--trials", default=200, show_default=True)
+@click.option("--trials", default=200, show_default=True, type=NATURAL)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--maxlen", default=12, show_default=True)
+@click.option("--maxlen", default=12, show_default=True, type=NATURAL)
 @click.option("--reserved", default="0:8", show_default=True,
               help="Reserved address range lo:hi (heap-seeded with zeros).")
 @click.option("--json", "as_json", is_flag=True)
@@ -219,6 +225,8 @@ def cmd_wf(alloc_spec, trials, seed, maxlen, reserved, as_json):
         lo, hi = (int(x) for x in reserved.split(":"))
     except ValueError:
         _fail(f"bad --reserved {reserved!r}, expected lo:hi")
+    if not 0 <= lo <= hi:
+        _fail(f"bad --reserved {reserved!r}, expected 0 <= lo <= hi")
     rset = frozenset(range(lo, hi))
     heap = Heap({a: 0 for a in rset})
     reports = wf_check(strategy, rset, heap, trials, seed, maxlen)
@@ -234,7 +242,7 @@ def cmd_wf(alloc_spec, trials, seed, maxlen, reserved, as_json):
 
 @main.command("ms-run")
 @click.argument("program_path")
-@click.option("--fuel", default=100_000, show_default=True)
+@click.option("--fuel", default=100_000, show_default=True, type=NATURAL)
 @click.option("--init", "inits", multiple=True)
 def cmd_ms_run(program_path, fuel, inits):
     """Run a Memsafe program and print its final store."""
@@ -269,8 +277,8 @@ def cmd_translate(program_path, out_path):
 
 @main.command("corpus")
 @click.option("--family", default="default", show_default=True)
-@click.option("--fuel", default=100_000, show_default=True)
-@click.option("--wf-trials", default=10, show_default=True)
+@click.option("--fuel", default=100_000, show_default=True, type=NATURAL)
+@click.option("--wf-trials", default=10, show_default=True, type=NATURAL)
 @click.option("--json", "as_json", is_flag=True)
 def cmd_corpus(family, fuel, wf_trials, as_json):
     """Check every corpus case against its expected verdict."""

@@ -9,8 +9,10 @@ filters both with identical residues.  Filtering is deterministic -- a free
 that is filterable at its position *must* pass -- so a free may only stay in
 the residue when the filter's next item does not release it.
 
-``similar`` decides similarity with one search that walks both traces in
-lockstep (``_lockstep``), resting on two facts of the filter:
+``similar`` and ``similar_prefixes`` rest on one search that walks both
+traces in lockstep (``_lockstep``).  The search is prefix-closed, so one run
+of it over two traces decides every pair of their prefixes.  It rests on two
+facts of the filter:
 
 * alloc events are synchronization points: the filter rejects a malloc or
   mfail while its next item is a free, so the free items between two alloc
@@ -28,9 +30,9 @@ pass/residue labelings of the first trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .alloc_model import SymbolicSeq, SymFail, SymFree, SymMalloc, back_index
+from .alloc_model import SymbolicEvent, SymbolicSeq, SymFail, SymFree, SymMalloc, back_index
 from .notac import CastEv, Event, FreeEv, MallocEv, MallocFailEv, ObsEv, Trace
 
 # ---------------------------------------------------------------------------
@@ -81,19 +83,23 @@ def sym_filter(trace: Sequence[Event], seq) -> Optional[FilterOutcome]:
 # ---------------------------------------------------------------------------
 # Similarity
 
+
+def _alloc_item(ev: Optional[Event]) -> Optional[SymbolicEvent]:
+    """The filter item an alloc event consumes; None for other events."""
+    if isinstance(ev, MallocEv):
+        return SymMalloc(ev.size)
+    if isinstance(ev, MallocFailEv):
+        return SymFail(ev.size)
+    return None
+
+
 # Cheap necessary conditions used for pruning: any common filter forces the
-# two traces' malloc/mfail (kind, size) subsequences to be equal, and equal
-# residues force equal observe/cast subsequences.
+# two traces' alloc items to be equal, and equal residues force equal
+# observe/cast subsequences.
 
 
 def _alloc_shape(trace: Trace) -> tuple:
-    out = []
-    for ev in trace:
-        if isinstance(ev, MallocEv):
-            out.append(("m", ev.size))
-        elif isinstance(ev, MallocFailEv):
-            out.append(("mf", ev.size))
-    return tuple(out)
+    return tuple(item for item in map(_alloc_item, trace) if item is not None)
 
 
 def _forced_residue(trace: Trace) -> tuple:
@@ -103,13 +109,16 @@ def _forced_residue(trace: Trace) -> tuple:
 def _first_common_ordinal(t1: Trace, t2: Trace) -> dict:
     """(addr in t1, addr in t2) -> smallest alloc ordinal returning both.
 
-    Ordinals count the alloc events of a trace from 1; the traces have equal
-    alloc shapes, so an ordinal names a malloc in both.
+    Ordinals count the alloc events of a trace from 1.  The table stops at
+    the first ordinal where the two traces' alloc events differ: no sync
+    crosses it, so no pass can name it.
     """
-    allocs1 = [ev for ev in t1 if isinstance(ev, (MallocEv, MallocFailEv))]
-    allocs2 = [ev for ev in t2 if isinstance(ev, (MallocEv, MallocFailEv))]
+    allocs1 = [ev for ev in t1 if _alloc_item(ev) is not None]
+    allocs2 = [ev for ev in t2 if _alloc_item(ev) is not None]
     first: dict = {}
     for o, (e1, e2) in enumerate(zip(allocs1, allocs2), start=1):
+        if _alloc_item(e1) != _alloc_item(e2):
+            break
         if isinstance(e1, MallocEv):
             first.setdefault((e1.addr, e2.addr), o)
     return first
@@ -126,8 +135,8 @@ def _prev_same_free(trace: Trace) -> list:
     return out
 
 
-def _lockstep(t1: Trace, t2: Trace) -> Optional[SymbolicSeq]:
-    """The common filter of two traces of equal alloc shape, or None.
+def _lockstep(t1: Trace, t2: Trace) -> Iterator[tuple[tuple, dict]]:
+    """Every state of the joint filtering of two traces, with parent pointers.
 
     Walks both traces in lockstep on the two facts in the module docstring.
     State ``(i1, i2, g, w1, w2, rq)``: both cursors, the allocs crossed, the
@@ -135,25 +144,43 @@ def _lockstep(t1: Trace, t2: Trace) -> Optional[SymbolicSeq]:
     alloc), and the residue items the leading trace has emitted beyond the
     other.  Both traces made the same passes and crossed the same allocs, so
     the queue holds |i1 - i2| items of the trace with the larger cursor.
-    Observe and cast events of trace 1 move first, then those of trace 2.  At
-    two frees, a paired pass is tried before skipping either one; it is legal
-    when a malloc with ordinal <= g returned both addresses and neither
-    window holds a free of the passing address.  A trace at an alloc waits
-    for the other.  The search runs on an explicit stack; its map of parent
-    pointers is also the seen set, and gives the witness.
+    From each state every enabled move is tried: a skip of either trace's
+    next observe, cast or free into its residue, which must match the head
+    of the queue when the other trace leads; a paired pass of two frees,
+    legal when a malloc with ordinal <= g returned both addresses and
+    neither window holds a free of the passing address; and a sync at two
+    equal alloc events.  The search runs on an explicit stack; its map of
+    parent pointers is also the seen set, and gives the witness.  Yields
+    ``(state, parent)`` for each state as it leaves the stack.
+
+    The search is prefix-closed: it reaches a state with cursors (i, p)
+    exactly when the search of ``(t1[:i], t2[:p])`` does, so ``t1[:i]`` is
+    similar to ``t2[:p]`` exactly when one such state has an empty queue.
+    No move lowers a cursor, so a path to a state in the box i1 <= i,
+    i2 <= p stays in the box.  Inside it, off its edges, both searches have
+    the same moves: a move reads the events at the cursors, and the windows,
+    ``prev`` and ``first`` up to ordinal g look only backwards (``first``
+    stops where the alloc events differ, which no sync crosses).  On the
+    edge i1 = i the prefix search has no event of t1 left, so its moves are
+    the skips of t2; the moves of this search that stay in the box are the
+    same skips, since every other move advances i1.  The edge i2 = p is
+    alike.
 
     Bound: ``g`` follows from ``i1`` and each window start lies between its
     trace's last alloc and its cursor, so there are at most
     (n1+1)^2 (n2+1)^2 states per value of the queue, and that value varies
     only with which frees the leading trace passed inside the stretch the
-    queue covers.  An eager loop that reuses one address against a bump
-    loop takes 4k + 3 states for k iterations.  The search stays exponential
-    when a gap holds many frees of different addresses in one trace that
-    could each pair with a free of the other -- which must then free one
-    address that many mallocs returned -- and the pair is not similar: each
-    subset of the first trace's frees left in the queue is a new state.  n
-    mallocs at distinct addresses and their n frees, against n mallocs and n
-    frees of one address, expand 827 states at n = 8 and 196,791 at n = 16.
+    queue covers.  Either trace may move first, so a gap holding a observes
+    or casts on each side takes up to (a+1)^2 states, one per pair of
+    cursors.  The full search of an eager loop that reuses one address
+    against a bump loop takes 4k + 7 states for k iterations.  The search
+    stays exponential when a gap holds many frees of different addresses in
+    one trace that could each pair with a free of the other -- which must
+    then free one address that many mallocs returned: each subset of the
+    first trace's frees left in the queue is a new state.  n mallocs at
+    distinct addresses and their n frees, against n mallocs and n frees of
+    one address, each trace then observing a different value, expand 820
+    states at n = 8 and 196,776 at n = 16.
     """
     end1, end2 = len(t1), len(t2)
     first = _first_common_ordinal(t1, t2)
@@ -164,13 +191,10 @@ def _lockstep(t1: Trace, t2: Trace) -> Optional[SymbolicSeq]:
     stack = [start]
     while stack:
         state = stack.pop()
+        yield state, parent
         i1, i2, g, w1, w2, rq = state
         e1 = t1[i1] if i1 < end1 else None
         e2 = t2[i2] if i2 < end2 else None
-        if e1 is None and e2 is None:
-            if not rq:
-                return _witness(parent, state)
-            continue
 
         def skip(owner, ev):
             # ``ev`` joins the residue of ``owner``: it must match the head of
@@ -184,26 +208,23 @@ def _lockstep(t1: Trace, t2: Trace) -> Optional[SymbolicSeq]:
         moves = []
         if isinstance(e1, (ObsEv, CastEv)):
             moves.append(skip(1, e1))
-        elif isinstance(e2, (ObsEv, CastEv)):
+        if isinstance(e2, (ObsEv, CastEv)):
             moves.append(skip(2, e2))
-        elif isinstance(e1, FreeEv) and isinstance(e2, FreeEv):
+        if isinstance(e1, FreeEv) and isinstance(e2, FreeEv):
             o = first.get((e1.addr, e2.addr))
             if o is not None and o <= g and prev1[i1] < w1 and prev2[i2] < w2:
                 moves.append(((i1 + 1, i2 + 1, g, i1 + 1, i2 + 1, rq), o))
-            moves += [skip(1, e1), skip(2, e2)]
-        elif isinstance(e1, FreeEv):  # the other trace has left the gap
+        if isinstance(e1, FreeEv):
             moves.append(skip(1, e1))
-        elif isinstance(e2, FreeEv):
+        if isinstance(e2, FreeEv):
             moves.append(skip(2, e2))
-        elif e1 is not None and e2 is not None:
-            # Both wait at alloc events, equal by the alloc-shape prefilter.
-            item = SymMalloc(e1.size) if isinstance(e1, MallocEv) else SymFail(e1.size)
+        item = _alloc_item(e1)
+        if item is not None and item == _alloc_item(e2):
             moves.append(((i1 + 1, i2 + 1, g + 1, i1 + 1, i2 + 1, rq), item))
         for move in reversed(moves):
             if move is not None and move[0] not in parent:
                 parent[move[0]] = (state, move[1])
                 stack.append(move[0])
-    return None
 
 
 def _witness(parent: dict, state: tuple) -> SymbolicSeq:
@@ -227,19 +248,33 @@ def _witness(parent: dict, state: tuple) -> SymbolicSeq:
 def similar(t1: Sequence[Event], t2: Sequence[Event]) -> tuple[bool, Optional[SymbolicSeq]]:
     """Decide trace similarity; on success also return a witness filter.
 
-    Raises ``RuntimeError`` when the witness does not filter both traces to
-    equal residues, which would be a fault in the search.
+    The search stops at its first state at the end of both traces with an
+    empty queue.  Raises ``RuntimeError`` when the witness does not filter
+    both traces to equal residues, which would be a fault in the search.
     """
     t1, t2 = tuple(t1), tuple(t2)
     if _alloc_shape(t1) != _alloc_shape(t2) or _forced_residue(t1) != _forced_residue(t2):
         return False, None
-    sigma = _lockstep(t1, t2)
-    if sigma is None:
+    ends = (len(t1), len(t2))
+    for state, parent in _lockstep(t1, t2):
+        if state[:2] == ends and not state[5]:
+            sigma = _witness(parent, state)
+            break
+    else:
         return False, None
     f1, f2 = sym_filter(t1, sigma), sym_filter(t2, sigma)
     if f1 is None or f2 is None or f1.residue != f2.residue:
         raise RuntimeError(f"similarity witness failed to validate: {sigma}")
     return True, sigma
+
+
+def similar_prefixes(t1: Sequence[Event], t2: Sequence[Event]) -> set[tuple[int, int]]:
+    """Every ``(i, p)`` with ``t1[:i]`` similar to ``t2[:p]``, from one search.
+
+    These are the cursors of the search's states with an empty queue, since
+    the search is prefix-closed (see ``_lockstep``).
+    """
+    return {state[:2] for state, _ in _lockstep(tuple(t1), tuple(t2)) if not state[5]}
 
 
 def _sigma_candidates(trace: Trace) -> list:
@@ -301,23 +336,6 @@ def similar_bruteforce(t1: Sequence[Event], t2: Sequence[Event], bound: int = 10
 
 
 def prefixes_similar_to(t: Sequence[Event], run: Sequence[Event]) -> list[int]:
-    """All prefix lengths ``p`` of ``run`` with ``run[:p]`` similar to ``t``.
-
-    Similar traces have equal alloc shapes and equal observe/cast residues,
-    so they hold equally many non-free events.  That count never falls as
-    ``p`` grows, so the only candidates form one stretch: ``run`` up to its
-    k-th non-free event (k as in ``t``) and the frees right after it.  One
-    pass finds the stretch, and ``similar`` runs only on it.
-    """
-    t, run = tuple(t), tuple(run)
-    need = sum(not isinstance(ev, FreeEv) for ev in t)
-    stretch = []
-    count = 0  # non-free events in run[:p]
-    for p in range(len(run) + 1):
-        if count == need:
-            stretch.append(p)
-        if p < len(run) and not isinstance(run[p], FreeEv):
-            count += 1
-            if count > need:
-                break
-    return [p for p in stretch if similar(t, run[:p])[0]]
+    """All prefix lengths ``p`` of ``run`` with ``run[:p]`` similar to ``t``."""
+    t = tuple(t)
+    return sorted(p for i, p in similar_prefixes(t, run) if i == len(t))

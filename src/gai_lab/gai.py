@@ -18,7 +18,10 @@ The event belongs to its class, so reach at position ``j`` is impact at
 ``j + 1`` unless another class member (the other allocation outcome,
 another cast value) extends the prefix.  A malloc's address does not matter
 there: it ends the extended trace, where no free follows that could pass on
-it.  So one impact scan per position and distinct member trace serves both.
+it.  The similarity search is prefix-closed, so one search per pair of
+distinct producer and member traces (``similar_prefixes``) gives impact at
+every position, and with it reach, but for the other class members: each of
+those takes one more search, of the prefix extended by that member.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Optional, Sequence
 from . import allocators
 from .alloc_model import Strategy, wf_check
 from .core import Heap
-from .filtering import prefixes_similar_to
+from .filtering import prefixes_similar_to, similar_prefixes
 from .notac import (
     CastEv,
     Event,
@@ -249,11 +252,17 @@ def gai_check(
     reaching-check that fails against a fuel-exhausted probe is recorded as
     inconclusive, never as a violation.
 
-    Each distinct member trace ``d`` is checked once: ``now[d]`` and
-    ``nxt[d]`` say whether it is in the impact of ``u[:j]`` and of
-    ``u[:j+1]``, the latter being reach by ``u[j]`` itself.
+    One search per distinct pair of producer trace ``u`` and member trace
+    ``v`` gives the row ``{i : u[:i] is similar to a prefix of v}``: the
+    members that ran ``v`` are in the impact of ``u[:j]`` when ``j`` is in
+    the row, and reach ``u[j]`` itself when ``j + 1`` is;
+    ``_reached_by_another`` tries the rest of the class.  Raises
+    ``ValueError`` on an empty family, and :class:`FamilyNotWellFormed` when
+    a member fails the well-formedness check.
     """
     family = list(default_family() if family is None else family)
+    if not family:
+        raise ValueError("the family is empty")
     check_family_wf(family, frozenset(env.values()), heap, wf_trials, wf_seed)
 
     outcomes: list[tuple[Strategy, Outcome]] = [
@@ -263,16 +272,17 @@ def gai_check(
     index: dict = {}  # distinct trace -> its position in ``traces``
     member_trace = [index.setdefault(o.trace, len(index)) for _, o in outcomes]
     traces = list(index)
+    rows: dict = {}  # a producer's distinct trace -> its row against each of ``traces``
     inconclusive: list[str] = []
 
-    for alpha, out_a in outcomes:
+    for (alpha, out_a), a in zip(outcomes, member_trace):
         u = out_a.trace
-        now = [True] * len(traces)  # the empty prefix of every run is similar to ()
+        if a not in rows:
+            rows[a] = [{i for i, _ in similar_prefixes(u, v)} for v in traces]
         for j, ev in enumerate(u):
-            nxt = [bool(prefixes_similar_to(u[: j + 1], v)) for v in traces]
             unreached = [
-                now[d] and not nxt[d] and not _reached_by_another(u[:j], ev, v)
-                for d, v in enumerate(traces)
+                j in row and j + 1 not in row and not _reached_by_another(u[:j], ev, v)
+                for row, v in zip(rows[a], traces)
             ]
             for (beta, out_b), d in zip(outcomes, member_trace):
                 if not unreached[d]:
@@ -293,7 +303,6 @@ def gai_check(
                     witness_trace=out_b.trace,
                 )
                 return GaiReport("violation", violation, tuple(inconclusive), runs)
-            now = nxt
     if inconclusive:
         return GaiReport("inconclusive", None, tuple(inconclusive), runs)
     return GaiReport("pass", None, (), runs)

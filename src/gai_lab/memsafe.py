@@ -47,6 +47,7 @@ from .notac import (
     Skip,
     Var,
     While,
+    printed_depth,
 )
 
 # ---------------------------------------------------------------------------
@@ -196,15 +197,6 @@ _MS_TOKEN = re.compile(
 _MS_KEYWORDS = {"skip", "if", "then", "else", "end", "while", "do", "alloc", "nil"}
 
 
-def _printed_depth(e: MsExpr) -> int:
-    """Nesting levels ``notac.parse`` counts in the printed translation of
-    ``e``: the printer parenthesizes every binary operation, whose right
-    operand sits one operator deeper still, and prints ``-n`` as ``(-n)``."""
-    if isinstance(e, MsBinop):
-        return max(1 + _printed_depth(e.left), 2 + _printed_depth(e.right))
-    return 2 if isinstance(e, MsInt) and e.value < 0 else 0
-
-
 # Deepest Memsafe block nesting.  Each ``if`` and ``while`` prints as two
 # nested Notac blocks and an innermost ``alloc`` as three (guard, null test,
 # zero fill), so every translation reparses under ``MAX_BLOCK_DEPTH``.
@@ -263,7 +255,7 @@ class _MsParser:
             e = MsBinop("==" if op == "=" else op, e, self.expr(level + 1))
         self.depth = depth
         # a whole expression must reparse when printed, even inside ``*( )``
-        if level == depth == 0 and _printed_depth(e) + 2 > MAX_EXPR_DEPTH:
+        if level == depth == 0 and printed_depth(Deref(translate_expr(e))) > MAX_EXPR_DEPTH:
             raise MsParseError(f"expression prints nested deeper than MAX_EXPR_DEPTH = {MAX_EXPR_DEPTH}")
         return e
 

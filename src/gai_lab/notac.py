@@ -544,6 +544,17 @@ def parse(source: str) -> Program:
 # Pretty printer (used by the Memsafe translator's .ntc output)
 
 
+def printed_depth(e: Expr) -> int:
+    """Nesting levels ``parse`` counts in ``_expr_src(e)``: every binary
+    operation is parenthesized and its right operand sits one operator
+    deeper still, ``*(a)`` adds two levels, and ``-n`` prints as ``(-n)``."""
+    if isinstance(e, Binop):
+        return max(1 + printed_depth(e.left), 2 + printed_depth(e.right))
+    if isinstance(e, Deref):
+        return 2 + printed_depth(e.addr)
+    return 2 if isinstance(e, Const) and e.value < 0 else 0
+
+
 def _expr_src(e: Expr) -> str:
     if isinstance(e, Const):
         return str(e.value) if e.value >= 0 else f"(-{-e.value})"

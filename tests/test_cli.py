@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from click.testing import CliRunner
 
 from gai_lab.cli import main
@@ -207,3 +209,44 @@ def test_corpus_json():
     data = json.loads(res.output)
     assert len(data) == 10
     assert all(row["expected"] == row["actual"] for row in data)
+
+
+def assert_usage_error(res, message):
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # a message, not a traceback
+    assert message in res.output
+
+
+@pytest.mark.parametrize("command, option, message", [
+    ("run", "--fuel", "x>=0"),
+    ("run", "--base", "x>=0"),
+    ("gai", "--fuel", "x>=0"),
+    ("gai", "--base", "x>=0"),
+    ("gai", "--wf-trials", "x>=0"),
+    ("ms-run", "--fuel", "x>=0"),
+])
+def test_negative_bounds_exit_2(tmp_path, command, option, message):
+    source = "x <- 1" if command == "ms-run" else "p = malloc(8); observe(1);"
+    prog = write(tmp_path, "prog.src", source)
+    assert_usage_error(invoke(command, prog, option, "-1"), message)
+
+
+@pytest.mark.parametrize("option", ["--trials", "--maxlen"])
+def test_wf_negative_counts_exit_2(option):
+    assert_usage_error(invoke("wf", "bump:0,8,72", option, "-1"), "x>=0")
+
+
+@pytest.mark.parametrize("option", ["--fuel", "--wf-trials"])
+def test_corpus_negative_bounds_exit_2(option):
+    assert_usage_error(invoke("corpus", option, "-1"), "x>=0")
+
+
+@pytest.mark.parametrize("reserved", ["-3:2", "5:2"])
+def test_wf_reserved_range_must_be_ordered_and_non_negative(reserved):
+    assert_usage_error(invoke("wf", "bump:0,8,72", "--reserved", reserved), "0 <= lo <= hi")
+
+
+def test_empty_family_exits_2(tmp_path):
+    prog = write(tmp_path, "prog.ntc", "p = malloc(8); observe(1);")
+    assert_usage_error(invoke("gai", prog, "--family", ";"), "names no allocator")
+    assert_usage_error(invoke("corpus", "--family", " ; "), "names no allocator")

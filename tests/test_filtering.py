@@ -21,6 +21,7 @@ from gai_lab.filtering import (
     prefixes_similar_to,
     similar,
     similar_bruteforce,
+    similar_prefixes,
     sym_filter,
 )
 from gai_lab.notac import CastEv, FreeEv, MallocEv, MallocFailEv, ObsEv, make_env, parse, run
@@ -319,18 +320,43 @@ def test_prefix_scan_equals_every_prefix(pair):
     assert prefixes_similar_to(t, run_trace) == reference
 
 
-def test_prefix_scan_tries_only_prefixes_of_equal_non_free_count(monkeypatch):
-    tried = []
-    real = filtering.similar
+@st.composite
+def prefix_pairs(draw):
+    """Two traces of up to 9 events: unrelated, or one sequence of event kinds
+    with the second's addresses redrawn and maybe two adjacent events swapped."""
+    free_heavy = st.sampled_from(ALPHABET + [FreeEv(a) for a in ADDRS] * 3)
+    u = tuple(draw(st.lists(free_heavy, max_size=9)))
+    if draw(st.booleans()):
+        return u, tuple(draw(st.lists(free_heavy, max_size=9)))
+    v = []
+    for ev in u:
+        if isinstance(ev, MallocEv):
+            ev = MallocEv(ev.size, draw(st.sampled_from(ADDRS)))
+        elif isinstance(ev, FreeEv):
+            ev = FreeEv(draw(st.sampled_from(ADDRS)))
+        v.append(ev)
+    if len(v) > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, len(v) - 2))
+        v[k], v[k + 1] = v[k + 1], v[k]
+    return u, tuple(v)
 
-    def spy(t1, t2):
-        tried.append(len(t2))
-        return real(t1, t2)
 
-    monkeypatch.setattr(filtering, "similar", spy)
+@settings(max_examples=400, deadline=None)
+@given(prefix_pairs())
+@example(((ObsEv(0), ObsEv(1)), (ObsEv(0), ObsEv(1))))  # observes may move in either trace first
+@example(((M1, F1, FreeEv(101)), (M2, FreeEv(101), F2)))  # adjacent frees swapped
+@example(((M1, MallocFailEv(8)), (MallocFailEv(8), M1)))  # alloc events differ from the first
+def test_similar_prefixes_equal_every_prefix_pair(pair):
+    u, v = pair
+    reference = {
+        (i, p) for i in range(len(u) + 1) for p in range(len(v) + 1) if similar_bruteforce(u[:i], v[:p])
+    }
+    assert similar_prefixes(u, v) == reference
+
+
+def test_prefix_scan_tries_only_prefixes_of_equal_non_free_count():
     run_trace = (F1, M1, F1, F2, ObsEv(1), F1, M2, F2)
     assert prefixes_similar_to((F1, M2, F2), run_trace) == [3]
-    assert tried == [2, 3, 4]  # up to M1, then the two frees after it
 
 
 def test_clean_filter_replays_through_feasibility():

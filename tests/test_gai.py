@@ -178,56 +178,62 @@ class TestGaiCheck:
         assert report.verdict == "inconclusive"
         assert report.inconclusive
 
-    def test_alloc_free_loop_k8_passes(self, monkeypatch):
-        """Eight iterations under an allocator that reuses one address and one
-        that bumps: every similarity query pairs those traces.
-        ``prefixes_similar_to`` runs about once per (producer, position,
-        distinct member trace); scanning impact and reach separately for
-        every member makes 1,704 calls here."""
-        calls = []
-        real = gai.prefixes_similar_to
+    @staticmethod
+    def count_searches(monkeypatch, src):
+        """``gai_check`` on ``src``, with its ``_lockstep`` searches counted, and
+        the class candidates offered to each reach-by-another check."""
+        from gai_lab import filtering
 
-        def counting(t, run_trace):
-            calls.append(1)
-            return real(t, run_trace)
+        searches, extensions = [], []
+        real_search, real_reach = filtering._lockstep, gai._reached_by_another
 
-        monkeypatch.setattr(gai, "prefixes_similar_to", counting)
-        prog, env, heap = prepared(
-            "i = 0; while (i < 8) { p = malloc(1); if (p != NULL) { *(p) = i; free(p); } "
-            "i = i + 1; } observe(i);"
-        )
-        report = gai_check(prog, env, heap, wf_trials=5)
-        assert report.verdict == "pass"
-        members = len(report.runs)
+        def counting_search(t1, t2):
+            searches.append(1)
+            return real_search(t1, t2)
+
+        def counting_reach(t, ev, probe):
+            extensions.append(len(_class_candidates(dchar(ev), probe)))
+            return real_reach(t, ev, probe)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(filtering, "_lockstep", counting_search)
+            patch.setattr(gai, "_reached_by_another", counting_reach)
+            report = gai_check(*prepared(src), wf_trials=5)
         distinct = len({trace for _, trace in report.runs.values()})
-        longest = max(len(trace) for _, trace in report.runs.values())
-        assert (members, distinct, longest) == (7, 4, 17)
-        assert len(calls) <= members * distinct * longest
+        return report, distinct, len(searches), sum(extensions)
+
+    def test_alloc_free_loop_k8_passes(self, monkeypatch):
+        """Eight and 32 iterations under an allocator that reuses one address
+        and one that bumps.  One search per pair of distinct traces gives
+        every impact row, and reach needs one more per extension candidate,
+        so the count does not grow with the loop; the per-position prefix
+        scans made 1,701 calls at k = 32."""
+        counts = []
+        for k in (8, 32):
+            report, distinct, searches, extensions = self.count_searches(
+                monkeypatch,
+                f"i = 0; while (i < {k}) {{ p = malloc(1); if (p != NULL) {{ *(p) = i; free(p); }} "
+                "i = i + 1; } observe(i);",
+            )
+            assert report.verdict == "pass"
+            longest = max(len(trace) for _, trace in report.runs.values())
+            assert (len(report.runs), distinct, longest) == (7, 4, 2 * k + 1)
+            assert searches <= distinct**2 + extensions
+            counts.append(searches)
+        assert counts[0] == counts[1]
 
     def test_similarity_calls_grow_linearly_in_trace_length(self, monkeypatch):
-        """On the 16-node XOR list, ``similar`` runs O(|F|^2 L) times: each
-        (producer, position, member) triple tries one prefix for the impact
-        and one per reach candidate, plus one per free that follows."""
-        from gai_lab import filtering
+        """On the 16-node XOR list, ``_lockstep`` runs once per pair of
+        distinct traces and once per reach-extension candidate, whatever the
+        trace length; an all-prefix scan makes 33,220 ``similar`` calls."""
         from gai_lab.corpus import xor_script
 
-        calls = []
-        real = filtering.similar
-
-        def counting(t1, t2):
-            calls.append(1)
-            return real(t1, t2)
-
-        monkeypatch.setattr(filtering, "similar", counting)
         ops = [("new", 1)] + [("push", v) for v in range(2, 17)] + [("get", 3), ("get", 0), ("get", 15)]
-        prog, env, heap = prepared(xor_script(ops))
-        report = gai_check(prog, env, heap, wf_trials=5)
+        report, distinct, searches, extensions = self.count_searches(monkeypatch, xor_script(ops))
         assert report.verdict == "pass"
-        members = len(report.runs)
         longest = max(len(trace) for _, trace in report.runs.values())
-        assert members == 7 and longest == 19
-        # an all-prefix scan makes 33,220 calls here
-        assert len(calls) <= 4 * members**2 * longest
+        assert len(report.runs) == 7 and longest == 19
+        assert searches <= distinct**2 + extensions
 
     def test_inconclusive_entries_name_every_member_sharing_a_trace(self):
         src = "p = malloc(8); observe(1); i = 0; while (i < p - 2110) { i = i + 1; } observe(2);"
@@ -318,3 +324,9 @@ def test_reach_is_impact_of_the_next_prefix_or_another_candidate(pair):
         if prefixes_similar_to(u[: j + 1], v):
             assert reach
         assert reach == (bool(bruteforce_prefixes_similar(u[: j + 1], v)) or _reached_by_another(t, ev, v))
+
+
+def test_empty_family_is_rejected():
+    prog, env, heap = prepared("p = malloc(8); observe(1);")
+    with pytest.raises(ValueError, match="empty"):
+        gai_check(prog, env, heap, family=[], wf_trials=5)

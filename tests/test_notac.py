@@ -1,6 +1,8 @@
 """Notac parser and interpreter."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gai_lab import notac
 from gai_lab.alloc_model import (
@@ -35,6 +37,7 @@ from gai_lab.notac import (
     load_trace,
     make_env,
     parse,
+    printed_depth,
     run,
     step,
     to_source,
@@ -339,6 +342,36 @@ def test_expression_nesting_is_bounded():
     assert at_limit.body == notac.Observe(Const(1))
     out, _ = setup_run("observe(" + "+".join(["1"] * (n + 1)) + ");", null_alloc())
     assert out.trace == (ObsEv(n + 1),)
+
+
+_LEAVES = st.sampled_from([Const(3), Const(-4), notac.Var("x"), notac.AddrOf("x"), notac.Null()])
+
+
+@st.composite
+def spines(draw):
+    """An expression built by wrapping a leaf up to 35 times, each time as the
+    left or right operand of a binary operation or inside ``*( )``."""
+    e = draw(_LEAVES)
+    for _ in range(draw(st.integers(0, 35))):
+        wrap = draw(st.sampled_from(["left", "right", "deref"]))
+        if wrap == "deref":
+            e = Deref(e)
+            continue
+        op = draw(st.sampled_from(["+", "-", "*", "<", "==", "^", "&&", "||"]))
+        other = draw(_LEAVES)
+        e = Binop(op, e, other) if wrap == "left" else Binop(op, other, e)
+    return e
+
+
+@settings(max_examples=300, deadline=None)
+@given(spines())
+def test_printed_depth_is_the_depth_the_parser_counts(e):
+    src = f"observe({notac._expr_src(e)});"
+    if printed_depth(e) <= notac.MAX_EXPR_DEPTH:
+        assert parse(src).body == notac.Observe(e)
+    else:
+        with pytest.raises(ParseError, match="MAX_EXPR_DEPTH"):
+            parse(src)
 
 
 def test_block_nesting_is_bounded():

@@ -71,6 +71,37 @@ class OverlappingAlloc(Strategy):
         return heap, state
 
 
+class FlakyInit(Strategy):
+    """Deliberately nondeterministic: its first three ``init`` calls trample a
+    reserved cell, later ones do not.  One trial's generation and check see
+    Basic-3 fail; the replay of that failure comes back clean."""
+
+    name = "flaky-init"
+
+    def __init__(self):
+        self.inner = bump(0, 8, 72)
+        self.inits = 0
+
+    def init(self, heap):
+        self.inits += 1
+        h, state = self.inner.init(heap)
+        return (h.write(1, 99) if self.inits <= 3 else h), state
+
+    def null(self, state):
+        return self.inner.null(state)
+
+    def malloc(self, heap, state, size):
+        return self.inner.malloc(heap, state, size)
+
+    def free(self, heap, state, addr):
+        return self.inner.free(heap, state, addr)
+
+
+def test_failure_that_does_not_replay_raises():
+    with pytest.raises(RuntimeError, match="Basic-3 failure of trial 0 does not replay"):
+        wf_check(FlakyInit(), RESERVED, HEAP, trials=1)
+
+
 def test_broken_allocator_fails_basic_1_with_replayable_witness():
     reports = wf_check(OverlappingAlloc(), RESERVED, HEAP, trials=1000, seed=0)
     basic1 = next(r for r in reports if r.clause == "Basic-1")
