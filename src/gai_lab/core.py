@@ -11,8 +11,8 @@ mutators return a fresh heap, so a heap can be shared freely across
 threads and replays.  The one exception is :meth:`Heap.write_in_place`,
 which is only for a heap nobody else can see: ``notac.run`` copies the
 heap once after the allocator's ``init`` and from then on owns that copy,
-writes client cells into it in place, and hands it out only live (to
-``on_step``) and at the end (as ``Outcome.heap``).
+writes client cells into it in place, and hands it out only at the end
+(as ``Outcome.heap``).
 
 Every mutator costs the cells it touches plus at most one dict copy made
 at C speed.

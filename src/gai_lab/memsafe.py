@@ -9,21 +9,29 @@ Concrete grammar (``//`` comments; ``;`` separates commands)::
 
     c := skip | x <- e | x <- [e] | [e1] <- e2 | x <- alloc(e)
        | if e then c else c end | while e do c end | c ; c
-    e := n | x | nil | e op e      with op in  + - * == <=   (= also accepted)
+    e := n | -n | x | nil | (e) | e op e   with op in  + - * == <=   (= also accepted)
 
-The translator maps programs structurally onto Notac: nil becomes NULL,
-every effectful command is guarded by the out-of-memory flag, loops get a
-fresh guard variable so their condition is never evaluated after an
-allocation failure, and each allocation zero-initializes its block.  The
-differential check validates the translation: wherever the translated run
-ends without out-of-memory, every integer-valued Memsafe variable must
-agree with its Notac cell, and the translated program must satisfy GAI.
+Memsafe is a command layer over Notac's front end.  Its expressions are
+Notac's own ``Const``/``Var``/``Null``/``Binop`` nodes (nil is ``Null``,
+``=`` reads as ``==``), its parser is a :class:`notac.ParserCore` grammar,
+so a parse error is a :class:`notac.ParseError` carrying ``line:col``, and
+its variables come from :func:`notac.collect_vars`.  Only the commands and
+the evaluation, which follows Memsafe's semantics, are its own.
+
+The translator maps commands structurally onto Notac and passes
+expressions through unchanged: every effectful command is guarded by the
+out-of-memory flag, loops get a fresh guard variable so their condition is
+never evaluated after an allocation failure, and each allocation
+zero-initializes its block.  The differential check validates the
+translation: wherever the translated run ends without out-of-memory, every
+integer-valued Memsafe variable must agree with its Notac cell, and the
+translated program must satisfy GAI.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import notac
@@ -37,11 +45,13 @@ from .notac import (
     Cmd,
     Const,
     Deref,
+    Expr,
     If,
     LDeref,
     LVar,
     MallocAssign,
     Null,
+    ParserCore,
     Program,
     Seq,
     Skip,
@@ -79,9 +89,18 @@ MsValue = object  # int | MsPtr | NIL
 
 
 @dataclass
+class MsBlock:
+    """An allocated block: its size and the cells written so far.  An
+    unwritten cell in bounds reads 0, so ``alloc`` costs nothing per cell."""
+
+    size: int
+    cells: dict  # offset -> MsValue
+
+
+@dataclass
 class MsState:
     store: dict  # var -> MsValue
-    heap: dict  # block id -> list[MsValue]
+    heap: dict  # block id -> MsBlock
     next_id: int = 0
 
 
@@ -101,31 +120,6 @@ class MsOutcome:
 
 
 @dataclass(frozen=True)
-class MsInt:
-    value: int
-
-
-@dataclass(frozen=True)
-class MsVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class MsNil:
-    pass
-
-
-@dataclass(frozen=True)
-class MsBinop:
-    op: str  # + - * == <=
-    left: "MsExpr"
-    right: "MsExpr"
-
-
-MsExpr = MsInt | MsVar | MsNil | MsBinop
-
-
-@dataclass(frozen=True)
 class MsSkip:
     pass
 
@@ -138,39 +132,41 @@ class MsSeq:
 
 @dataclass(frozen=True)
 class MsIf:
-    cond: MsExpr
+    cond: Expr
     then: "MsCmd"
     orelse: "MsCmd"
 
 
 @dataclass(frozen=True)
 class MsWhile:
-    cond: MsExpr
+    cond: Expr
     body: "MsCmd"
 
 
+# Targets are ``LVar`` fields ahead of their operands, so
+# ``notac.collect_vars`` lists a target before the variables its operand reads.
 @dataclass(frozen=True)
 class MsAssign:
-    var: str
-    expr: MsExpr
+    var: LVar
+    expr: Expr
 
 
 @dataclass(frozen=True)
 class MsLoad:
-    var: str
-    addr: MsExpr
+    var: LVar
+    addr: Expr
 
 
 @dataclass(frozen=True)
 class MsStore:
-    addr: MsExpr
-    expr: MsExpr
+    addr: Expr
+    expr: Expr
 
 
 @dataclass(frozen=True)
 class MsAlloc:
-    var: str
-    size: MsExpr
+    var: LVar
+    size: Expr
 
 
 MsCmd = MsSkip | MsSeq | MsIf | MsWhile | MsAssign | MsLoad | MsStore | MsAlloc
@@ -180,7 +176,7 @@ MsCmd = MsSkip | MsSeq | MsIf | MsWhile | MsAssign | MsLoad | MsStore | MsAlloc
 # Parser
 
 
-class MsParseError(Exception):
+class MsParseError(notac.ParseError):
     pass
 
 
@@ -202,91 +198,49 @@ _MS_KEYWORDS = {"skip", "if", "then", "else", "end", "while", "do", "alloc", "ni
 # zero fill), so every translation reparses under ``MAX_BLOCK_DEPTH``.
 MAX_MS_BLOCK_DEPTH = (MAX_BLOCK_DEPTH - 3) // 2
 
-# Binary operator precedence, loosest first; ``=`` spells ``==``.
-_MS_BINOP_LEVELS = [("==", "=", "<="), ("+", "-"), ("*",)]
 
-
-class _MsParser:
-    def __init__(self, src: str):
-        self.toks = []
-        i = 0
-        while i < len(src):
-            m = _MS_TOKEN.match(src, i)
-            if not m:
-                raise MsParseError(f"unexpected character {src[i]!r} at offset {i}")
-            if m.lastgroup != "ws":
-                self.toks.append((m.lastgroup, m.group(0)))
-            i = m.end()
-        self.toks.append(("eof", ""))
-        self.i = 0
-        self.depth = 0  # expression nesting, bounded as in Notac
-        self.blocks = 0  # block nesting
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, text):
-        kind, got = self.next()
-        if got != text:
-            raise MsParseError(f"expected {text!r}, found {got or 'end of input'!r}")
-
-    def at(self, text):
-        return self.peek()[1] == text
-
-    def nest(self):
-        """Enter one more level of expression nesting."""
-        self.depth += 1
-        if self.depth > MAX_EXPR_DEPTH:
-            raise MsParseError(f"expression nested deeper than MAX_EXPR_DEPTH = {MAX_EXPR_DEPTH}")
+class _MsParser(ParserCore):
+    token_re = _MS_TOKEN
+    error = MsParseError
+    # Binary operator precedence, loosest first; ``=`` spells ``==``.
+    levels = [("==", "=", "<="), ("+", "-"), ("*",)]
+    aliases = {"=": "=="}
+    block_bound = ("MAX_MS_BLOCK_DEPTH", MAX_MS_BLOCK_DEPTH)
 
     def expr(self, level=0):
-        if level == len(_MS_BINOP_LEVELS):
-            return self.atom()
-        e = self.expr(level + 1)
-        depth = self.depth
-        while self.peek()[1] in _MS_BINOP_LEVELS[level]:
-            op = self.next()[1]
-            self.nest()  # the chain so far becomes the left operand
-            e = MsBinop("==" if op == "=" else op, e, self.expr(level + 1))
-        self.depth = depth
+        start = self.peek()
+        e = super().expr(level)
         # a whole expression must reparse when printed, even inside ``*( )``
-        if level == depth == 0 and printed_depth(Deref(translate_expr(e))) > MAX_EXPR_DEPTH:
-            raise MsParseError(f"expression prints nested deeper than MAX_EXPR_DEPTH = {MAX_EXPR_DEPTH}")
+        if level == self.depth == 0 and printed_depth(Deref(e)) > MAX_EXPR_DEPTH:
+            raise MsParseError(f"expression prints nested deeper than MAX_EXPR_DEPTH = {MAX_EXPR_DEPTH}", start.pos)
         return e
 
-    def atom(self):
-        kind, text = self.next()
-        if text == "(":
-            self.nest()
+    def operand(self):
+        tok = self.next()
+        if tok.text == "(":
+            self.nest(tok)
             e = self.expr()
             self.expect(")")
             self.depth -= 1
             return e
-        if text == "-":
-            self.nest()  # a level, as in Notac, though only a literal follows
+        if tok.text == "-":
+            self.nest(tok)  # a level, as in Notac, though only a literal follows
             self.depth -= 1
-            kind2, text2 = self.next()
-            if kind2 != "num":
-                raise MsParseError("'-' prefix is only for integer literals")
-            return MsInt(-int(text2))
-        if kind == "num":
-            return MsInt(int(text))
-        if text == "nil":
-            return MsNil()
-        if kind == "name" and text not in _MS_KEYWORDS:
-            return MsVar(text)
-        raise MsParseError(f"expected an expression, found {text or 'end of input'!r}")
+            num = self.next()
+            if num.kind != "num":
+                raise MsParseError("'-' prefix is only for integer literals", num.pos)
+            return Const(-int(num.text))
+        if tok.kind == "num":
+            return Const(int(tok.text))
+        if tok.text == "nil":
+            return Null()
+        if tok.kind == "name" and tok.text not in _MS_KEYWORDS:
+            return Var(tok.text)
+        raise MsParseError(f"expected an expression, found {tok.text or 'end of input'!r}", tok.pos)
 
     def block(self):
         """A command nested in an ``if`` or ``while``."""
-        self.blocks += 1
-        if self.blocks > MAX_MS_BLOCK_DEPTH:
-            raise MsParseError(f"blocks nested deeper than MAX_MS_BLOCK_DEPTH = {MAX_MS_BLOCK_DEPTH}")
+        self.enter_block(self.peek())
         c = self.command()
         self.blocks -= 1
         return c
@@ -295,7 +249,7 @@ class _MsParser:
         cmds = [self.simple()]
         while self.at(";"):
             self.next()
-            if self.peek()[1] in ("else", "end", "") or self.peek()[0] == "eof":
+            if self.peek().text in ("else", "end", ""):
                 break  # tolerate a trailing separator
             cmds.append(self.simple())
         out = cmds[-1]
@@ -304,11 +258,11 @@ class _MsParser:
         return out
 
     def simple(self):
-        kind, text = self.peek()
-        if text == "skip":
+        tok = self.peek()
+        if tok.text == "skip":
             self.next()
             return MsSkip()
-        if text == "if":
+        if tok.text == "if":
             self.next()
             cond = self.expr()
             self.expect("then")
@@ -317,40 +271,42 @@ class _MsParser:
             orelse = self.block()
             self.expect("end")
             return MsIf(cond, then, orelse)
-        if text == "while":
+        if tok.text == "while":
             self.next()
             cond = self.expr()
             self.expect("do")
             body = self.block()
             self.expect("end")
             return MsWhile(cond, body)
-        if text == "[":
+        if tok.text == "[":
             self.next()
             addr = self.expr()
             self.expect("]")
             self.expect("<-")
             return MsStore(addr, self.expr())
-        if kind == "name" and text not in _MS_KEYWORDS:
+        if tok.kind == "name" and tok.text not in _MS_KEYWORDS:
             self.next()
+            target = LVar(tok.text)
             self.expect("<-")
             if self.at("["):
                 self.next()
                 addr = self.expr()
                 self.expect("]")
-                return MsLoad(text, addr)
+                return MsLoad(target, addr)
             if self.at("alloc"):
                 self.next()
                 self.expect("(")
                 size = self.expr()
                 self.expect(")")
-                return MsAlloc(text, size)
-            return MsAssign(text, self.expr())
-        raise MsParseError(f"expected a command, found {text or 'end of input'!r}")
+                return MsAlloc(target, size)
+            return MsAssign(target, self.expr())
+        raise MsParseError(f"expected a command, found {tok.text or 'end of input'!r}", tok.pos)
 
     def program(self):
         cmd = self.command()
-        if self.peek()[0] != "eof":
-            raise MsParseError(f"trailing input at {self.peek()[1]!r}")
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise MsParseError(f"trailing input at {tok.text!r}", tok.pos)
         return cmd
 
 
@@ -366,17 +322,17 @@ class _Undefined(Exception):
     pass
 
 
-def ms_eval_expr(state: MsState, e: MsExpr) -> MsValue:
+def ms_eval_expr(state: MsState, e: Expr) -> MsValue:
     """Partial expression evaluation; raises on undefinedness."""
-    if isinstance(e, MsInt):
+    if isinstance(e, Const):
         return e.value
-    if isinstance(e, MsNil):
+    if isinstance(e, Null):
         return NIL
-    if isinstance(e, MsVar):
+    if isinstance(e, Var):
         if e.name not in state.store:
             raise _Undefined(f"unbound variable {e.name}")
         return state.store[e.name]
-    if isinstance(e, MsBinop):
+    if isinstance(e, Binop):
         l = ms_eval_expr(state, e.left)
         r = ms_eval_expr(state, e.right)
         return _ms_binop(e.op, l, r)
@@ -452,22 +408,22 @@ def ms_eval_cmd(state: MsState, cmd: MsCmd, fuel: int = 100_000) -> MsOutcome:
                 if _eval_guard(st, c.loop.cond) != 0:
                     stack += [c, c.loop.body]
             elif isinstance(c, MsAssign):
-                st.store[c.var] = ms_eval_expr(st, c.expr)
+                st.store[c.var.name] = ms_eval_expr(st, c.expr)
             elif isinstance(c, MsLoad):
-                st.store[c.var] = _ms_read(st, ms_eval_expr(st, c.addr), "load")
+                st.store[c.var.name] = _ms_read(st, ms_eval_expr(st, c.addr), "load")
             elif isinstance(c, MsStore):
                 p = ms_eval_expr(st, c.addr)
                 v = ms_eval_expr(st, c.expr)
                 _ms_read(st, p, "store")
-                st.heap[p.block][p.offset] = v
+                st.heap[p.block].cells[p.offset] = v
             elif isinstance(c, MsAlloc):
                 n = ms_eval_expr(st, c.size)
                 if not isinstance(n, int) or n < 0:
                     raise _Undefined(f"alloc size {n!r}")
                 block = st.next_id
                 st.next_id += 1  # ids are never reused
-                st.heap[block] = [0] * n
-                st.store[c.var] = MsPtr(block, n, 0)
+                st.heap[block] = MsBlock(n, {})
+                st.store[c.var.name] = MsPtr(block, n, 0)
             elif not isinstance(c, MsSkip):
                 raise TypeError(f"not a command: {c!r}")
     except _Undefined as exc:
@@ -475,7 +431,7 @@ def ms_eval_cmd(state: MsState, cmd: MsCmd, fuel: int = 100_000) -> MsOutcome:
     return MsOutcome("ok", st)
 
 
-def _eval_guard(state: MsState, e: MsExpr) -> int:
+def _eval_guard(state: MsState, e: Expr) -> int:
     v = ms_eval_expr(state, e)
     if not isinstance(v, int):
         raise _Undefined(f"guard is not an integer: {v!r}")
@@ -484,10 +440,10 @@ def _eval_guard(state: MsState, e: MsExpr) -> int:
 
 def _ms_read(state: MsState, p: MsValue, access: str) -> MsValue:
     """The cell ``p`` points at; undefined unless ``p`` is in bounds of a live block."""
-    cells = state.heap.get(p.block) if isinstance(p, MsPtr) else None
-    if cells is None or not (0 <= p.offset < p.bound) or p.bound != len(cells):
+    block = state.heap.get(p.block) if isinstance(p, MsPtr) else None
+    if block is None or not (0 <= p.offset < p.bound) or p.bound != block.size:
         raise _Undefined(f"{access} through {p!r}")
-    return cells[p.offset]
+    return block.cells.get(p.offset, 0)
 
 
 def ms_run(cmd: MsCmd, store: Optional[dict] = None, fuel: int = 100_000) -> MsOutcome:
@@ -505,36 +461,6 @@ GUARD_PREFIX = "__g"
 
 class ReservedVariableError(Exception):
     pass
-
-
-def ms_variables(cmd: MsCmd) -> list[str]:
-    """Variable names in first-occurrence order.
-
-    A left-to-right walk on an explicit stack, as ``notac`` collects its
-    variables: a ``;``-chain is as deep as the program is long.
-    """
-    seen: dict[str, None] = {}
-    stack = [cmd]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, MsVar):
-            seen.setdefault(node.name, None)
-        elif isinstance(node, (MsAssign, MsLoad, MsAlloc)):
-            seen.setdefault(node.var, None)  # the target precedes its operand
-        stack.extend(reversed([v for v in vars(node).values() if is_dataclass(v)]))
-    return list(seen)
-
-
-def translate_expr(e: MsExpr) -> notac.Expr:
-    if isinstance(e, MsInt):
-        return Const(e.value)
-    if isinstance(e, MsVar):
-        return Var(e.name)
-    if isinstance(e, MsNil):
-        return Null()
-    if isinstance(e, MsBinop):
-        return Binop(e.op, translate_expr(e.left), translate_expr(e.right))
-    raise TypeError(f"not an expression: {e!r}")
 
 
 class _Translator:
@@ -565,12 +491,12 @@ class _Translator:
                 out = Seq(part, out)
             return out
         if isinstance(c, MsIf):
-            return self.guard(If(translate_expr(c.cond), self.cmd(c.then), self.cmd(c.orelse)))
+            return self.guard(If(c.cond, self.cmd(c.then), self.cmd(c.orelse)))
         if isinstance(c, MsWhile):
             g = self.fresh_guard()
             # The loop guard is never evaluated once oom is set.
             body = Seq(
-                If(translate_expr(c.cond), self.cmd(c.body), Assign(LVar(g), Const(0))),
+                If(c.cond, self.cmd(c.body), Assign(LVar(g), Const(0))),
                 Assign(LVar(g), Binop("*", Binop("==", Var(OOM_VAR), Const(0)), Var(g))),
             )
             return Seq(
@@ -578,30 +504,30 @@ class _Translator:
                 While(Var(g), body),
             )
         if isinstance(c, MsAssign):
-            return self.guard(Assign(LVar(c.var), translate_expr(c.expr)))
+            return self.guard(Assign(c.var, c.expr))
         if isinstance(c, MsLoad):
-            return self.guard(Assign(LVar(c.var), Deref(translate_expr(c.addr))))
+            return self.guard(Assign(c.var, Deref(c.addr)))
         if isinstance(c, MsStore):
-            return self.guard(Assign(LDeref(translate_expr(c.addr)), translate_expr(c.expr)))
+            return self.guard(Assign(LDeref(c.addr), c.expr))
         if isinstance(c, MsAlloc):
-            x = LVar(c.var)
+            x = Var(c.var.name)
             zero_fill = Seq(
                 Assign(LVar(SIZE_VAR), Binop("-", Var(SIZE_VAR), Const(1))),
                 While(
                     Binop(">=", Var(SIZE_VAR), Const(0)),
                     Seq(
-                        Assign(LDeref(Binop("+", Var(c.var), Var(SIZE_VAR))), Const(0)),
+                        Assign(LDeref(Binop("+", x, Var(SIZE_VAR))), Const(0)),
                         Assign(LVar(SIZE_VAR), Binop("-", Var(SIZE_VAR), Const(1))),
                     ),
                 ),
             )
             return self.guard(
                 Seq(
-                    Assign(LVar(SIZE_VAR), translate_expr(c.size)),
+                    Assign(LVar(SIZE_VAR), c.size),
                     Seq(
-                        MallocAssign(x, Var(SIZE_VAR)),
+                        MallocAssign(c.var, Var(SIZE_VAR)),
                         If(
-                            Binop("==", Var(c.var), Null()),
+                            Binop("==", x, Null()),
                             Assign(LVar(OOM_VAR), Const(1)),
                             zero_fill,
                         ),
@@ -621,7 +547,7 @@ def translate(cmd: MsCmd) -> tuple[Program, dict]:
     tr = _Translator()
     body = tr.cmd(cmd)
     guards = [f"{GUARD_PREFIX}{k}" for k in range(tr.guards)]
-    source_vars = ms_variables(cmd)
+    source_vars = notac.collect_vars(cmd)
     clashes = [v for v in source_vars if v == OOM_VAR or v == SIZE_VAR or v.startswith(GUARD_PREFIX)]
     if clashes:
         raise ReservedVariableError(f"program uses translator variables: {clashes}")
@@ -666,7 +592,7 @@ class DiffReport:
     ok: bool
     mismatches: list
     runs: dict  # allocator name -> (outcome kind, oom flag)
-    gai_report: Optional[GaiReport] = None
+    gai_report: GaiReport
 
     def describe(self) -> str:
         lines = [f"differential: {'ok' if self.ok else 'FAILED'}"]
@@ -677,8 +603,7 @@ class DiffReport:
                 f"  mismatch under {mm.allocator}: {mm.variable} = {mm.memsafe_value}"
                 f" (memsafe) vs {mm.notac_value} (notac)"
             )
-        if self.gai_report is not None:
-            lines.append(f"  gai: {self.gai_report.verdict}")
+        lines.append(f"  gai: {self.gai_report.verdict}")
         return "\n".join(lines)
 
 
@@ -687,7 +612,6 @@ def differential_check(
     fuel: int = 100_000,
     family: Optional[Sequence[Strategy]] = None,
     initial_store: Optional[dict] = None,
-    check_gai: bool = True,
     wf_trials: int = 25,
 ) -> DiffReport:
     """Validate the translation of one error-free Memsafe program.
@@ -728,8 +652,6 @@ def differential_check(
                 if got != value:
                     mismatches.append(DiffMismatch(strategy.name, name, value, got))
 
-    gai_report = None
-    if check_gai:
-        gai_report = gai_check(program, env, heap, family, fuel, wf_trials=wf_trials)
-    ok = not mismatches and (gai_report is None or gai_report.verdict == "pass")
+    gai_report = gai_check(program, env, heap, family, fuel, wf_trials=wf_trials)
+    ok = not mismatches and gai_report.verdict == "pass"
     return DiffReport(ok, mismatches, runs, gai_report)

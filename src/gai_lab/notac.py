@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, is_dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .alloc_model import Strategy
 from .core import Addr, Heap, Val
@@ -302,27 +302,6 @@ class _Tok:
     pos: Pos
 
 
-def _tokenize(src: str) -> list[_Tok]:
-    toks = []
-    line, col, i = 1, 1, 0
-    while i < len(src):
-        m = _TOKEN_RE.match(src, i)
-        if not m:
-            raise ParseError(f"unexpected character {src[i]!r}", (line, col))
-        text = m.group(0)
-        if m.lastgroup != "ws":
-            toks.append(_Tok(m.lastgroup, text, (line, col)))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        i = m.end()
-    toks.append(_Tok("eof", "", (line, col)))
-    return toks
-
-
 # Binary operator precedence, loosest first (xor sits between the logical
 # connectives and the comparisons, as in C).
 _BINOP_LEVELS = [["||"], ["&&"], ["^"], ["==", "!="], ["<", "<=", ">", ">="], ["+", "-"], ["*"]]
@@ -338,9 +317,42 @@ MAX_EXPR_DEPTH = 50
 MAX_BLOCK_DEPTH = 100
 
 
-class _Parser:
+class ParserCore:
+    """The front end Notac and Memsafe share: tokenizer, token cursor,
+    nesting bounds and the binary-operator precedence loop.
+
+    A grammar subclasses it and supplies an ``operand`` rule and the grammar
+    proper.  The class attributes hold Notac's token regex (groups ``ws``,
+    ``num``, ``name``, ``op``), error class, operator levels (loosest first;
+    ``aliases`` maps other spellings onto a :class:`Binop` operator) and
+    block bound as ``(name, value)``; another language overrides them.
+    Every error carries the ``(line, col)`` of the offending token.
+    """
+
+    token_re = _TOKEN_RE
+    error = ParseError
+    levels = _BINOP_LEVELS
+    aliases: dict = {}
+    block_bound = ("MAX_BLOCK_DEPTH", MAX_BLOCK_DEPTH)
+
     def __init__(self, src: str):
-        self.toks = _tokenize(src)
+        self.toks = []
+        line, col, i = 1, 1, 0
+        while i < len(src):
+            m = self.token_re.match(src, i)
+            if not m:
+                raise self.error(f"unexpected character {src[i]!r}", (line, col))
+            text = m.group(0)
+            if m.lastgroup != "ws":
+                self.toks.append(_Tok(m.lastgroup, text, (line, col)))
+            nl = text.count("\n")
+            if nl:
+                line += nl
+                col = len(text) - text.rfind("\n")
+            else:
+                col += len(text)
+            i = m.end()
+        self.toks.append(_Tok("eof", "", (line, col)))
         self.i = 0
         self.depth = 0  # expression nesting at the current token
         self.blocks = 0  # block nesting at the current token
@@ -356,7 +368,7 @@ class _Parser:
     def expect(self, text: str) -> _Tok:
         tok = self.next()
         if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.pos)
+            raise self.error(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.pos)
         return tok
 
     def at(self, text: str) -> bool:
@@ -366,29 +378,39 @@ class _Parser:
         """Enter one more level of expression nesting at ``tok``."""
         self.depth += 1
         if self.depth > MAX_EXPR_DEPTH:
-            raise ParseError(f"expression nested deeper than MAX_EXPR_DEPTH = {MAX_EXPR_DEPTH}", tok.pos)
+            raise self.error(f"expression nested deeper than MAX_EXPR_DEPTH = {MAX_EXPR_DEPTH}", tok.pos)
 
-    # -- expressions
+    def enter_block(self, tok: _Tok) -> None:
+        """Enter one more level of block nesting at ``tok``; the caller
+        decrements ``blocks`` when the block ends."""
+        self.blocks += 1
+        name, bound = self.block_bound
+        if self.blocks > bound:
+            raise self.error(f"blocks nested deeper than {name} = {bound}", tok.pos)
 
     def expr(self, level: int = 0) -> Expr:
-        if level == len(_BINOP_LEVELS):
-            return self.unary()
+        if level == len(self.levels):
+            return self.operand()
         left = self.expr(level + 1)
         depth = self.depth
-        while self.peek().text in _BINOP_LEVELS[level]:
+        while self.peek().text in self.levels[level]:
             tok = self.next()
             self.nest(tok)  # the chain so far becomes the left operand
             right = self.expr(level + 1)
-            left = Binop(tok.text, left, right)
+            left = Binop(self.aliases.get(tok.text, tok.text), left, right)
         self.depth = depth
         return left
 
-    def unary(self) -> Expr:
+
+class _Parser(ParserCore):
+    # -- expressions
+
+    def operand(self) -> Expr:
         tok = self.peek()
         if tok.text in ("-", "*"):
             self.next()
             self.nest(tok)
-            inner = self.unary()
+            inner = self.operand()
             self.depth -= 1
             if tok.text == "*":
                 return Deref(inner)
@@ -475,7 +497,7 @@ class _Parser:
             body = self.block()
             return While(cond, body, pos)
         # assignment forms: lval = e | cast(e) | malloc(e)
-        target = self.lval_from(self.unary(), pos)
+        target = self.lval_from(self.operand(), pos)
         self.expect("=")
         if self.peek().text in ("malloc", "cast"):
             kind = self.next().text
@@ -489,10 +511,7 @@ class _Parser:
         return Assign(target, e, pos)
 
     def block(self) -> Cmd:
-        tok = self.expect("{")
-        self.blocks += 1
-        if self.blocks > MAX_BLOCK_DEPTH:
-            raise ParseError(f"blocks nested deeper than MAX_BLOCK_DEPTH = {MAX_BLOCK_DEPTH}", tok.pos)
+        self.enter_block(self.expect("{"))
         cmds = []
         while not self.at("}"):
             cmds.append(self.statement())
@@ -507,7 +526,7 @@ class _Parser:
         while self.peek().kind != "eof":
             cmds.append(self.statement())
         body = _seq(cmds)
-        return Program(body, tuple(_collect_vars(body)))
+        return Program(body, tuple(collect_vars(body)))
 
 
 def _seq(cmds: list) -> Cmd:
@@ -519,11 +538,13 @@ def _seq(cmds: list) -> Cmd:
     return out
 
 
-def _collect_vars(root) -> list:
-    """Variable names in first-occurrence order.
+def collect_vars(root) -> list:
+    """Variable names in first-occurrence order in a tree of syntax nodes.
 
-    A left-to-right walk on an explicit stack: a program's ``Seq`` chain is
-    as deep as it has statements.
+    A left-to-right walk over dataclass fields on an explicit stack: a
+    program's ``Seq`` chain is as deep as it has statements.  Memsafe
+    commands are walked too; their targets are :class:`LVar` fields ahead of
+    their operands, so a target comes before the variables it reads.
     """
     seen: dict = {}
     stack = [root]
@@ -630,8 +651,11 @@ def make_env(program: Program, base: Addr) -> tuple[dict, Heap, frozenset]:
 
 
 class Stuck(Exception):
-    def __init__(self, reason: str, pos: Pos):
-        super().__init__(f"stuck at {pos[0]}:{pos[1]}: {reason}")
+    """No rule applies.  Expression evaluation raises it without a
+    position; :func:`step` re-raises it with the position of the command."""
+
+    def __init__(self, reason: str, pos: Optional[Pos] = None):
+        super().__init__(reason if pos is None else f"stuck at {pos[0]}:{pos[1]}: {reason}")
         self.reason = reason
         self.pos = pos
 
@@ -667,7 +691,7 @@ def eval_expr(env: dict, strategy: Strategy, state: object, heap: Heap, e: Expr)
     if isinstance(e, Var):
         v = heap.read(env[e.name])
         if v is None:
-            raise Stuck(f"variable {e.name} cell is inaccessible", (0, 0))
+            raise Stuck(f"variable {e.name} cell is inaccessible")
         return v
     if isinstance(e, Null):
         return strategy.null(state)
@@ -676,10 +700,10 @@ def eval_expr(env: dict, strategy: Strategy, state: object, heap: Heap, e: Expr)
     if isinstance(e, Deref):
         a = eval_expr(env, strategy, state, heap, e.addr)
         if a < 0:
-            raise Stuck(f"dereference of negative address {a}", (0, 0))
+            raise Stuck(f"dereference of negative address {a}")
         v = heap.read(a)
         if v is None:
-            raise Stuck(f"dereference of inaccessible address {a}", (0, 0))
+            raise Stuck(f"dereference of inaccessible address {a}")
         return v
     if isinstance(e, Binop):
         l = eval_expr(env, strategy, state, heap, e.left)
@@ -697,7 +721,7 @@ def _apply_binop(op: str, l: int, r: int) -> int:
         return l * r
     if op == "^":
         if l < 0 or r < 0:
-            raise Stuck(f"xor on negative operand ({l} ^ {r})", (0, 0))
+            raise Stuck(f"xor on negative operand ({l} ^ {r})")
         return l ^ r
     if op == "==":
         return int(l == r)
@@ -730,7 +754,7 @@ def step(env: dict, strategy: Strategy, cfg: Config) -> Optional[tuple[Config, O
     Client writes (assignments, casts, and the target cell of a malloc)
     go into ``cfg.heap`` in place, so the caller must own that heap (see
     :func:`run`).  Allocator steps may return a new heap.  Raises
-    :class:`Stuck` when no rule applies.
+    :class:`Stuck`, at the command's position, when no rule applies.
     """
     stack = cfg.stack
     while stack and isinstance(stack[0], Seq):
@@ -740,48 +764,44 @@ def step(env: dict, strategy: Strategy, cfg: Config) -> Optional[tuple[Config, O
         return None
     cmd, rest = stack[0], stack[1:]
     heap, state = cfg.heap, cfg.state
-
-    def at(pos_cmd, fn):
-        try:
-            return fn()
-        except Stuck as exc:
-            raise Stuck(exc.reason, pos_cmd.pos) from None
-
-    if isinstance(cmd, Skip):
-        return Config(rest, heap, state), None
-    if isinstance(cmd, If):
-        v = at(cmd, lambda: eval_expr(env, strategy, state, heap, cmd.cond))
-        chosen = cmd.then if v != 0 else cmd.orelse
-        return Config((chosen,) + rest, heap, state), None
-    if isinstance(cmd, While):
-        unrolled = If(cmd.cond, Seq(cmd.body, cmd), Skip(cmd.pos), cmd.pos)
-        return Config((unrolled,) + rest, heap, state), None
-    if isinstance(cmd, Observe):
-        v = at(cmd, lambda: eval_expr(env, strategy, state, heap, cmd.expr))
-        return Config(rest, heap, state), ObsEv(v)
-    if isinstance(cmd, (Assign, CastAssign)):
-        a = at(cmd, lambda: eval_lval(env, strategy, state, heap, cmd.lval))
-        v = at(cmd, lambda: eval_expr(env, strategy, state, heap, cmd.expr))
-        if a < 0 or a not in heap:
-            raise Stuck(f"write to inaccessible address {a}", cmd.pos)
-        heap.write_in_place(a, v)
-        return Config(rest, heap, state), (CastEv(v) if isinstance(cmd, CastAssign) else None)
-    if isinstance(cmd, MallocAssign):
-        n = at(cmd, lambda: eval_expr(env, strategy, state, heap, cmd.size))
-        if n < 0:
-            raise Stuck(f"malloc size {n} is negative", cmd.pos)
-        h2, st2, a = strategy.malloc(heap, state, n)
-        # The lval evaluates against the post-malloc heap.
-        a_lval = at(cmd, lambda: eval_lval(env, strategy, st2, h2, cmd.lval))
-        if a_lval < 0 or a_lval not in h2:
-            raise Stuck(f"malloc target address {a_lval} is inaccessible", cmd.pos)
-        ev = MallocFailEv(n) if a == strategy.null(state) else MallocEv(n, a)
-        h2.write_in_place(a_lval, a)
-        return Config(rest, h2, st2), ev
-    if isinstance(cmd, FreeCmd):
-        v = at(cmd, lambda: eval_expr(env, strategy, state, heap, cmd.expr))
-        h2, st2 = strategy.free(heap, state, v)
-        return Config(rest, h2, st2), FreeEv(v)
+    try:
+        if isinstance(cmd, Skip):
+            return Config(rest, heap, state), None
+        if isinstance(cmd, If):
+            v = eval_expr(env, strategy, state, heap, cmd.cond)
+            chosen = cmd.then if v != 0 else cmd.orelse
+            return Config((chosen,) + rest, heap, state), None
+        if isinstance(cmd, While):
+            unrolled = If(cmd.cond, Seq(cmd.body, cmd), Skip(cmd.pos), cmd.pos)
+            return Config((unrolled,) + rest, heap, state), None
+        if isinstance(cmd, Observe):
+            v = eval_expr(env, strategy, state, heap, cmd.expr)
+            return Config(rest, heap, state), ObsEv(v)
+        if isinstance(cmd, (Assign, CastAssign)):
+            a = eval_lval(env, strategy, state, heap, cmd.lval)
+            v = eval_expr(env, strategy, state, heap, cmd.expr)
+            if a < 0 or a not in heap:
+                raise Stuck(f"write to inaccessible address {a}")
+            heap.write_in_place(a, v)
+            return Config(rest, heap, state), (CastEv(v) if isinstance(cmd, CastAssign) else None)
+        if isinstance(cmd, MallocAssign):
+            n = eval_expr(env, strategy, state, heap, cmd.size)
+            if n < 0:
+                raise Stuck(f"malloc size {n} is negative")
+            h2, st2, a = strategy.malloc(heap, state, n)
+            # The lval evaluates against the post-malloc heap.
+            a_lval = eval_lval(env, strategy, st2, h2, cmd.lval)
+            if a_lval < 0 or a_lval not in h2:
+                raise Stuck(f"malloc target address {a_lval} is inaccessible")
+            ev = MallocFailEv(n) if a == strategy.null(state) else MallocEv(n, a)
+            h2.write_in_place(a_lval, a)
+            return Config(rest, h2, st2), ev
+        if isinstance(cmd, FreeCmd):
+            v = eval_expr(env, strategy, state, heap, cmd.expr)
+            h2, st2 = strategy.free(heap, state, v)
+            return Config(rest, h2, st2), FreeEv(v)
+    except Stuck as exc:
+        raise Stuck(exc.reason, cmd.pos) from None
     raise TypeError(f"not a command: {cmd!r}")
 
 
@@ -791,16 +811,13 @@ def run(
     program: Program,
     heap: Heap,
     fuel: int = 100_000,
-    on_step: Optional[Callable] = None,
 ) -> Outcome:
     """Initialize the strategy and iterate small steps until done.
 
     ``heap`` is left unchanged: the run copies the heap once after
     ``strategy.init`` and :func:`step` writes into that copy in place.  The
     accumulated trace is returned in every outcome, and ``Outcome.heap`` is
-    the run's heap.  ``on_step``, when given, is called with each reduced
-    configuration (for instrumentation); the heap it sees is live and keeps
-    changing, so copy it to keep a snapshot.
+    the run's heap.
     """
     missing = [a for a in env.values() if a not in heap]
     if missing:
@@ -819,6 +836,4 @@ def run(
         cfg, ev = res
         if ev is not None:
             trace.append(ev)
-        if on_step is not None:
-            on_step(cfg, ev)
     return Outcome("out-of-fuel", tuple(trace), cfg.heap, cfg.state)

@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from gai_lab.cli import main
+from test_memsafe import BAD_SOURCES
 
 
 def invoke(*args):
@@ -170,6 +171,23 @@ def test_ms_run_and_translate(tmp_path):
 
     res = invoke("run", out, "--alloc", "eager:2048,2112,6208")
     assert res.exit_code == 0 and "terminated" in res.output
+
+
+def test_ms_run_huge_alloc_exits_0(tmp_path):
+    ms = write(tmp_path, "big.ms", "x <- alloc(1000000000000); [x + 100000000000] <- 5; y <- [x + 100000000000]")
+    res = invoke("ms-run", ms)
+    assert res.exit_code == 0, res.output
+    assert "y = 5" in res.output
+
+
+@pytest.mark.parametrize("command", ["ms-run", "translate"])
+@pytest.mark.parametrize("text, pos, message", BAD_SOURCES)
+def test_memsafe_parse_errors_exit_2_with_line_and_column(tmp_path, command, text, pos, message):
+    ms = write(tmp_path, "bad.ms", text)
+    res = invoke(command, ms)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # a message, not a traceback
+    assert f"{ms}: {pos[0]}:{pos[1]}: " in res.output and message in res.output
 
 
 def test_ms_run_error_exit(tmp_path):

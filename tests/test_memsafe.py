@@ -18,10 +18,8 @@ from gai_lab.memsafe import (
     ms_eval_expr,
     ms_parse,
     ms_run,
-    ms_variables,
     translate,
     translate_to_source,
-    translate_expr,
     _ms_binop,
     _Undefined,
 )
@@ -46,6 +44,27 @@ class TestParser:
     def test_rejects_garbage(self):
         with pytest.raises(MsParseError):
             ms_parse("x <- !")
+
+
+# Memsafe sources with one parse error each, its (line, col) and message.
+BAD_SOURCES = [
+    pytest.param("x <- 1;\ny <- 2 ! 3", (2, 8), "unexpected character '!'", id="character"),
+    pytest.param("x <- 1;\ny <- 2;\nif x then skip end", (3, 16), "expected 'else', found 'end'", id="grammar"),
+    pytest.param("x <- 1;\n  y <- " + "(" * 60 + "1" + ")" * 60, (2, 58), "nested deeper than MAX_EXPR_DEPTH",
+                 id="nesting"),
+    pytest.param("x <- " + " + ".join(["1"] * 49), (1, 6), "prints nested deeper than MAX_EXPR_DEPTH",
+                 id="printed-depth"),
+]
+
+
+@pytest.mark.parametrize("src, pos, message", BAD_SOURCES)
+def test_parse_errors_carry_line_and_column(src, pos, message):
+    with pytest.raises(MsParseError) as info:
+        ms_parse(src)
+    assert isinstance(info.value, notac.ParseError)
+    assert info.value.pos == pos
+    assert str(info.value).startswith(f"{pos[0]}:{pos[1]}: ")
+    assert message in str(info.value)
 
 
 class TestEvalExpr:
@@ -106,12 +125,23 @@ class TestEvalCmd:
         ids = {v.block for v in out.state.store.values()}
         assert len(ids) == 3
 
+    def test_huge_block_costs_only_the_cells_written(self):
+        n, k = 10**12, 10**11
+        out = ms_run(ms_parse(f"x <- alloc({n}); [x + {k}] <- 7; y <- [x + {k}]; z <- [x + 3]"))
+        assert out.ok and out.state.store["y"] == 7 and out.state.store["z"] == 0
+        assert ms_run(ms_parse(f"x <- alloc({n}); y <- [x + {n}]")).kind == "error"
+        assert ms_run(ms_parse(f"x <- alloc({n}); [x - 1] <- 1")).kind == "error"
+        assert ms_run(ms_parse(f"x <- alloc({10**20}); y <- [x + {10**19}]")).state.store["y"] == 0
+
 
 class TestTranslate:
     def test_expr_table(self):
-        assert translate_expr(ms_parse("x <- nil").expr) == Null()
-        assert translate_expr(ms_parse("x <- 3").expr) == notac.Const(3)
-        e = translate_expr(ms_parse("x <- a + 2 * b").expr)
+        def translated(src):
+            return translate(ms_parse(src))[0].body.orelse.expr  # under the oom guard
+
+        assert translated("x <- nil") == Null()
+        assert translated("x <- 3") == notac.Const(3)
+        e = translated("x <- a + 2 * b")
         assert e == notac.Binop("+", Var("a"), notac.Binop("*", notac.Const(2), Var("b")))
 
     def test_skip_untouched(self):
@@ -183,7 +213,7 @@ class TestDifferential:
     def test_pointer_store_disagreement_is_caught(self):
         # sanity-check the harness itself: translating with a wrong source
         # program must produce a mismatch report, not silent agreement
-        rep_ok = differential_check(ms_parse("x <- 2 + 2"), check_gai=False, wf_trials=5)
+        rep_ok = differential_check(ms_parse("x <- 2 + 2"), wf_trials=5)
         assert rep_ok.ok
         bad_program, _ = translate(ms_parse("x <- 2 + 3"))
         ms_out = ms_run(ms_parse("x <- 2 + 2"))
@@ -192,7 +222,7 @@ class TestDifferential:
         assert out.heap.read(env["x"]) != ms_out.state.store["x"]
 
 
-def test_guarded_commands_do_nothing_after_oom():
+def test_guarded_commands_do_nothing_after_oom(monkeypatch):
     # once oom is set, translated programs emit no further events and stop
     # touching source-program cells
     cmd = ms_parse("x <- alloc(2); [x] <- 1; y <- alloc(3); [y] <- 2; z <- [x]")
@@ -201,12 +231,16 @@ def test_guarded_commands_do_nothing_after_oom():
     strategy = no_zero(bump(2048, 2112, 2117))  # room for the first alloc only
     source_cells = [env[v] for v in ("x", "y", "z")]
     snapshots = []
+    step = notac.step
 
-    def on_step(cfg, ev):
-        if cfg.heap.read(env["oom"]) == 1:
-            snapshots.append((ev, [cfg.heap.read(a) for a in source_cells]))
+    def snapshot_step(env, strategy, cfg):
+        res = step(env, strategy, cfg)
+        if res is not None and res[0].heap.read(env["oom"]) == 1:
+            snapshots.append((res[1], [res[0].heap.read(a) for a in source_cells]))
+        return res
 
-    out = notac.run(env, strategy, program, heap, on_step=on_step)
+    monkeypatch.setattr(notac, "step", snapshot_step)
+    out = notac.run(env, strategy, program, heap)
     assert out.terminated
     assert out.heap.read(env["oom"]) == 1
     assert out.trace[-1] == MallocFailEv(3)  # nothing after the failing alloc
@@ -220,10 +254,10 @@ class TestLongAndDeepPrograms:
     def test_long_command_chain_runs_and_translates(self):
         n = 2000
         cmd = ms_parse("x <- 0; " + "; ".join(f"x <- x + 1; v{k % 7} <- x" for k in range(n // 2)))
-        assert ms_variables(cmd) == ["x"] + [f"v{k}" for k in range(7)]
         out = ms_run(cmd)
         assert out.ok and out.state.store["x"] == n // 2
         program, _ = translate(cmd)
+        assert program.variables == ("x", *(f"v{k}" for k in range(7)), "oom", "__i")
         src, _ = translate_to_source(cmd)
         assert src.count("\n") > n
         env, heap, _ = notac.make_env(program, DEFAULT_ENV_BASE)

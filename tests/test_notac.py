@@ -141,8 +141,9 @@ class TestEvalExpr:
 
     def test_xor_stuck_on_negatives(self):
         assert eval_expr({}, null_alloc(), 0, Heap(), Binop("^", Const(6), Const(3))) == 5
-        with pytest.raises(notac.Stuck):
+        with pytest.raises(notac.Stuck) as info:
             eval_expr({}, null_alloc(), 0, Heap(), Binop("^", Const(-1), Const(3)))
+        assert info.value.pos is None  # step attaches the command's position
 
     def test_comparisons_and_logic(self):
         ev = lambda e: eval_expr({}, null_alloc(), 0, Heap(), e)
@@ -236,6 +237,21 @@ class TestInterpreter:
     def test_stuck_location_points_at_command(self):
         out, _ = setup_run("skip;\n*(50) = 1;", bump(0, 100, 200))
         assert out.stuck and out.pos == (2, 1)
+
+    @pytest.mark.parametrize("stmt, reason", [
+        ("observe(*(x - 5));", "dereference of negative address -4"),
+        ("if (1 ^ (0 - x)) { skip; }", "xor on negative operand (1 ^ -1)"),
+        ("while (*(x + 100)) { skip; }", "dereference of inaccessible address 101"),
+        ("*(x + 100) = 2;", "write to inaccessible address 101"),
+        ("p = malloc(0 - x);", "malloc size -1 is negative"),
+        ("*(x + 100) = malloc(1);", "malloc target address 101 is inaccessible"),
+        ("free(*(0 - x));", "dereference of negative address -1"),
+    ])
+    def test_every_stuck_rule_reports_the_command_position(self, stmt, reason):
+        prog = parse(f"x = 1;\n  {stmt}")
+        env, heap, _ = make_env(prog, 10)
+        out = run(env, bump(0, 8, 9), prog, heap)
+        assert (out.kind, out.reason, out.pos) == ("stuck", reason, (2, 3))
 
     def test_malloc_lval_sees_post_malloc_heap(self):
         # the target address only becomes accessible through this very
@@ -409,14 +425,23 @@ def test_run_copies_arena_once_not_per_step(monkeypatch):
         return wrap(self, m)
 
     monkeypatch.setattr(Heap, "_wrap", counting_wrap)
-    arena = 20_000
     steps = []
+    step = notac.step
+
+    def counting_step(env, strategy, cfg):
+        res = step(env, strategy, cfg)
+        if res is not None:
+            steps.append(1)
+        return res
+
+    monkeypatch.setattr(notac, "step", counting_step)
+    arena = 20_000
     prog = parse(
         "i = 0; s = 0; while (i < 2000) { p = malloc(2); "
         "if (p != NULL) { *(p + 1) = i; s = s + *(p + 1); free(p); } i = i + 1; } observe(s);"
     )
     env, heap, _ = make_env(prog, 0)
-    out = run(env, bump(0, 8, arena), prog, heap, on_step=lambda cfg, ev: steps.append(1))
+    out = run(env, bump(0, 8, arena), prog, heap)
     assert out.terminated and out.trace[-1] == ObsEv(sum(range(2000)))
     assert len(steps) > 2000 * 5
     assert sum(copied) <= 2 * (arena + len(steps))
