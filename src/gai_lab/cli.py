@@ -50,16 +50,21 @@ def _parse_inits(pairs) -> dict:
     return out
 
 
-def _load_program(path: str, base: int, inits: dict):
+def _parse_file(parse, path: str):
+    """``parse`` applied to the file's text; exit 2 with ``path: L:C: ...``
+    on a parse error."""
     try:
-        program = notac.parse(_read_text(path))
+        return parse(_read_text(path))
     except notac.ParseError as exc:
         _fail(f"{path}: {exc}")
-    env, heap, reserved = notac.make_env(program, base)
-    for name, value in inits.items():
-        if name not in env:
-            _fail(f"--init names unknown variable {name!r}")
-        heap = heap.write(env[name], value)
+
+
+def _load_program(path: str, base: int, inits: dict):
+    program = _parse_file(notac.parse, path)
+    try:
+        env, heap, reserved = notac.make_env(program, base, inits)
+    except ValueError as exc:
+        _fail(f"--init names {exc}")
     return program, env, heap, reserved
 
 
@@ -246,10 +251,7 @@ def cmd_wf(alloc_spec, trials, seed, maxlen, reserved, as_json):
 @click.option("--init", "inits", multiple=True)
 def cmd_ms_run(program_path, fuel, inits):
     """Run a Memsafe program and print its final store."""
-    try:
-        cmd = memsafe.ms_parse(_read_text(program_path))
-    except memsafe.MsParseError as exc:
-        _fail(f"{program_path}: {exc}")
+    cmd = _parse_file(memsafe.ms_parse, program_path)
     outcome = memsafe.ms_run(cmd, _parse_inits(inits), fuel)
     click.echo(f"outcome: {outcome.kind}" + (f" ({outcome.reason})" if outcome.reason else ""))
     if outcome.ok:
@@ -263,10 +265,10 @@ def cmd_ms_run(program_path, fuel, inits):
 @click.option("-o", "out_path", default=None, help="Output .ntc path (default: stdout).")
 def cmd_translate(program_path, out_path):
     """Translate a Memsafe program to Notac source."""
+    cmd = _parse_file(memsafe.ms_parse, program_path)
     try:
-        cmd = memsafe.ms_parse(_read_text(program_path))
         source, _manifest = memsafe.translate_to_source(cmd)
-    except (memsafe.MsParseError, memsafe.ReservedVariableError) as exc:
+    except memsafe.ReservedVariableError as exc:
         _fail(f"{program_path}: {exc}")
     if out_path:
         Path(out_path).write_text(source)

@@ -178,12 +178,10 @@ CASES: tuple[CorpusCase, ...] = (
 )
 
 
-def prepare_case(case: CorpusCase, base: int = DEFAULT_ENV_BASE):
+def prepare_case(case: CorpusCase):
     """Parse a case and build its (program, env, seeded heap)."""
     program = notac.parse(case.source)
-    env, heap, _reserved = notac.make_env(program, base)
-    for name, value in case.init:
-        heap = heap.write(env[name], value)
+    env, heap, _reserved = notac.make_env(program, DEFAULT_ENV_BASE, case.init)
     return program, env, heap
 
 
@@ -258,8 +256,8 @@ ptr = next;
 result = res;
 """
 
-_XOR_GET = """
-// result = value at index i
+# Walk to the node at index i: node, with last its predecessor (NULL at the head).
+_XOR_WALK = """
 j = 0;
 node = ptr;
 last = NULL;
@@ -270,22 +268,14 @@ while (j < i) {
     node = next;
     j = j + 1;
 }
-result = *(node);
+"""
+
+_XOR_GET = """
+// result = value at index i""" + _XOR_WALK + """result = *(node);
 """
 
 _XOR_DELETE = """
-// delete the node at index i
-j = 0;
-node = ptr;
-last = NULL;
-while (j < i) {
-    next = last ^ *(node + 1);
-    if (next == NULL) { error(); }
-    last = node;
-    node = next;
-    j = j + 1;
-}
-next = last ^ *(node + 1);
+// delete the node at index i""" + _XOR_WALK + """next = last ^ *(node + 1);
 if (next != NULL) {
     *(next + 1) = last ^ node ^ *(next + 1);
 }
@@ -297,18 +287,7 @@ if (last != NULL) {
 """
 
 _XOR_INSERT = """
-// insert elem at index i
-j = 0;
-node = ptr;
-last = NULL;
-while (j < i) {
-    next = last ^ *(node + 1);
-    if (next == NULL) { error(); }
-    last = node;
-    node = next;
-    j = j + 1;
-}
-newNode = malloc(2);
+// insert elem at index i""" + _XOR_WALK + """newNode = malloc(2);
 *(newNode) = elem;
 *(newNode + 1) = last ^ node;
 *(node + 1) = last ^ *(node + 1) ^ newNode;

@@ -11,21 +11,23 @@ Concrete grammar (``//`` comments; ``;`` separates commands)::
        | if e then c else c end | while e do c end | c ; c
     e := n | -n | x | nil | (e) | e op e   with op in  + - * == <=   (= also accepted)
 
-Memsafe is a command layer over Notac's front end.  Its expressions are
-Notac's own ``Const``/``Var``/``Null``/``Binop`` nodes (nil is ``Null``,
-``=`` reads as ``==``), its parser is a :class:`notac.ParserCore` grammar,
-so a parse error is a :class:`notac.ParseError` carrying ``line:col``, and
-its variables come from :func:`notac.collect_vars`.  Only the commands and
-the evaluation, which follows Memsafe's semantics, are its own.
+Memsafe is a syntax and a semantics over Notac's own nodes.  Its
+expressions are ``Const``/``Var``/``Null``/``Binop`` (nil is ``Null``, ``=``
+reads as ``==``).  Its commands are ``Skip``, ``Seq``, ``If``, ``While``,
+``x <- e`` = ``Assign(LVar(x), e)``, ``x <- [e]`` = ``Assign(LVar(x),
+Deref(e))``, ``[e1] <- e2`` = ``Assign(LDeref(e1), e2)`` and ``x <- alloc(e)``
+= ``MallocAssign(LVar(x), e)``.  Its parser is a :class:`notac.ParserCore`
+grammar, so a parse error is a :class:`notac.ParseError` carrying
+``line:col``, and its variables come from :func:`notac.collect_vars`.  Only
+the evaluation, which follows Memsafe's semantics, is its own.
 
-The translator maps commands structurally onto Notac and passes
-expressions through unchanged: every effectful command is guarded by the
-out-of-memory flag, loops get a fresh guard variable so their condition is
-never evaluated after an allocation failure, and each allocation
-zero-initializes its block.  The differential check validates the
-translation: wherever the translated run ends without out-of-memory, every
-integer-valued Memsafe variable must agree with its Notac cell, and the
-translated program must satisfy GAI.
+The translator keeps every command and adds what Memsafe implies: every
+effectful command is guarded by the out-of-memory flag, loops get a fresh
+guard variable so their condition is never evaluated after an allocation
+failure, and each allocation zero-initializes its block.  The differential
+check validates the translation: wherever the translated run ends without
+out-of-memory, every integer-valued Memsafe variable must agree with its
+Notac cell, and the translated program must satisfy GAI.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .notac import (
     Skip,
     Var,
     While,
+    chain,
     printed_depth,
 )
 
@@ -113,63 +116,6 @@ class MsOutcome:
     @property
     def ok(self) -> bool:
         return self.kind == "ok"
-
-
-# ---------------------------------------------------------------------------
-# Abstract syntax
-
-
-@dataclass(frozen=True)
-class MsSkip:
-    pass
-
-
-@dataclass(frozen=True)
-class MsSeq:
-    first: "MsCmd"
-    second: "MsCmd"
-
-
-@dataclass(frozen=True)
-class MsIf:
-    cond: Expr
-    then: "MsCmd"
-    orelse: "MsCmd"
-
-
-@dataclass(frozen=True)
-class MsWhile:
-    cond: Expr
-    body: "MsCmd"
-
-
-# Targets are ``LVar`` fields ahead of their operands, so
-# ``notac.collect_vars`` lists a target before the variables its operand reads.
-@dataclass(frozen=True)
-class MsAssign:
-    var: LVar
-    expr: Expr
-
-
-@dataclass(frozen=True)
-class MsLoad:
-    var: LVar
-    addr: Expr
-
-
-@dataclass(frozen=True)
-class MsStore:
-    addr: Expr
-    expr: Expr
-
-
-@dataclass(frozen=True)
-class MsAlloc:
-    var: LVar
-    size: Expr
-
-
-MsCmd = MsSkip | MsSeq | MsIf | MsWhile | MsAssign | MsLoad | MsStore | MsAlloc
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +198,13 @@ class _MsParser(ParserCore):
             if self.peek().text in ("else", "end", ""):
                 break  # tolerate a trailing separator
             cmds.append(self.simple())
-        out = cmds[-1]
-        for c in reversed(cmds[:-1]):
-            out = MsSeq(c, out)
-        return out
+        return chain(cmds)
 
     def simple(self):
         tok = self.peek()
         if tok.text == "skip":
             self.next()
-            return MsSkip()
+            return Skip()
         if tok.text == "if":
             self.next()
             cond = self.expr()
@@ -270,20 +213,20 @@ class _MsParser(ParserCore):
             self.expect("else")
             orelse = self.block()
             self.expect("end")
-            return MsIf(cond, then, orelse)
+            return If(cond, then, orelse)
         if tok.text == "while":
             self.next()
             cond = self.expr()
             self.expect("do")
             body = self.block()
             self.expect("end")
-            return MsWhile(cond, body)
+            return While(cond, body)
         if tok.text == "[":
             self.next()
             addr = self.expr()
             self.expect("]")
             self.expect("<-")
-            return MsStore(addr, self.expr())
+            return Assign(LDeref(addr), self.expr())
         if tok.kind == "name" and tok.text not in _MS_KEYWORDS:
             self.next()
             target = LVar(tok.text)
@@ -292,14 +235,14 @@ class _MsParser(ParserCore):
                 self.next()
                 addr = self.expr()
                 self.expect("]")
-                return MsLoad(target, addr)
+                return Assign(target, Deref(addr))
             if self.at("alloc"):
                 self.next()
                 self.expect("(")
                 size = self.expr()
                 self.expect(")")
-                return MsAlloc(target, size)
-            return MsAssign(target, self.expr())
+                return MallocAssign(target, size)
+            return Assign(target, self.expr())
         raise MsParseError(f"expected a command, found {tok.text or 'end of input'!r}", tok.pos)
 
     def program(self):
@@ -310,7 +253,7 @@ class _MsParser(ParserCore):
         return cmd
 
 
-def ms_parse(source: str) -> MsCmd:
+def ms_parse(source: str) -> Cmd:
     return _MsParser(source).program()
 
 
@@ -323,7 +266,7 @@ class _Undefined(Exception):
 
 
 def ms_eval_expr(state: MsState, e: Expr) -> MsValue:
-    """Partial expression evaluation; raises on undefinedness."""
+    """Partial expression evaluation; raises on undefinedness.  A ``Deref`` is a load."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Null):
@@ -336,6 +279,8 @@ def ms_eval_expr(state: MsState, e: Expr) -> MsValue:
         l = ms_eval_expr(state, e.left)
         r = ms_eval_expr(state, e.right)
         return _ms_binop(e.op, l, r)
+    if isinstance(e, Deref):
+        return _ms_read(state, ms_eval_expr(state, e.addr), "load")
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -380,13 +325,13 @@ def _ms_binop(op: str, l: MsValue, r: MsValue) -> MsValue:
 class _Guard:
     """A pending guard check of a running loop, on ``ms_eval_cmd``'s stack."""
 
-    loop: MsWhile
+    loop: While
 
 
-def ms_eval_cmd(state: MsState, cmd: MsCmd, fuel: int = 100_000) -> MsOutcome:
+def ms_eval_cmd(state: MsState, cmd: Cmd, fuel: int = 100_000) -> MsOutcome:
     """Run a command; fuel bounds the number of executed commands.
 
-    Every command node, ``MsSeq`` included, costs one unit, and so does every
+    Every command node, ``Seq`` included, costs one unit, and so does every
     check of a loop guard.  Commands wait on an explicit stack, head last, so
     a ``;``-chain as long as the program needs no recursion.
     """
@@ -398,33 +343,31 @@ def ms_eval_cmd(state: MsState, cmd: MsCmd, fuel: int = 100_000) -> MsOutcome:
             fuel -= 1
             if fuel < 0:
                 return MsOutcome("diverged", reason="fuel exhausted")
-            if isinstance(c, MsSeq):
+            if isinstance(c, Seq):
                 stack += [c.second, c.first]
-            elif isinstance(c, MsIf):
+            elif isinstance(c, If):
                 stack.append(c.then if _eval_guard(st, c.cond) != 0 else c.orelse)
-            elif isinstance(c, MsWhile):
+            elif isinstance(c, While):
                 stack.append(_Guard(c))
             elif isinstance(c, _Guard):
                 if _eval_guard(st, c.loop.cond) != 0:
                     stack += [c, c.loop.body]
-            elif isinstance(c, MsAssign):
-                st.store[c.var.name] = ms_eval_expr(st, c.expr)
-            elif isinstance(c, MsLoad):
-                st.store[c.var.name] = _ms_read(st, ms_eval_expr(st, c.addr), "load")
-            elif isinstance(c, MsStore):
-                p = ms_eval_expr(st, c.addr)
+            elif isinstance(c, Assign) and isinstance(c.lval, LVar):
+                st.store[c.lval.name] = ms_eval_expr(st, c.expr)
+            elif isinstance(c, Assign):
+                p = ms_eval_expr(st, c.lval.addr)
                 v = ms_eval_expr(st, c.expr)
                 _ms_read(st, p, "store")
                 st.heap[p.block].cells[p.offset] = v
-            elif isinstance(c, MsAlloc):
+            elif isinstance(c, MallocAssign) and isinstance(c.lval, LVar):
                 n = ms_eval_expr(st, c.size)
                 if not isinstance(n, int) or n < 0:
                     raise _Undefined(f"alloc size {n!r}")
                 block = st.next_id
                 st.next_id += 1  # ids are never reused
                 st.heap[block] = MsBlock(n, {})
-                st.store[c.var.name] = MsPtr(block, n, 0)
-            elif not isinstance(c, MsSkip):
+                st.store[c.lval.name] = MsPtr(block, n, 0)
+            elif not isinstance(c, Skip):
                 raise TypeError(f"not a command: {c!r}")
     except _Undefined as exc:
         return MsOutcome("error", reason=str(exc))
@@ -446,7 +389,7 @@ def _ms_read(state: MsState, p: MsValue, access: str) -> MsValue:
     return block.cells.get(p.offset, 0)
 
 
-def ms_run(cmd: MsCmd, store: Optional[dict] = None, fuel: int = 100_000) -> MsOutcome:
+def ms_run(cmd: Cmd, store: Optional[dict] = None, fuel: int = 100_000) -> MsOutcome:
     state = MsState(dict(store) if store else {}, {}, 0)
     return ms_eval_cmd(state, cmd, fuel)
 
@@ -476,23 +419,20 @@ class _Translator:
         # Execute only while the out-of-memory flag is unset.
         return If(Var(OOM_VAR), Skip(), c)
 
-    def cmd(self, c: MsCmd) -> Cmd:
-        if isinstance(c, MsSkip):
-            return Skip()
-        if isinstance(c, MsSeq):
+    def cmd(self, c: Cmd) -> Cmd:
+        if isinstance(c, Skip):
+            return c
+        if isinstance(c, Seq):
             # Walk the chain in a loop, translating in source order so loop
-            # guards are numbered as they appear, then rebuild it from the end.
+            # guards are numbered as they appear, then rebuild it.
             parts = []
-            while isinstance(c, MsSeq):
+            while isinstance(c, Seq):
                 parts.append(self.cmd(c.first))
                 c = c.second
-            out = self.cmd(c)
-            for part in reversed(parts):
-                out = Seq(part, out)
-            return out
-        if isinstance(c, MsIf):
+            return chain(parts + [self.cmd(c)])
+        if isinstance(c, If):
             return self.guard(If(c.cond, self.cmd(c.then), self.cmd(c.orelse)))
-        if isinstance(c, MsWhile):
+        if isinstance(c, While):
             g = self.fresh_guard()
             # The loop guard is never evaluated once oom is set.
             body = Seq(
@@ -503,14 +443,10 @@ class _Translator:
                 Assign(LVar(g), Binop("==", Var(OOM_VAR), Const(0))),
                 While(Var(g), body),
             )
-        if isinstance(c, MsAssign):
-            return self.guard(Assign(c.var, c.expr))
-        if isinstance(c, MsLoad):
-            return self.guard(Assign(c.var, Deref(c.addr)))
-        if isinstance(c, MsStore):
-            return self.guard(Assign(LDeref(c.addr), c.expr))
-        if isinstance(c, MsAlloc):
-            x = Var(c.var.name)
+        if isinstance(c, Assign):
+            return self.guard(c)
+        if isinstance(c, MallocAssign) and isinstance(c.lval, LVar):
+            x = Var(c.lval.name)
             zero_fill = Seq(
                 Assign(LVar(SIZE_VAR), Binop("-", Var(SIZE_VAR), Const(1))),
                 While(
@@ -522,22 +458,16 @@ class _Translator:
                 ),
             )
             return self.guard(
-                Seq(
+                chain([
                     Assign(LVar(SIZE_VAR), c.size),
-                    Seq(
-                        MallocAssign(c.var, Var(SIZE_VAR)),
-                        If(
-                            Binop("==", x, Null()),
-                            Assign(LVar(OOM_VAR), Const(1)),
-                            zero_fill,
-                        ),
-                    ),
-                )
+                    MallocAssign(c.lval, Var(SIZE_VAR)),
+                    If(Binop("==", x, Null()), Assign(LVar(OOM_VAR), Const(1)), zero_fill),
+                ])
             )
         raise TypeError(f"not a command: {c!r}")
 
 
-def translate(cmd: MsCmd) -> tuple[Program, dict]:
+def translate(cmd: Cmd) -> tuple[Program, dict]:
     """Translate a Memsafe command into a Notac program.
 
     Returns the program and a manifest naming the translator-owned
@@ -570,7 +500,7 @@ def translation_header(manifest: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def translate_to_source(cmd: MsCmd) -> tuple[str, dict]:
+def translate_to_source(cmd: Cmd) -> tuple[str, dict]:
     program, manifest = translate(cmd)
     return translation_header(manifest) + notac.to_source(program.body) + "\n", manifest
 
@@ -593,9 +523,12 @@ class DiffReport:
     mismatches: list
     runs: dict  # allocator name -> (outcome kind, oom flag)
     gai_report: GaiReport
+    inconclusive: tuple = ()  # members whose translated run ran out of fuel
 
     def describe(self) -> str:
-        lines = [f"differential: {'ok' if self.ok else 'FAILED'}"]
+        failed = self.mismatches or self.gai_report.verdict == "violation"
+        status = "FAILED" if failed else "ok" if self.ok else "inconclusive"  # a fuel bound was hit
+        lines = [f"differential: {status}"]
         for name, (kind, oom) in sorted(self.runs.items()):
             lines.append(f"  {name}: {kind}, oom={oom}")
         for mm in self.mismatches:
@@ -603,12 +536,14 @@ class DiffReport:
                 f"  mismatch under {mm.allocator}: {mm.variable} = {mm.memsafe_value}"
                 f" (memsafe) vs {mm.notac_value} (notac)"
             )
+        for probe in self.inconclusive:
+            lines.append(f"  inconclusive: {probe}")
         lines.append(f"  gai: {self.gai_report.verdict}")
         return "\n".join(lines)
 
 
 def differential_check(
-    cmd: MsCmd,
+    cmd: Cmd,
     fuel: int = 100_000,
     family: Optional[Sequence[Strategy]] = None,
     initial_store: Optional[dict] = None,
@@ -616,10 +551,12 @@ def differential_check(
 ) -> DiffReport:
     """Validate the translation of one error-free Memsafe program.
 
-    Under every family member the translated run must terminate; whenever
-    it ends with the oom flag clear, every integer-valued Memsafe variable
-    must equal its Notac cell.  The translated program must also satisfy
-    GAI (bounded check).
+    Under every family member the translated run must not get stuck;
+    whenever it ends with the oom flag clear, every integer-valued Memsafe
+    variable must equal its Notac cell.  The translated program must also
+    satisfy GAI (bounded check).  A translated run that runs out of fuel
+    proves nothing: the report names it, is not ``ok``, and reads
+    inconclusive unless something else failed.
     """
     store = dict(initial_store) if initial_store else {}
     for name, value in store.items():
@@ -631,16 +568,18 @@ def differential_check(
 
     program, _manifest = translate(cmd)
     family = list(default_family() if family is None else family)
-    env, heap, _reserved = notac.make_env(program, DEFAULT_ENV_BASE)
-    for name, value in store.items():
-        heap = heap.write(env[name], value)
+    env, heap, _reserved = notac.make_env(program, DEFAULT_ENV_BASE, store)
 
     mismatches: list[DiffMismatch] = []
+    inconclusive: list[str] = []
     runs: dict = {}
     for strategy in family:
         out = notac.run(env, strategy, program, heap, fuel)
         oom = out.heap.read(env[OOM_VAR]) if out.heap is not None else None
         runs[strategy.name] = (out.kind, oom)
+        if out.kind == "out-of-fuel":
+            inconclusive.append(f"{strategy.name} ran out of fuel ({fuel} steps)")
+            continue
         if not out.terminated:
             mismatches.append(DiffMismatch(strategy.name, "<run did not terminate>", 0, None))
             continue
@@ -653,5 +592,5 @@ def differential_check(
                     mismatches.append(DiffMismatch(strategy.name, name, value, got))
 
     gai_report = gai_check(program, env, heap, family, fuel, wf_trials=wf_trials)
-    ok = not mismatches and gai_report.verdict == "pass"
-    return DiffReport(ok, mismatches, runs, gai_report)
+    ok = not mismatches and not inconclusive and gai_report.verdict == "pass"
+    return DiffReport(ok, mismatches, runs, gai_report, tuple(inconclusive))

@@ -519,17 +519,18 @@ class _Parser(ParserCore):
         self.blocks -= 1
         if self.at(";"):  # tolerate `};`
             self.next()
-        return _seq(cmds)
+        return chain(cmds)
 
     def program(self) -> Program:
         cmds = []
         while self.peek().kind != "eof":
             cmds.append(self.statement())
-        body = _seq(cmds)
+        body = chain(cmds)
         return Program(body, tuple(collect_vars(body)))
 
 
-def _seq(cmds: list) -> Cmd:
+def chain(cmds: list) -> Cmd:
+    """The commands as one right-nested ``Seq`` chain; ``Skip`` when none."""
     if not cmds:
         return Skip()
     out = cmds[-1]
@@ -542,9 +543,8 @@ def collect_vars(root) -> list:
     """Variable names in first-occurrence order in a tree of syntax nodes.
 
     A left-to-right walk over dataclass fields on an explicit stack: a
-    program's ``Seq`` chain is as deep as it has statements.  Memsafe
-    commands are walked too; their targets are :class:`LVar` fields ahead of
-    their operands, so a target comes before the variables it reads.
+    program's ``Seq`` chain is as deep as it has statements.  A command's
+    target comes before the variables its operand reads.
     """
     seen: dict = {}
     stack = [root]
@@ -636,14 +636,22 @@ class CompatibilityError(Exception):
     """Environment image not contained in the heap domain."""
 
 
-def make_env(program: Program, base: Addr) -> tuple[dict, Heap, frozenset]:
+def make_env(program: Program, base: Addr, init=()) -> tuple[dict, Heap, frozenset]:
     """Consecutive addresses from ``base`` in first-occurrence order.
 
-    Returns (env, heap seed mapping every cell to 0, reserved address set).
+    Returns (env, heap seed, reserved address set).  The seed maps each
+    variable's cell to its value in ``init`` (a mapping or name/value pairs)
+    and every other cell to 0.  Raises ``ValueError`` when ``init`` names a
+    variable the program does not use.
     """
     env = {name: base + i for i, name in enumerate(program.variables)}
     reserved = frozenset(env.values())
-    return env, Heap({a: 0 for a in reserved}), reserved
+    cells = dict.fromkeys(reserved, 0)
+    for name, value in dict(init).items():
+        if name not in env:
+            raise ValueError(f"unknown variable {name!r}")
+        cells[env[name]] = value
+    return env, Heap(cells), reserved
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,12 @@ def test_run_init_override(tmp_path):
     assert "obs(7)" in res.output
 
 
+@pytest.mark.parametrize("command", ["run", "gai"])
+def test_init_of_an_unknown_variable_exits_2(tmp_path, command):
+    prog = write(tmp_path, "prog.ntc", "observe(flag);")
+    assert_usage_error(invoke(command, prog, "--init", "nosuch=1"), "--init names unknown variable 'nosuch'")
+
+
 def test_similar_and_filter(tmp_path):
     prog = write(tmp_path, "prog.ntc", "p = malloc(8); free(p); observe(1); observe(p);")
     ta = str(tmp_path / "a.jsonl")

@@ -26,9 +26,7 @@ from test_gai_oracle import bruteforce_prefixes_similar, bruteforce_reaches
 
 def prepared(src, base=DEFAULT_ENV_BASE, inits=None):
     prog = parse(src)
-    env, heap, _ = make_env(prog, base)
-    for name, value in (inits or {}).items():
-        heap = heap.write(env[name], value)
+    env, heap, _ = make_env(prog, base, inits or {})
     return prog, env, heap
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gai_lab import notac
+from gai_lab import memsafe, notac
 from gai_lab.allocators import no_zero, bump, null_alloc
 from gai_lab.gai import DEFAULT_BUMP_SEGMENT, DEFAULT_ENV_BASE
 from gai_lab.memsafe import (
@@ -23,13 +23,56 @@ from gai_lab.memsafe import (
     _ms_binop,
     _Undefined,
 )
-from gai_lab.notac import If, MallocFailEv, Null, Skip, Var
+from gai_lab.notac import (
+    Assign,
+    Binop,
+    CastAssign,
+    Const,
+    Deref,
+    FreeCmd,
+    If,
+    LDeref,
+    LVar,
+    MallocAssign,
+    MallocFailEv,
+    Null,
+    Observe,
+    Seq,
+    Skip,
+    Var,
+    While,
+)
+
+
+# Each Memsafe command form and the Notac node it parses to.
+COMMAND_FORMS = [
+    pytest.param("skip", Skip(), id="skip"),
+    pytest.param("x <- 1; skip", Seq(Assign(LVar("x"), Const(1)), Skip()), id="seq"),
+    pytest.param("if x then skip else y <- 2 end", If(Var("x"), Skip(), Assign(LVar("y"), Const(2))), id="if"),
+    pytest.param("while x do skip end", While(Var("x"), Skip()), id="while"),
+    pytest.param("x <- y + 1", Assign(LVar("x"), Binop("+", Var("y"), Const(1))), id="assign"),
+    pytest.param("x <- [y]", Assign(LVar("x"), Deref(Var("y"))), id="load"),
+    pytest.param("[x + 1] <- y", Assign(LDeref(Binop("+", Var("x"), Const(1))), Var("y")), id="store"),
+    pytest.param("x <- alloc(3)", MallocAssign(LVar("x"), Const(3)), id="alloc"),
+]
+
+# Notac commands Memsafe has no syntax for.
+FOREIGN_COMMANDS = [
+    pytest.param(FreeCmd(Var("x")), id="free"),
+    pytest.param(Observe(Var("x")), id="observe"),
+    pytest.param(CastAssign(LVar("x"), Var("x")), id="cast"),
+    pytest.param(MallocAssign(LDeref(Var("x")), Const(1)), id="alloc-through-pointer"),
+]
 
 
 class TestParser:
     def test_forms(self):
         cmd = ms_parse("x <- 1; y <- [x]; [x] <- 2; z <- alloc(3); skip")
         assert cmd is not None
+
+    @pytest.mark.parametrize("src, node", COMMAND_FORMS)
+    def test_command_forms_are_notac_nodes(self, src, node):
+        assert ms_parse(src) == node
 
     def test_if_needs_end(self):
         ms_parse("if 1 then x <- 1 else x <- 2 end")
@@ -107,6 +150,16 @@ class TestEvalCmd:
     def test_load_through_integer_errors(self):
         assert ms_run(ms_parse("x <- 5; y <- [x]")).kind == "error"
 
+    @pytest.mark.parametrize("src, reason", [
+        ("x <- 5; y <- [x]", "load through 5"),
+        ("x <- 5; [x] <- 1", "store through 5"),
+        ("[p] <- q", "unbound variable p"),  # the address first,
+        ("x <- 5; [x] <- q", "unbound variable q"),  # then the value, then the bounds check
+    ])
+    def test_error_reasons_follow_the_evaluation_order(self, src, reason):
+        out = ms_run(ms_parse(src))
+        assert out.kind == "error" and out.reason == reason
+
     def test_while_diverges_on_fuel(self):
         assert ms_run(ms_parse("while 1 do skip end"), fuel=60).kind == "diverged"
 
@@ -124,6 +177,11 @@ class TestEvalCmd:
         out = ms_run(ms_parse("a <- alloc(1); b <- alloc(1); c <- alloc(1)"))
         ids = {v.block for v in out.state.store.values()}
         assert len(ids) == 3
+
+    @pytest.mark.parametrize("cmd", FOREIGN_COMMANDS)
+    def test_commands_without_memsafe_syntax_are_rejected(self, cmd):
+        with pytest.raises(TypeError):
+            ms_run(cmd, {"x": 1})
 
     def test_huge_block_costs_only_the_cells_written(self):
         n, k = 10**12, 10**11
@@ -153,6 +211,17 @@ class TestTranslate:
         guard = program.body
         assert isinstance(guard, If) and guard.cond == Var("oom")
         assert isinstance(guard.then, Skip)
+
+    @pytest.mark.parametrize("src", ["x <- y + 1", "x <- [y]", "[x + 1] <- y"])
+    def test_assignment_node_kept_under_the_guard(self, src):
+        cmd = ms_parse(src)
+        body = translate(cmd)[0].body
+        assert body == If(Var("oom"), Skip(), cmd) and body.orelse is cmd
+
+    @pytest.mark.parametrize("cmd", FOREIGN_COMMANDS)
+    def test_commands_without_memsafe_syntax_are_rejected(self, cmd):
+        with pytest.raises(TypeError):
+            translate(cmd)
 
     def test_while_gets_fresh_guard(self):
         program, manifest = translate(ms_parse("while x <= 2 do x <- x + 1 end; while 1 do skip end"))
@@ -205,6 +274,31 @@ class TestDifferential:
             ms_parse("y <- x0 * 2"), initial_store={"x0": 21}, wf_trials=5
         )
         assert rep.ok
+
+    def test_initial_store_must_name_program_variables(self):
+        with pytest.raises(ValueError, match="unknown variable 'zz'"):
+            differential_check(ms_parse("x <- 1"), initial_store={"zz": 3})
+
+    def test_out_of_fuel_translation_is_inconclusive(self):
+        # the zero fill costs about three Notac steps per cell, Memsafe one command
+        cmd = ms_parse("x <- alloc(60)")
+        assert ms_run(cmd, fuel=200).ok
+        rep = differential_check(cmd, fuel=200, wf_trials=2)
+        assert not rep.ok and not rep.mismatches
+        starved = sorted(name for name, (kind, _) in rep.runs.items() if kind == "out-of-fuel")
+        assert len(starved) == 6 and rep.runs["null"] == ("terminated", 1)
+        assert sorted(rep.inconclusive) == sorted(f"{name} ran out of fuel (200 steps)" for name in starved)
+        text = rep.describe()
+        assert text.startswith("differential: inconclusive\n")
+        assert "ran out of fuel (200 steps)" in text and "did not terminate" not in text
+
+    def test_stuck_translation_is_a_mismatch(self, monkeypatch):
+        stuck = notac.parse("x = 1; oom = 0; error();")
+        monkeypatch.setattr(memsafe, "translate", lambda cmd: (stuck, {}))
+        rep = differential_check(ms_parse("x <- 1"), family=[null_alloc()], wf_trials=2)
+        assert not rep.ok and rep.inconclusive == ()
+        assert [mm.variable for mm in rep.mismatches] == ["<run did not terminate>"]
+        assert rep.describe().startswith("differential: FAILED\n")
 
     def test_memsafe_error_rejected(self):
         with pytest.raises(ValueError):
@@ -264,7 +358,7 @@ class TestLongAndDeepPrograms:
         assert notac.run(env, null_alloc(), program, heap).heap.read(env["x"]) == n // 2
 
     def test_fuel_counts_command_nodes_and_guard_checks(self):
-        # x <- 1; y <- 2 is one MsSeq and two assignments
+        # x <- 1; y <- 2 is one Seq and two assignments
         cmd = ms_parse("x <- 1; y <- 2")
         assert ms_run(cmd, fuel=3).ok and ms_run(cmd, fuel=2).kind == "diverged"
         # the loop node, three guard checks, and two bodies of three nodes each

@@ -46,9 +46,7 @@ from gai_lab.notac import (
 
 def setup_run(src, alloc, base=10, fuel=100_000, inits=None):
     prog = parse(src)
-    env, heap, reserved = make_env(prog, base)
-    for name, value in (inits or {}).items():
-        heap = heap.write(env[name], value)
+    env, heap, reserved = make_env(prog, base, inits or {})
     return run(env, alloc, prog, heap, fuel), env
 
 
@@ -120,6 +118,17 @@ class TestMakeEnv:
     def test_empty_program(self):
         env, heap, reserved = make_env(parse("skip;"), 10)
         assert env == {} and reserved == frozenset() and len(heap) == 0
+
+    def test_initial_values_seed_their_cells(self):
+        prog = parse("p = 1; q = p; r = q;")
+        env, heap, _ = make_env(prog, 10, {"q": 7})
+        assert [heap.read(env[v]) for v in ("p", "q", "r")] == [0, 7, 0]
+        _, pairs_heap, _ = make_env(prog, 10, [("r", -2), ("p", 3)])
+        assert [pairs_heap.read(env[v]) for v in ("p", "q", "r")] == [3, 0, -2]
+
+    def test_initial_value_of_an_unused_variable_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown variable 'zz'"):
+            make_env(parse("p = 1;"), 10, {"zz": 3})
 
 
 class TestEvalExpr:
