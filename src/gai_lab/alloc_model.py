@@ -18,7 +18,9 @@ passing means "no violation found in the given trials".
 
 from __future__ import annotations
 
+import itertools
 import random
+import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -67,20 +69,21 @@ def format_symseq(seq: Sequence[SymbolicEvent]) -> str:
     return ",".join(str(e) for e in seq) if seq else "(empty)"
 
 
+_SYM_TOKEN = re.compile(r"(MF|M|F)([0-9]+)")
+_SYM_EVENT = {"MF": SymFail, "M": SymMalloc, "F": SymFree}
+
+
 def parse_symseq(text: str) -> SymbolicSeq:
-    """Parse the compact text form, e.g. ``"M8,F0,MF8"``."""
+    """Parse what :func:`format_symseq` writes, e.g. ``"M8,F0,MF8"`` or
+    ``"(empty)"``; anything else raises ``ValueError``."""
+    if text == "(empty)":
+        return ()
     events = []
-    for tok in text.replace(" ", "").split(","):
-        if not tok:
-            continue
-        if tok.startswith("MF"):
-            events.append(SymFail(int(tok[2:])))
-        elif tok.startswith("M"):
-            events.append(SymMalloc(int(tok[1:])))
-        elif tok.startswith("F"):
-            events.append(SymFree(int(tok[1:])))
-        else:
+    for tok in text.split(","):
+        match = _SYM_TOKEN.fullmatch(tok)
+        if match is None:
             raise ValueError(f"bad symbolic event {tok!r}")
+        events.append(_SYM_EVENT[match[1]](int(match[2])))
     return tuple(events)
 
 
@@ -105,21 +108,6 @@ def back_index(seq: Sequence[SymbolicEvent], i: int) -> int:
     inverse of :func:`free_index`.
     """
     return sum(1 for p in range(i, len(seq)) if isinstance(seq[p], SymMalloc))
-
-
-def malloc_free_rel(seq: Sequence[SymbolicEvent], i: int, j: int) -> bool:
-    """Does the free at position ``j`` release the malloc at position ``i``?
-
-    Positions are 1-based and require ``1 <= i < j <= len(seq)``.
-    """
-    if not (1 <= i < j <= len(seq)):
-        return False
-    if not isinstance(seq[i - 1], SymMalloc):
-        return False
-    ev = seq[j - 1]
-    if not isinstance(ev, SymFree):
-        return False
-    return free_index(seq[: j - 1], ev.back) == i
 
 
 def symseq_well_formed(seq: Sequence[SymbolicEvent]) -> bool:
@@ -170,6 +158,7 @@ class Strategy(ABC):
     instance holds configuration only, never run state.  Run state is the
     value threaded through ``init``/``malloc``/``free``.  ``null`` takes the
     state because the null allocator fixes its null address at init time.
+    A malloc failed when it returned the null of the state it started from.
 
     ``malloc`` and ``free`` return either the heap they were given or a new
     one, and keep no reference to either: the interpreter writes client
@@ -220,27 +209,26 @@ def play_step(
     Raises :class:`Infeasible` when the strategy cannot produce the event.
     """
     pos = len(prefix) + 1
-    if isinstance(ev, SymMalloc):
-        h2, st2, a = strategy.malloc(heap, state, ev.size)
-        if a == strategy.null(state):
-            raise Infeasible(f"malloc({ev.size}) failed where success was demanded", pos)
-        return h2, st2, m | {AllocEntry(a, ev.size, pos)}
-    if isinstance(ev, SymFail):
-        h2, st2, a = strategy.malloc(heap, state, ev.size)
-        if a != strategy.null(state):
-            raise Infeasible(f"malloc({ev.size}) succeeded where failure was demanded", pos)
-        return h2, st2, m
     if isinstance(ev, SymFree):
         i = free_index(prefix, ev.back)
-        if i is None or not isinstance(prefix[i - 1], SymMalloc):
+        if i is None:
             raise Infeasible(f"free {ev} has no matching malloc", pos)
-        size = prefix[i - 1].size
         entry = next((e for e in m if e.index == i), None)
-        if entry is None or entry.size != size:
+        if entry is None:
             raise Infeasible(f"free {ev} targets a non-live allocation (index {i})", pos)
         h2, st2 = strategy.free(heap, state, entry.addr)
         return h2, st2, m - {entry}
-    raise TypeError(f"not a symbolic event: {ev!r}")
+    if not isinstance(ev, (SymMalloc, SymFail)):
+        raise TypeError(f"not a symbolic event: {ev!r}")
+    null = strategy.null(state)
+    h2, st2, a = strategy.malloc(heap, state, ev.size)
+    if isinstance(ev, SymMalloc):
+        if a == null:
+            raise Infeasible(f"malloc({ev.size}) failed where success was demanded", pos)
+        return h2, st2, m | {AllocEntry(a, ev.size, pos)}
+    if a != null:
+        raise Infeasible(f"malloc({ev.size}) succeeded where failure was demanded", pos)
+    return h2, st2, m
 
 
 @dataclass(frozen=True)
@@ -353,14 +341,11 @@ def _single_exec_violations(
     out = []
     entries = sorted(m, key=lambda e: e.index)
     client = addresses_of(m)
-    for x in range(len(entries)):
-        for y in range(x + 1, len(entries)):
-            a, b = entries[x], entries[y]
-            ia = set(interval(a.addr, a.addr + a.size))
-            if ia & set(interval(b.addr, b.addr + b.size)):
-                out.append(("Basic-1", f"allocations {a} and {b} overlap"))
-            if a.addr == b.addr:
-                out.append(("Zero-Alloc-1", f"address {a.addr} reused ({a} vs {b})"))
+    for a, b in itertools.combinations(entries, 2):
+        if max(a.addr, b.addr) < min(a.addr + a.size, b.addr + b.size):
+            out.append(("Basic-1", f"allocations {a} and {b} overlap"))
+        if a.addr == b.addr:
+            out.append(("Zero-Alloc-1", f"address {a.addr} reused ({a} vs {b})"))
     missing = [a for a in client | reserved if a not in heap]
     if missing:
         out.append(("Basic-2", f"client-accessible addresses missing from heap: {sorted(missing)[:8]}"))
@@ -475,8 +460,9 @@ def _gen_feasible_history(
             sigma.append(SymFree(back_index(sigma, entry.index)))
         else:
             size = _HUGE if rng.random() < 0.12 else rng.choice(_SIZES)
+            null = strategy.null(state)
             h, state, a = strategy.malloc(h, state, size)
-            if a == strategy.null(state):
+            if a == null:
                 sigma.append(SymFail(size))
             else:
                 sigma.append(SymMalloc(size))

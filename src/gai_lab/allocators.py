@@ -21,64 +21,77 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .alloc_model import Strategy
-from .core import Addr, Heap, interval
+from .core import H_MAX_DEFAULT, Addr, Heap, interval
 
 
 @dataclass(frozen=True)
 class SegmentParams:
-    """Memory segment [n1, n3) whose initial part [n1, n2) is reserved."""
+    """Memory segment [n1, n3) whose initial part [n1, n2) is reserved.
+
+    The segment and its null address n2 lie below the heap's address bound
+    ``H_MAX_DEFAULT``.
+    """
 
     n1: Addr
     n2: Addr
     n3: Addr
 
     def __post_init__(self):
-        if not (0 <= self.n1 <= self.n2 <= self.n3):
+        if not (0 <= self.n1 <= self.n2 <= self.n3 <= H_MAX_DEFAULT and self.n2 < H_MAX_DEFAULT):
             raise ValueError(f"bad segment {self}")
 
     def __str__(self) -> str:
         return f"{self.n1},{self.n2},{self.n3}"
 
 
-class EagerAlloc(Strategy):
-    """First-fit allocator; null is n2, frees undefine the freed block.
+def _first_fit(heap, lo: Addr, end: Addr, span: int, guard: int = 0, starts=frozenset()) -> Optional[Addr]:
+    """The least ``a >= lo`` with ``a + span <= end`` and no cell of
+    ``[a - guard, a + span + guard)`` in ``heap`` or ``starts``."""
+    a = lo
+    while a + span <= end:
+        for c in range(a - guard, a + span + guard):
+            if c in heap or c in starts:
+                # Every start up to c + guard still covers c.
+                a = c + guard + 1
+                break
+        else:
+            return a
+    return None
 
-    Availability of a block at ``a`` requires [a, a+max(s,1)) to avoid both
-    the heap domain and the addresses of live allocations (the latter covers
-    zero-sized allocations, whose addresses occupy no heap cells), and the
-    block to fit inside the segment.
-    """
 
-    guard = 0  # cells kept free around each block; nonzero in guarded-eager
+class _SegmentAlloc(Strategy):
+    """A strategy over one segment; null is n2, the name is ``kind:params``."""
+
+    kind: str
 
     def __init__(self, params: SegmentParams):
         self.params = params
-        self.name = f"eager:{params}"
+        self.name = f"{self.kind}:{params}"
+
+    def null(self, state) -> Addr:
+        return self.params.n2
+
+
+class EagerAlloc(_SegmentAlloc):
+    """First-fit allocator; frees undefine the freed block.
+
+    A block at ``a`` takes ``[a, a+max(s,1))``, which must avoid both the
+    heap domain and the addresses of live allocations (the latter covers
+    zero-sized allocations, whose addresses occupy no heap cells), and fit
+    inside the segment.
+    """
+
+    kind = "eager"
+    guard = 0  # cells kept free around each block; nonzero in guarded-eager
 
     def init(self, heap: Heap):
         p = self.params
         return heap.undefine(interval(p.n2, p.n3)), frozenset()
 
-    def null(self, state) -> Addr:
-        return self.params.n2
-
-    def _find(self, heap: Heap, state: frozenset, size: int) -> Optional[Addr]:
+    def malloc(self, heap: Heap, state, size: int):
         p = self.params
         starts = {a for (a, _s) in state}
-        span = max(size, 1)
-        a = p.n2 + 1
-        while a + size <= p.n3 and a < p.n3:
-            clash = next(
-                (c for c in range(a - self.guard, a + span + self.guard) if c in heap or c in starts),
-                None,
-            )
-            if clash is None:
-                return a
-            a = max(a + 1, clash + 1)
-        return None
-
-    def malloc(self, heap: Heap, state, size: int):
-        a = self._find(heap, state, size)
+        a = _first_fit(heap, p.n2 + 1, p.n3, max(size, 1), self.guard, starts)
         if a is None:
             return heap, state, self.null(state)
         if size > 0:
@@ -97,23 +110,18 @@ class EagerAlloc(Strategy):
 class GuardedEagerAlloc(EagerAlloc):
     """Eager, but every block keeps one undefined guard cell on each side."""
 
+    kind = "guarded-eager"
     guard = 1
 
-    def __init__(self, params: SegmentParams):
-        super().__init__(params)
-        self.name = f"guarded-eager:{params}"
 
-
-class BumpAlloc(Strategy):
-    """Bump-pointer allocator; null is n2, frees are no-ops.
+class BumpAlloc(_SegmentAlloc):
+    """Bump-pointer allocator; frees are no-ops.
 
     Init zero-fills the undefined cells of (n2, n3) and undefines the null
     cell; zero-sized requests bump by one.
     """
 
-    def __init__(self, params: SegmentParams):
-        self.params = params
-        self.name = f"bump:{params}"
+    kind = "bump"
 
     def init(self, heap: Heap):
         p = self.params
@@ -124,9 +132,6 @@ class BumpAlloc(Strategy):
 
     def _init_null_cell(self, heap: Heap) -> Heap:
         return heap.undefine([self.params.n2])
-
-    def null(self, state) -> Addr:
-        return self.params.n2
 
     def malloc(self, heap: Heap, state: int, size: int):
         bump = state + (1 if size == 0 else size)
@@ -141,12 +146,13 @@ class BumpAlloc(Strategy):
 class LenientBumpAlloc(BumpAlloc):
     """Bump whose null cell stays defined (0), so null dereference succeeds."""
 
-    def __init__(self, params: SegmentParams):
-        super().__init__(params)
-        self.name = f"lenient-bump:{params}"
+    kind = "lenient-bump"
 
     def _init_null_cell(self, heap: Heap) -> Heap:
         return heap.define([self.params.n2], 0)
+
+
+_SEGMENT_KINDS = {cls.kind: cls for cls in (EagerAlloc, GuardedEagerAlloc, BumpAlloc, LenientBumpAlloc)}
 
 
 class CuriousAlloc(Strategy):
@@ -169,6 +175,8 @@ class CuriousAlloc(Strategy):
         self.upper_max = 2**m
         if h_max <= self.upper_max:
             raise ValueError(f"h_max {h_max} leaves no room above upper_max {self.upper_max}")
+        if h_max >= H_MAX_DEFAULT:
+            raise ValueError(f"h_max {h_max} is not below the heap's address bound {H_MAX_DEFAULT}")
         self.name = f"curious:{m},{h_max}"
 
     def init(self, heap: Heap):
@@ -177,36 +185,22 @@ class CuriousAlloc(Strategy):
     def null(self, state) -> Addr:
         return 0
 
-    def _avail(self, heap: Heap, lo: Addr, hi: Addr, size: int) -> Optional[Addr]:
-        # Minimal a with [a, a+size) inside the inclusive bounds and free.
-        a = lo
-        while a + size - 1 <= hi:
-            clash = next((c for c in range(a, a + size) if c in heap), None)
-            if clash is None:
-                return a
-            a = clash + 1
-        return None
-
     def malloc(self, heap: Heap, state, size: int):
         if size <= 0:
             return heap, state, 0
         tag = state[0]
         if tag == "none":
-            if self._avail(heap, self.upper_max + 1, self.h_max, size) is None:
+            if _first_fit(heap, self.upper_max + 1, self.h_max + 1, size) is None:
                 return heap, state, 0
             a = self.upper_max + 1
             return heap.define(interval(a, a + size), 0), ("first", a, size), a
         if tag == "first":
-            first_addr = state[1]
-            v = heap.read(first_addr)
-            if v is not None and v > 0:
-                span = (self.lower_max + 1, self.upper_max)
-            else:
-                span = (1, self.lower_max)
-            state = ("span", span[0], span[1])
+            v = heap.read(state[1])
+            upper = v is not None and v > 0
             # Committed regardless of whether this allocation succeeds.
+            state = ("span", self.lower_max + 1, self.upper_max) if upper else ("span", 1, self.lower_max)
         lo, hi = state[1], state[2]
-        a = self._avail(heap, lo, hi, size)
+        a = _first_fit(heap, lo, hi + 1, size)
         if a is None:
             return heap, state, 0
         return heap.define(interval(a, a + size), 0), state, a
@@ -298,7 +292,7 @@ def reserved_window(strategy: Strategy) -> Optional[tuple]:
     """
     if isinstance(strategy, NoZeroAlloc):
         return reserved_window(strategy.inner)
-    if isinstance(strategy, (EagerAlloc, BumpAlloc)):
+    if isinstance(strategy, _SegmentAlloc):
         return (strategy.params.n1, strategy.params.n2)
     return None
 
@@ -319,13 +313,8 @@ def parse_alloc_spec(text: str) -> Strategy:
         raise ValueError(f"bad allocator spec {text!r}")
     kind, _, args = text.partition(":")
     nums = [int(x) for x in args.split(",")]
-    makers = {
-        "eager": (eager, 3),
-        "bump": (bump, 3),
-        "lenient-bump": (lenient_bump, 3),
-        "guarded-eager": (guarded_eager, 3),
-        "curious": (curious, 2),
-    }
-    if kind not in makers or len(nums) != makers[kind][1]:
-        raise ValueError(f"bad allocator spec {text!r}")
-    return makers[kind][0](*nums)
+    if kind in _SEGMENT_KINDS and len(nums) == 3:
+        return _SEGMENT_KINDS[kind](SegmentParams(*nums))
+    if kind == "curious" and len(nums) == 2:
+        return curious(*nums)
+    raise ValueError(f"bad allocator spec {text!r}")

@@ -19,7 +19,7 @@ from . import corpus as corpus_mod
 from . import memsafe, notac
 from .alloc_model import format_symseq, parse_symseq, wf_check
 from .allocators import parse_alloc_spec, reserved_window
-from .core import Heap
+from .core import H_MAX_DEFAULT, Heap
 from .filtering import similar, sym_filter
 from .gai import DEFAULT_ENV_BASE, FamilyNotWellFormed, default_family, gai_check
 
@@ -44,9 +44,13 @@ def _parse_inits(pairs) -> dict:
     out = {}
     for pair in pairs:
         name, _, value = pair.partition("=")
-        if not name or not value.lstrip("-").isdigit():
+        try:
+            number = int(value)
+        except ValueError:
+            number = None
+        if not name or number is None:
             _fail(f"bad --init {pair!r}, expected name=int")
-        out[name] = int(value)
+        out[name] = number
     return out
 
 
@@ -61,6 +65,8 @@ def _parse_file(parse, path: str):
 
 def _load_program(path: str, base: int, inits: dict):
     program = _parse_file(notac.parse, path)
+    if base + len(program.variables) > H_MAX_DEFAULT:
+        _fail(f"--base {base} puts the program's variables past the last address {H_MAX_DEFAULT - 1}")
     try:
         env, heap, reserved = notac.make_env(program, base, inits)
     except ValueError as exc:
@@ -230,8 +236,8 @@ def cmd_wf(alloc_spec, trials, seed, maxlen, reserved, as_json):
         lo, hi = (int(x) for x in reserved.split(":"))
     except ValueError:
         _fail(f"bad --reserved {reserved!r}, expected lo:hi")
-    if not 0 <= lo <= hi:
-        _fail(f"bad --reserved {reserved!r}, expected 0 <= lo <= hi")
+    if not 0 <= lo <= hi <= H_MAX_DEFAULT:
+        _fail(f"bad --reserved {reserved!r}, expected 0 <= lo <= hi <= {H_MAX_DEFAULT}")
     rset = frozenset(range(lo, hi))
     heap = Heap({a: 0 for a in rset})
     reports = wf_check(strategy, rset, heap, trials, seed, maxlen)

@@ -167,7 +167,12 @@ class GaiReport:
     verdict: str  # "pass" | "violation" | "inconclusive"
     violation: Optional[Violation] = None
     inconclusive: tuple = ()  # names of fuel-exhausted probes involved in failures
-    runs: dict = field(default_factory=dict)  # name -> (outcome kind, trace)
+    outcomes: dict = field(default_factory=dict)  # member name -> its run's Outcome
+
+    @property
+    def runs(self) -> dict:
+        """Member name -> (outcome kind, trace)."""
+        return {name: (o.kind, o.trace) for name, o in self.outcomes.items()}
 
     @property
     def exit_code(self) -> int:
@@ -268,7 +273,7 @@ def gai_check(
     outcomes: list[tuple[Strategy, Outcome]] = [
         (beta, run(env, beta, program, heap, fuel)) for beta in family
     ]
-    runs = {beta.name: (o.kind, o.trace) for beta, o in outcomes}
+    by_name = {beta.name: o for beta, o in outcomes}
     index: dict = {}  # distinct trace -> its position in ``traces``
     member_trace = [index.setdefault(o.trace, len(index)) for _, o in outcomes]
     traces = list(index)
@@ -302,7 +307,7 @@ def gai_check(
                     producer_trace=u,
                     witness_trace=out_b.trace,
                 )
-                return GaiReport("violation", violation, tuple(inconclusive), runs)
+                return GaiReport("violation", violation, tuple(inconclusive), by_name)
     if inconclusive:
-        return GaiReport("inconclusive", None, tuple(inconclusive), runs)
-    return GaiReport("pass", None, (), runs)
+        return GaiReport("inconclusive", None, tuple(inconclusive), by_name)
+    return GaiReport("pass", None, (), by_name)

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 from . import notac
 from .alloc_model import Strategy
-from .gai import DEFAULT_ENV_BASE, GaiReport, default_family, gai_check
+from .gai import DEFAULT_ENV_BASE, GaiReport, gai_check
 from .notac import (
     MAX_BLOCK_DEPTH,
     MAX_EXPR_DEPTH,
@@ -567,21 +567,21 @@ def differential_check(
         raise ValueError(f"Memsafe run did not finish cleanly: {ms_out.kind} ({ms_out.reason})")
 
     program, _manifest = translate(cmd)
-    family = list(default_family() if family is None else family)
     env, heap, _reserved = notac.make_env(program, DEFAULT_ENV_BASE, store)
 
+    # The check runs every member once; its report keeps their outcomes.
+    gai_report = gai_check(program, env, heap, family, fuel, wf_trials=wf_trials)
     mismatches: list[DiffMismatch] = []
     inconclusive: list[str] = []
     runs: dict = {}
-    for strategy in family:
-        out = notac.run(env, strategy, program, heap, fuel)
+    for member, out in gai_report.outcomes.items():
         oom = out.heap.read(env[OOM_VAR]) if out.heap is not None else None
-        runs[strategy.name] = (out.kind, oom)
+        runs[member] = (out.kind, oom)
         if out.kind == "out-of-fuel":
-            inconclusive.append(f"{strategy.name} ran out of fuel ({fuel} steps)")
+            inconclusive.append(f"{member} ran out of fuel ({fuel} steps)")
             continue
         if not out.terminated:
-            mismatches.append(DiffMismatch(strategy.name, "<run did not terminate>", 0, None))
+            mismatches.append(DiffMismatch(member, "<run did not terminate>", 0, None))
             continue
         if oom != 0:
             continue  # agreement clause is vacuous after out-of-memory
@@ -589,8 +589,7 @@ def differential_check(
             if isinstance(value, int):
                 got = out.heap.read(env[name])
                 if got != value:
-                    mismatches.append(DiffMismatch(strategy.name, name, value, got))
+                    mismatches.append(DiffMismatch(member, name, value, got))
 
-    gai_report = gai_check(program, env, heap, family, fuel, wf_trials=wf_trials)
     ok = not mismatches and not inconclusive and gai_report.verdict == "pass"
     return DiffReport(ok, mismatches, runs, gai_report, tuple(inconclusive))

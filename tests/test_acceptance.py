@@ -24,7 +24,6 @@ import time
 from gai_lab import corpus, notac
 from gai_lab.alloc_model import (
     free_index,
-    malloc_free_rel,
     parse_symseq,
     replay_wf_witness,
     symseq_well_formed,
@@ -201,8 +200,8 @@ def test_criterion_6_symbolic_unit_values():
     ok = (
         free_index(seq[:3], 0) == 3
         and free_index(seq[:4], 1) == 1
-        and malloc_free_rel(seq, 3, 4)
-        and malloc_free_rel(seq, 1, 5)
+        and free_index(seq[:3], seq[3].back) == 3  # the free at 4 releases the malloc at 3
+        and free_index(seq[:4], seq[4].back) == 1  # the free at 5 releases the malloc at 1
         and not symseq_well_formed(parse_symseq("F0"))
         and not symseq_well_formed(parse_symseq("M8,F0,F0"))
         and symseq_well_formed(seq)

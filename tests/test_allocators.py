@@ -3,10 +3,13 @@
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gai_lab.allocators import (
     CuriousAlloc,
     SegmentParams,
+    _first_fit,
     bump,
     curious,
     eager,
@@ -26,6 +29,38 @@ def reserved_heap(n=100):
 def test_segment_validation():
     with pytest.raises(ValueError):
         SegmentParams(10, 5, 20)
+
+
+@pytest.mark.parametrize("spec", [
+    "eager:0,8,4294967297",  # n3 past the heap's address bound
+    "lenient-bump:0,4294967296,4294967296",  # null cell at the bound
+    "curious:33,8589934600",  # world past the bound
+    "curious:4,4294967296",
+])
+def test_geometry_must_fit_below_the_address_bound(spec):
+    with pytest.raises(ValueError):
+        parse_alloc_spec(spec)
+
+
+def test_geometry_up_to_the_address_bound_is_accepted():
+    assert parse_alloc_spec("eager:0,8,4294967296").name == "eager:0,8,4294967296"
+    assert parse_alloc_spec("curious:4,4294967295").name == "curious:4,4294967295"
+
+
+@given(
+    st.frozensets(st.integers(0, 24), max_size=14),
+    st.frozensets(st.integers(0, 24), max_size=4),
+    st.integers(0, 12),
+    st.integers(0, 26),
+    st.integers(1, 4),
+    st.sampled_from([0, 1]),
+)
+def test_first_fit_is_the_least_free_window(cells, starts, lo, end, span, guard):
+    def free_at(a):
+        return all(c not in cells and c not in starts for c in range(a - guard, a + span + guard))
+
+    expected = next((a for a in range(lo, end - span + 1) if free_at(a)), None)
+    assert _first_fit(cells, lo, end, span, guard, starts) == expected
 
 
 class TestEager:

@@ -62,6 +62,35 @@ def test_init_of_an_unknown_variable_exits_2(tmp_path, command):
     assert_usage_error(invoke(command, prog, "--init", "nosuch=1"), "--init names unknown variable 'nosuch'")
 
 
+@pytest.mark.parametrize("value", ["--5", "\u00b2"])
+def test_init_value_that_is_not_an_int_exits_2(tmp_path, value):
+    prog = write(tmp_path, "prog.ntc", "x = 1; observe(x);")
+    assert_usage_error(invoke("run", prog, "--init", f"x={value}"), "bad --init")
+
+
+@pytest.mark.parametrize("args, message", [
+    (("run", "{prog}", "--alloc", "bump:4294967290,4294967300,4294967400"), "bad segment"),
+    (("run", "{prog}", "--alloc", "eager:0,8,5000000000"), "bad segment"),
+    (("run", "{prog}", "--alloc", "curious:33,8589934600"), "address bound"),
+    (("gai", "{prog}", "--family", "eager:0,8,72;curious:33,8589934600"), "address bound"),
+    (("wf", "bump:0,8,72", "--reserved", "4294967290:4294967300"), "bad --reserved"),
+    (("run", "{prog}", "--base", "5000000000"), "--base 5000000000"),
+    (("gai", "{prog}", "--base", "5000000000"), "--base 5000000000"),
+])
+def test_geometry_past_the_address_bound_exits_2(tmp_path, args, message):
+    prog = write(tmp_path, "prog.ntc", "x = 1; p = malloc(4); observe(x);")
+    assert_usage_error(invoke(*(a.format(prog=prog) for a in args)), message)
+
+
+def test_filter_takes_an_empty_witness_and_rejects_a_negative_count(tmp_path):
+    prog = write(tmp_path, "prog.ntc", "observe(1);")
+    trace = str(tmp_path / "a.jsonl")
+    invoke("run", prog, "--alloc", "null", "--out", trace)
+    res = invoke("filter", trace, "--sigma", "(empty)")
+    assert res.exit_code == 0 and "obs(1)" in res.output
+    assert_usage_error(invoke("filter", trace, "--sigma", "M-1"), "bad symbolic event")
+
+
 def test_similar_and_filter(tmp_path):
     prog = write(tmp_path, "prog.ntc", "p = malloc(8); free(p); observe(1); observe(p);")
     ta = str(tmp_path / "a.jsonl")

@@ -300,6 +300,22 @@ class TestDifferential:
         assert [mm.variable for mm in rep.mismatches] == ["<run did not terminate>"]
         assert rep.describe().startswith("differential: FAILED\n")
 
+    def test_each_member_runs_once(self, monkeypatch):
+        from gai_lab import gai
+
+        members = []
+        real_run = notac.run
+
+        def spy(env, strategy, *rest):
+            members.append(strategy.name)
+            return real_run(env, strategy, *rest)
+
+        monkeypatch.setattr(gai, "run", spy)
+        monkeypatch.setattr(notac, "run", spy)
+        rep = differential_check(ms_parse("x <- alloc(2); [x] <- 7; y <- [x]"), wf_trials=2)
+        assert rep.ok
+        assert members == [beta.name for beta in gai.default_family()]
+
     def test_memsafe_error_rejected(self):
         with pytest.raises(ValueError):
             differential_check(ms_parse("x <- 5; y <- [x]"))

@@ -17,7 +17,6 @@ from gai_lab.alloc_model import (
     format_symseq,
     free_index,
     _gen_update,
-    malloc_free_rel,
     parse_symseq,
     symseq_well_formed,
 )
@@ -62,12 +61,18 @@ def test_free_index_of_extended_sequence():
         assert free_index(s + (SymMalloc(4),), 0) == len(s) + 1
 
 
+def released_by(seq, j):
+    """1-based position of the malloc that the free at position ``j`` releases."""
+    return free_index(seq[: j - 1], seq[j - 1].back)
+
+
 def test_malloc_free_rel_examples():
-    assert malloc_free_rel(parse_symseq("M100,MF800,M200,F0"), 3, 4)
-    assert malloc_free_rel(FIG_SEQ, 3, 4)
-    assert malloc_free_rel(FIG_SEQ, 1, 5)
-    assert not malloc_free_rel(FIG_SEQ, 1, 4)
-    assert not malloc_free_rel(parse_symseq("M8,F0"), 1, 1)  # needs i < j
+    assert released_by(parse_symseq("M100,MF800,M200,F0"), 4) == 3
+    assert released_by(FIG_SEQ, 4) == 3
+    assert released_by(FIG_SEQ, 5) == 1
+    assert released_by(FIG_SEQ, 4) != 1
+    # a free releases only a malloc before it
+    assert free_index(parse_symseq("M8,F0")[:0], 0) is None
 
 
 def test_well_formedness_examples():
@@ -83,6 +88,24 @@ def test_parse_format_roundtrip():
     assert parse_symseq(format_symseq(FIG_SEQ)) == FIG_SEQ
     with pytest.raises(ValueError):
         parse_symseq("Q3")
+
+
+sym_events = st.one_of(
+    st.builds(SymMalloc, st.integers(0, 10**6)),
+    st.builds(SymFail, st.integers(0, 10**6)),
+    st.builds(SymFree, st.integers(0, 50)),
+)
+
+
+@given(st.lists(sym_events, max_size=12).map(tuple))
+def test_parse_reads_exactly_what_format_writes(seq):
+    assert parse_symseq(format_symseq(seq)) == seq
+
+
+@pytest.mark.parametrize("text", ["M-1", "F-1", "M+8", "M\u0663", "MF", "M8,", ",M8", "M8, F0", "", "empty"])
+def test_parse_rejects_what_format_never_writes(text):
+    with pytest.raises(ValueError):
+        parse_symseq(text)
 
 
 def test_addresses_of():

@@ -1,10 +1,14 @@
 """The randomized allocator well-formedness harness."""
 
+import random
+
 import pytest
 
 from gai_lab.alloc_model import (
     WF_CLAUSES,
     Strategy,
+    SymMalloc,
+    _gen_feasible_history,
     check_history,
     parse_symseq,
     replay_wf_witness,
@@ -109,6 +113,33 @@ def test_broken_allocator_fails_basic_1_with_replayable_witness():
     assert basic1.witness is not None
     assert replay_wf_witness(OverlappingAlloc(), RESERVED, HEAP, basic1)
     assert "trial" in basic1.format_line() and "status=fail" in basic1.format_line()
+
+
+class MovingNull(Strategy):
+    """Every malloc fails: it returns the null of the state it starts from,
+    and the null moves up by one per call."""
+
+    name = "moving-null"
+
+    def init(self, heap):
+        return heap, 100
+
+    def null(self, state):
+        return state
+
+    def malloc(self, heap, state, size):
+        return heap, state + 1, state
+
+    def free(self, heap, state, addr):
+        return heap, state
+
+
+def test_failures_are_judged_by_the_null_of_the_state_before_the_call():
+    reports = wf_check(MovingNull(), RESERVED, HEAP, trials=300, seed=0)
+    assert all(r.passed for r in reports), [(r.clause, r.witness.detail) for r in reports if not r.passed]
+    for trial in range(50):
+        sigma, _ = _gen_feasible_history(MovingNull(), RESERVED, HEAP, random.Random(trial), 12)
+        assert not any(isinstance(ev, SymMalloc) for ev in sigma)
 
 
 class ReservedSmasher(Strategy):
