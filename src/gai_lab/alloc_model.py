@@ -161,8 +161,9 @@ class Strategy(ABC):
     A malloc failed when it returned the null of the state it started from.
 
     ``malloc`` and ``free`` return either the heap they were given or a new
-    one, and keep no reference to either: the interpreter writes client
-    cells into the heap it passes in place.
+    one, and keep no reference to either: the interpreter and the
+    well-formedness harness write client cells into the heap they pass in
+    place.
     """
 
     name: str = "strategy"
@@ -241,13 +242,12 @@ class ClientUpdate:
 
     writes: tuple  # tuple[tuple[int, int], ...] of (slot, value)
 
-    def apply(self, heap: Heap, allowed: Iterable[Addr]) -> Heap:
-        """The heap after the writes, made in one copy; a later write to a
-        slot's cell wins."""
+    def apply(self, heap: Heap, allowed: Iterable[Addr]) -> None:
+        """Make the writes in ``heap`` itself, which the caller owns; a later
+        write to a slot's cell wins."""
         cells = sorted(allowed)
-        if not cells or not self.writes:
-            return heap
-        return heap.define_many({cells[slot % len(cells)]: value for slot, value in self.writes})
+        if cells and self.writes:
+            heap.define_in_place({cells[slot % len(cells)]: value for slot, value in self.writes})
 
 
 NO_UPDATE = ClientUpdate(())
@@ -264,14 +264,17 @@ def feasible_run(
     """Fold the fast-forward relation over ``seq``.
 
     Before each event the matching client update runs over
-    ``addresses_of(m) | reserved``.  Raises :class:`Infeasible` when a step
-    cannot be realized, ``ValueError`` on a length mismatch.
+    ``addresses_of(m) | reserved``.  ``heap`` is left unchanged: the run
+    copies it once and writes the updates into that copy in place.  Raises
+    :class:`Infeasible` when a step cannot be realized, ``ValueError`` on a
+    length mismatch.
     """
     if len(updates) != len(seq):
         raise ValueError(f"{len(updates)} updates for {len(seq)} events")
+    heap = heap.copy()
     m: AllocationMap = frozenset()
     for i, (upd, ev) in enumerate(zip(updates, seq)):
-        heap = upd.apply(heap, addresses_of(m) | reserved)
+        upd.apply(heap, addresses_of(m) | reserved)
         heap, state, m = play_step(strategy, m, heap, state, tuple(seq[:i]), ev)
     return heap, state, m
 
@@ -368,28 +371,45 @@ def check_history(
     updates1: Sequence[ClientUpdate],
     updates2: Sequence[ClientUpdate],
 ) -> dict:
-    """Replay one history and evaluate all ten clauses on it.
+    """Replay one history from ``strategy.init(heap)`` and evaluate all ten
+    clauses on it.
 
     Returns ``{clause: detail}`` for violated clauses (empty dict = clean).
     The single-execution clauses are checked after every step, which only
     instantiates the definition at each feasible prefix.
+    """
+    return _check_from(strategy, reserved, heap, strategy.init(heap), sigma, updates1, updates2)
+
+
+def _check_from(
+    strategy: Strategy,
+    reserved: frozenset,
+    heap: Heap,
+    start: tuple,
+    sigma: SymbolicSeq,
+    updates1: Sequence[ClientUpdate],
+    updates2: Sequence[ClientUpdate],
+) -> dict:
+    """:func:`check_history` with ``start = strategy.init(heap)`` given.
+
+    Both runs start from ``start`` and leave it unchanged.
     """
     violations: dict[str, str] = {}
 
     def record(clause: str, detail: str) -> None:
         violations.setdefault(clause, detail)
 
-    h0, st = strategy.init(heap)
+    h0, st0 = start
     if not heap_eq_on(heap, h0, reserved):
         diff = [a for a in sorted(reserved) if heap.read(a) != h0.read(a)]
         record("Basic-3", f"init changed reserved cells {diff[:8]}")
 
     m: AllocationMap = frozenset()
-    h, state = h0, st
+    h, state = h0.copy(), st0
     for i, (upd, ev) in enumerate(zip(updates1, sigma)):
-        h_pre = upd.apply(h, addresses_of(m) | reserved)
+        upd.apply(h, addresses_of(m) | reserved)
         try:
-            h_post, state, m_post = play_step(strategy, m, h_pre, state, tuple(sigma[:i]), ev)
+            h_post, state, m_post = play_step(strategy, m, h, state, tuple(sigma[:i]), ev)
         except Infeasible as exc:
             # The generator only proposes feasible histories; a mismatch on
             # replay means the strategy is not deterministic.
@@ -397,17 +417,16 @@ def check_history(
             return violations
         basis = m_post if isinstance(ev, SymFree) else m
         window = addresses_of(basis) | reserved
-        if not heap_eq_on(h_pre, h_post, window):
-            diff = [a for a in sorted(window) if h_pre.read(a) != h_post.read(a)]
+        if not heap_eq_on(h, h_post, window):
+            diff = [a for a in sorted(window) if h.read(a) != h_post.read(a)]
             record("Basic-4", f"step {i + 1} ({ev}) modified client cells {diff[:8]}")
         m, h = m_post, h_post
         for clause, detail in _single_exec_violations(strategy, state, m, h, reserved):
             record(clause, f"after step {i + 1} ({ev}): {detail}")
 
     # Relational clauses: deterministic replay with the alternate updates.
-    h0b, stb = strategy.init(heap)
     try:
-        _, _, m2 = feasible_run(strategy, reserved, h0b, stb, updates2, sigma)
+        _, _, m2 = feasible_run(strategy, reserved, h0, st0, updates2, sigma)
     except Infeasible as exc:
         record("Rel-1", f"alternate updates made the sequence infeasible: {exc.reason}")
         return violations
@@ -436,23 +455,25 @@ def _gen_update(rng: random.Random) -> ClientUpdate:
 def _gen_feasible_history(
     strategy: Strategy,
     reserved: frozenset,
-    heap: Heap,
+    start: tuple,
     rng: random.Random,
     max_len: int,
 ) -> tuple[SymbolicSeq, tuple]:
-    """Generate a feasible history by running the strategy in the loop.
+    """Generate a feasible history by running the strategy in the loop from
+    ``start``, the ``(heap, state)`` of its ``init``, which stays unchanged.
 
     Malloc attempts are recorded as M_k or MF_k according to what the
     strategy actually did, and frees only target live allocations, so the
     resulting (sigma, updates) pair is feasible by construction.
     """
-    h, state = strategy.init(heap)
+    h, state = start
+    h = h.copy()
     m: AllocationMap = frozenset()
     sigma: list[SymbolicEvent] = []
     updates: list[ClientUpdate] = []
     for _ in range(rng.randint(0, max_len)):
         upd = _gen_update(rng)
-        h = upd.apply(h, addresses_of(m) | reserved)
+        upd.apply(h, addresses_of(m) | reserved)
         if m and rng.random() < 0.4:
             entry = rng.choice(sorted(m, key=lambda e: e.index))
             h, state = strategy.free(h, state, entry.addr)
@@ -482,21 +503,27 @@ def wf_check(
 ) -> list[WfReport]:
     """Randomized allocator well-formedness check: one report per clause.
 
+    ``strategy.init(heap)`` is called once per call; every trial generates
+    its history and replays both of its runs from that one result, which is
+    exact because strategies are deterministic.  Basic-3 is still judged on
+    every trial, against that ``init``.
+
     Rejection-sound: a failing report carries a witness that
-    :func:`check_history` reproduces; each is replayed before it is
-    reported, and ``RuntimeError`` is raised when one does not reproduce,
-    which would mean a nondeterministic strategy.  Acceptance is bounded by
-    ``trials``.
+    :func:`check_history` reproduces; each is replayed, from a fresh
+    ``init``, before it is reported, and ``RuntimeError`` is raised when one
+    does not reproduce, which would mean a nondeterministic strategy.
+    Acceptance is bounded by ``trials``.
     """
     if any(a not in heap for a in reserved):
         raise ValueError("reserved memory must be inside the heap domain")
+    start = strategy.init(heap)
     failures: dict[str, tuple[int, WfWitness]] = {}
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
-        sigma, updates1 = _gen_feasible_history(strategy, reserved, heap, rng, max_len)
+        sigma, updates1 = _gen_feasible_history(strategy, reserved, start, rng, max_len)
         updates2 = tuple(_gen_update(rng) for _ in sigma)
-        for clause, detail in check_history(
-            strategy, reserved, heap, sigma, updates1, updates2
+        for clause, detail in _check_from(
+            strategy, reserved, heap, start, sigma, updates1, updates2
         ).items():
             if clause not in failures:
                 failures[clause] = (trial, WfWitness(sigma, updates1, updates2, detail))

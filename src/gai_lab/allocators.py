@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .alloc_model import Strategy
-from .core import H_MAX_DEFAULT, Addr, Heap, interval
+from .core import H_MAX_DEFAULT, Addr, Heap, interval, parse_int
 
 
 @dataclass(frozen=True)
@@ -302,9 +302,9 @@ def parse_alloc_spec(text: str) -> Strategy:
 
     Grammar: ``eager:N1,N2,N3`` | ``bump:N1,N2,N3`` | ``curious:m,heapMax``
     | ``null`` | ``nozero(<inner>)`` | ``lenient-bump:N1,N2,N3``
-    | ``guarded-eager:N1,N2,N3``.
+    | ``guarded-eager:N1,N2,N3``, with every number in ASCII digits and no
+    spaces anywhere, so a spec reads exactly as the name it prints.
     """
-    text = text.strip()
     if text == "null":
         return null_alloc()
     if text.startswith("nozero(") and text.endswith(")"):
@@ -312,7 +312,10 @@ def parse_alloc_spec(text: str) -> Strategy:
     if ":" not in text:
         raise ValueError(f"bad allocator spec {text!r}")
     kind, _, args = text.partition(":")
-    nums = [int(x) for x in args.split(",")]
+    try:
+        nums = [parse_int(x) for x in args.split(",")]
+    except ValueError:
+        raise ValueError(f"bad allocator spec {text!r}") from None
     if kind in _SEGMENT_KINDS and len(nums) == 3:
         return _SEGMENT_KINDS[kind](SegmentParams(*nums))
     if kind == "curious" and len(nums) == 2:

@@ -19,7 +19,7 @@ from . import corpus as corpus_mod
 from . import memsafe, notac
 from .alloc_model import format_symseq, parse_symseq, wf_check
 from .allocators import parse_alloc_spec, reserved_window
-from .core import H_MAX_DEFAULT, Heap
+from .core import H_MAX_DEFAULT, Heap, parse_int
 from .filtering import similar, sym_filter
 from .gai import DEFAULT_ENV_BASE, FamilyNotWellFormed, default_family, gai_check
 
@@ -45,7 +45,7 @@ def _parse_inits(pairs) -> dict:
     for pair in pairs:
         name, _, value = pair.partition("=")
         try:
-            number = int(value)
+            number = parse_int(value, signed=True)
         except ValueError:
             number = None
         if not name or number is None:
@@ -233,11 +233,11 @@ def cmd_wf(alloc_spec, trials, seed, maxlen, reserved, as_json):
     except ValueError as exc:
         _fail(str(exc))
     try:
-        lo, hi = (int(x) for x in reserved.split(":"))
+        lo, hi = (parse_int(x) for x in reserved.split(":"))
+        if not lo <= hi <= H_MAX_DEFAULT:
+            raise ValueError
     except ValueError:
-        _fail(f"bad --reserved {reserved!r}, expected lo:hi")
-    if not 0 <= lo <= hi <= H_MAX_DEFAULT:
-        _fail(f"bad --reserved {reserved!r}, expected 0 <= lo <= hi <= {H_MAX_DEFAULT}")
+        _fail(f"bad --reserved {reserved!r}, expected lo:hi with 0 <= lo <= hi <= {H_MAX_DEFAULT}")
     rset = frozenset(range(lo, hi))
     heap = Heap({a: 0 for a in rset})
     reports = wf_check(strategy, rset, heap, trials, seed, maxlen)

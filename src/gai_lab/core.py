@@ -1,4 +1,5 @@
-"""Flat memory model: addresses, values, heaps, and address-set helpers.
+"""Flat memory model: addresses, values, heaps, address-set helpers, and
+the one reader of decimal numbers in command-line text.
 
 Addresses are natural numbers, values are unbounded Python ints, and a heap
 is a finite partial map from addresses to values.  An address outside the
@@ -8,11 +9,16 @@ addresses raise -- that is exactly what makes client programs get stuck.
 
 Heaps are values: :meth:`Heap.write`, :meth:`Heap.define` and the other
 mutators return a fresh heap, so a heap can be shared freely across
-threads and replays.  The one exception is :meth:`Heap.write_in_place`,
-which is only for a heap nobody else can see: ``notac.run`` copies the
-heap once after the allocator's ``init`` and from then on owns that copy,
-writes client cells into it in place, and hands it out only at the end
-(as ``Outcome.heap``).
+threads and replays.  The exceptions are :meth:`Heap.write_in_place` and
+:meth:`Heap.define_in_place`, which are only for a heap nobody else can
+see.  Two callers own heaps that way, and each copies its start heap once
+and from then on writes client cells into that copy in place:
+
+* ``notac.run`` copies the heap after the allocator's ``init`` and hands
+  its copy out only at the end (as ``Outcome.heap``);
+* the well-formedness harness in ``alloc_model`` copies the heap at the
+  start of every run it replays and applies client updates to it with
+  :meth:`Heap.define_in_place`.
 
 Every mutator costs the cells it touches plus at most one dict copy made
 at C speed.
@@ -20,6 +26,7 @@ at C speed.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 Addr = int
@@ -28,6 +35,18 @@ Val = int
 # Upper bound on representable addresses.  Allocators all work inside
 # explicit segments well below this; the bound just keeps heaps finite.
 H_MAX_DEFAULT = 2**32
+
+
+def parse_int(text: str, signed: bool = False) -> int:
+    """``text`` read as a decimal number of ASCII digits, with one leading
+    ``-`` allowed when ``signed``.
+
+    Raises ``ValueError`` on anything else, including spaces, ``+``, ``_``
+    and non-ASCII digits, all of which ``int()`` would accept.
+    """
+    if re.fullmatch(r"-?[0-9]+" if signed else r"[0-9]+", text) is None:
+        raise ValueError(f"not a decimal number: {text!r}")
+    return int(text)
 
 
 class InaccessibleWrite(Exception):
@@ -62,10 +81,11 @@ def _checked(addrs: Iterable[Addr], h_max: int) -> Sequence[Addr]:
 class Heap:
     """Finite partial map ``Addr -> Val`` with value semantics.
 
-    :meth:`write`, :meth:`define`, :meth:`define_many`, :meth:`undefine`
-    and :meth:`fill_undefined` return new heaps; the receiver is never
-    changed.  :meth:`write_in_place` changes the receiver and is reserved
-    to the owner of a private copy (see the module docstring).
+    :meth:`write`, :meth:`define`, :meth:`undefine` and
+    :meth:`fill_undefined` return new heaps; the receiver is never changed.
+    :meth:`write_in_place` and :meth:`define_in_place` change the receiver
+    and are reserved to the owner of a private copy (see the module
+    docstring).
     """
 
     __slots__ = ("_m", "h_max")
@@ -100,13 +120,12 @@ class Heap:
         h._m.update(fresh)
         return h
 
-    def define_many(self, entries: Mapping[Addr, Val]) -> "Heap":
-        """:meth:`define` with a value per address, in one copy."""
+    def define_in_place(self, entries: Mapping[Addr, Val]) -> None:
+        """Map each address of ``entries`` to its value in this heap itself;
+        only for a heap the caller owns."""
         for a in entries:
             _check_addr(a, self.h_max)
-        h = self.copy()
-        h._m.update(entries)
-        return h
+        self._m.update(entries)
 
     def fill_undefined(self, addrs: Iterable[Addr], v: Val) -> "Heap":
         """Map the addresses of ``addrs`` outside the domain to ``v``.

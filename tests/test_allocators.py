@@ -20,6 +20,7 @@ from gai_lab.allocators import (
     parse_alloc_spec,
 )
 from gai_lab.core import Heap
+from gai_lab.gai import default_family
 
 
 def reserved_heap(n=100):
@@ -284,6 +285,19 @@ def test_parse_alloc_spec():
     assert parse_alloc_spec("eager:0,64,4096").name == "eager:0,64,4096"
     assert parse_alloc_spec("nozero(bump:0,8,72)").name == "nozero(bump:0,8,72)"
     assert parse_alloc_spec("null").name == "null"
-    for bad in ("eager:1,2", "mystery:1,2,3", "nozero(", "curious:9"):
+    for bad in ("eager:1,2", "mystery:1,2,3", "nozero(", "curious:9",
+                "eager:0,8,\u0667\u0662", "eager: 0, 8,72", " bump:0,8,72", "bump:0,8,72 ",
+                "bump:0,8,+72", "bump:0,8,7_2", "nozero(bump:0,8,\u0667\u0662)"):
         with pytest.raises(ValueError):
             parse_alloc_spec(bad)
+
+
+@pytest.mark.parametrize("spec", [
+    "bump:0,100,200", "bump:0,300,4096", "bump:0,4,20", "bump:0,8,72", "curious:4,4294967295",
+    "curious:9,2047", "eager:0,100,200", "eager:0,64,4096", "eager:0,8,4294967296",
+    "eager:2048,2112,6208", "bump:2048,2112,2176", "guarded-eager:0,100,200",
+    "lenient-bump:0,100,200", "nozero(bump:0,100,200)", "nozero(bump:0,8,72)", "null",
+    *(s.name for s in default_family()),
+])
+def test_specs_in_use_parse_to_their_own_name(spec):
+    assert parse_alloc_spec(spec).name == spec

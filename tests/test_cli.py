@@ -62,7 +62,7 @@ def test_init_of_an_unknown_variable_exits_2(tmp_path, command):
     assert_usage_error(invoke(command, prog, "--init", "nosuch=1"), "--init names unknown variable 'nosuch'")
 
 
-@pytest.mark.parametrize("value", ["--5", "\u00b2"])
+@pytest.mark.parametrize("value", ["--5", "\u00b2", "\u0664\u0662", " 42", "+42"])
 def test_init_value_that_is_not_an_int_exits_2(tmp_path, value):
     prog = write(tmp_path, "prog.ntc", "x = 1; observe(x);")
     assert_usage_error(invoke("run", prog, "--init", f"x={value}"), "bad --init")
@@ -303,3 +303,21 @@ def test_empty_family_exits_2(tmp_path):
     prog = write(tmp_path, "prog.ntc", "p = malloc(8); observe(1);")
     assert_usage_error(invoke("gai", prog, "--family", ";"), "names no allocator")
     assert_usage_error(invoke("corpus", "--family", " ; "), "names no allocator")
+
+
+@pytest.mark.parametrize("args, message", [
+    (("wf", "eager:0,8,\u0667\u0662"), "bad allocator spec"),
+    (("wf", "eager: 0, 8,72"), "bad allocator spec"),
+    (("run", "{prog}", "--alloc", "eager:0,8,\u0667\u0662"), "bad allocator spec"),
+    (("wf", "bump:0,8,72", "--reserved", " 0:\u0668"), "bad --reserved"),
+    (("wf", "bump:0,8,72", "--reserved", "0:+8"), "bad --reserved"),
+])
+def test_numbers_other_than_ascii_digits_exit_2(tmp_path, args, message):
+    prog = write(tmp_path, "prog.ntc", "x = 1; observe(x);")
+    assert_usage_error(invoke(*(a.format(prog=prog) for a in args)), message)
+
+
+def test_init_takes_a_negative_value(tmp_path):
+    prog = write(tmp_path, "prog.ntc", "observe(x);")
+    res = invoke("run", prog, "--init", "x=-42")
+    assert res.exit_code == 0 and "obs(-42)" in res.output

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gai_lab.core import Heap, InaccessibleWrite, heap_eq_on, interval
+from gai_lab.core import Heap, InaccessibleWrite, heap_eq_on, interval, parse_int
 
 
 def test_read_present_and_absent():
@@ -96,7 +96,7 @@ model_cells = st.one_of(model_ranges, st.lists(model_addrs, max_size=6))
 values = st.integers(-9, 9)
 heap_ops = st.one_of(
     st.tuples(st.just("define"), model_cells, values),
-    st.tuples(st.just("define_many"), st.dictionaries(st.integers(0, H_MAX_SMALL - 1), values, max_size=4)),
+    st.tuples(st.just("define_in_place"), st.dictionaries(model_addrs, values, max_size=4)),
     st.tuples(st.just("undefine"), model_cells),
     st.tuples(st.just("fill_undefined"), model_ranges, values),
     st.tuples(st.just("write"), model_addrs, values),
@@ -115,7 +115,9 @@ def _model_step(model: dict, op: tuple) -> dict:
         for a in cells:
             if name == "define" or a not in out:
                 out[a] = v
-    elif name == "define_many":
+    elif name == "define_in_place":
+        if any(not 0 <= a < H_MAX_SMALL for a in args[0]):
+            raise ValueError("out of range")
         out.update(args[0])
     elif name == "undefine":
         for a in args[0]:
@@ -137,14 +139,14 @@ def test_mutators_match_dict_model(ops):
         try:
             expected = _model_step(model, op)
         except (ValueError, InaccessibleWrite) as exc:
-            target = heap.copy() if name == "write_in_place" else heap
+            target = heap.copy() if name.endswith("_in_place") else heap
             with pytest.raises(type(exc)):
                 getattr(target, name)(*args)
-            assert dict(heap.items()) == before  # a failed mutation changes nothing
+            assert dict(target.items()) == before  # a failed mutation changes nothing
             continue
-        if name == "write_in_place":
+        if name.endswith("_in_place"):
             owned = heap.copy()
-            owned.write_in_place(*args)
+            getattr(owned, name)(*args)
             result = owned
         else:
             result = getattr(heap, name)(*args)
@@ -163,3 +165,14 @@ def test_range_checks_cover_both_ends():
         Heap().fill_undefined(range(5, -2, -1), 0)  # descending, ends at -1
     assert Heap().define(range(2**32 - 2, 2**32), 3).domain() == {2**32 - 2, 2**32 - 1}
     assert len(Heap().define(range(5, 5), 0)) == 0
+
+
+def test_parse_int_reads_ascii_digits_only():
+    assert parse_int("0") == 0 and parse_int("072") == 72
+    assert parse_int("-5", signed=True) == -5 and parse_int("5", signed=True) == 5
+    for bad in ("", " 1", "1 ", "1\n", "+1", "1_0", "0x10", "\u0667\u0662", "\u00b2", "-5"):
+        with pytest.raises(ValueError):
+            parse_int(bad)
+    for bad in ("-", "--5", "- 5", "+5", "-\u0664"):
+        with pytest.raises(ValueError):
+            parse_int(bad, signed=True)

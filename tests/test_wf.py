@@ -9,7 +9,9 @@ from gai_lab.alloc_model import (
     Strategy,
     SymMalloc,
     _gen_feasible_history,
+    _gen_update,
     check_history,
+    feasible_run,
     parse_symseq,
     replay_wf_witness,
     wf_check,
@@ -76,9 +78,10 @@ class OverlappingAlloc(Strategy):
 
 
 class FlakyInit(Strategy):
-    """Deliberately nondeterministic: its first three ``init`` calls trample a
-    reserved cell, later ones do not.  One trial's generation and check see
-    Basic-3 fail; the replay of that failure comes back clean."""
+    """Deliberately nondeterministic: its first ``init`` call tramples a
+    reserved cell, later ones do not.  ``wf_check``'s one ``init`` makes
+    trial 0 fail Basic-3; the replay of that failure calls ``init`` again
+    and comes back clean."""
 
     name = "flaky-init"
 
@@ -89,7 +92,7 @@ class FlakyInit(Strategy):
     def init(self, heap):
         self.inits += 1
         h, state = self.inner.init(heap)
-        return (h.write(1, 99) if self.inits <= 3 else h), state
+        return (h.write(1, 99) if self.inits == 1 else h), state
 
     def null(self, state):
         return self.inner.null(state)
@@ -138,7 +141,7 @@ def test_failures_are_judged_by_the_null_of_the_state_before_the_call():
     reports = wf_check(MovingNull(), RESERVED, HEAP, trials=300, seed=0)
     assert all(r.passed for r in reports), [(r.clause, r.witness.detail) for r in reports if not r.passed]
     for trial in range(50):
-        sigma, _ = _gen_feasible_history(MovingNull(), RESERVED, HEAP, random.Random(trial), 12)
+        sigma, _ = _gen_feasible_history(MovingNull(), RESERVED, MovingNull().init(HEAP), random.Random(trial), 12)
         assert not any(isinstance(ev, SymMalloc) for ev in sigma)
 
 
@@ -231,3 +234,106 @@ def test_passing_report_lines():
     reports = wf_check(bump(0, 8, 72), RESERVED, HEAP, trials=4, seed=9)
     line = reports[0].format_line()
     assert line == "clause=Basic-1 status=pass seed=9 trial=4"
+
+
+class MallocWrites(Strategy):
+    """Deliberately broken: bump, but once the bump pointer has passed
+    ``cell``, every malloc also writes 42 there.  A reserved cell is passed
+    from the start; cell 9 is the first cell of the first block."""
+
+    def __init__(self, cell):
+        self.inner = bump(0, 8, 72)
+        self.cell = cell
+        self.name = f"malloc-writes-{cell}"
+
+    def init(self, heap):
+        return self.inner.init(heap)
+
+    def null(self, state):
+        return self.inner.null(state)
+
+    def malloc(self, heap, state, size):
+        heap, bumped, a = self.inner.malloc(heap, state, size)
+        return (heap.write(self.cell, 42) if state > self.cell else heap), bumped, a
+
+    def free(self, heap, state, addr):
+        return self.inner.free(heap, state, addr)
+
+
+@pytest.mark.parametrize("cell", [3, 9], ids=["reserved-cell", "live-block-cell"])
+def test_malloc_that_writes_a_client_cell_fails_basic_4(cell):
+    reports = wf_check(MallocWrites(cell), RESERVED, HEAP, trials=200, seed=0)
+    assert [r.clause for r in reports if not r.passed] == ["Basic-4"]
+    basic4 = next(r for r in reports if r.clause == "Basic-4")
+    assert f"modified client cells [{cell}]" in basic4.witness.detail
+    assert replay_wf_witness(MallocWrites(cell), RESERVED, HEAP, basic4)
+
+
+class InitRecorder(Strategy):
+    """Delegates to ``inner`` and keeps each ``init`` result with a snapshot
+    of its heap's cells."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.starts = []
+
+    def init(self, heap):
+        h, state = self.inner.init(heap)
+        self.starts.append((h, state, list(h.items())))
+        return h, state
+
+    def null(self, state):
+        return self.inner.null(state)
+
+    def malloc(self, heap, state, size):
+        return self.inner.malloc(heap, state, size)
+
+    def free(self, heap, state, addr):
+        return self.inner.free(heap, state, addr)
+
+
+VALUE_FAMILY = [bump(0, 8, 72), eager(0, 8, 72), null_alloc(), MovingNull(), MallocWrites(9)]
+
+
+@pytest.mark.parametrize("inner", VALUE_FAMILY, ids=lambda s: s.name)
+def test_harness_leaves_the_callers_heap_and_the_init_result_unchanged(inner):
+    # null and moving-null return the caller's heap from init, so every
+    # client update of a run lands in that heap unless the run copies it.
+    heap = Heap({a: 0 for a in RESERVED})
+    before = list(heap.items())
+    strategy = InitRecorder(inner)
+    wf_check(strategy, RESERVED, heap, trials=40, seed=1)
+    for trial in range(20):
+        rng = random.Random(trial)
+        start = strategy.init(heap)
+        sigma, updates1 = _gen_feasible_history(strategy, RESERVED, start, rng, 12)
+        updates2 = tuple(_gen_update(rng) for _ in sigma)
+        check_history(strategy, RESERVED, heap, sigma, updates1, updates2)
+        feasible_run(strategy, RESERVED, *start, updates2, sigma)
+    assert list(heap.items()) == before
+    assert all(list(h.items()) == cells for h, _, cells in strategy.starts)
+
+
+def test_wf_check_makes_one_init_per_call_and_one_heap_copy_per_run(monkeypatch):
+    copied = []
+    real_copy = Heap.copy
+
+    def counting_copy(self):
+        copied.append(len(self))
+        return real_copy(self)
+
+    monkeypatch.setattr(Heap, "copy", counting_copy)
+    strategy = InitRecorder(bump(0, 8, 20000))
+    reports = wf_check(strategy, RESERVED, HEAP, trials=200, seed=0)
+    assert all(r.passed for r in reports)
+    assert len(strategy.starts) == 1
+    assert sum(1 for n in copied if n >= 20000) <= 3 * 200
+
+
+def test_each_replayed_failure_adds_one_init():
+    strategy = InitRecorder(OverlappingAlloc())
+    reports = wf_check(strategy, RESERVED, HEAP, trials=300, seed=0)
+    failed = [r for r in reports if not r.passed]
+    assert failed
+    assert len(strategy.starts) == 1 + len(failed)
