@@ -265,7 +265,10 @@ def feasible_run(
 
     Before each event the matching client update runs over
     ``addresses_of(m) | reserved``.  ``heap`` is left unchanged: the run
-    copies it once and writes the updates into that copy in place.  Raises
+    copies it once and writes the updates into that copy in place.  The
+    copy shares ``heap``'s base and copies only its overlay (see
+    :mod:`gai_lab.core`), so it costs the cells changed since that base was
+    built, not the size of the heap.  Raises
     :class:`Infeasible` when a step cannot be realized, ``ValueError`` on a
     length mismatch.
     """

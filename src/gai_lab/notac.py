@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, is_dataclass
 from typing import Iterable, Optional
 
 from .alloc_model import Strategy
-from .core import Addr, Heap, Val
+from .core import Addr, Heap, InaccessibleWrite, Val
 
 # ---------------------------------------------------------------------------
 # Events and traces
@@ -788,9 +788,10 @@ def step(env: dict, strategy: Strategy, cfg: Config) -> Optional[tuple[Config, O
         if isinstance(cmd, (Assign, CastAssign)):
             a = eval_lval(env, strategy, state, heap, cmd.lval)
             v = eval_expr(env, strategy, state, heap, cmd.expr)
-            if a < 0 or a not in heap:
-                raise Stuck(f"write to inaccessible address {a}")
-            heap.write_in_place(a, v)
+            try:
+                heap.write_in_place(a, v)
+            except InaccessibleWrite as exc:
+                raise Stuck(str(exc)) from None
             return Config(rest, heap, state), (CastEv(v) if isinstance(cmd, CastAssign) else None)
         if isinstance(cmd, MallocAssign):
             n = eval_expr(env, strategy, state, heap, cmd.size)
@@ -799,10 +800,11 @@ def step(env: dict, strategy: Strategy, cfg: Config) -> Optional[tuple[Config, O
             h2, st2, a = strategy.malloc(heap, state, n)
             # The lval evaluates against the post-malloc heap.
             a_lval = eval_lval(env, strategy, st2, h2, cmd.lval)
-            if a_lval < 0 or a_lval not in h2:
-                raise Stuck(f"malloc target address {a_lval} is inaccessible")
+            try:
+                h2.write_in_place(a_lval, a)
+            except InaccessibleWrite:
+                raise Stuck(f"malloc target address {a_lval} is inaccessible") from None
             ev = MallocFailEv(n) if a == strategy.null(state) else MallocEv(n, a)
-            h2.write_in_place(a_lval, a)
             return Config(rest, h2, st2), ev
         if isinstance(cmd, FreeCmd):
             v = eval_expr(env, strategy, state, heap, cmd.expr)
@@ -824,6 +826,9 @@ def run(
 
     ``heap`` is left unchanged: the run copies the heap once after
     ``strategy.init`` and :func:`step` writes into that copy in place.  The
+    copy shares the base of ``init``'s heap and copies only its overlay (see
+    :mod:`gai_lab.core`), so it costs the cells changed since that base was
+    built, not the size of the heap.  The
     accumulated trace is returned in every outcome, and ``Outcome.heap`` is
     the run's heap.
     """

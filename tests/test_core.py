@@ -1,8 +1,23 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gai_lab.core import Heap, InaccessibleWrite, heap_eq_on, interval, parse_int
+from gai_lab.core import FLATTEN_SHARE, Heap, InaccessibleWrite, heap_eq_on, interval, parse_int
+
+
+def count_copied_cells(monkeypatch) -> list:
+    """Make every heap that ``Heap`` builds append the cells it copied to
+    the returned list: its overlay, and its base unless it shares the
+    base of the heap it came from."""
+    copied = []
+    wrap = Heap._wrap
+
+    def counting_wrap(self, base, over):
+        copied.append(len(over) + (0 if base is self._base else len(base)))
+        return wrap(self, base, over)
+
+    monkeypatch.setattr(Heap, "_wrap", counting_wrap)
+    return copied
 
 
 def test_read_present_and_absent():
@@ -154,6 +169,58 @@ def test_mutators_match_dict_model(ops):
         assert dict(result.items()) == expected and len(result) == len(expected)
         assert result.domain() == frozenset(expected)
         heap, model = result, expected
+
+
+# -- sibling heaps that share a base -----------------------------------------
+
+FIRST_BASE_MAX = 24  # cells in the first heap of a pool
+pool_ops = st.one_of(
+    st.tuples(st.just("copy")),
+    heap_ops,
+    # At least 32 cells: more than FLATTEN_SHARE times any first base.
+    st.tuples(st.just("define"), st.builds(range, st.integers(0, 8), st.integers(40, H_MAX_SMALL)), values),
+)
+
+
+def _assert_matches(heap: Heap, model: dict) -> None:
+    assert dict(heap.items()) == model and len(heap) == len(model)
+    assert heap.domain() == frozenset(model) and heap == Heap(model, h_max=H_MAX_SMALL)
+
+
+@given(
+    st.dictionaries(st.integers(0, H_MAX_SMALL - 1), values, max_size=FIRST_BASE_MAX),
+    st.lists(st.tuples(st.integers(0, 10**6), pool_ops), max_size=30),
+)
+@example(  # undefine base cells, define them again, and copy across a flatten
+    {0: 1, 1: 2, 2: 3},
+    [(0, ("undefine", [0, 1])), (1, ("define", [0], 7)), (2, ("copy",)),
+     (2, ("define", range(0, 40), 5)), (1, ("write_in_place", 0, 9)), (3, ("undefine", range(0, 2)))],
+)
+def test_sibling_heaps_stay_isolated(base, steps):
+    """Heaps made from one another share bases: no op on one heap may change
+    another, whichever side of the flatten rule it falls on."""
+    assert 32 > FLATTEN_SHARE * FIRST_BASE_MAX
+    pool = [(Heap(base, h_max=H_MAX_SMALL), dict(base))]
+    for pick, op in steps:
+        heap, model = pool[pick % len(pool)]
+        name, *args = op
+        if name == "copy":
+            pool.append((heap.copy(), model))
+        else:
+            target = heap.copy() if name.endswith("_in_place") else heap
+            try:
+                expected = _model_step(model, op)
+            except (ValueError, InaccessibleWrite) as exc:
+                with pytest.raises(type(exc)):
+                    getattr(target, name)(*args)
+                continue
+            result = getattr(target, name)(*args)
+            pool.append((target if result is None else result, expected))
+        for h, m in pool:
+            _assert_matches(h, m)
+    for h, m in pool:
+        for a in range(-3, H_MAX_SMALL + 4):
+            assert h.read(a) == m.get(a) and (a in h) == (a in m)
 
 
 def test_range_checks_cover_both_ends():

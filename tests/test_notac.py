@@ -42,6 +42,7 @@ from gai_lab.notac import (
     step,
     to_source,
 )
+from test_core import count_copied_cells
 
 
 def setup_run(src, alloc, base=10, fuel=100_000, inits=None):
@@ -426,14 +427,7 @@ def test_long_program_prints_without_recursion():
 def test_run_copies_arena_once_not_per_step(monkeypatch):
     """Heap cells copied in a 2,000-iteration loop under a 20,000-cell bump
     arena grow with arena + steps, not with their product."""
-    copied = []
-    wrap = Heap._wrap
-
-    def counting_wrap(self, m):
-        copied.append(len(m))
-        return wrap(self, m)
-
-    monkeypatch.setattr(Heap, "_wrap", counting_wrap)
+    copied = count_copied_cells(monkeypatch)
     steps = []
     step = notac.step
 

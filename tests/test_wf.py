@@ -18,6 +18,7 @@ from gai_lab.alloc_model import (
 )
 from gai_lab.allocators import bump, curious, eager, guarded_eager, lenient_bump, no_zero, null_alloc
 from gai_lab.core import Heap
+from test_core import count_copied_cells
 from test_symbolic import gen_update_seq
 
 RESERVED = frozenset(range(0, 8))
@@ -329,6 +330,24 @@ def test_wf_check_makes_one_init_per_call_and_one_heap_copy_per_run(monkeypatch)
     assert all(r.passed for r in reports)
     assert len(strategy.starts) == 1
     assert sum(1 for n in copied if n >= 20000) <= 3 * 200
+
+
+def test_wf_check_copies_no_arena_cells_per_trial(monkeypatch):
+    """A bump arena is copied at most a couple of times per call: the cells
+    copied grow by at most 2 per arena cell, and 100 more trials add less
+    than one arena.  Copying the arena at the start of each run would add
+    3 * trials cells per arena cell."""
+    copied = count_copied_cells(monkeypatch)
+
+    def cells(n, trials):
+        copied.clear()
+        reports = wf_check(bump(0, 8, n), RESERVED, HEAP, trials=trials, seed=0)
+        assert all(r.passed for r in reports)
+        return sum(copied)
+
+    big = cells(20_000, 200)
+    assert big - cells(2_000, 200) <= 2 * (20_000 - 2_000)
+    assert big - cells(20_000, 100) < 20_000
 
 
 def test_each_replayed_failure_adds_one_init():
