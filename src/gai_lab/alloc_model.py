@@ -11,9 +11,12 @@ The harness checks the ten allocator post-conditions
 
     Basic-1..6, Zero-Alloc-1..2, Rel-1..2
 
-on pseudo-random feasible histories.  It is sound for rejection (a reported
-failure replays from its stored witness) and incomplete for acceptance;
-passing means "no violation found in the given trials".
+on pseudo-random feasible histories, two runs per trial (see
+:func:`wf_check`).  One walker is the only loop over the steps of a
+history: it draws a history or replays one, and may judge it as it goes.
+The harness is sound for rejection (a reported failure replays from its
+stored witness) and incomplete for acceptance; passing means "no violation
+found in the given trials".
 """
 
 from __future__ import annotations
@@ -202,12 +205,14 @@ def play_step(
     m: AllocationMap,
     heap: Heap,
     state: object,
-    prefix: SymbolicSeq,
-    ev: SymbolicEvent,
+    prefix: Sequence[SymbolicEvent],
+    ev: SymbolicEvent | int,
 ) -> tuple[Heap, object, AllocationMap]:
     """One step of the play relation: realize ``ev`` after ``prefix``.
 
-    Raises :class:`Infeasible` when the strategy cannot produce the event.
+    ``ev`` may also be a size: a malloc that is realized as M if it
+    succeeds and as MF if it fails.  Raises :class:`Infeasible` when the
+    strategy cannot produce the event.
     """
     pos = len(prefix) + 1
     if isinstance(ev, SymFree):
@@ -219,17 +224,18 @@ def play_step(
             raise Infeasible(f"free {ev} targets a non-live allocation (index {i})", pos)
         h2, st2 = strategy.free(heap, state, entry.addr)
         return h2, st2, m - {entry}
-    if not isinstance(ev, (SymMalloc, SymFail)):
+    if not isinstance(ev, (SymMalloc, SymFail, int)):
         raise TypeError(f"not a symbolic event: {ev!r}")
+    size = ev if isinstance(ev, int) else ev.size
     null = strategy.null(state)
-    h2, st2, a = strategy.malloc(heap, state, ev.size)
-    if isinstance(ev, SymMalloc):
-        if a == null:
-            raise Infeasible(f"malloc({ev.size}) failed where success was demanded", pos)
-        return h2, st2, m | {AllocEntry(a, ev.size, pos)}
-    if a != null:
-        raise Infeasible(f"malloc({ev.size}) succeeded where failure was demanded", pos)
-    return h2, st2, m
+    h2, st2, a = strategy.malloc(heap, state, size)
+    if a == null:
+        if isinstance(ev, SymMalloc):
+            raise Infeasible(f"malloc({size}) failed where success was demanded", pos)
+        return h2, st2, m
+    if isinstance(ev, SymFail):
+        raise Infeasible(f"malloc({size}) succeeded where failure was demanded", pos)
+    return h2, st2, m | {AllocEntry(a, size, pos)}
 
 
 @dataclass(frozen=True)
@@ -261,25 +267,55 @@ def feasible_run(
     updates: Sequence[ClientUpdate],
     seq: Sequence[SymbolicEvent],
 ) -> tuple[Heap, object, AllocationMap]:
-    """Fold the fast-forward relation over ``seq``.
+    """Fold the fast-forward relation over ``seq``: an unjudged
+    :func:`_walk` from ``(heap, state)``, which stays unchanged.
 
     Before each event the matching client update runs over
-    ``addresses_of(m) | reserved``.  ``heap`` is left unchanged: the run
-    copies it once and writes the updates into that copy in place.  The
-    copy shares ``heap``'s base and copies only its overlay (see
-    :mod:`gai_lab.core`), so it costs the cells changed since that base was
-    built, not the size of the heap.  Raises
-    :class:`Infeasible` when a step cannot be realized, ``ValueError`` on a
-    length mismatch.
+    ``addresses_of(m) | reserved``.  Raises :class:`Infeasible` when a step
+    cannot be realized, ``ValueError`` on a length mismatch.
     """
+    return _walk(strategy, reserved, (heap, state), _replay(updates, seq))[:3]
+
+
+def _replay(updates: Sequence[ClientUpdate], seq: Sequence[SymbolicEvent]):
+    """The plan that demands ``seq[i]`` after ``updates[i]``."""
     if len(updates) != len(seq):
         raise ValueError(f"{len(updates)} updates for {len(seq)} events")
-    heap = heap.copy()
-    m: AllocationMap = frozenset()
-    for i, (upd, ev) in enumerate(zip(updates, seq)):
-        upd.apply(heap, addresses_of(m) | reserved)
-        heap, state, m = play_step(strategy, m, heap, state, tuple(seq[:i]), ev)
-    return heap, state, m
+    return lambda m, sigma: (updates[len(sigma)], seq[len(sigma)]) if len(sigma) < len(seq) else None
+
+
+def _walk(strategy: Strategy, reserved: frozenset, start: tuple, plan, judge: Optional[dict] = None) -> tuple:
+    """The one loop over the steps of a history; returns ``(heap, state, m,
+    sigma, updates)``.
+
+    ``plan(m, sigma)`` gives each step's ``(update, request)``, the request
+    being what :func:`play_step` takes, or ``None`` at the end.  The walk
+    copies ``start``'s heap once (see :mod:`gai_lab.core` for the cost) and
+    writes the updates into the copy in place.  A ``judge`` dict gets each
+    clause's first violation of Basic-4 and :func:`_single_exec_violations`.
+    """
+    heap, state = start[0].copy(), start[1]
+    m = client = frozenset()  # client is addresses_of(m)
+    sigma, updates = [], []
+    while (step := plan(m, sigma)) is not None:
+        upd, ev = step
+        upd.apply(heap, client | reserved)
+        h2, state, m2 = play_step(strategy, m, heap, state, sigma, ev)
+        if isinstance(ev, int):
+            ev = SymMalloc(ev) if len(m2) > len(m) else SymFail(ev)
+        client2 = client if m2 is m else addresses_of(m2)
+        sigma.append(ev)
+        updates.append(upd)
+        if judge is not None:
+            where = f"step {len(sigma)} ({ev})"
+            window = (client2 if isinstance(ev, SymFree) else client) | reserved
+            if not heap_eq_on(heap, h2, window):
+                diff = [a for a in sorted(window) if heap.read(a) != h2.read(a)]
+                judge.setdefault("Basic-4", f"{where} modified client cells {diff[:8]}")
+            for clause, detail in _single_exec_violations(strategy, state, m2, client2, h2, reserved):
+                judge.setdefault(clause, f"after {where}: {detail}")
+        heap, m, client = h2, m2, client2
+    return heap, state, m, tuple(sigma), tuple(updates)
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +373,11 @@ class WfReport:
 
 
 def _single_exec_violations(
-    strategy: Strategy,
-    state: object,
-    m: AllocationMap,
-    heap: Heap,
-    reserved: frozenset,
+    strategy: Strategy, state: object, m: AllocationMap, client: frozenset, heap: Heap, reserved: frozenset
 ) -> list[tuple[str, str]]:
-    """Per-state checks of Basic-1/2/5/6 and Zero-Alloc-1/2."""
+    """Per-state checks of Basic-1/2/5/6 and Zero-Alloc-1/2; ``client = addresses_of(m)``."""
     out = []
     entries = sorted(m, key=lambda e: e.index)
-    client = addresses_of(m)
     for a, b in itertools.combinations(entries, 2):
         if max(a.addr, b.addr) < min(a.addr + a.size, b.addr + b.size):
             out.append(("Basic-1", f"allocations {a} and {b} overlap"))
@@ -366,6 +397,28 @@ def _single_exec_violations(
     return out
 
 
+def _init_violations(heap: Heap, h0: Heap, reserved: frozenset) -> dict:
+    """Basic-3 for the heap ``h0`` of ``strategy.init(heap)``, as ``{clause: detail}``."""
+    if heap_eq_on(heap, h0, reserved):
+        return {}
+    diff = [a for a in sorted(reserved) if heap.read(a) != h0.read(a)]
+    return {"Basic-3": f"init changed reserved cells {diff[:8]}"}
+
+
+def _judge_relational(strategy: Strategy, reserved: frozenset, start: tuple, sigma: SymbolicSeq,
+                      m: AllocationMap, updates2: Sequence[ClientUpdate], violations: dict) -> None:
+    """Rel-1/Rel-2: replay ``sigma`` from ``start`` with the alternate
+    updates and compare with ``m``, the final map of the first run."""
+    try:
+        m2 = feasible_run(strategy, reserved, *start, updates2, sigma)[2]
+    except Infeasible as exc:
+        violations.setdefault("Rel-1", f"alternate updates made the sequence infeasible: {exc.reason}")
+        return
+    lost = {(e.size, e.index) for e in m} - {(e.size, e.index) for e in m2}
+    if lost:
+        violations.setdefault("Rel-2", f"final allocation maps disagree: {sorted(lost)}")
+
+
 def check_history(
     strategy: Strategy,
     reserved: frozenset,
@@ -381,62 +434,16 @@ def check_history(
     The single-execution clauses are checked after every step, which only
     instantiates the definition at each feasible prefix.
     """
-    return _check_from(strategy, reserved, heap, strategy.init(heap), sigma, updates1, updates2)
-
-
-def _check_from(
-    strategy: Strategy,
-    reserved: frozenset,
-    heap: Heap,
-    start: tuple,
-    sigma: SymbolicSeq,
-    updates1: Sequence[ClientUpdate],
-    updates2: Sequence[ClientUpdate],
-) -> dict:
-    """:func:`check_history` with ``start = strategy.init(heap)`` given.
-
-    Both runs start from ``start`` and leave it unchanged.
-    """
-    violations: dict[str, str] = {}
-
-    def record(clause: str, detail: str) -> None:
-        violations.setdefault(clause, detail)
-
-    h0, st0 = start
-    if not heap_eq_on(heap, h0, reserved):
-        diff = [a for a in sorted(reserved) if heap.read(a) != h0.read(a)]
-        record("Basic-3", f"init changed reserved cells {diff[:8]}")
-
-    m: AllocationMap = frozenset()
-    h, state = h0.copy(), st0
-    for i, (upd, ev) in enumerate(zip(updates1, sigma)):
-        upd.apply(h, addresses_of(m) | reserved)
-        try:
-            h_post, state, m_post = play_step(strategy, m, h, state, tuple(sigma[:i]), ev)
-        except Infeasible as exc:
-            # The generator only proposes feasible histories; a mismatch on
-            # replay means the strategy is not deterministic.
-            record("Rel-1", f"replay of generating run infeasible at step {i + 1}: {exc.reason}")
-            return violations
-        basis = m_post if isinstance(ev, SymFree) else m
-        window = addresses_of(basis) | reserved
-        if not heap_eq_on(h, h_post, window):
-            diff = [a for a in sorted(window) if h.read(a) != h_post.read(a)]
-            record("Basic-4", f"step {i + 1} ({ev}) modified client cells {diff[:8]}")
-        m, h = m_post, h_post
-        for clause, detail in _single_exec_violations(strategy, state, m, h, reserved):
-            record(clause, f"after step {i + 1} ({ev}): {detail}")
-
-    # Relational clauses: deterministic replay with the alternate updates.
+    start = strategy.init(heap)
+    violations = _init_violations(heap, start[0], reserved)
     try:
-        _, _, m2 = feasible_run(strategy, reserved, h0, st0, updates2, sigma)
+        m = _walk(strategy, reserved, start, _replay(updates1, sigma), violations)[2]
     except Infeasible as exc:
-        record("Rel-1", f"alternate updates made the sequence infeasible: {exc.reason}")
+        # wf_check draws its histories by running the strategy; a replay of
+        # one that fails means the strategy is not deterministic.
+        violations["Rel-1"] = f"replay of generating run infeasible at step {exc.position}: {exc.reason}"
         return violations
-    pairs1 = {(e.size, e.index) for e in m}
-    pairs2 = {(e.size, e.index) for e in m2}
-    if not pairs1 <= pairs2:
-        record("Rel-2", f"final allocation maps disagree: {sorted(pairs1 - pairs2)}")
+    _judge_relational(strategy, reserved, start, sigma, m, updates2, violations)
     return violations
 
 
@@ -455,45 +462,36 @@ def _gen_update(rng: random.Random) -> ClientUpdate:
     return ClientUpdate(writes)
 
 
+def _draw(rng: random.Random, max_len: int):
+    """The plan of a random history: a length, then per step an update and
+    a free of a live allocation or a malloc whose outcome is recorded."""
+    n = rng.randint(0, max_len)
+
+    def plan(m: AllocationMap, sigma: list):
+        if len(sigma) == n:
+            return None
+        upd = _gen_update(rng)
+        if m and rng.random() < 0.4:
+            entry = rng.choice(sorted(m, key=lambda e: e.index))
+            return upd, SymFree(back_index(sigma, entry.index))
+        return upd, _HUGE if rng.random() < 0.12 else rng.choice(_SIZES)
+
+    return plan
+
+
 def _gen_feasible_history(
-    strategy: Strategy,
-    reserved: frozenset,
-    start: tuple,
-    rng: random.Random,
-    max_len: int,
+    strategy: Strategy, reserved: frozenset, start: tuple, rng: random.Random, max_len: int
 ) -> tuple[SymbolicSeq, tuple]:
-    """Generate a feasible history by running the strategy in the loop from
-    ``start``, the ``(heap, state)`` of its ``init``, which stays unchanged.
+    """Generate a feasible history by an unjudged walk of :func:`_draw` from
+    ``start``, the ``(heap, state)`` of the strategy's ``init``.
 
     Malloc attempts are recorded as M_k or MF_k according to what the
     strategy actually did, and frees only target live allocations, so the
     resulting (sigma, updates) pair is feasible by construction.
     """
-    h, state = start
-    h = h.copy()
-    m: AllocationMap = frozenset()
-    sigma: list[SymbolicEvent] = []
-    updates: list[ClientUpdate] = []
-    for _ in range(rng.randint(0, max_len)):
-        upd = _gen_update(rng)
-        upd.apply(h, addresses_of(m) | reserved)
-        if m and rng.random() < 0.4:
-            entry = rng.choice(sorted(m, key=lambda e: e.index))
-            h, state = strategy.free(h, state, entry.addr)
-            m = m - {entry}
-            sigma.append(SymFree(back_index(sigma, entry.index)))
-        else:
-            size = _HUGE if rng.random() < 0.12 else rng.choice(_SIZES)
-            null = strategy.null(state)
-            h, state, a = strategy.malloc(h, state, size)
-            if a == null:
-                sigma.append(SymFail(size))
-            else:
-                sigma.append(SymMalloc(size))
-                m = m | {AllocEntry(a, size, len(sigma))}
-        updates.append(upd)
-    assert symseq_well_formed(tuple(sigma))
-    return tuple(sigma), tuple(updates)
+    sigma, updates = _walk(strategy, reserved, start, _draw(rng, max_len))[3:]
+    assert symseq_well_formed(sigma)
+    return sigma, updates
 
 
 def wf_check(
@@ -506,12 +504,12 @@ def wf_check(
 ) -> list[WfReport]:
     """Randomized allocator well-formedness check: one report per clause.
 
-    ``strategy.init(heap)`` is called once per call; every trial generates
-    its history and replays both of its runs from that one result, which is
-    exact because strategies are deterministic.  Basic-3 is still judged on
-    every trial, against that ``init``.
-
-    Rejection-sound: a failing report carries a witness that
+    ``strategy.init(heap)`` is called once per call; Basic-3 is judged on
+    it, and each trial makes two runs from it.  The first draws the history
+    and is judged as it goes.  That is exact: strategies are deterministic,
+    so the judged replay of :func:`check_history` would repeat it step for
+    step.  The second replays the history with alternate updates for
+    Rel-1/Rel-2.  Rejection-sound: a failing report carries a witness that
     :func:`check_history` reproduces; each is replayed, from a fresh
     ``init``, before it is reported, and ``RuntimeError`` is raised when one
     does not reproduce, which would mean a nondeterministic strategy.
@@ -520,14 +518,15 @@ def wf_check(
     if any(a not in heap for a in reserved):
         raise ValueError("reserved memory must be inside the heap domain")
     start = strategy.init(heap)
+    init_violations = _init_violations(heap, start[0], reserved)
     failures: dict[str, tuple[int, WfWitness]] = {}
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
-        sigma, updates1 = _gen_feasible_history(strategy, reserved, start, rng, max_len)
+        violations = dict(init_violations)
+        _, _, m, sigma, updates1 = _walk(strategy, reserved, start, _draw(rng, max_len), violations)
         updates2 = tuple(_gen_update(rng) for _ in sigma)
-        for clause, detail in _check_from(
-            strategy, reserved, heap, start, sigma, updates1, updates2
-        ).items():
+        _judge_relational(strategy, reserved, start, sigma, m, updates2, violations)
+        for clause, detail in violations.items():
             if clause not in failures:
                 failures[clause] = (trial, WfWitness(sigma, updates1, updates2, detail))
     reports = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .alloc_model import Strategy
-from .core import H_MAX_DEFAULT, Addr, Heap, interval, parse_int
+from .core import H_MAX_DEFAULT, MAX_SPEC_CELLS, Addr, Heap, interval, parse_int
 
 
 @dataclass(frozen=True)
@@ -118,10 +118,17 @@ class BumpAlloc(_SegmentAlloc):
     """Bump-pointer allocator; frees are no-ops.
 
     Init zero-fills the undefined cells of (n2, n3) and undefines the null
-    cell; zero-sized requests bump by one.
+    cell; zero-sized requests bump by one.  Init builds every cell of that
+    span, so a span wider than ``MAX_SPEC_CELLS`` is rejected here.
     """
 
     kind = "bump"
+
+    def __init__(self, params: SegmentParams):
+        super().__init__(params)
+        span = params.n3 - params.n2 - 1
+        if span > MAX_SPEC_CELLS:
+            raise ValueError(f"{self.name} fills {span} cells, more than MAX_SPEC_CELLS = {MAX_SPEC_CELLS}")
 
     def init(self, heap: Heap):
         p = self.params

@@ -19,7 +19,7 @@ from . import corpus as corpus_mod
 from . import memsafe, notac
 from .alloc_model import format_symseq, parse_symseq, wf_check
 from .allocators import parse_alloc_spec, reserved_window
-from .core import H_MAX_DEFAULT, Heap, parse_int
+from .core import H_MAX_DEFAULT, MAX_SPEC_CELLS, Heap, parse_int
 from .filtering import similar, sym_filter
 from .gai import DEFAULT_ENV_BASE, FamilyNotWellFormed, default_family, gai_check
 
@@ -238,6 +238,8 @@ def cmd_wf(alloc_spec, trials, seed, maxlen, reserved, as_json):
             raise ValueError
     except ValueError:
         _fail(f"bad --reserved {reserved!r}, expected lo:hi with 0 <= lo <= hi <= {H_MAX_DEFAULT}")
+    if hi - lo > MAX_SPEC_CELLS:
+        _fail(f"--reserved {reserved!r} spans {hi - lo} cells, more than MAX_SPEC_CELLS = {MAX_SPEC_CELLS}")
     rset = frozenset(range(lo, hi))
     heap = Heap({a: 0 for a in rset})
     reports = wf_check(strategy, rset, heap, trials, seed, maxlen)

@@ -17,8 +17,9 @@ and from then on writes client cells into that copy in place:
 * ``notac.run`` copies the heap after the allocator's ``init`` and hands
   its copy out only at the end (as ``Outcome.heap``);
 * the well-formedness harness in ``alloc_model`` copies the heap at the
-  start of every run it replays and applies client updates to it with
-  :meth:`Heap.define_in_place`.
+  start of every walk over a history (a trial makes two: the run that
+  draws and judges its history, and a replay with alternate updates) and
+  applies client updates to it with :meth:`Heap.define_in_place`.
 
 Cost model.  A heap is a base dict that is never changed once built and
 may be shared by many heaps, plus a private overlay holding this
@@ -47,6 +48,12 @@ Val = int
 # Upper bound on representable addresses.  Allocators all work inside
 # explicit segments well below this; the bound just keeps heaps finite.
 H_MAX_DEFAULT = 2**32
+
+# The most cells a spec may make the program build: the zero-filled span of
+# a bump segment, or the reserved window of ``gai-lab wf``.  A spec of 2**32
+# cells would need hundreds of gigabytes; this bound keeps a build in the
+# order of 100 MB.
+MAX_SPEC_CELLS = 2**20
 
 # A new heap whose overlay would hold more than FLATTEN_SHARE times as many
 # cells as its base gets a flat base instead.

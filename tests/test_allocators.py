@@ -43,6 +43,18 @@ def test_geometry_must_fit_below_the_address_bound(spec):
         parse_alloc_spec(spec)
 
 
+@pytest.mark.parametrize("spec", ["bump:0,8,1048586", "lenient-bump:0,8,1048586", "nozero(bump:0,8,1048586)"])
+def test_a_bump_span_above_max_spec_cells_is_rejected_when_built(spec):
+    # 1048577 cells: one more than MAX_SPEC_CELLS; init is never called.
+    with pytest.raises(ValueError, match="fills 1048577 cells, more than MAX_SPEC_CELLS = 1048576"):
+        parse_alloc_spec(spec)
+
+
+def test_bump_spans_up_to_max_spec_cells_are_accepted():
+    assert parse_alloc_spec("bump:0,8,1048585").name == "bump:0,8,1048585"
+    assert parse_alloc_spec("bump:0,8,1000000").name == "bump:0,8,1000000"  # the largest spec in use
+
+
 def test_geometry_up_to_the_address_bound_is_accepted():
     assert parse_alloc_spec("eager:0,8,4294967296").name == "eager:0,8,4294967296"
     assert parse_alloc_spec("curious:4,4294967295").name == "curious:4,4294967295"

@@ -299,6 +299,15 @@ def test_wf_reserved_range_must_be_ordered_and_non_negative(reserved):
     assert_usage_error(invoke("wf", "bump:0,8,72", "--reserved", reserved), "0 <= lo <= hi")
 
 
+def test_wf_rejects_a_reserved_window_above_max_spec_cells():
+    res = invoke("wf", "bump:0,8,72", "--reserved", "0:1048577")
+    assert_usage_error(res, "spans 1048577 cells, more than MAX_SPEC_CELLS = 1048576")
+
+
+def test_wf_rejects_a_bump_span_above_max_spec_cells():
+    assert_usage_error(invoke("wf", "bump:0,8,1048586"), "more than MAX_SPEC_CELLS")
+
+
 def test_empty_family_exits_2(tmp_path):
     prog = write(tmp_path, "prog.ntc", "p = malloc(8); observe(1);")
     assert_usage_error(invoke("gai", prog, "--family", ";"), "names no allocator")

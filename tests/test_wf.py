@@ -18,6 +18,7 @@ from gai_lab.alloc_model import (
 )
 from gai_lab.allocators import bump, curious, eager, guarded_eager, lenient_bump, no_zero, null_alloc
 from gai_lab.core import Heap
+from gai_lab.gai import default_family
 from test_core import count_copied_cells
 from test_symbolic import gen_update_seq
 
@@ -329,7 +330,8 @@ def test_wf_check_makes_one_init_per_call_and_one_heap_copy_per_run(monkeypatch)
     reports = wf_check(strategy, RESERVED, HEAP, trials=200, seed=0)
     assert all(r.passed for r in reports)
     assert len(strategy.starts) == 1
-    assert sum(1 for n in copied if n >= 20000) <= 3 * 200
+    arena = len(strategy.starts[0][0])  # 19,999 cells: the reserved 8 and the bump span
+    assert sum(1 for n in copied if n >= arena) <= 2 * 200
 
 
 def test_wf_check_copies_no_arena_cells_per_trial(monkeypatch):
@@ -356,3 +358,56 @@ def test_each_replayed_failure_adds_one_init():
     failed = [r for r in reports if not r.passed]
     assert failed
     assert len(strategy.starts) == 1 + len(failed)
+
+
+class EveryThirdMallocFails(Strategy):
+    """Deliberately nondeterministic: bump, but every third ``malloc`` call
+    on the instance fails, whatever its arguments."""
+
+    name = "every-third-malloc-fails"
+
+    def __init__(self):
+        self.inner = bump(0, 8, 72)
+        self.calls = 0
+
+    def init(self, heap):
+        return self.inner.init(heap)
+
+    def null(self, state):
+        return self.inner.null(state)
+
+    def malloc(self, heap, state, size):
+        self.calls += 1
+        if self.calls % 3 == 0:
+            return heap, state, self.null(state)
+        return self.inner.malloc(heap, state, size)
+
+    def free(self, heap, state, addr):
+        return self.inner.free(heap, state, addr)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_nondeterministic_malloc_fails_rel_1_with_a_witness_that_replays(seed):
+    strategy = EveryThirdMallocFails()
+    reports = wf_check(strategy, RESERVED, HEAP, trials=50, seed=seed)
+    rel1 = next(r for r in reports if r.clause == "Rel-1")
+    assert not rel1.passed
+    assert replay_wf_witness(strategy, RESERVED, HEAP, rel1)
+
+
+EXACTNESS_FAMILY = [
+    *default_family(), OverlappingAlloc(), MovingNull(), ReservedSmasher(), ClientPeeker(),
+    MallocWrites(3), MallocWrites(9),
+]
+
+
+@pytest.mark.parametrize("strategy", EXACTNESS_FAMILY, ids=lambda s: s.name)
+def test_a_trial_fails_the_clauses_check_history_fails_on_its_history(strategy):
+    # wf_check judges the run that draws a trial's history; check_history
+    # judges a replay of that history from a fresh init.
+    for k in range(30):
+        failed = {r.clause for r in wf_check(strategy, RESERVED, HEAP, trials=1, seed=k) if not r.passed}
+        rng = random.Random(k * 1_000_003)
+        sigma, updates1 = _gen_feasible_history(strategy, RESERVED, strategy.init(HEAP), rng, 12)
+        updates2 = tuple(_gen_update(rng) for _ in sigma)
+        assert set(check_history(strategy, RESERVED, HEAP, sigma, updates1, updates2)) == failed, k
