@@ -299,7 +299,8 @@ def _walk(strategy: Strategy, reserved: frozenset, start: tuple, plan, judge: Op
     sigma, updates = [], []
     while (step := plan(m, sigma)) is not None:
         upd, ev = step
-        upd.apply(heap, client | reserved)
+        if upd.writes:  # an update without writes needs no allowed set
+            upd.apply(heap, client | reserved)
         h2, state, m2 = play_step(strategy, m, heap, state, sigma, ev)
         if isinstance(ev, int):
             ev = SymMalloc(ev) if len(m2) > len(m) else SymFail(ev)

@@ -25,14 +25,18 @@ logical operators yield 1/0, any nonzero value is true.  ``^`` is bitwise
 xor and is stuck on negative operands.  Dereferencing an inaccessible or
 negative address is stuck, as is writing through one; stuckness is the
 observable signature of memory errors here.
+
+Each expression compiles once, on first use, into a closure cached on its node,
+and each loop caches its unrolling, so an interpreter step builds no syntax.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, is_dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .alloc_model import Strategy
 from .core import Addr, Heap, InaccessibleWrite, Val
@@ -156,35 +160,42 @@ def load_trace(text: str) -> Trace:
 Pos = tuple  # (line, col)
 
 
+class _Compiled:
+    """Expression and lvalue nodes: ``code`` is the node compiled, on first use, into
+    a closure ``(env, strategy, state, heap) -> value`` kept in the ``__dict__``."""
+
+    code = cached_property(lambda self: _COMPILERS[type(self)](self))
+
+
 @dataclass(frozen=True)
-class Const:
+class Const(_Compiled):
     value: int
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Compiled):
     name: str
 
 
 @dataclass(frozen=True)
-class Binop:
+class Binop(_Compiled):
     op: str
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True)
-class Deref:
+class Deref(_Compiled):
     addr: "Expr"
 
 
 @dataclass(frozen=True)
-class AddrOf:
+class AddrOf(_Compiled):
     name: str
 
 
 @dataclass(frozen=True)
-class Null:
+class Null(_Compiled):
     pass
 
 
@@ -192,12 +203,12 @@ Expr = Const | Var | Binop | Deref | AddrOf | Null
 
 
 @dataclass(frozen=True)
-class LVar:
+class LVar(_Compiled):
     name: str
 
 
 @dataclass(frozen=True)
-class LDeref:
+class LDeref(_Compiled):
     addr: Expr
 
 
@@ -256,6 +267,9 @@ class While:
     body: "Cmd"
     pos: Pos = field(default=(0, 0), compare=False)
 
+    # ``if (cond) { body; this loop }``: a loop step pushes it, built once per node.
+    unrolled = cached_property(lambda self: If(self.cond, Seq(self.body, self), Skip(self.pos), self.pos))
+
 
 @dataclass(frozen=True)
 class Observe:
@@ -307,9 +321,9 @@ class _Tok:
 _BINOP_LEVELS = [["||"], ["&&"], ["^"], ["==", "!="], ["<", "<=", ">", ">="], ["+", "-"], ["*"]]
 
 # Deepest expression nesting the parser accepts.  Each parenthesis, prefix
-# operator and chained binary operator adds a level, so both the recursive
-# parser and the recursive evaluator stay well inside Python's recursion
-# limit.
+# operator and chained binary operator adds a level, so the recursive parser,
+# the recursive expression compiler and the nested closures it builds all stay
+# well inside Python's recursion limit.
 MAX_EXPR_DEPTH = 50
 # Deepest block nesting Notac accepts; Memsafe's bound derives from it.
 # Parsing, printing and translating recurse once or twice per block, so the
@@ -544,7 +558,8 @@ def collect_vars(root) -> list:
 
     A left-to-right walk over dataclass fields on an explicit stack: a
     program's ``Seq`` chain is as deep as it has statements.  A command's
-    target comes before the variables its operand reads.
+    target comes before the variables its operand reads.  Caches such as
+    ``While.unrolled`` are not fields, so the walk skips them.
     """
     seen: dict = {}
     stack = [root]
@@ -553,7 +568,7 @@ def collect_vars(root) -> list:
         if isinstance(node, (Var, AddrOf, LVar)):
             seen.setdefault(node.name, None)
         else:
-            stack.extend(reversed([v for v in vars(node).values() if is_dataclass(v)]))
+            stack.extend(reversed([v for f in fields(node) if is_dataclass(v := getattr(node, f.name))]))
     return list(seen)
 
 
@@ -668,8 +683,7 @@ class Stuck(Exception):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     stack: tuple  # tuple[Cmd, ...]; head runs first
     heap: Heap  # step writes client cells into it in place
     state: object
@@ -694,125 +708,135 @@ class Outcome:
 
 
 def eval_expr(env: dict, strategy: Strategy, state: object, heap: Heap, e: Expr) -> Val:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        v = heap.read(env[e.name])
+    """The value of ``e``, from the closure it compiles into once (see :class:`_Compiled`)."""
+    return _code(e)(env, strategy, state, heap)
+
+
+def _code(e: Expr) -> Callable:
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an expression: {e!r}")
+    return e.code
+
+
+def _var(e: Var) -> Callable:
+    def var(env, strategy, state, heap, name=e.name):
+        v = heap.read(env[name])
         if v is None:
-            raise Stuck(f"variable {e.name} cell is inaccessible")
+            raise Stuck(f"variable {name} cell is inaccessible")
         return v
-    if isinstance(e, Null):
-        return strategy.null(state)
-    if isinstance(e, AddrOf):
-        return env[e.name]
-    if isinstance(e, Deref):
-        a = eval_expr(env, strategy, state, heap, e.addr)
+    return var
+
+
+def _deref(e: Deref) -> Callable:
+    def deref(env, strategy, state, heap, addr=_code(e.addr)):
+        a = addr(env, strategy, state, heap)
         if a < 0:
             raise Stuck(f"dereference of negative address {a}")
         v = heap.read(a)
         if v is None:
             raise Stuck(f"dereference of inaccessible address {a}")
         return v
-    if isinstance(e, Binop):
-        l = eval_expr(env, strategy, state, heap, e.left)
-        r = eval_expr(env, strategy, state, heap, e.right)
-        return _apply_binop(e.op, l, r)
-    raise TypeError(f"not an expression: {e!r}")
+    return deref
 
 
-def _apply_binop(op: str, l: int, r: int) -> int:
-    if op == "+":
-        return l + r
-    if op == "-":
-        return l - r
-    if op == "*":
-        return l * r
-    if op == "^":
-        if l < 0 or r < 0:
-            raise Stuck(f"xor on negative operand ({l} ^ {r})")
-        return l ^ r
-    if op == "==":
-        return int(l == r)
-    if op == "!=":
-        return int(l != r)
-    if op == "<":
-        return int(l < r)
-    if op == "<=":
-        return int(l <= r)
-    if op == ">":
-        return int(l > r)
-    if op == ">=":
-        return int(l >= r)
-    if op == "&&":
-        return int(l != 0 and r != 0)
-    if op == "||":
-        return int(l != 0 or r != 0)
-    raise TypeError(f"unknown operator {op!r}")
+def _binop(e: Binop) -> Callable:
+    left, right, apply = _code(e.left), _code(e.right), _BINOPS.get(e.op)
+    if apply is None:
+        raise TypeError(f"unknown operator {e.op!r}")
+    return lambda env, strategy, state, heap: apply(left(env, strategy, state, heap), right(env, strategy, state, heap))
 
 
-def eval_lval(env: dict, strategy: Strategy, state: object, heap: Heap, lv: Lval) -> Addr:
-    if isinstance(lv, LVar):
-        return env[lv.name]
-    return eval_expr(env, strategy, state, heap, lv.addr)
+def _xor(l: int, r: int) -> int:
+    if l < 0 or r < 0:
+        raise Stuck(f"xor on negative operand ({l} ^ {r})")
+    return l ^ r
+
+
+_BINOPS = {
+    "+": lambda l, r: l + r, "-": lambda l, r: l - r, "*": lambda l, r: l * r, "^": _xor,
+    "==": lambda l, r: 1 if l == r else 0, "!=": lambda l, r: 1 if l != r else 0,
+    "<": lambda l, r: 1 if l < r else 0, "<=": lambda l, r: 1 if l <= r else 0,
+    ">": lambda l, r: 1 if l > r else 0, ">=": lambda l, r: 1 if l >= r else 0,
+    "&&": lambda l, r: 1 if l != 0 and r != 0 else 0, "||": lambda l, r: 1 if l != 0 or r != 0 else 0,
+}
+_COMPILERS = {  # node type -> its compiler
+    Const: lambda e: lambda env, strategy, state, heap, v=e.value: v,
+    Var: _var,
+    Null: lambda e: lambda env, strategy, state, heap: strategy.null(state),
+    AddrOf: lambda e: lambda env, strategy, state, heap, name=e.name: env[name],
+    Deref: _deref,
+    Binop: _binop,
+    LVar: lambda e: lambda env, strategy, state, heap, name=e.name: env[name],
+    LDeref: lambda e: _code(e.addr),
+}
+
+
+def _assign(env, strategy, cmd, rest, heap, state):
+    a = cmd.lval.code(env, strategy, state, heap)
+    v = cmd.expr.code(env, strategy, state, heap)
+    try:
+        heap.write_in_place(a, v)
+    except InaccessibleWrite as exc:
+        raise Stuck(str(exc)) from None
+    return Config(rest, heap, state), (CastEv(v) if type(cmd) is CastAssign else None)
+
+
+def _malloc(env, strategy, cmd, rest, heap, state):
+    n = cmd.size.code(env, strategy, state, heap)
+    if n < 0:
+        raise Stuck(f"malloc size {n} is negative")
+    h2, st2, a = strategy.malloc(heap, state, n)
+    # The lval evaluates against the post-malloc heap.
+    target = cmd.lval.code(env, strategy, st2, h2)
+    try:
+        h2.write_in_place(target, a)
+    except InaccessibleWrite:
+        raise Stuck(f"malloc target address {target} is inaccessible") from None
+    ev = MallocFailEv(n) if a == strategy.null(state) else MallocEv(n, a)
+    return Config(rest, h2, st2), ev
+
+
+def _free(env, strategy, cmd, rest, heap, state):
+    v = cmd.expr.code(env, strategy, state, heap)
+    h2, st2 = strategy.free(heap, state, v)
+    return Config(rest, h2, st2), FreeEv(v)
+
+
+# Command type -> its rule: (env, strategy, cmd, rest, heap, state) -> (next Config, event or None).
+_RULES = {
+    Skip: lambda env, strategy, cmd, rest, heap, state: (Config(rest, heap, state), None),
+    If: lambda env, strategy, cmd, rest, heap, state: (Config(
+        (cmd.then if cmd.cond.code(env, strategy, state, heap) else cmd.orelse,) + rest, heap, state), None),
+    While: lambda env, strategy, cmd, rest, heap, state: (Config((cmd.unrolled,) + rest, heap, state), None),
+    Observe: lambda env, strategy, cmd, rest, heap, state: (
+        Config(rest, heap, state), ObsEv(cmd.expr.code(env, strategy, state, heap))),
+    Assign: _assign, CastAssign: _assign, MallocAssign: _malloc, FreeCmd: _free,
+}
 
 
 def step(env: dict, strategy: Strategy, cfg: Config) -> Optional[tuple[Config, Optional[Event]]]:
     """One small step; ``None`` when the configuration is fully reduced.
 
-    Client writes (assignments, casts, and the target cell of a malloc)
-    go into ``cfg.heap`` in place, so the caller must own that heap (see
-    :func:`run`).  Allocator steps may return a new heap.  Raises
-    :class:`Stuck`, at the command's position, when no rule applies.
+    The head command's type picks its rule from ``_RULES``, and the step
+    builds no syntax (see :func:`run`).  Client writes (assignments, casts,
+    and the target cell of a malloc) go into ``cfg.heap`` in place, so the
+    caller must own that heap.  Allocator steps may return a new heap.
+    Raises :class:`Stuck`, at the command's position, when no rule applies.
     """
     stack = cfg.stack
-    while stack and isinstance(stack[0], Seq):
+    while stack and type(stack[0]) is Seq:
         head = stack[0]
         stack = (head.first, head.second) + stack[1:]
     if not stack:
         return None
-    cmd, rest = stack[0], stack[1:]
-    heap, state = cfg.heap, cfg.state
+    cmd = stack[0]
+    rule = _RULES.get(type(cmd))
+    if rule is None:
+        raise TypeError(f"not a command: {cmd!r}")
     try:
-        if isinstance(cmd, Skip):
-            return Config(rest, heap, state), None
-        if isinstance(cmd, If):
-            v = eval_expr(env, strategy, state, heap, cmd.cond)
-            chosen = cmd.then if v != 0 else cmd.orelse
-            return Config((chosen,) + rest, heap, state), None
-        if isinstance(cmd, While):
-            unrolled = If(cmd.cond, Seq(cmd.body, cmd), Skip(cmd.pos), cmd.pos)
-            return Config((unrolled,) + rest, heap, state), None
-        if isinstance(cmd, Observe):
-            v = eval_expr(env, strategy, state, heap, cmd.expr)
-            return Config(rest, heap, state), ObsEv(v)
-        if isinstance(cmd, (Assign, CastAssign)):
-            a = eval_lval(env, strategy, state, heap, cmd.lval)
-            v = eval_expr(env, strategy, state, heap, cmd.expr)
-            try:
-                heap.write_in_place(a, v)
-            except InaccessibleWrite as exc:
-                raise Stuck(str(exc)) from None
-            return Config(rest, heap, state), (CastEv(v) if isinstance(cmd, CastAssign) else None)
-        if isinstance(cmd, MallocAssign):
-            n = eval_expr(env, strategy, state, heap, cmd.size)
-            if n < 0:
-                raise Stuck(f"malloc size {n} is negative")
-            h2, st2, a = strategy.malloc(heap, state, n)
-            # The lval evaluates against the post-malloc heap.
-            a_lval = eval_lval(env, strategy, st2, h2, cmd.lval)
-            try:
-                h2.write_in_place(a_lval, a)
-            except InaccessibleWrite:
-                raise Stuck(f"malloc target address {a_lval} is inaccessible") from None
-            ev = MallocFailEv(n) if a == strategy.null(state) else MallocEv(n, a)
-            return Config(rest, h2, st2), ev
-        if isinstance(cmd, FreeCmd):
-            v = eval_expr(env, strategy, state, heap, cmd.expr)
-            h2, st2 = strategy.free(heap, state, v)
-            return Config(rest, h2, st2), FreeEv(v)
+        return rule(env, strategy, cmd, stack[1:], cfg.heap, cfg.state)
     except Stuck as exc:
         raise Stuck(exc.reason, cmd.pos) from None
-    raise TypeError(f"not a command: {cmd!r}")
 
 
 def run(
@@ -828,7 +852,8 @@ def run(
     ``strategy.init`` and :func:`step` writes into that copy in place.  The
     copy shares the base of ``init``'s heap and copies only its overlay (see
     :mod:`gai_lab.core`), so it costs the cells changed since that base was
-    built, not the size of the heap.  The
+    built, not the size of the heap.  Expression closures and loop unrollings
+    are cached on the program's nodes, so reruns share them.  The
     accumulated trace is returned in every outcome, and ``Outcome.heap`` is
     the run's heap.
     """

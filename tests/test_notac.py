@@ -31,6 +31,7 @@ from gai_lab.notac import (
     ObsEv,
     ParseError,
     Seq,
+    While,
     dump_trace,
     eval_expr,
     format_trace,
@@ -383,7 +384,7 @@ def spines(draw):
         if wrap == "deref":
             e = Deref(e)
             continue
-        op = draw(st.sampled_from(["+", "-", "*", "<", "==", "^", "&&", "||"]))
+        op = draw(st.sampled_from(["+", "-", "*", "^", "==", "!=", "<", "<=", ">", ">=", "&&", "||"]))
         other = draw(_LEAVES)
         e = Binop(op, e, other) if wrap == "left" else Binop(op, other, e)
     return e
@@ -398,6 +399,107 @@ def test_printed_depth_is_the_depth_the_parser_counts(e):
     else:
         with pytest.raises(ParseError, match="MAX_EXPR_DEPTH"):
             parse(src)
+
+
+def _reference_eval(env, state, heap, e):
+    """A reference evaluator for ``eval_expr``: one ``isinstance`` test per
+    node kind, walking the tree on every call, operators applied by name."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, notac.Var):
+        v = heap.read(env[e.name])
+        if v is None:
+            raise notac.Stuck(f"variable {e.name} cell is inaccessible")
+        return v
+    if isinstance(e, notac.Null):
+        return state  # null_alloc's null address is its state
+    if isinstance(e, notac.AddrOf):
+        return env[e.name]
+    if isinstance(e, Deref):
+        a = _reference_eval(env, state, heap, e.addr)
+        if a < 0:
+            raise notac.Stuck(f"dereference of negative address {a}")
+        v = heap.read(a)
+        if v is None:
+            raise notac.Stuck(f"dereference of inaccessible address {a}")
+        return v
+    l, r = _reference_eval(env, state, heap, e.left), _reference_eval(env, state, heap, e.right)
+    if e.op == "^" and (l < 0 or r < 0):
+        raise notac.Stuck(f"xor on negative operand ({l} ^ {r})")
+    return {
+        "+": l + r, "-": l - r, "*": l * r, "^": l ^ r, "==": int(l == r), "!=": int(l != r),
+        "<": int(l < r), "<=": int(l <= r), ">": int(l > r), ">=": int(l >= r),
+        "&&": int(l != 0 and r != 0), "||": int(l != 0 or r != 0),
+    }[e.op]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    spines(),
+    st.dictionaries(st.integers(0, 12), st.integers(-6, 12), max_size=10),
+    st.integers(0, 14),
+    st.integers(0, 14),
+)
+def test_compiled_eval_agrees_with_the_reference_evaluator(e, cells, x_addr, null):
+    env, heap = {"x": x_addr}, Heap(cells)
+    try:
+        expected = ("value", _reference_eval(env, null, heap, e))
+    except notac.Stuck as exc:
+        expected = ("stuck", exc.reason)
+    try:
+        got = ("value", eval_expr(env, null_alloc(), null, heap, e))
+    except notac.Stuck as exc:
+        got = ("stuck", exc.reason)
+    assert got == expected
+    assert type(got[1]) is type(expected[1])  # 1/0 stay ints, never bools
+
+
+def test_bad_syntax_nodes_raise_type_error():
+    ev = lambda e: eval_expr({}, null_alloc(), 0, Heap(), e)
+    for bad in (5, notac.Skip(), notac.LVar("x"), Binop("+", Const(1), "x"), Deref(None)):
+        inner = bad.right if isinstance(bad, Binop) else bad.addr if isinstance(bad, Deref) else bad
+        with pytest.raises(TypeError) as info:
+            ev(bad)
+        assert str(info.value) == f"not an expression: {inner!r}"
+    with pytest.raises(TypeError) as info:
+        ev(Binop("%", Const(7), Const(2)))
+    assert str(info.value) == "unknown operator '%'"
+    with pytest.raises(TypeError) as info:
+        step({}, null_alloc(), Config((Const(1),), Heap(), 0))
+    assert str(info.value) == f"not a command: {Const(1)!r}"
+    # the rule is looked up before it runs: its own errors pass unchanged
+    with pytest.raises(KeyError):
+        step({}, null_alloc(), Config((notac.Observe(notac.Var("y")),), Heap(), 0))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 20])
+def test_loop_fuel_boundary(n):
+    """``i = 0`` takes one step, each iteration three (loop, test, body) and
+    the exit three (loop, test, skip); the last call finds nothing to do."""
+    src = f"i = 0; while (i < {n}) {{ i = i + 1; }}"
+    done, env = setup_run(src, null_alloc(), fuel=3 * n + 5)
+    assert done.terminated and done.heap.read(env["i"]) == n
+    short, _ = setup_run(src, null_alloc(), fuel=3 * n + 4)
+    assert short.kind == "out-of-fuel"
+
+
+def test_every_iteration_pushes_the_same_unrolled_loop():
+    prog = parse("i = 0; while (i < 3) { i = i + 1; }")
+    loop = prog.body.second
+    env, heap, _ = make_env(prog, 10)
+    pushed = []
+    for _ in range(2):  # a second run of the program shares the unrolling
+        cfg = Config((prog.body,), heap.copy(), 0)
+        while (res := step(env, null_alloc(), cfg)) is not None:
+            cfg = res[0]
+            head = cfg.stack[0] if cfg.stack else None
+            if type(head) is If and type(head.then) is Seq and head.then.second is loop:
+                pushed.append(head)
+    assert len(pushed) == 8 and all(u is loop.unrolled for u in pushed)
+    assert loop.unrolled == If(loop.cond, Seq(loop.body, loop), notac.Skip(), loop.pos)
+    fresh = While(loop.cond, loop.body, loop.pos)  # the cache is not a field
+    assert (loop, hash(loop), repr(loop)) == (fresh, hash(fresh), repr(fresh))
+    assert notac.collect_vars(prog.body) == ["i"]
 
 
 def test_block_nesting_is_bounded():
