@@ -9,10 +9,11 @@ filters both with identical residues.  Filtering is deterministic -- a free
 that is filterable at its position *must* pass -- so a free may only stay in
 the residue when the filter's next item does not release it.
 
-``similar`` and ``similar_prefixes`` rest on one search that walks both
-traces in lockstep (``_lockstep``).  The search is prefix-closed, so one run
-of it over two traces decides every pair of their prefixes.  It rests on two
-facts of the filter:
+Each event is consumed by a filter item or lands in the residue, so only
+traces of equal length can be similar.  ``similar`` and ``similar_prefixes``
+rest on one pruned search that walks both traces in lockstep
+(``_lockstep``); one run of it decides every pair of prefixes of equal
+length.  It rests on two facts of the filter:
 
 * alloc events are synchronization points: the filter rejects a malloc or
   mfail while its next item is a free, so the free items between two alloc
@@ -93,19 +94,6 @@ def _alloc_item(ev: Optional[Event]) -> Optional[SymbolicEvent]:
     return None
 
 
-# Cheap necessary conditions used for pruning: any common filter forces the
-# two traces' alloc items to be equal, and equal residues force equal
-# observe/cast subsequences.
-
-
-def _alloc_shape(trace: Trace) -> tuple:
-    return tuple(item for item in map(_alloc_item, trace) if item is not None)
-
-
-def _forced_residue(trace: Trace) -> tuple:
-    return tuple(ev for ev in trace if isinstance(ev, (ObsEv, CastEv)))
-
-
 def _first_common_ordinal(t1: Trace, t2: Trace) -> dict:
     """(addr in t1, addr in t2) -> smallest alloc ordinal returning both.
 
@@ -136,55 +124,58 @@ def _prev_same_free(trace: Trace) -> list:
 
 
 def _lockstep(t1: Trace, t2: Trace) -> Iterator[tuple[tuple, dict]]:
-    """Every state of the joint filtering of two traces, with parent pointers.
+    """The states of the joint filtering of two traces, with parent pointers.
 
     Walks both traces in lockstep on the two facts in the module docstring.
     State ``(i1, i2, g, w1, w2, rq)``: both cursors, the allocs crossed, the
     start of each trace's skip window (its frees since its last pass or
     alloc), and the residue items the leading trace has emitted beyond the
-    other.  Both traces made the same passes and crossed the same allocs, so
-    the queue holds |i1 - i2| items of the trace with the larger cursor.
-    From each state every enabled move is tried: a skip of either trace's
-    next observe, cast or free into its residue, which must match the head
-    of the queue when the other trace leads; a paired pass of two frees,
-    legal when a malloc with ordinal <= g returned both addresses and
-    neither window holds a free of the passing address; and a sync at two
-    equal alloc events.  The search runs on an explicit stack; its map of
-    parent pointers is also the seen set, and gives the witness.  Yields
-    ``(state, parent)`` for each state as it leaves the stack.
+    other: |i1 - i2| of them, as both made the same passes and syncs.  The
+    moves: a skip of either trace's next observe, cast or free into its
+    residue, which must match the head of the queue when the other trace
+    leads; a paired pass of two frees, legal when a malloc with ordinal <= g
+    returned both addresses and neither window holds a free of the passing
+    address; and a sync at two equal alloc events.  Two partial-order rules
+    (Godefroid, LNCS 1032, 1996) prune them:
 
-    The search is prefix-closed: it reaches a state with cursors (i, p)
-    exactly when the search of ``(t1[:i], t2[:p])`` does, so ``t1[:i]`` is
-    similar to ``t2[:p]`` exactly when one such state has an empty queue.
-    No move lowers a cursor, so a path to a state in the box i1 <= i,
-    i2 <= p stays in the box.  Inside it, off its edges, both searches have
-    the same moves: a move reads the events at the cursors, and the windows,
-    ``prev`` and ``first`` up to ordinal g look only backwards (``first``
-    stops where the alloc events differ, which no sync crosses).  On the
-    edge i1 = i the prefix search has no event of t1 left, so its moves are
-    the skips of t2; the moves of this search that stay in the box are the
-    same skips, since every other move advances i1.  The edge i2 = p is
-    alike.
+    1. When the lagging trace (t1 on a tie) is at an observe or a cast, its
+       skip is the only move.  It is that trace's only move, so every path
+       on to an empty queue takes it; until then the other trace can only
+       skip, which appends to the queue and commutes with it.
+    2. A skip that would queue ``ev`` is dropped when ``ev`` does not occur
+       in the other trace at or after its cursor: a queued item leaves only
+       when the other trace skips an equal event.
 
-    Bound: ``g`` follows from ``i1`` and each window start lies between its
-    trace's last alloc and its cursor, so there are at most
-    (n1+1)^2 (n2+1)^2 states per value of the queue, and that value varies
-    only with which frees the leading trace passed inside the stretch the
-    queue covers.  Either trace may move first, so a gap holding a observes
-    or casts on each side takes up to (a+1)^2 states, one per pair of
-    cursors.  The full search of an eager loop that reuses one address
-    against a bump loop takes 4k + 7 states for k iterations.  The search
-    stays exponential when a gap holds many frees of different addresses in
-    one trace that could each pair with a free of the other -- which must
-    then free one address that many mallocs returned: each subset of the
-    first trace's frees left in the queue is a new state.  n mallocs at
-    distinct addresses and their n frees, against n mallocs and n frees of
-    one address, each trace then observing a different value, expand 820
-    states at n = 8 and 196,776 at n = 16.
+    The search runs on an explicit stack whose map of parent pointers is the
+    seen set and gives the witness; it yields ``(state, parent)`` per state.
+
+    The search is prefix-closed on empty queues: it reaches a state at
+    cursors (i, i) exactly when the search of ``(t1[:i], t2[:i])`` does, so
+    when the prefixes are similar.  No move lowers a cursor, so a path to
+    that state stays in the box i1, i2 <= i.  Inside it, off its edges,
+    unpruned moves agree: they read the events at the cursors, and the
+    windows, ``prev`` and ``first`` up to ordinal g look only backwards
+    (``first`` stops where the alloc events differ, which no sync crosses);
+    on the edge i1 = i both have only the skips of t2 left, and alike on
+    i2 = i.  Neither rule cuts all such paths: each item a path queues is
+    matched inside the box, where its forced skips lie too.
+
+    Cost: by rule 1 two runs of a observes take 2a + 1 states, not (a+1)^2,
+    and an eager loop reusing one address against a bump loop takes 2k + 6
+    for k iterations, not 4k + 7.  By rule 2, n mallocs at distinct addresses
+    and their n frees, against n mallocs and frees of one address, each then
+    observing a different value, take 2n + 1 states, not 196,776 at n = 16.
+    No polynomial bound is proven, as the queue may hold any subset of a
+    gap's frees that rule 2 keeps: t1 = n mallocs at distinct addresses,
+    their n frees, n frees of address 7 and an observe, against t2 = n
+    mallocs at 7, n frees of 7, the frees of t1's addresses and another
+    observe, take 2,603 / 12,352 / 57,433 states at n = 8 / 10 / 12.
     """
     end1, end2 = len(t1), len(t2)
     first = _first_common_ordinal(t1, t2)
     prev1, prev2 = _prev_same_free(t1), _prev_same_free(t2)
+    last1 = {ev: i for i, ev in enumerate(t1)}  # event -> its last position
+    last2 = {ev: i for i, ev in enumerate(t2)}
 
     start = (0, 0, 0, 0, 0, ())
     parent: dict = {start: None}
@@ -197,30 +188,37 @@ def _lockstep(t1: Trace, t2: Trace) -> Iterator[tuple[tuple, dict]]:
         e2 = t2[i2] if i2 < end2 else None
 
         def skip(owner, ev):
-            # ``ev`` joins the residue of ``owner``: it must match the head of
-            # the queue when the other trace leads, and is queued otherwise.
-            behind = i1 < i2 if owner == 1 else i2 < i1
-            if behind and rq[0] != ev:
+            # ``ev`` joins ``owner``'s residue: it must match the head of the queue
+            # when the other trace leads, else it is queued if rule 2 allows.
+            if owner == 1:
+                behind, cursors, last, other = i1 < i2, (i1 + 1, i2), last2, i2
+            else:
+                behind, cursors, last, other = i2 < i1, (i1, i2 + 1), last1, i1
+            if rq[0] != ev if behind else last.get(ev, -1) < other:
                 return None
-            cursors = (i1 + 1, i2) if owner == 1 else (i1, i2 + 1)
             return cursors + (g, w1, w2, rq[1:] if behind else rq + (ev,)), None
 
-        moves = []
-        if isinstance(e1, (ObsEv, CastEv)):
-            moves.append(skip(1, e1))
-        if isinstance(e2, (ObsEv, CastEv)):
-            moves.append(skip(2, e2))
-        if isinstance(e1, FreeEv) and isinstance(e2, FreeEv):
-            o = first.get((e1.addr, e2.addr))
-            if o is not None and o <= g and prev1[i1] < w1 and prev2[i2] < w2:
-                moves.append(((i1 + 1, i2 + 1, g, i1 + 1, i2 + 1, rq), o))
-        if isinstance(e1, FreeEv):
-            moves.append(skip(1, e1))
-        if isinstance(e2, FreeEv):
-            moves.append(skip(2, e2))
-        item = _alloc_item(e1)
-        if item is not None and item == _alloc_item(e2):
-            moves.append(((i1 + 1, i2 + 1, g + 1, i1 + 1, i2 + 1, rq), item))
+        if i1 <= i2 and isinstance(e1, (ObsEv, CastEv)):  # rule 1
+            moves = [skip(1, e1)]
+        elif i2 <= i1 and isinstance(e2, (ObsEv, CastEv)):
+            moves = [skip(2, e2)]
+        else:
+            moves = []
+            if isinstance(e1, (ObsEv, CastEv)):  # t1 leads
+                moves.append(skip(1, e1))
+            if isinstance(e2, (ObsEv, CastEv)):  # t2 leads
+                moves.append(skip(2, e2))
+            if isinstance(e1, FreeEv) and isinstance(e2, FreeEv):
+                o = first.get((e1.addr, e2.addr))
+                if o is not None and o <= g and prev1[i1] < w1 and prev2[i2] < w2:
+                    moves.append(((i1 + 1, i2 + 1, g, i1 + 1, i2 + 1, rq), o))
+            if isinstance(e1, FreeEv):
+                moves.append(skip(1, e1))
+            if isinstance(e2, FreeEv):
+                moves.append(skip(2, e2))
+            item = _alloc_item(e1)
+            if item is not None and item == _alloc_item(e2):
+                moves.append(((i1 + 1, i2 + 1, g + 1, i1 + 1, i2 + 1, rq), item))
         for move in reversed(moves):
             if move is not None and move[0] not in parent:
                 parent[move[0]] = (state, move[1])
@@ -248,16 +246,15 @@ def _witness(parent: dict, state: tuple) -> SymbolicSeq:
 def similar(t1: Sequence[Event], t2: Sequence[Event]) -> tuple[bool, Optional[SymbolicSeq]]:
     """Decide trace similarity; on success also return a witness filter.
 
-    The search stops at its first state at the end of both traces with an
-    empty queue.  Raises ``RuntimeError`` when the witness does not filter
-    both traces to equal residues, which would be a fault in the search.
+    Traces of unequal lengths are not; otherwise the search stops at its
+    first state at the end of both.  Raises ``RuntimeError`` when the witness
+    does not filter both traces to equal residues, a fault in the search.
     """
     t1, t2 = tuple(t1), tuple(t2)
-    if _alloc_shape(t1) != _alloc_shape(t2) or _forced_residue(t1) != _forced_residue(t2):
+    if len(t1) != len(t2):
         return False, None
-    ends = (len(t1), len(t2))
     for state, parent in _lockstep(t1, t2):
-        if state[:2] == ends and not state[5]:
+        if state[0] == state[1] == len(t1):
             sigma = _witness(parent, state)
             break
     else:
@@ -268,13 +265,14 @@ def similar(t1: Sequence[Event], t2: Sequence[Event]) -> tuple[bool, Optional[Sy
     return True, sigma
 
 
-def similar_prefixes(t1: Sequence[Event], t2: Sequence[Event]) -> set[tuple[int, int]]:
-    """Every ``(i, p)`` with ``t1[:i]`` similar to ``t2[:p]``, from one search.
+def similar_prefixes(t1: Sequence[Event], t2: Sequence[Event]) -> set[int]:
+    """Every ``i`` with ``t1[:i]`` similar to ``t2[:i]``, from one search.
 
-    These are the cursors of the search's states with an empty queue, since
-    the search is prefix-closed (see ``_lockstep``).
+    These are the cursors of the empty-queue states of one search over the
+    first ``min(len(t1), len(t2))`` events (see ``_lockstep``).
     """
-    return {state[:2] for state, _ in _lockstep(tuple(t1), tuple(t2)) if not state[5]}
+    m = min(len(t1), len(t2))
+    return {i1 for (i1, i2, *_), _ in _lockstep(tuple(t1[:m]), tuple(t2[:m])) if i1 == i2}
 
 
 def _sigma_candidates(trace: Trace) -> list:
@@ -336,6 +334,6 @@ def similar_bruteforce(t1: Sequence[Event], t2: Sequence[Event], bound: int = 10
 
 
 def prefixes_similar_to(t: Sequence[Event], run: Sequence[Event]) -> list[int]:
-    """All prefix lengths ``p`` of ``run`` with ``run[:p]`` similar to ``t``."""
-    t = tuple(t)
-    return sorted(p for i, p in similar_prefixes(t, run) if i == len(t))
+    """All prefix lengths ``p`` of ``run`` with ``run[:p]`` similar to ``t``:
+    ``len(t)`` or none, as only traces of equal length can be similar."""
+    return [len(t)] if similar(t, run[: len(t)])[0] else []

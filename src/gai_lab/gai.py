@@ -18,10 +18,10 @@ The event belongs to its class, so reach at position ``j`` is impact at
 ``j + 1`` unless another class member (the other allocation outcome,
 another cast value) extends the prefix.  A malloc's address does not matter
 there: it ends the extended trace, where no free follows that could pass on
-it.  The similarity search is prefix-closed, so one search per pair of
-distinct producer and member traces (``similar_prefixes``) gives impact at
-every position, and with it reach, but for the other class members: each of
-those takes one more search, of the prefix extended by that member.
+it.  Only prefixes of equal length can be similar, and one search per pair
+of distinct producer and member traces (``similar_prefixes``) decides them
+all, so it gives impact at every position, and with it reach, but for the
+other class members: each of those takes one more search.
 """
 
 from __future__ import annotations
@@ -258,9 +258,9 @@ def gai_check(
     inconclusive, never as a violation.
 
     One search per distinct pair of producer trace ``u`` and member trace
-    ``v`` gives the row ``{i : u[:i] is similar to a prefix of v}``: the
-    members that ran ``v`` are in the impact of ``u[:j]`` when ``j`` is in
-    the row, and reach ``u[j]`` itself when ``j + 1`` is;
+    ``v`` gives the row ``{i : u[:i] is similar to v[:i]}``: the members
+    that ran ``v`` are in the impact of ``u[:j]`` when ``j`` is in the row,
+    and reach ``u[j]`` itself when ``j + 1`` is;
     ``_reached_by_another`` tries the rest of the class.  Raises
     ``ValueError`` on an empty family, and :class:`FamilyNotWellFormed` when
     a member fails the well-formedness check.
@@ -283,7 +283,7 @@ def gai_check(
     for (alpha, out_a), a in zip(outcomes, member_trace):
         u = out_a.trace
         if a not in rows:
-            rows[a] = [{i for i, _ in similar_prefixes(u, v)} for v in traces]
+            rows[a] = [similar_prefixes(u, v) for v in traces]
         for j, ev in enumerate(u):
             unreached = [
                 j in row and j + 1 not in row and not _reached_by_another(u[:j], ev, v)

@@ -351,7 +351,105 @@ def test_similar_prefixes_equal_every_prefix_pair(pair):
     reference = {
         (i, p) for i in range(len(u) + 1) for p in range(len(v) + 1) if similar_bruteforce(u[:i], v[:p])
     }
+    # only prefixes of equal length are ever similar
+    assert all(i == p for i, p in reference)
+    assert similar_prefixes(u, v) == {i for i, _ in reference}
+
+
+def test_similar_starts_no_search_on_unequal_lengths(monkeypatch):
+    searches = []
+    real_search = filtering._lockstep
+
+    def counting_search(t1, t2):
+        searches.append((t1, t2))
+        return real_search(t1, t2)
+
+    monkeypatch.setattr(filtering, "_lockstep", counting_search)
+    assert similar((M1, F1), (M1, F1, ObsEv(1))) == (False, None)
+    assert similar((ObsEv(1),), ()) == (False, None)
+    assert prefixes_similar_to((M1, F1, ObsEv(1)), (M2, F2)) == []
+    assert searches == []
+    assert similar((M1, F1), (M2, F2))[0] and len(searches) == 1
+
+
+# --- the unpruned search, as a reference for the pruned one ---------------
+
+
+def full_lockstep(t1, t2):
+    """Every state of the joint filtering of two traces, with no pruning: from
+    each state every enabled move of either trace is tried (the search as it
+    was before its two partial-order rules).  Yields the states."""
+    end1, end2 = len(t1), len(t2)
+    first = filtering._first_common_ordinal(t1, t2)
+    prev1, prev2 = filtering._prev_same_free(t1), filtering._prev_same_free(t2)
+    start = (0, 0, 0, 0, 0, ())
+    seen, stack = {start}, [start]
+    while stack:
+        state = stack.pop()
+        yield state
+        i1, i2, g, w1, w2, rq = state
+        e1 = t1[i1] if i1 < end1 else None
+        e2 = t2[i2] if i2 < end2 else None
+
+        def skip(owner, ev):
+            behind = i1 < i2 if owner == 1 else i2 < i1
+            if behind and rq[0] != ev:
+                return None
+            cursors = (i1 + 1, i2) if owner == 1 else (i1, i2 + 1)
+            return cursors + (g, w1, w2, rq[1:] if behind else rq + (ev,))
+
+        moves = []
+        for owner, ev in ((1, e1), (2, e2)):
+            if isinstance(ev, (ObsEv, CastEv, FreeEv)):
+                moves.append(skip(owner, ev))
+        if isinstance(e1, FreeEv) and isinstance(e2, FreeEv):
+            o = first.get((e1.addr, e2.addr))
+            if o is not None and o <= g and prev1[i1] < w1 and prev2[i2] < w2:
+                moves.append((i1 + 1, i2 + 1, g, i1 + 1, i2 + 1, rq))
+        item = filtering._alloc_item(e1)
+        if item is not None and item == filtering._alloc_item(e2):
+            moves.append((i1 + 1, i2 + 1, g + 1, i1 + 1, i2 + 1, rq))
+        for move in moves:
+            if move is not None and move not in seen:
+                seen.add(move)
+                stack.append(move)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(prefix_pairs(), trace_and_run(), same_shape_pairs()))
+def test_pruned_search_equals_full_search(pair):
+    u, v = pair
+    reference = {s[0] for s in full_lockstep(u, v) if not s[5] and s[0] == s[1]}
     assert similar_prefixes(u, v) == reference
+    for i in range(min(len(u), len(v)) + 1):
+        ok, sigma = similar(u[:i], v[:i])
+        assert ok == (i in reference)
+        if ok:
+            f1, f2 = sym_filter(u[:i], sigma), sym_filter(v[:i], sigma)
+            assert f1 is not None and f2 is not None and f1.residue == f2.residue
+
+
+def count_states(t1, t2):
+    return sum(1 for _ in filtering._lockstep(tuple(t1), tuple(t2)))
+
+
+def test_loop_pair_states_are_linear():
+    # one address reused against a fresh address in each iteration
+    for k in (5, 50, 500):
+        eager_trace = tuple(ev for _ in range(k) for ev in (MallocEv(1, 7), FreeEv(7))) + (ObsEv(k),)
+        bump_trace = tuple(ev for i in range(k) for ev in (MallocEv(1, 7 + i), FreeEv(7 + i)))
+        bump_trace += (ObsEv(k),)
+        assert count_states(eager_trace, bump_trace) == count_states(bump_trace, eager_trace) == 2 * k + 6
+
+
+def test_exponential_pair_is_linear():
+    # rule 2: no free of t1's addresses occurs in t2, so t1 cannot queue one
+    n = 16
+    t1 = tuple(MallocEv(1, 100 + i) for i in range(n)) + tuple(FreeEv(100 + i) for i in range(n))
+    t2 = tuple(MallocEv(1, 7) for _ in range(n)) + tuple(FreeEv(7) for _ in range(n))
+    t1, t2 = t1 + (ObsEv(1),), t2 + (ObsEv(2),)
+    assert count_states(t1, t2) <= 2 * n + 1
+    assert similar_prefixes(t1, t2) == set(range(2 * n + 1))
 
 
 def test_prefix_scan_tries_only_prefixes_of_equal_non_free_count():

@@ -233,6 +233,27 @@ class TestGaiCheck:
         assert len(report.runs) == 7 and longest == 19
         assert searches <= distinct**2 + extensions
 
+    def test_observe_loop_search_is_linear(self, monkeypatch):
+        """Every member observes 0 .. n - 1, so the one search of the one
+        distinct trace against itself takes each observe of one trace and
+        then of the other: 2n + 1 states."""
+        from gai_lab import filtering
+
+        n, states = 400, []
+        real_search = filtering._lockstep
+
+        def counting_search(t1, t2):
+            for step in real_search(t1, t2):
+                states.append(1)
+                yield step
+
+        monkeypatch.setattr(filtering, "_lockstep", counting_search)
+        src = f"i = 0; while (i < {n}) {{ observe(i); i = i + 1; }}"
+        report = gai_check(*prepared(src), wf_trials=5)
+        assert report.verdict == "pass"
+        assert {len(trace) for _, trace in report.runs.values()} == {n}
+        assert len(states) <= 2 * n + 1
+
     def test_inconclusive_entries_name_every_member_sharing_a_trace(self):
         src = "p = malloc(8); observe(1); i = 0; while (i < p - 2110) { i = i + 1; } observe(2);"
         prog, env, heap = prepared(src)
