@@ -28,7 +28,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import Addr, Heap, heap_eq_on, interval
+from .core import Addr, Heap, interval
 
 # ---------------------------------------------------------------------------
 # Symbolic allocation events
@@ -163,10 +163,10 @@ class Strategy(ABC):
     state because the null allocator fixes its null address at init time.
     A malloc failed when it returned the null of the state it started from.
 
-    ``malloc`` and ``free`` return either the heap they were given or a new
-    one, and keep no reference to either: the interpreter and the
-    well-formedness harness write client cells into the heap they pass in
-    place.
+    ``init``, ``malloc`` and ``free`` change the heap they are given and
+    return it, and keep no reference to it: the heap belongs to the caller,
+    which writes client cells into it between calls (see
+    :mod:`gai_lab.core`).
     """
 
     name: str = "strategy"
@@ -211,8 +211,9 @@ def play_step(
     """One step of the play relation: realize ``ev`` after ``prefix``.
 
     ``ev`` may also be a size: a malloc that is realized as M if it
-    succeeds and as MF if it fails.  Raises :class:`Infeasible` when the
-    strategy cannot produce the event.
+    succeeds and as MF if it fails.  The strategy changes ``heap``, which is
+    returned.  Raises :class:`Infeasible` when the strategy cannot produce
+    the event.
     """
     pos = len(prefix) + 1
     if isinstance(ev, SymFree):
@@ -222,20 +223,19 @@ def play_step(
         entry = next((e for e in m if e.index == i), None)
         if entry is None:
             raise Infeasible(f"free {ev} targets a non-live allocation (index {i})", pos)
-        h2, st2 = strategy.free(heap, state, entry.addr)
-        return h2, st2, m - {entry}
+        return heap, strategy.free(heap, state, entry.addr)[1], m - {entry}
     if not isinstance(ev, (SymMalloc, SymFail, int)):
         raise TypeError(f"not a symbolic event: {ev!r}")
     size = ev if isinstance(ev, int) else ev.size
     null = strategy.null(state)
-    h2, st2, a = strategy.malloc(heap, state, size)
+    _, st2, a = strategy.malloc(heap, state, size)
     if a == null:
         if isinstance(ev, SymMalloc):
             raise Infeasible(f"malloc({size}) failed where success was demanded", pos)
-        return h2, st2, m
+        return heap, st2, m
     if isinstance(ev, SymFail):
         raise Infeasible(f"malloc({size}) succeeded where failure was demanded", pos)
-    return h2, st2, m | {AllocEntry(a, size, pos)}
+    return heap, st2, m | {AllocEntry(a, size, pos)}
 
 
 @dataclass(frozen=True)
@@ -249,11 +249,15 @@ class ClientUpdate:
     writes: tuple  # tuple[tuple[int, int], ...] of (slot, value)
 
     def apply(self, heap: Heap, allowed: Iterable[Addr]) -> None:
-        """Make the writes in ``heap`` itself, which the caller owns; a later
-        write to a slot's cell wins."""
+        """Make the writes in ``heap``; a later write to a slot's cell wins.
+
+        Writes go through :meth:`Heap.define`, so a cell that a broken
+        strategy left undefined gets defined rather than raising.
+        """
         cells = sorted(allowed)
-        if cells and self.writes:
-            heap.define_in_place({cells[slot % len(cells)]: value for slot, value in self.writes})
+        if cells:
+            for slot, value in self.writes:
+                heap.define([cells[slot % len(cells)]], value)
 
 
 NO_UPDATE = ClientUpdate(())
@@ -290,9 +294,11 @@ def _walk(strategy: Strategy, reserved: frozenset, start: tuple, plan, judge: Op
 
     ``plan(m, sigma)`` gives each step's ``(update, request)``, the request
     being what :func:`play_step` takes, or ``None`` at the end.  The walk
-    copies ``start``'s heap once (see :mod:`gai_lab.core` for the cost) and
-    writes the updates into the copy in place.  A ``judge`` dict gets each
-    clause's first violation of Basic-4 and :func:`_single_exec_violations`.
+    copies ``start``'s heap once (see :mod:`gai_lab.core` for the cost),
+    and the updates and the strategy change that copy.  A ``judge`` dict
+    gets each clause's first violation of Basic-4 and
+    :func:`_single_exec_violations`; for Basic-4 the walk keeps the values
+    of the client and reserved cells from before each strategy step.
     """
     heap, state = start[0].copy(), start[1]
     m = client = frozenset()  # client is addresses_of(m)
@@ -301,21 +307,25 @@ def _walk(strategy: Strategy, reserved: frozenset, start: tuple, plan, judge: Op
         upd, ev = step
         if upd.writes:  # an update without writes needs no allowed set
             upd.apply(heap, client | reserved)
-        h2, state, m2 = play_step(strategy, m, heap, state, sigma, ev)
+        if judge is not None:
+            cells = client | reserved
+            before = heap.read_many(cells)
+        _, state, m2 = play_step(strategy, m, heap, state, sigma, ev)
         if isinstance(ev, int):
             ev = SymMalloc(ev) if len(m2) > len(m) else SymFail(ev)
         client2 = client if m2 is m else addresses_of(m2)
         sigma.append(ev)
         updates.append(upd)
-        if judge is not None:
-            where = f"step {len(sigma)} ({ev})"
-            window = (client2 if isinstance(ev, SymFree) else client) | reserved
-            if not heap_eq_on(heap, h2, window):
-                diff = [a for a in sorted(window) if heap.read(a) != h2.read(a)]
-                judge.setdefault("Basic-4", f"{where} modified client cells {diff[:8]}")
-            for clause, detail in _single_exec_violations(strategy, state, m2, client2, h2, reserved):
-                judge.setdefault(clause, f"after {where}: {detail}")
-        heap, m, client = h2, m2, client2
+        if judge is not None:  # messages are formatted only on a violation
+            after = heap.read_many(cells)
+            if after != before:
+                window = (client2 if isinstance(ev, SymFree) else client) | reserved
+                diff = [a for a, x, y in zip(cells, before, after) if x != y and a in window]
+                if diff:
+                    judge.setdefault("Basic-4", f"step {len(sigma)} ({ev}) modified client cells {sorted(diff)[:8]}")
+            for clause, detail in _single_exec_violations(strategy, state, m2, client2, heap, reserved):
+                judge.setdefault(clause, f"after step {len(sigma)} ({ev}): {detail}")
+        m, client = m2, client2
     return heap, state, m, tuple(sigma), tuple(updates)
 
 
@@ -399,11 +409,9 @@ def _single_exec_violations(
 
 
 def _init_violations(heap: Heap, h0: Heap, reserved: frozenset) -> dict:
-    """Basic-3 for the heap ``h0`` of ``strategy.init(heap)``, as ``{clause: detail}``."""
-    if heap_eq_on(heap, h0, reserved):
-        return {}
-    diff = [a for a in sorted(reserved) if heap.read(a) != h0.read(a)]
-    return {"Basic-3": f"init changed reserved cells {diff[:8]}"}
+    """Basic-3 for ``h0``, what ``init`` made of a copy of ``heap``, as ``{clause: detail}``."""
+    diff = [a for a in reserved if heap.read(a) != h0.read(a)]
+    return {"Basic-3": f"init changed reserved cells {sorted(diff)[:8]}"} if diff else {}
 
 
 def _judge_relational(strategy: Strategy, reserved: frozenset, start: tuple, sigma: SymbolicSeq,
@@ -428,14 +436,14 @@ def check_history(
     updates1: Sequence[ClientUpdate],
     updates2: Sequence[ClientUpdate],
 ) -> dict:
-    """Replay one history from ``strategy.init(heap)`` and evaluate all ten
-    clauses on it.
+    """Replay one history from ``init`` on a copy of ``heap`` and evaluate
+    all ten clauses on it.
 
     Returns ``{clause: detail}`` for violated clauses (empty dict = clean).
     The single-execution clauses are checked after every step, which only
     instantiates the definition at each feasible prefix.
     """
-    start = strategy.init(heap)
+    start = strategy.init(heap.copy())
     violations = _init_violations(heap, start[0], reserved)
     try:
         m = _walk(strategy, reserved, start, _replay(updates1, sigma), violations)[2]
@@ -505,12 +513,13 @@ def wf_check(
 ) -> list[WfReport]:
     """Randomized allocator well-formedness check: one report per clause.
 
-    ``strategy.init(heap)`` is called once per call; Basic-3 is judged on
-    it, and each trial makes two runs from it.  The first draws the history
-    and is judged as it goes.  That is exact: strategies are deterministic,
-    so the judged replay of :func:`check_history` would repeat it step for
-    step.  The second replays the history with alternate updates for
-    Rel-1/Rel-2.  Rejection-sound: a failing report carries a witness that
+    ``init`` is called once per call, on a copy of ``heap``, which stays
+    unchanged; Basic-3 is judged on it, and each trial makes two runs from
+    it.  The first draws the history and is judged as it goes.  That is
+    exact: strategies are deterministic, so the judged replay of
+    :func:`check_history` would repeat it step for step.  The second
+    replays the history with alternate updates for Rel-1/Rel-2.
+    Rejection-sound: a failing report carries a witness that
     :func:`check_history` reproduces; each is replayed, from a fresh
     ``init``, before it is reported, and ``RuntimeError`` is raised when one
     does not reproduce, which would mean a nondeterministic strategy.
@@ -518,7 +527,7 @@ def wf_check(
     """
     if any(a not in heap for a in reserved):
         raise ValueError("reserved memory must be inside the heap domain")
-    start = strategy.init(heap)
+    start = strategy.init(heap.copy())
     init_violations = _init_violations(heap, start[0], reserved)
     failures: dict[str, tuple[int, WfWitness]] = {}
     for trial in range(trials):

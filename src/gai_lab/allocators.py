@@ -86,7 +86,8 @@ class EagerAlloc(_SegmentAlloc):
 
     def init(self, heap: Heap):
         p = self.params
-        return heap.undefine(interval(p.n2, p.n3)), frozenset()
+        heap.undefine(interval(p.n2, p.n3))
+        return heap, frozenset()
 
     def malloc(self, heap: Heap, state, size: int):
         p = self.params
@@ -95,7 +96,7 @@ class EagerAlloc(_SegmentAlloc):
         if a is None:
             return heap, state, self.null(state)
         if size > 0:
-            heap = heap.define(interval(a, a + size), 0)
+            heap.define(interval(a, a + size), 0)
         return heap, state | {(a, size)}, a
 
     def free(self, heap: Heap, state, addr: Addr):
@@ -104,7 +105,8 @@ class EagerAlloc(_SegmentAlloc):
             # Unregistered frees are ignored.
             return heap, state
         a, size = entry
-        return heap.undefine(interval(a, a + size)), state - {entry}
+        heap.undefine(interval(a, a + size))
+        return heap, state - {entry}
 
 
 class GuardedEagerAlloc(EagerAlloc):
@@ -132,13 +134,14 @@ class BumpAlloc(_SegmentAlloc):
 
     def init(self, heap: Heap):
         p = self.params
-        # The null cell lies outside the filled range, so it goes first, on
-        # the small heap.
-        heap = self._init_null_cell(heap).fill_undefined(interval(p.n2 + 1, p.n3), 0)
+        # The null cell lies outside the filled range, so it goes first, and
+        # the flat base that fill_undefined builds already holds it.
+        self._init_null_cell(heap)
+        heap.fill_undefined(interval(p.n2 + 1, p.n3), 0)
         return heap, p.n2 + 1
 
-    def _init_null_cell(self, heap: Heap) -> Heap:
-        return heap.undefine([self.params.n2])
+    def _init_null_cell(self, heap: Heap) -> None:
+        heap.undefine([self.params.n2])
 
     def malloc(self, heap: Heap, state: int, size: int):
         bump = state + (1 if size == 0 else size)
@@ -155,8 +158,8 @@ class LenientBumpAlloc(BumpAlloc):
 
     kind = "lenient-bump"
 
-    def _init_null_cell(self, heap: Heap) -> Heap:
-        return heap.define([self.params.n2], 0)
+    def _init_null_cell(self, heap: Heap) -> None:
+        heap.define([self.params.n2], 0)
 
 
 _SEGMENT_KINDS = {cls.kind: cls for cls in (EagerAlloc, GuardedEagerAlloc, BumpAlloc, LenientBumpAlloc)}
@@ -187,7 +190,8 @@ class CuriousAlloc(Strategy):
         self.name = f"curious:{m},{h_max}"
 
     def init(self, heap: Heap):
-        return heap.undefine(range(0, self.h_max + 1)), ("none",)
+        heap.undefine(range(0, self.h_max + 1))
+        return heap, ("none",)
 
     def null(self, state) -> Addr:
         return 0
@@ -200,7 +204,8 @@ class CuriousAlloc(Strategy):
             if _first_fit(heap, self.upper_max + 1, self.h_max + 1, size) is None:
                 return heap, state, 0
             a = self.upper_max + 1
-            return heap.define(interval(a, a + size), 0), ("first", a, size), a
+            heap.define(interval(a, a + size), 0)
+            return heap, ("first", a, size), a
         if tag == "first":
             v = heap.read(state[1])
             upper = v is not None and v > 0
@@ -210,7 +215,8 @@ class CuriousAlloc(Strategy):
         a = _first_fit(heap, lo, hi + 1, size)
         if a is None:
             return heap, state, 0
-        return heap.define(interval(a, a + size), 0), state, a
+        heap.define(interval(a, a + size), 0)
+        return heap, state, a
 
     def free(self, heap: Heap, state, addr: Addr):
         return heap, state
@@ -310,12 +316,16 @@ def parse_alloc_spec(text: str) -> Strategy:
     Grammar: ``eager:N1,N2,N3`` | ``bump:N1,N2,N3`` | ``curious:m,heapMax``
     | ``null`` | ``nozero(<inner>)`` | ``lenient-bump:N1,N2,N3``
     | ``guarded-eager:N1,N2,N3``, with every number in ASCII digits and no
-    spaces anywhere, so a spec reads exactly as the name it prints.
+    spaces anywhere, so a spec reads exactly as the name it prints.  The
+    inner spec of a ``nozero`` is not itself a ``nozero``.
     """
     if text == "null":
         return null_alloc()
     if text.startswith("nozero(") and text.endswith(")"):
-        return no_zero(parse_alloc_spec(text[len("nozero(") : -1]))
+        inner = text[len("nozero(") : -1]
+        if inner.startswith("nozero("):  # idempotent, and no recursion per level
+            raise ValueError(f"bad allocator spec {text!r}: nozero( directly inside nozero(")
+        return no_zero(parse_alloc_spec(inner))
     if ":" not in text:
         raise ValueError(f"bad allocator spec {text!r}")
     kind, _, args = text.partition(":")

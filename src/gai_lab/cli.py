@@ -40,6 +40,13 @@ def _read_text(path: str) -> str:
         _fail(str(exc))
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        _fail(str(exc))
+
+
 def _parse_inits(pairs) -> dict:
     out = {}
     for pair in pairs:
@@ -112,7 +119,7 @@ def cmd_run(program_path, alloc, fuel, base, inits, out_path, as_json):
     program, env, heap, _ = _load_program(program_path, base, _parse_inits(inits))
     outcome = notac.run(env, strategy, program, heap, fuel)
     if out_path:
-        Path(out_path).write_text(notac.dump_trace(outcome.trace))
+        _write_text(out_path, notac.dump_trace(outcome.trace))
     if as_json:
         payload = {
             "outcome": outcome.kind,
@@ -127,6 +134,9 @@ def cmd_run(program_path, alloc, fuel, base, inits, out_path, as_json):
         if outcome.stuck:
             click.echo(f"reason: {outcome.reason} (at {outcome.pos[0]}:{outcome.pos[1]})")
         click.echo(f"trace: {notac.format_trace(outcome.trace)}")
+    if outcome.kind == "out-of-fuel":  # inconclusive
+        click.echo(f"inconclusive: ran out of fuel ({fuel} steps)", err=True)
+        sys.exit(2)
     sys.exit(0 if not outcome.stuck else 1)
 
 
@@ -265,6 +275,9 @@ def cmd_ms_run(program_path, fuel, inits):
     if outcome.ok:
         for name, value in sorted(outcome.state.store.items()):
             click.echo(f"  {name} = {value!r}")
+    if outcome.kind == "diverged":  # inconclusive
+        click.echo(f"inconclusive: ran out of fuel ({fuel} steps)", err=True)
+        sys.exit(2)
     sys.exit(0 if outcome.ok else 1)
 
 
@@ -279,7 +292,7 @@ def cmd_translate(program_path, out_path):
     except memsafe.ReservedVariableError as exc:
         _fail(f"{program_path}: {exc}")
     if out_path:
-        Path(out_path).write_text(source)
+        _write_text(out_path, source)
         click.echo(f"wrote {out_path}")
     else:
         click.echo(source, nl=False)

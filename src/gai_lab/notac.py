@@ -685,7 +685,7 @@ class Stuck(Exception):
 
 class Config(NamedTuple):
     stack: tuple  # tuple[Cmd, ...]; head runs first
-    heap: Heap  # step writes client cells into it in place
+    heap: Heap  # every step changes it in place
     state: object
 
 
@@ -775,7 +775,7 @@ def _assign(env, strategy, cmd, rest, heap, state):
     a = cmd.lval.code(env, strategy, state, heap)
     v = cmd.expr.code(env, strategy, state, heap)
     try:
-        heap.write_in_place(a, v)
+        heap.write(a, v)
     except InaccessibleWrite as exc:
         raise Stuck(str(exc)) from None
     return Config(rest, heap, state), (CastEv(v) if type(cmd) is CastAssign else None)
@@ -785,21 +785,20 @@ def _malloc(env, strategy, cmd, rest, heap, state):
     n = cmd.size.code(env, strategy, state, heap)
     if n < 0:
         raise Stuck(f"malloc size {n} is negative")
-    h2, st2, a = strategy.malloc(heap, state, n)
+    _, st2, a = strategy.malloc(heap, state, n)
     # The lval evaluates against the post-malloc heap.
-    target = cmd.lval.code(env, strategy, st2, h2)
+    target = cmd.lval.code(env, strategy, st2, heap)
     try:
-        h2.write_in_place(target, a)
+        heap.write(target, a)
     except InaccessibleWrite:
         raise Stuck(f"malloc target address {target} is inaccessible") from None
     ev = MallocFailEv(n) if a == strategy.null(state) else MallocEv(n, a)
-    return Config(rest, h2, st2), ev
+    return Config(rest, heap, st2), ev
 
 
 def _free(env, strategy, cmd, rest, heap, state):
     v = cmd.expr.code(env, strategy, state, heap)
-    h2, st2 = strategy.free(heap, state, v)
-    return Config(rest, h2, st2), FreeEv(v)
+    return Config(rest, heap, strategy.free(heap, state, v)[1]), FreeEv(v)
 
 
 # Command type -> its rule: (env, strategy, cmd, rest, heap, state) -> (next Config, event or None).
@@ -818,10 +817,11 @@ def step(env: dict, strategy: Strategy, cfg: Config) -> Optional[tuple[Config, O
     """One small step; ``None`` when the configuration is fully reduced.
 
     The head command's type picks its rule from ``_RULES``, and the step
-    builds no syntax (see :func:`run`).  Client writes (assignments, casts,
-    and the target cell of a malloc) go into ``cfg.heap`` in place, so the
-    caller must own that heap.  Allocator steps may return a new heap.
-    Raises :class:`Stuck`, at the command's position, when no rule applies.
+    builds no syntax (see :func:`run`).  The step changes ``cfg.heap`` in
+    place, through client writes (assignments, casts, and the target cell
+    of a malloc) and the allocator's own changes, and the next
+    configuration holds the same heap.  Raises :class:`Stuck`, at the
+    command's position, when no rule applies.
     """
     stack = cfg.stack
     while stack and type(stack[0]) is Seq:
@@ -848,9 +848,9 @@ def run(
 ) -> Outcome:
     """Initialize the strategy and iterate small steps until done.
 
-    ``heap`` is left unchanged: the run copies the heap once after
-    ``strategy.init`` and :func:`step` writes into that copy in place.  The
-    copy shares the base of ``init``'s heap and copies only its overlay (see
+    ``heap`` is left unchanged: the run copies it once, before
+    ``strategy.init``, and ``init`` and every :func:`step` change that copy.
+    The copy shares the caller's base and copies only its overlay (see
     :mod:`gai_lab.core`), so it costs the cells changed since that base was
     built, not the size of the heap.  Expression closures and loop unrollings
     are cached on the program's nodes, so reruns share them.  The
@@ -860,9 +860,7 @@ def run(
     missing = [a for a in env.values() if a not in heap]
     if missing:
         raise CompatibilityError(f"environment cells {sorted(missing)[:8]} not in the heap")
-    h0, st0 = strategy.init(heap)
-    # The copy is the run's own heap; NullAlloc.init returns the caller's.
-    cfg = Config((program.body,), h0.copy(), st0)
+    cfg = Config((program.body,), *strategy.init(heap.copy()))
     trace: list[Event] = []
     for _ in range(fuel):
         try:

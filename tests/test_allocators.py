@@ -121,7 +121,9 @@ class TestEager:
 
     def test_init_preserves_reserved_and_outside(self):
         e = eager(0, 100, 200)
-        seed = reserved_heap().define([300], 9).define([150], 5)
+        seed = reserved_heap()
+        seed.define([300], 9)
+        seed.define([150], 5)
         h, st = e.init(seed)
         assert h.read(50) == 0  # reserved kept
         assert h.read(300) == 9  # outside the segment kept
@@ -209,7 +211,8 @@ class TestCurious:
         c = curious(9, 2047)
         h, st = c.init(Heap())
         h, st, a = c.malloc(h, st, 4)
-        positive = h.write(a, 5)
+        positive = h.copy()
+        positive.write(a, 5)
         _, st_pos, b = c.malloc(positive, st, 4)
         assert (b, st_pos) == (257, ("span", 257, 512))
         _, st_zero, b2 = c.malloc(h, st, 4)  # cell still zero
@@ -286,9 +289,8 @@ def test_determinism():
                  "null", "nozero(bump:0,100,200)", "lenient-bump:0,100,200",
                  "guarded-eager:0,100,200"):
         s1, s2 = parse_alloc_spec(spec), parse_alloc_spec(spec)
-        seed = reserved_heap()
-        h1, st1 = s1.init(seed)
-        h2, st2 = s2.init(seed)
+        h1, st1 = s1.init(reserved_heap())
+        h2, st2 = s2.init(reserved_heap())
         assert (h1, st1) == (h2, st2)
         assert s1.malloc(h1, st1, 8) == s2.malloc(h2, st2, 8)
 

@@ -330,3 +330,50 @@ def test_init_takes_a_negative_value(tmp_path):
     prog = write(tmp_path, "prog.ntc", "observe(x);")
     res = invoke("run", prog, "--init", "x=-42")
     assert res.exit_code == 0 and "obs(-42)" in res.output
+
+
+def nested_nozero(levels: int) -> str:
+    return "nozero(" * levels + "bump:0,8,72" + ")" * levels
+
+
+@pytest.mark.parametrize("levels", [2, 2000])
+@pytest.mark.parametrize("args", [("wf", "{spec}"), ("run", "{prog}", "--alloc", "{spec}"),
+                                  ("gai", "{prog}", "--family", "{spec}")], ids=["wf", "run", "gai"])
+def test_nested_nozero_exits_2(tmp_path, args, levels):
+    prog = write(tmp_path, "prog.ntc", "x = 1; observe(x);")
+    spec = nested_nozero(levels)
+    res = invoke(*(a.format(prog=prog, spec=spec) for a in args))
+    assert_usage_error(res, "nozero( directly inside nozero(")
+
+
+def test_one_nozero_still_parses():
+    assert invoke("wf", nested_nozero(1), "--trials", "5").exit_code == 0
+
+
+@pytest.mark.parametrize("command", ["run", "translate"])
+def test_an_unwritable_output_path_exits_2(tmp_path, command):
+    if command == "run":
+        args = ("run", write(tmp_path, "prog.ntc", "observe(1);"), "--out", "/nonexistent/x")
+    else:
+        args = ("translate", write(tmp_path, "prog.ms", "x <- 1"), "-o", "/nonexistent/x")
+    res = invoke(*args)
+    assert_usage_error(res, "error: ")
+    assert "/nonexistent/x" in res.output
+
+
+def test_run_out_of_fuel_exits_2_and_names_the_fuel(tmp_path):
+    prog = write(tmp_path, "prog.ntc", "i = 0; while (1) { i = i + 1; }")
+    res = invoke("run", prog, "--fuel", "50")
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.stdout.startswith("outcome: out-of-fuel\ntrace: ")
+    assert res.stderr == "inconclusive: ran out of fuel (50 steps)\n"
+    res = invoke("run", prog, "--fuel", "50", "--json")
+    assert res.exit_code == 2 and json.loads(res.stdout)["outcome"] == "out-of-fuel"
+
+
+def test_ms_run_out_of_fuel_exits_2_and_names_the_fuel(tmp_path):
+    ms = write(tmp_path, "loop.ms", "while 1 do skip end")
+    res = invoke("ms-run", ms, "--fuel", "60")
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.stdout == "outcome: diverged (fuel exhausted)\n"
+    assert res.stderr == "inconclusive: ran out of fuel (60 steps)\n"

@@ -21,7 +21,7 @@ from gai_lab.gai import (
     gai_check,
 )
 from gai_lab.notac import CastEv, FreeEv, MallocEv, MallocFailEv, ObsEv, make_env, parse, run
-from test_gai_oracle import bruteforce_prefixes_similar, bruteforce_reaches
+from test_gai_oracle import bruteforce_prefixes_similar, bruteforce_reaches, class_members
 
 
 def prepared(src, base=DEFAULT_ENV_BASE, inits=None):
@@ -161,7 +161,8 @@ class TestGaiCheck:
             # init tramples a program variable: flunks Basic-3
             def init(self, heap):
                 h, st = super().init(heap)
-                return h.define([DEFAULT_ENV_BASE], 99), st
+                h.define([DEFAULT_ENV_BASE], 99)
+                return h, st
 
         bad = VarSmasher(SegmentParams(2048, 2112, 2176))
         with pytest.raises(FamilyNotWellFormed):
@@ -338,8 +339,8 @@ M1, M2, F1 = MallocEv(8, 100), MallocEv(8, 200), FreeEv(100)
 def test_reach_is_impact_of_the_next_prefix_or_another_candidate(pair):
     u, v = pair
     for j, ev in enumerate(u):
-        t, cls = u[:j], dchar(ev)
-        reach = bruteforce_reaches(t, cls, v)
+        t = u[:j]
+        reach = bruteforce_reaches(t, class_members(ev, (u, v)), v)
         if prefixes_similar_to(u[: j + 1], v):
             assert reach
         assert reach == (bool(bruteforce_prefixes_similar(u[: j + 1], v)) or _reached_by_another(t, ev, v))

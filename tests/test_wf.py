@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gai_lab import memsafe, notac
 from gai_lab.alloc_model import (
     WF_CLAUSES,
     Strategy,
@@ -17,8 +18,8 @@ from gai_lab.alloc_model import (
     wf_check,
 )
 from gai_lab.allocators import bump, curious, eager, guarded_eager, lenient_bump, no_zero, null_alloc
-from gai_lab.core import Heap
-from gai_lab.gai import default_family
+from gai_lab.core import Heap, InaccessibleWrite
+from gai_lab.gai import DEFAULT_ENV_BASE, FamilyNotWellFormed, default_family, gai_check
 from test_core import count_copied_cells
 from test_symbolic import gen_update_seq
 
@@ -73,7 +74,8 @@ class OverlappingAlloc(Strategy):
     def malloc(self, heap, state, size):
         if size == 0 or size > 60:
             return self.inner.malloc(heap, state, size)
-        return heap.define(range(9, 9 + size), 0), state, 9
+        heap.define(range(9, 9 + size), 0)
+        return heap, state, 9
 
     def free(self, heap, state, addr):
         return heap, state
@@ -93,8 +95,9 @@ class FlakyInit(Strategy):
 
     def init(self, heap):
         self.inits += 1
-        h, state = self.inner.init(heap)
-        return (h.write(1, 99) if self.inits == 1 else h), state
+        if self.inits == 1:
+            heap.write(1, 99)
+        return self.inner.init(heap)
 
     def null(self, state):
         return self.inner.null(state)
@@ -143,7 +146,7 @@ def test_failures_are_judged_by_the_null_of_the_state_before_the_call():
     reports = wf_check(MovingNull(), RESERVED, HEAP, trials=300, seed=0)
     assert all(r.passed for r in reports), [(r.clause, r.witness.detail) for r in reports if not r.passed]
     for trial in range(50):
-        sigma, _ = _gen_feasible_history(MovingNull(), RESERVED, MovingNull().init(HEAP), random.Random(trial), 12)
+        sigma, _ = _gen_feasible_history(MovingNull(), RESERVED, MovingNull().init(HEAP.copy()), random.Random(trial), 12)
         assert not any(isinstance(ev, SymMalloc) for ev in sigma)
 
 
@@ -157,7 +160,8 @@ class ReservedSmasher(Strategy):
 
     def init(self, heap):
         h, st = self.inner.init(heap)
-        return h.define([0], 77), st
+        h.define([0], 77)
+        return h, st
 
     def null(self, state):
         return self.inner.null(state)
@@ -256,7 +260,9 @@ class MallocWrites(Strategy):
 
     def malloc(self, heap, state, size):
         heap, bumped, a = self.inner.malloc(heap, state, size)
-        return (heap.write(self.cell, 42) if state > self.cell else heap), bumped, a
+        if state > self.cell:
+            heap.write(self.cell, 42)
+        return heap, bumped, a
 
     def free(self, heap, state, addr):
         return self.inner.free(heap, state, addr)
@@ -308,7 +314,7 @@ def test_harness_leaves_the_callers_heap_and_the_init_result_unchanged(inner):
     wf_check(strategy, RESERVED, heap, trials=40, seed=1)
     for trial in range(20):
         rng = random.Random(trial)
-        start = strategy.init(heap)
+        start = strategy.init(heap.copy())
         sigma, updates1 = _gen_feasible_history(strategy, RESERVED, start, rng, 12)
         updates2 = tuple(_gen_update(rng) for _ in sigma)
         check_history(strategy, RESERVED, heap, sigma, updates1, updates2)
@@ -408,6 +414,50 @@ def test_a_trial_fails_the_clauses_check_history_fails_on_its_history(strategy):
     for k in range(30):
         failed = {r.clause for r in wf_check(strategy, RESERVED, HEAP, trials=1, seed=k) if not r.passed}
         rng = random.Random(k * 1_000_003)
-        sigma, updates1 = _gen_feasible_history(strategy, RESERVED, strategy.init(HEAP), rng, 12)
+        sigma, updates1 = _gen_feasible_history(strategy, RESERVED, strategy.init(HEAP.copy()), rng, 12)
         updates2 = tuple(_gen_update(rng) for _ in sigma)
         assert set(check_history(strategy, RESERVED, HEAP, sigma, updates1, updates2)) == failed, k
+
+
+OWNERSHIP_CASES = [(s, DEFAULT_ENV_BASE) for s in default_family()] + [
+    (s, 0) for s in (OverlappingAlloc(), FlakyInit(), MovingNull(), ReservedSmasher(), ClientPeeker(),
+                     MallocWrites(3), MallocWrites(9), EveryThirdMallocFails())
+]
+
+
+@pytest.mark.parametrize("strategy,base", OWNERSHIP_CASES, ids=[s.name for s, _ in OWNERSHIP_CASES])
+def test_no_entry_point_changes_the_callers_heap(strategy, base, monkeypatch):
+    """A heap belongs to its caller: each entry point that runs a strategy
+    copies the heap it is given before anything changes it, whether the
+    call returns or raises (a broken strategy may write outside the heap,
+    or flunk the family's well-formedness check)."""
+    prog = notac.parse("x = 1; p = malloc(2); if (p != NULL) { *p = x; x = *p + 1; free(p); } q = malloc(0); observe(x);")
+    env = notac.make_env(prog, base)[0]
+    reserved = frozenset(range(base, base + 8))
+    heap = Heap(dict.fromkeys(reserved, 0))
+    before = list(heap.items())
+    sigma = parse_symseq("M2,M0,F1,M5")
+    made = []  # the heaps differential_check builds, with their cells
+    make_env = notac.make_env
+
+    def recording_make_env(*args, **kwargs):
+        out = make_env(*args, **kwargs)
+        made.append((out[1], list(out[1].items())))
+        return out
+
+    monkeypatch.setattr(notac, "make_env", recording_make_env)
+    calls = [
+        lambda: notac.run(env, strategy, prog, heap),
+        lambda: wf_check(strategy, reserved, heap, trials=20, seed=1),
+        lambda: check_history(strategy, reserved, heap, sigma, gen_update_seq(1, 4), gen_update_seq(2, 4)),
+        lambda: gai_check(prog, env, heap, [strategy], wf_trials=5),
+        lambda: memsafe.differential_check(memsafe.ms_parse("x <- alloc(2); [x] <- 7; y <- [x]"),
+                                           family=[strategy], wf_trials=5),
+    ]
+    for call in calls:
+        try:
+            call()
+        except (RuntimeError, FamilyNotWellFormed, InaccessibleWrite):
+            pass
+        assert list(heap.items()) == before
+    assert len(made) == 1 and list(made[0][0].items()) == made[0][1]
