@@ -4,7 +4,8 @@ Subcommands: ``run`` (execute a .ntc file under one allocator), ``similar``
 and ``filter`` (trace reasoning), ``gai`` (differential check), ``wf``
 (allocator well-formedness), ``ms-run`` / ``translate`` (Memsafe), and
 ``corpus`` (the worked-example table).  Exit codes: 0 pass/ok, 1 violation
-or verdict mismatch, 2 usage errors and inconclusive results.
+or a verdict that contradicts the expected one, 2 usage errors and
+inconclusive results.
 """
 
 from __future__ import annotations
@@ -96,6 +97,9 @@ def _family_from(spec: str):
 @click.group()
 def main():
     """Allocator-independence workbench."""
+    # Values are unbounded ints (see ``core``), so read and print them whole.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 @main.command("run")
@@ -305,8 +309,12 @@ def cmd_translate(program_path, out_path):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_corpus(family, fuel, wf_trials, as_json):
     """Check every corpus case against its expected verdict."""
-    results = corpus_mod.run_corpus(_family_from(family), fuel, wf_trials)
+    try:
+        results = corpus_mod.run_corpus(_family_from(family), fuel, wf_trials)
+    except FamilyNotWellFormed as exc:
+        _fail(str(exc))
     mismatches = [r for r in results if not r.matches]
+    contradictions = [r for r in mismatches if r.actual != "INCONCLUSIVE"]
     if as_json:
         click.echo(
             json.dumps(
@@ -319,10 +327,10 @@ def cmd_corpus(family, fuel, wf_trials, as_json):
     else:
         width = max(len(r.case.name) for r in results)
         for r in results:
-            mark = "ok" if r.matches else "MISMATCH"
+            mark = "ok" if r.matches else "inconclusive" if r.actual == "INCONCLUSIVE" else "MISMATCH"
             click.echo(f"{r.case.name:<{width}}  expected={r.case.expected:<6} actual={r.actual:<12} {mark}")
         click.echo(f"{len(results) - len(mismatches)}/{len(results)} verdicts match")
-    sys.exit(0 if not mismatches else 1)
+    sys.exit(1 if contradictions else 2 if mismatches else 0)
 
 
 if __name__ == "__main__":

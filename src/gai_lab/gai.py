@@ -7,21 +7,37 @@ with a finite family of strategies whose behaviors cover the classic
 rejection arguments (null-protecting vs not, adjacent vs guarded blocks,
 freed-memory-protecting vs not, always-failing, client-dependent
 placement).  The verdict is rejection-sound: a reported violation replays;
-a pass means "no violation found within this family and fuel".
+a pass means "no violation found within this family and fuel", and that no
+member ran out of fuel.
 
-For every producer run, at every event, the allocators whose runs have a
-prefix similar to the current trace must be able to reach the event's
-downgrading class: the exact event for frees and observes, any same-size
-allocation outcome for malloc/mfail, any cast for casts.
+For every producer run ``u``, at every event ``u[j]``, each member whose run
+``v`` has a prefix similar to ``u[:j]`` must reach the event's downgrading
+class: some event ``c`` of the class must make ``u[:j] + (c,)`` similar to
+a prefix of ``v``.  The class of a malloc or mfail is every malloc and mfail
+of its size, that of a cast is every cast, and a free or an observe is alone
+in its class.  Only prefixes of equal length can be similar, so one search
+per pair of distinct traces (``similar_prefixes``) gives the row
+``{i : u[:i] is similar to v[:i]}``, and reach needs nothing more: when
+``j`` is in the row, ``v`` reaches ``u[j]``'s class exactly when ``j + 1`` is
+in the row or ``v[j]`` lies in that class.
 
-The event belongs to its class, so reach at position ``j`` is impact at
-``j + 1`` unless another class member (the other allocation outcome,
-another cast value) extends the prefix.  A malloc's address does not matter
-there: it ends the extended trace, where no free follows that could pass on
-it.  Only prefixes of equal length can be similar, and one search per pair
-of distinct producer and member traces (``similar_prefixes``) decides them
-all, so it gives impact at every position, and with it reach, but for the
-other class members: each of those takes one more search.
+Why this is exact.  Every alloc event consumes one filter item; observes
+and casts never consume one and always land in the residue.  So similar
+traces have equal numbers of alloc events, and equal numbers of observes
+plus casts.  Let ``u[:j]`` be similar to ``v[:j]`` and ``c`` lie in
+``u[j]``'s class.
+
+* Alloc class of size ``s``.  If ``u[:j] + (c,)`` is similar to ``v[:j+1]``,
+  then ``v[j]`` is an alloc event; both ``c`` and ``v[j]`` are last events,
+  so both consume the filter's last item: same kind, same size.
+  Conversely, if ``v[j]`` is an alloc of size ``s``, take ``c`` with
+  ``v[j]``'s item and append that item to the filter of ``u[:j]``.  No free
+  follows, so a malloc's address cannot matter.
+* Cast class.  ``v[j]`` must be an observe or a cast, and the residues end
+  in ``c`` and in ``v[j]``, so ``v[j] = c``.  Conversely, ``c = v[j]`` joins
+  both residues.
+* Observe and free.  The class has no other member, and an equal last
+  event joins both residues, so reach is ``j + 1`` in the row.
 """
 
 from __future__ import annotations
@@ -32,7 +48,7 @@ from typing import Optional, Sequence
 from . import allocators
 from .alloc_model import Strategy, wf_check
 from .core import Heap
-from .filtering import prefixes_similar_to, similar_prefixes
+from .filtering import similar_prefixes
 from .notac import (
     CastEv,
     Event,
@@ -47,85 +63,25 @@ from .notac import (
 )
 
 # ---------------------------------------------------------------------------
-# Downgrading characterization
+# Downgrading classes
 
 
-@dataclass(frozen=True)
-class AllocClass:
-    """All malloc/mfail events of one size."""
-
-    size: int
-
-
-@dataclass(frozen=True)
-class CastClass:
-    """All cast events."""
+def same_class(a: Event, b: Event) -> bool:
+    """Do ``a`` and ``b`` lie in one downgrading class (module docstring)?"""
+    if isinstance(a, (MallocEv, MallocFailEv)):
+        return isinstance(b, (MallocEv, MallocFailEv)) and a.size == b.size
+    if isinstance(a, CastEv):
+        return isinstance(b, CastEv)
+    return a == b
 
 
-@dataclass(frozen=True)
-class Singleton:
-    """Exactly one event: no downgrading."""
-
-    event: Event
-
-
-EventClass = AllocClass | CastClass | Singleton
-
-
-def dchar(ev: Event) -> EventClass:
-    """Per-event bound on the allocator information the event may release."""
+def clause_name(ev: Event) -> str:
+    """The clause a member fails when it cannot reach ``ev``'s class."""
     if isinstance(ev, (MallocEv, MallocFailEv)):
-        return AllocClass(ev.size)
-    if isinstance(ev, CastEv):
-        return CastClass()
-    return Singleton(ev)
-
-
-def clause_name(cls: EventClass) -> str:
-    if isinstance(cls, AllocClass):
         return "malloc-progress"
-    if isinstance(cls, CastClass):
+    if isinstance(ev, CastEv):
         return "cast-progress"
     return "noninterference"
-
-
-# ---------------------------------------------------------------------------
-# Impact approximations
-
-
-def _class_candidates(cls: EventClass, probe_trace: Trace) -> list:
-    """Finite candidate events for the existential over the class.
-
-    A candidate ends the extended trace, where no free follows that could
-    pass on a malloc's address, so one successful malloc drawn from the
-    probe stands for every address; cast and singleton events are matched
-    by exact value, so only values the probe actually produced can work.
-    """
-    if isinstance(cls, AllocClass):
-        cands: list = [MallocFailEv(cls.size)]
-        for ev in probe_trace:
-            if isinstance(ev, MallocEv) and ev.size == cls.size:
-                cands.append(ev)
-                break
-        return cands
-    if isinstance(cls, CastClass):
-        seen, cands = set(), []
-        for ev in probe_trace:
-            if isinstance(ev, CastEv) and ev.val not in seen:
-                seen.add(ev.val)
-                cands.append(ev)
-        return cands
-    return [cls.event]
-
-
-def _reached_by_another(t: Trace, ev: Event, probe: Trace) -> bool:
-    """Does a prefix of ``probe`` realize ``t`` extended by a member of ``ev``'s
-    class other than ``ev``?  Mallocs of one size count as one (see above)."""
-    return any(
-        prefixes_similar_to(t + (c,), probe)
-        for c in _class_candidates(dchar(ev), probe)
-        if c != ev and not (isinstance(c, MallocEv) and isinstance(ev, MallocEv))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +122,7 @@ class Violation:
 class GaiReport:
     verdict: str  # "pass" | "violation" | "inconclusive"
     violation: Optional[Violation] = None
-    inconclusive: tuple = ()  # names of fuel-exhausted probes involved in failures
+    inconclusive: tuple = ()  # entries naming the members that ran out of fuel
     outcomes: dict = field(default_factory=dict)  # member name -> its run's Outcome
 
     @property
@@ -255,15 +211,15 @@ def gai_check(
     event's downgrading class.  The first failure (producers in family
     order, positions ascending, witnesses in family order) is reported.  A
     reaching-check that fails against a fuel-exhausted probe is recorded as
-    inconclusive, never as a violation.
+    inconclusive, never as a violation; when no check fails, a member that
+    ran out of fuel still makes the verdict inconclusive.
 
-    One search per distinct pair of producer trace ``u`` and member trace
-    ``v`` gives the row ``{i : u[:i] is similar to v[:i]}``: the members
-    that ran ``v`` are in the impact of ``u[:j]`` when ``j`` is in the row,
-    and reach ``u[j]`` itself when ``j + 1`` is;
-    ``_reached_by_another`` tries the rest of the class.  Raises
-    ``ValueError`` on an empty family, and :class:`FamilyNotWellFormed` when
-    a member fails the well-formedness check.
+    One search per pair of distinct producer trace ``u`` and member trace
+    ``v`` gives the row ``{i : u[:i] is similar to v[:i]}``, and the row and
+    ``v[j]`` decide reach at ``j`` (module docstring), so a passing check
+    runs d * d searches for d distinct traces.  Raises ``ValueError`` on an
+    empty family, and :class:`FamilyNotWellFormed` when a member fails the
+    well-formedness check.
     """
     family = list(default_family() if family is None else family)
     if not family:
@@ -286,7 +242,7 @@ def gai_check(
             rows[a] = [similar_prefixes(u, v) for v in traces]
         for j, ev in enumerate(u):
             unreached = [
-                j in row and j + 1 not in row and not _reached_by_another(u[:j], ev, v)
+                j in row and j + 1 not in row and not (j < len(v) and same_class(v[j], ev))
                 for row, v in zip(rows[a], traces)
             ]
             for (beta, out_b), d in zip(outcomes, member_trace):
@@ -301,13 +257,15 @@ def gai_check(
                     producer=alpha.name,
                     witness_member=beta.name,
                     position=j,
-                    clause=clause_name(dchar(ev)),
+                    clause=clause_name(ev),
                     prefix=u[:j],
                     event=ev,
                     producer_trace=u,
                     witness_trace=out_b.trace,
                 )
                 return GaiReport("violation", violation, tuple(inconclusive), by_name)
-    if inconclusive:
-        return GaiReport("inconclusive", None, tuple(inconclusive), by_name)
-    return GaiReport("pass", None, (), by_name)
+    if not inconclusive:
+        inconclusive = [
+            f"{beta.name} ran out of fuel ({fuel} steps)" for beta, o in outcomes if o.kind == "out-of-fuel"
+        ]
+    return GaiReport("inconclusive" if inconclusive else "pass", None, tuple(inconclusive), by_name)

@@ -264,6 +264,28 @@ def test_corpus_json():
     assert all(row["expected"] == row["actual"] for row in data)
 
 
+def test_corpus_marks_inconclusive_cases_and_exits_2():
+    res = invoke("corpus", "--fuel", "3", "--wf-trials", "2")
+    assert res.exit_code == 2, res.output
+    rows = res.output.splitlines()[:-1]
+    assert sum(row.endswith(" inconclusive") for row in rows) == 9
+    assert "null-deref" in next(row for row in rows if row.endswith(" ok"))
+    assert "MISMATCH" not in res.output and "1/10 verdicts match" in res.output
+    data = json.loads(invoke("corpus", "--fuel", "3", "--wf-trials", "2", "--json").output)
+    assert sum(row["actual"] == "INCONCLUSIVE" for row in data) == 9
+
+
+def test_corpus_contradiction_exits_1_beside_inconclusive_cases():
+    res = invoke("corpus", "--family", "eager:2048,2112,6208", "--fuel", "4", "--wf-trials", "2")
+    assert res.exit_code == 1, res.output
+    assert "MISMATCH" in res.output and " inconclusive" in res.output
+
+
+def test_corpus_family_not_well_formed_exits_2():
+    res = invoke("corpus", "--family", "eager:2048,2048,2050")
+    assert_usage_error(res, "error: family member eager:2048,2048,2050 failed well-formedness")
+
+
 def assert_usage_error(res, message):
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)  # a message, not a traceback
@@ -377,3 +399,26 @@ def test_ms_run_out_of_fuel_exits_2_and_names_the_fuel(tmp_path):
     assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
     assert res.stdout == "outcome: diverged (fuel exhausted)\n"
     assert res.stderr == "inconclusive: ran out of fuel (60 steps)\n"
+
+
+HUGE = "7" * 5000  # past Python's default limit of 4,300 digits per int-string conversion
+
+
+@pytest.mark.parametrize("args", [("run", "{ntc}"), ("gai", "{ntc}", "--wf-trials", "2"),
+                                  ("ms-run", "{ms}"), ("translate", "{ms}")])
+def test_a_literal_of_5000_digits_is_read_whole(tmp_path, args):
+    ntc = write(tmp_path, "big.ntc", f"x = {HUGE}; observe(x);")
+    ms = write(tmp_path, "big.ms", f"x <- {HUGE}")
+    res = invoke(*(a.format(ntc=ntc, ms=ms) for a in args))
+    assert res.exit_code == 0, res.output
+    assert HUGE in res.output
+
+
+@pytest.mark.parametrize("args", [("run", "{ntc}"), ("run", "{ntc}", "--json"),
+                                  ("gai", "{ntc}", "--wf-trials", "2"), ("ms-run", "{ms}")])
+def test_a_value_grown_past_4300_digits_is_printed_whole(tmp_path, args):
+    ntc = write(tmp_path, "grow.ntc", "x = 10; i = 0; while (i < 13) { x = x * x; i = i + 1; } observe(x);")
+    ms = write(tmp_path, "grow.ms", "x <- 10; i <- 0; while i <= 12 do x <- x * x; i <- i + 1 end")
+    res = invoke(*(a.format(ntc=ntc, ms=ms) for a in args))
+    assert res.exit_code == 0, res.output
+    assert "1" + "0" * 2 ** 13 in res.output  # 10 ** 2 ** 13

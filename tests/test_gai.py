@@ -4,21 +4,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gai_lab import gai
 from gai_lab.allocators import bump, eager, lenient_bump, null_alloc
-from gai_lab.filtering import prefixes_similar_to
+from gai_lab.corpus import CASES, prepare_case
+from gai_lab.filtering import prefixes_similar_to, similar_prefixes
 from gai_lab.gai import (
-    AllocClass,
-    CastClass,
     DEFAULT_ENV_BASE,
     FamilyNotWellFormed,
-    Singleton,
-    _class_candidates,
-    _reached_by_another,
     check_family_wf,
-    dchar,
     default_family,
     gai_check,
+    same_class,
 )
 from gai_lab.notac import CastEv, FreeEv, MallocEv, MallocFailEv, ObsEv, make_env, parse, run
 from test_gai_oracle import bruteforce_prefixes_similar, bruteforce_reaches, class_members
@@ -30,26 +25,31 @@ def prepared(src, base=DEFAULT_ENV_BASE, inits=None):
     return prog, env, heap
 
 
-class TestDchar:
-    def test_alloc_events(self):
-        assert dchar(MallocEv(8, 0x1000)) == AllocClass(8)
-        assert dchar(MallocFailEv(8)) == AllocClass(8)
+def corpus_case(name):
+    return prepare_case(next(case for case in CASES if case.name == name))
 
-    def test_cast(self):
-        assert dchar(CastEv(42)) == CastClass()
 
-    def test_singletons(self):
-        assert dchar(ObsEv(7)) == Singleton(ObsEv(7))
-        assert dchar(FreeEv(3)) == Singleton(FreeEv(3))
+class TestClauseName:
+    def test_placement_feeding_a_malloc_size_fails_malloc_progress(self):
+        report = gai_check(*corpus_case("technical-feedback"), wf_trials=5)
+        assert report.verdict == "violation"
+        assert report.violation.clause == "malloc-progress"
+
+    def test_placement_feeding_a_cast_fails_cast_progress(self):
+        src = "p = malloc(8); q = malloc(8); if (p < q) { x = cast(p); } else { observe(1); }"
+        report = gai_check(*prepared(src), wf_trials=5)
+        assert report.verdict == "violation"
+        assert report.violation.clause == "cast-progress"
 
 
 def trace_of(strategy, prog, env, heap):
     return run(env, strategy, prog, heap).trace
 
 
-def reaches(t, cls, probe):
-    """Some prefix of ``probe`` is similar to ``t`` extended by a candidate of ``cls``."""
-    return any(prefixes_similar_to(t + (c,), probe) for c in _class_candidates(cls, probe))
+def reaches(t, ev, probe):
+    """Some prefix of ``probe`` is similar to ``t`` extended by a member of
+    ``ev``'s class, as the oracle enumerates the class."""
+    return any(prefixes_similar_to(t + (c,), probe) for c in class_members(ev, (t + (ev,), probe)))
 
 
 class TestImpactMember:
@@ -74,21 +74,21 @@ class TestReachesClass:
     def test_alloc_class_reached_by_success_and_failure(self):
         prog, env, heap = prepared("p = malloc(8);")
         for strategy in (eager(2048, 2112, 6208), null_alloc()):
-            assert reaches((), AllocClass(8), trace_of(strategy, prog, env, heap))
+            assert reaches((), MallocFailEv(8), trace_of(strategy, prog, env, heap))
 
     def test_singleton_unreached_when_stuck(self):
         prog, env, heap = prepared("p = malloc(87); *(p) = 42; observe(42);")
         strict = bump(2048, 2112, 2176)  # malloc(87) fails, null protected
-        cls = Singleton(ObsEv(42))
+        ev = ObsEv(42)
         t = (MallocFailEv(87),)
-        assert not reaches(t, cls, trace_of(strict, prog, env, heap))
+        assert not reaches(t, ev, trace_of(strict, prog, env, heap))
         lenient = lenient_bump(2048, 2112, 2176)
-        assert reaches(t, cls, trace_of(lenient, prog, env, heap))
+        assert reaches(t, ev, trace_of(lenient, prog, env, heap))
 
     def test_cast_class_needs_a_cast(self):
         prog, env, heap = prepared("p = malloc(8); observe(1);")
         trace = trace_of(eager(2048, 2112, 6208), prog, env, heap)
-        assert not reaches((), CastClass(), trace)
+        assert not reaches((), CastEv(0), trace)
 
     def test_singleton_equals_impact_of_extension(self):
         prog, env, heap = prepared("p = malloc(8); free(p); observe(3);")
@@ -96,8 +96,8 @@ class TestReachesClass:
         t = (MallocEv(8, 2113), FreeEv(2113))
         ev = ObsEv(3)
         in_impact = bool(prefixes_similar_to(t + (ev,), trace))
-        assert _class_candidates(Singleton(ev), trace) == [ev]
-        assert reaches(t, Singleton(ev), trace) == in_impact
+        assert class_members(ev, (trace,)) == [ev]
+        assert reaches(t, ev, trace) == in_impact
 
     def test_malloc_address_never_matters_at_the_end(self):
         prog, env, heap = prepared("p = malloc(8); free(p); q = malloc(8);")
@@ -106,9 +106,9 @@ class TestReachesClass:
         assert trace[2] == MallocEv(8, 2113)  # eager reuses the freed block
         for addr in (2113, 3000):  # the probe's address and another one
             assert prefixes_similar_to(t + (MallocEv(8, addr),), trace) == [3]
-        # so the probe's own malloc is no other candidate for a malloc at 3000
-        assert not _reached_by_another(t, MallocEv(8, 3000), trace)
-        assert reaches(t, AllocClass(8), trace)
+        # so a malloc at 3000 is reached, as the probe's next event is in its class
+        assert same_class(trace[2], MallocEv(8, 3000))
+        assert reaches(t, MallocEv(8, 3000), trace)
 
 
 class TestGaiCheck:
@@ -134,7 +134,7 @@ class TestGaiCheck:
         assert out_p.trace == v.producer_trace
         assert out_w.trace == v.witness_trace
         assert out_p.trace[: v.position] == v.prefix
-        assert not reaches(v.prefix, dchar(v.event), out_w.trace)
+        assert not reaches(v.prefix, v.event, out_w.trace)
 
     def test_null_checked_passes(self):
         prog, env, heap = prepared("p = malloc(87); if (p != NULL) { *(p) = 42; observe(*(p)); }")
@@ -177,39 +177,45 @@ class TestGaiCheck:
         assert report.verdict == "inconclusive"
         assert report.inconclusive
 
+    def test_fuel_bound_hit_without_a_violation_is_inconclusive(self):
+        report = gai_check(*corpus_case("use-after-free"), fuel=3, wf_trials=5)
+        assert report.verdict == "inconclusive" and report.violation is None
+        spent = [name for name, (kind, _) in report.runs.items() if kind == "out-of-fuel"]
+        assert (len(report.runs), len(spent)) == (7, 6)
+        assert list(report.inconclusive) == [f"{name} ran out of fuel (3 steps)" for name in spent]
+
+    def test_endless_observe_loop_is_inconclusive(self):
+        report = gai_check(*prepared("while (1) { observe(1); }"), fuel=50, wf_trials=5)
+        assert report.verdict == "inconclusive" and report.exit_code == 2
+        names = [s.name for s in default_family()]
+        assert list(report.inconclusive) == [f"{name} ran out of fuel (50 steps)" for name in names]
+
     @staticmethod
     def count_searches(monkeypatch, src):
-        """``gai_check`` on ``src``, with its ``_lockstep`` searches counted, and
-        the class candidates offered to each reach-by-another check."""
+        """``gai_check`` on ``src``, its number of distinct member traces, and
+        its number of ``_lockstep`` searches."""
         from gai_lab import filtering
 
-        searches, extensions = [], []
-        real_search, real_reach = filtering._lockstep, gai._reached_by_another
+        searches = []
+        real_search = filtering._lockstep
 
         def counting_search(t1, t2):
             searches.append(1)
             return real_search(t1, t2)
 
-        def counting_reach(t, ev, probe):
-            extensions.append(len(_class_candidates(dchar(ev), probe)))
-            return real_reach(t, ev, probe)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(filtering, "_lockstep", counting_search)
-            patch.setattr(gai, "_reached_by_another", counting_reach)
-            report = gai_check(*prepared(src), wf_trials=5)
+        monkeypatch.setattr(filtering, "_lockstep", counting_search)
+        report = gai_check(*prepared(src), wf_trials=5)
         distinct = len({trace for _, trace in report.runs.values()})
-        return report, distinct, len(searches), sum(extensions)
+        return report, distinct, len(searches)
 
     def test_alloc_free_loop_k8_passes(self, monkeypatch):
         """Eight and 32 iterations under an allocator that reuses one address
         and one that bumps.  One search per pair of distinct traces gives
-        every impact row, and reach needs one more per extension candidate,
-        so the count does not grow with the loop; the per-position prefix
-        scans made 1,701 calls at k = 32."""
-        counts = []
+        every row, and the rows decide reach, so the count does not grow
+        with the loop; the per-position prefix scans made 1,701 calls at
+        k = 32, and the reach-by-another searches made it 25."""
         for k in (8, 32):
-            report, distinct, searches, extensions = self.count_searches(
+            report, distinct, searches = self.count_searches(
                 monkeypatch,
                 f"i = 0; while (i < {k}) {{ p = malloc(1); if (p != NULL) {{ *(p) = i; free(p); }} "
                 "i = i + 1; } observe(i);",
@@ -217,22 +223,20 @@ class TestGaiCheck:
             assert report.verdict == "pass"
             longest = max(len(trace) for _, trace in report.runs.values())
             assert (len(report.runs), distinct, longest) == (7, 4, 2 * k + 1)
-            assert searches <= distinct**2 + extensions
-            counts.append(searches)
-        assert counts[0] == counts[1]
+            assert searches == distinct**2 == 16
 
     def test_similarity_calls_grow_linearly_in_trace_length(self, monkeypatch):
         """On the 16-node XOR list, ``_lockstep`` runs once per pair of
-        distinct traces and once per reach-extension candidate, whatever the
-        trace length; an all-prefix scan makes 33,220 ``similar`` calls."""
+        distinct traces, whatever the trace length; an all-prefix scan makes
+        33,220 ``similar`` calls."""
         from gai_lab.corpus import xor_script
 
         ops = [("new", 1)] + [("push", v) for v in range(2, 17)] + [("get", 3), ("get", 0), ("get", 15)]
-        report, distinct, searches, extensions = self.count_searches(monkeypatch, xor_script(ops))
+        report, distinct, searches = self.count_searches(monkeypatch, xor_script(ops))
         assert report.verdict == "pass"
         longest = max(len(trace) for _, trace in report.runs.values())
         assert len(report.runs) == 7 and longest == 19
-        assert searches <= distinct**2 + extensions
+        assert searches == distinct**2 == 16
 
     def test_observe_loop_search_is_linear(self, monkeypatch):
         """Every member observes 0 .. n - 1, so the one search of the one
@@ -296,7 +300,7 @@ def test_corpus_violations_survive_family_enlargement():
             assert enlarged[name] == "UNSAFE", name
 
 
-# --- reach at j is impact at j + 1, up to the other class members ----------
+# --- reach at j: j + 1 is in the row, or the probe's next event is in the class
 
 _ADDRS = (100, 101, 200)
 _ALPHABET = (
@@ -330,6 +334,12 @@ def producer_and_probe(draw):
 M1, M2, F1 = MallocEv(8, 100), MallocEv(8, 200), FreeEv(100)
 
 
+def reaches_in_closed_form(u, v, row, j):
+    """Reach of ``u[j]``'s class by ``v`` when ``j`` is in the row of ``u``
+    against ``v``, as ``gai_check`` decides it."""
+    return j + 1 in row or (j < len(v) and same_class(v[j], u[j]))
+
+
 @settings(max_examples=250, deadline=None)
 @given(producer_and_probe())
 @example(((M1,), (M2,)))  # the probe's malloc returned another address
@@ -338,12 +348,34 @@ M1, M2, F1 = MallocEv(8, 100), MallocEv(8, 200), FreeEv(100)
 @example(((CastEv(0),), (CastEv(1),)))  # another cast value reaches
 def test_reach_is_impact_of_the_next_prefix_or_another_candidate(pair):
     u, v = pair
+    row = similar_prefixes(u, v)
     for j, ev in enumerate(u):
-        t = u[:j]
-        reach = bruteforce_reaches(t, class_members(ev, (u, v)), v)
-        if prefixes_similar_to(u[: j + 1], v):
-            assert reach
-        assert reach == (bool(bruteforce_prefixes_similar(u[: j + 1], v)) or _reached_by_another(t, ev, v))
+        assert (j in row) == bool(bruteforce_prefixes_similar(u[:j], v))
+        if j in row:
+            reach = bruteforce_reaches(u[:j], class_members(ev, (u, v)), v)
+            assert reach == reaches_in_closed_form(u, v, row, j)
+
+
+def test_closed_form_on_every_pair_of_short_traces():
+    """Every pair of traces of at most two events over the alphabet, at every
+    position inside the row: the closed form is brute-force reach over the
+    oracle's class members.  Reach at ``j`` depends only on ``u[:j + 1]``
+    and ``v[:j + 1]``, so each pair of similar prefixes of at most one event
+    is extended by one event of ``u`` and by none or one of ``v``."""
+    events = tuple(dict.fromkeys(_ALPHABET))
+    prefixes = [((), ())] + [((e,), (f,)) for e in events for f in events]
+    positions = 0
+    for p, q in prefixes:
+        j = len(p)
+        if j not in similar_prefixes(p, q):
+            continue
+        for e in events:
+            for v in [q] + [q + (f,) for f in events]:
+                u, row = p + (e,), similar_prefixes(p + (e,), v)
+                positions += 1
+                reach = bruteforce_reaches(p, class_members(e, (u, v)), v)
+                assert reach == reaches_in_closed_form(u, v, row, j), (u, v)
+    assert positions == (1 + 27) * len(events) * (1 + len(events))  # 27 similar pairs of events
 
 
 def test_empty_family_is_rejected():
