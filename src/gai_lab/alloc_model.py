@@ -14,9 +14,10 @@ The harness checks the ten allocator post-conditions
 on pseudo-random feasible histories, two runs per trial (see
 :func:`wf_check`).  One walker is the only loop over the steps of a
 history: it draws a history or replays one, and may judge it as it goes.
-The harness is sound for rejection (a reported failure replays from its
-stored witness) and incomplete for acceptance; passing means "no violation
-found in the given trials".
+It carries its facts from step to step, so a step pays for what it
+changed (see :func:`_walk`).  The harness is sound for rejection (a
+reported failure replays from its stored witness) and incomplete for
+acceptance; passing means "no violation found in the given trials".
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import Addr, Heap, interval
+from .core import Addr, Heap, InaccessibleWrite, interval
 
 # ---------------------------------------------------------------------------
 # Symbolic allocation events
@@ -248,16 +249,16 @@ class ClientUpdate:
 
     writes: tuple  # tuple[tuple[int, int], ...] of (slot, value)
 
-    def apply(self, heap: Heap, allowed: Iterable[Addr]) -> None:
-        """Make the writes in ``heap``; a later write to a slot's cell wins.
-
-        Writes go through :meth:`Heap.define`, so a cell that a broken
-        strategy left undefined gets defined rather than raising.
-        """
-        cells = sorted(allowed)
-        if cells:
-            for slot, value in self.writes:
-                heap.define([cells[slot % len(cells)]], value)
+    def apply(self, heap: Heap, cells: Sequence[Addr]) -> None:
+        """Make the writes in ``heap`` into ``cells``, the sorted allowed
+        cells; a later write to a slot's cell wins.  A cell that a broken
+        strategy left undefined gets defined rather than raising."""
+        for slot, value in self.writes if cells else ():
+            cell = cells[slot % len(cells)]
+            try:
+                heap.write(cell, value)
+            except InaccessibleWrite:
+                heap.define([cell], value)
 
 
 NO_UPDATE = ClientUpdate(())
@@ -295,37 +296,72 @@ def _walk(strategy: Strategy, reserved: frozenset, start: tuple, plan, judge: Op
     ``plan(m, sigma)`` gives each step's ``(update, request)``, the request
     being what :func:`play_step` takes, or ``None`` at the end.  The walk
     copies ``start``'s heap once (see :mod:`gai_lab.core` for the cost),
-    and the updates and the strategy change that copy.  A ``judge`` dict
-    gets each clause's first violation of Basic-4 and
-    :func:`_single_exec_violations`; for Basic-4 the walk keeps the values
-    of the client and reserved cells from before each strategy step.
+    and the updates and the strategy change that copy.  It carries the
+    allowed set ``addresses_of(m) | reserved``, its sorted cells and the
+    live entries: a malloc adds its block, a free recomputes the set.
+
+    A ``judge`` dict gets each clause's first violation.  Basic-4 and
+    Basic-2 come from reads of the allowed cells before and after each
+    strategy step, plus the new block's cells.  Basic-1, Zero-Alloc-1 and
+    Basic-5 compare only a new entry with the live ones and the reserved
+    cells, which is exact because a walk starts from an empty map and
+    entries never change.  Basic-6 and Zero-Alloc-2 are judged in full.
     """
     heap, state = start[0].copy(), start[1]
-    m = client = frozenset()  # client is addresses_of(m)
+    m, live = frozenset(), {}  # live maps index -> entry of m, in index order
+    allowed, cells = reserved, sorted(reserved)  # allowed is addresses_of(m) | reserved
     sigma, updates = [], []
     while (step := plan(m, sigma)) is not None:
         upd, ev = step
-        if upd.writes:  # an update without writes needs no allowed set
-            upd.apply(heap, client | reserved)
+        if upd.writes:  # an update without writes needs no allowed cells
+            upd.apply(heap, cells)
         if judge is not None:
-            cells = client | reserved
             before = heap.read_many(cells)
         _, state, m2 = play_step(strategy, m, heap, state, sigma, ev)
         if isinstance(ev, int):
             ev = SymMalloc(ev) if len(m2) > len(m) else SymFail(ev)
-        client2 = client if m2 is m else addresses_of(m2)
         sigma.append(ev)
         updates.append(upd)
+        new, fresh, allowed2 = None, (), allowed  # fresh: new cells outside allowed
+        if isinstance(ev, SymFree):
+            (gone,) = m - m2
+            del live[gone.index]
+            allowed2 = addresses_of(m2) | reserved
+        elif m2 is not m:
+            (new,) = m2 - m
+            live[new.index] = new
+            block = interval(new.addr, new.addr + new.size)
+            if fresh := frozenset(block) - allowed:
+                allowed2 = allowed | fresh
         if judge is not None:  # messages are formatted only on a violation
             after = heap.read_many(cells)
             if after != before:
-                window = (client2 if isinstance(ev, SymFree) else client) | reserved
-                diff = [a for a, x, y in zip(cells, before, after) if x != y and a in window]
-                if diff:
-                    judge.setdefault("Basic-4", f"step {len(sigma)} ({ev}) modified client cells {sorted(diff)[:8]}")
-            for clause, detail in _single_exec_violations(strategy, state, m2, client2, heap, reserved):
+                window = allowed2 if isinstance(ev, SymFree) else allowed
+                if diff := [a for a, x, y in zip(cells, before, after) if x != y and a in window]:
+                    judge.setdefault("Basic-4", f"step {len(sigma)} ({ev}) modified client cells {diff[:8]}")
+            found = []
+            if new is not None:
+                for e in itertools.islice(live.values(), len(live) - 1):  # the entries before new
+                    if max(e.addr, new.addr) < min(e.addr + e.size, new.addr + new.size):
+                        found.append(("Basic-1", f"allocations {e} and {new} overlap"))
+                    if e.addr == new.addr:
+                        found.append(("Zero-Alloc-1", f"address {e.addr} reused ({e} vs {new})"))
+            missing = [a for a, x in zip(cells, after) if x is None and a in allowed2] if None in after else []
+            if fresh:
+                missing += [a for a, x in zip(fresh, heap.read_many(fresh)) if x is None]
+            if missing:
+                found.append(("Basic-2", f"client-accessible addresses missing from heap: {sorted(missing)[:8]}"))
+            if new is not None and (hit := reserved.intersection(block)):
+                found.append(("Basic-5", f"allocations overlap reserved memory: {sorted(hit)[:8]}"))
+            if (null := strategy.null(state)) in allowed2:
+                found.append(("Basic-6", f"null address {null} is client-accessible"))
+            if zero := next((e for e in live.values() if e.size == 0 and e.addr in allowed2), None):
+                found.append(("Zero-Alloc-2", f"zero-sized allocation {zero} inside client memory"))
+            for clause, detail in found:
                 judge.setdefault(clause, f"after step {len(sigma)} ({ev}): {detail}")
-        m, client = m2, client2
+        if allowed2 is not allowed:
+            allowed, cells = allowed2, sorted(allowed2)
+        m = m2
     return heap, state, m, tuple(sigma), tuple(updates)
 
 
@@ -383,31 +419,6 @@ class WfReport:
         return line
 
 
-def _single_exec_violations(
-    strategy: Strategy, state: object, m: AllocationMap, client: frozenset, heap: Heap, reserved: frozenset
-) -> list[tuple[str, str]]:
-    """Per-state checks of Basic-1/2/5/6 and Zero-Alloc-1/2; ``client = addresses_of(m)``."""
-    out = []
-    entries = sorted(m, key=lambda e: e.index)
-    for a, b in itertools.combinations(entries, 2):
-        if max(a.addr, b.addr) < min(a.addr + a.size, b.addr + b.size):
-            out.append(("Basic-1", f"allocations {a} and {b} overlap"))
-        if a.addr == b.addr:
-            out.append(("Zero-Alloc-1", f"address {a.addr} reused ({a} vs {b})"))
-    missing = [a for a in client | reserved if a not in heap]
-    if missing:
-        out.append(("Basic-2", f"client-accessible addresses missing from heap: {sorted(missing)[:8]}"))
-    if client & reserved:
-        out.append(("Basic-5", f"allocations overlap reserved memory: {sorted(client & reserved)[:8]}"))
-    null = strategy.null(state)
-    if null in client or null in reserved:
-        out.append(("Basic-6", f"null address {null} is client-accessible"))
-    for e in entries:
-        if e.size == 0 and (e.addr in client or e.addr in reserved):
-            out.append(("Zero-Alloc-2", f"zero-sized allocation {e} inside client memory"))
-    return out
-
-
 def _init_violations(heap: Heap, h0: Heap, reserved: frozenset) -> dict:
     """Basic-3 for ``h0``, what ``init`` made of a copy of ``heap``, as ``{clause: detail}``."""
     diff = [a for a in reserved if heap.read(a) != h0.read(a)]
@@ -417,7 +428,9 @@ def _init_violations(heap: Heap, h0: Heap, reserved: frozenset) -> dict:
 def _judge_relational(strategy: Strategy, reserved: frozenset, start: tuple, sigma: SymbolicSeq,
                       m: AllocationMap, updates2: Sequence[ClientUpdate], violations: dict) -> None:
     """Rel-1/Rel-2: replay ``sigma`` from ``start`` with the alternate
-    updates and compare with ``m``, the final map of the first run."""
+    updates and compare with ``m``, the final map of the first run.  Rel-2
+    can only fail with Rel-1: a feasible replay of ``sigma`` fixes the
+    ``{(size, index)}`` of its final map, and addresses are not compared."""
     try:
         m2 = feasible_run(strategy, reserved, *start, updates2, sigma)[2]
     except Infeasible as exc:
@@ -464,11 +477,9 @@ _HUGE = 10**6
 
 
 def _gen_update(rng: random.Random) -> ClientUpdate:
-    writes = tuple(
-        (rng.randrange(0, 64), rng.randint(-9, 9))
-        for _ in range(rng.randrange(0, 3))
-    )
-    return ClientUpdate(writes)
+    """Up to two slot writes; :data:`NO_UPDATE` when it draws none."""
+    n = rng.randrange(0, 3)
+    return ClientUpdate(tuple([(rng.randrange(0, 64), rng.randint(-9, 9)) for _ in range(n)])) if n else NO_UPDATE
 
 
 def _draw(rng: random.Random, max_len: int):
@@ -486,21 +497,6 @@ def _draw(rng: random.Random, max_len: int):
         return upd, _HUGE if rng.random() < 0.12 else rng.choice(_SIZES)
 
     return plan
-
-
-def _gen_feasible_history(
-    strategy: Strategy, reserved: frozenset, start: tuple, rng: random.Random, max_len: int
-) -> tuple[SymbolicSeq, tuple]:
-    """Generate a feasible history by an unjudged walk of :func:`_draw` from
-    ``start``, the ``(heap, state)`` of the strategy's ``init``.
-
-    Malloc attempts are recorded as M_k or MF_k according to what the
-    strategy actually did, and frees only target live allocations, so the
-    resulting (sigma, updates) pair is feasible by construction.
-    """
-    sigma, updates = _walk(strategy, reserved, start, _draw(rng, max_len))[3:]
-    assert symseq_well_formed(sigma)
-    return sigma, updates
 
 
 def wf_check(

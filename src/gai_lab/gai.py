@@ -216,10 +216,11 @@ def gai_check(
 
     One search per pair of distinct producer trace ``u`` and member trace
     ``v`` gives the row ``{i : u[:i] is similar to v[:i]}``, and the row and
-    ``v[j]`` decide reach at ``j`` (module docstring), so a passing check
-    runs d * d searches for d distinct traces.  Raises ``ValueError`` on an
-    empty family, and :class:`FamilyNotWellFormed` when a member fails the
-    well-formedness check.
+    ``v[j]`` decide reach at ``j`` (module docstring).  A trace's row
+    against itself is every length and rows are symmetric, so a passing
+    check runs d * (d - 1) / 2 searches for d distinct traces.  Raises
+    ``ValueError`` on an empty family, and :class:`FamilyNotWellFormed` when
+    a member fails the well-formedness check.
     """
     family = list(default_family() if family is None else family)
     if not family:
@@ -238,8 +239,9 @@ def gai_check(
 
     for (alpha, out_a), a in zip(outcomes, member_trace):
         u = out_a.trace
-        if a not in rows:
-            rows[a] = [similar_prefixes(u, v) for v in traces]
+        if a not in rows:  # rows are symmetric, and a trace is similar to itself everywhere
+            rows[a] = [rows[b][a] if b in rows else set(range(len(u) + 1)) if b == a else similar_prefixes(u, v)
+                       for b, v in enumerate(traces)]
         for j, ev in enumerate(u):
             unreached = [
                 j in row and j + 1 not in row and not (j < len(v) and same_class(v[j], ev))

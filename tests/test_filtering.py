@@ -356,6 +356,18 @@ def test_similar_prefixes_equal_every_prefix_pair(pair):
     assert similar_prefixes(u, v) == {i for i, _ in reference}
 
 
+@settings(max_examples=200, deadline=None)
+@given(prefix_pairs())
+def test_rows_gai_check_takes_without_a_search(pair):
+    """``gai_check`` searches no trace against itself and each pair of
+    distinct traces in one order only: the row of a trace against itself
+    is every length, and the row is the same in both orders."""
+    u, v = pair
+    assert {i for i in range(len(u) + 1) if similar_bruteforce(u[:i], u[:i])} == set(range(len(u) + 1))
+    reference = {i for i in range(min(len(u), len(v)) + 1) if similar_bruteforce(v[:i], u[:i])}
+    assert similar_prefixes(v, u) == similar_prefixes(u, v) == reference
+
+
 def test_similar_starts_no_search_on_unequal_lengths(monkeypatch):
     searches = []
     real_search = filtering._lockstep

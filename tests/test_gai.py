@@ -210,10 +210,10 @@ class TestGaiCheck:
 
     def test_alloc_free_loop_k8_passes(self, monkeypatch):
         """Eight and 32 iterations under an allocator that reuses one address
-        and one that bumps.  One search per pair of distinct traces gives
-        every row, and the rows decide reach, so the count does not grow
-        with the loop; the per-position prefix scans made 1,701 calls at
-        k = 32, and the reach-by-another searches made it 25."""
+        and one that bumps.  One search per unordered pair of distinct
+        traces gives every row, and the rows decide reach, so the count does
+        not grow with the loop; the per-position prefix scans made 1,701
+        calls at k = 32, and the reach-by-another searches made it 25."""
         for k in (8, 32):
             report, distinct, searches = self.count_searches(
                 monkeypatch,
@@ -223,11 +223,11 @@ class TestGaiCheck:
             assert report.verdict == "pass"
             longest = max(len(trace) for _, trace in report.runs.values())
             assert (len(report.runs), distinct, longest) == (7, 4, 2 * k + 1)
-            assert searches == distinct**2 == 16
+            assert searches == distinct * (distinct - 1) // 2 == 6
 
     def test_similarity_calls_grow_linearly_in_trace_length(self, monkeypatch):
-        """On the 16-node XOR list, ``_lockstep`` runs once per pair of
-        distinct traces, whatever the trace length; an all-prefix scan makes
+        """On the 16-node XOR list, ``_lockstep`` runs once per unordered pair
+        of distinct traces, whatever the trace length; an all-prefix scan makes
         33,220 ``similar`` calls."""
         from gai_lab.corpus import xor_script
 
@@ -236,7 +236,7 @@ class TestGaiCheck:
         assert report.verdict == "pass"
         longest = max(len(trace) for _, trace in report.runs.values())
         assert len(report.runs) == 7 and longest == 19
-        assert searches == distinct**2 == 16
+        assert searches == distinct * (distinct - 1) // 2 == 6
 
     def test_observe_loop_search_is_linear(self, monkeypatch):
         """Every member observes 0 .. n - 1, so the one search of the one

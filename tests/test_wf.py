@@ -3,14 +3,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gai_lab import memsafe, notac
 from gai_lab.alloc_model import (
     WF_CLAUSES,
     Strategy,
     SymMalloc,
-    _gen_feasible_history,
+    _draw,
     _gen_update,
+    _replay,
+    _walk,
     check_history,
     feasible_run,
     parse_symseq,
@@ -19,9 +23,10 @@ from gai_lab.alloc_model import (
 )
 from gai_lab.allocators import bump, curious, eager, guarded_eager, lenient_bump, no_zero, null_alloc
 from gai_lab.core import Heap, InaccessibleWrite
-from gai_lab.gai import DEFAULT_ENV_BASE, FamilyNotWellFormed, default_family, gai_check
+from gai_lab.gai import DEFAULT_EAGER_SEGMENT, DEFAULT_ENV_BASE, FamilyNotWellFormed, default_family, gai_check
 from test_core import count_copied_cells
 from test_symbolic import gen_update_seq
+from wf_oracle import _gen_feasible_history, judged_steps
 
 RESERVED = frozenset(range(0, 8))
 HEAP = Heap({a: 0 for a in RESERVED})
@@ -226,6 +231,47 @@ def test_curious_rel_clauses_with_semispace_flip():
     assert {e.addr for e in m_pos} == {513, 257}
     assert {e.addr for e in m_neg} == {513, 1}
     assert {(e.size, e.index) for e in m_pos} == {(e.size, e.index) for e in m_neg}
+
+
+class ClientPlaced(Strategy):
+    """Bump over a roomy arena whose blocks start one cell further on while
+    reserved cell 0 holds an odd value: where a block lands depends on
+    client memory, whether a malloc succeeds does not."""
+
+    name = "client-placed"
+
+    def __init__(self):
+        self.inner = bump(0, 8, 4000)
+
+    def init(self, heap):
+        return self.inner.init(heap)
+
+    def null(self, state):
+        return self.inner.null(state)
+
+    def malloc(self, heap, state, size):
+        return self.inner.malloc(heap, state + heap.read(0) % 2, size)
+
+    def free(self, heap, state, addr):
+        return self.inner.free(heap, state, addr)
+
+
+def test_rel_2_passes_when_the_replay_places_blocks_elsewhere():
+    """Rel-2 compares the (size, index) pairs of the two final maps, which
+    ``sigma`` alone fixes once the replay is feasible; the addresses may
+    differ (see ``_judge_relational``)."""
+    from gai_lab.alloc_model import NO_UPDATE, ClientUpdate
+
+    strategy = ClientPlaced()
+    sigma = parse_symseq("M4,M2,F1,M4")
+    odd = (ClientUpdate(((0, 1),)), NO_UPDATE, NO_UPDATE, NO_UPDATE)  # slot 0 is reserved cell 0
+    even = (ClientUpdate(((0, 2),)), NO_UPDATE, NO_UPDATE, NO_UPDATE)
+    assert check_history(strategy, RESERVED, HEAP, sigma, odd, even) == {}
+    maps = [feasible_run(strategy, RESERVED, *strategy.init(HEAP.copy()), u, sigma)[2] for u in (odd, even)]
+    assert {e.addr for e in maps[0]} == {15, 18} and {e.addr for e in maps[1]} == {13, 15}
+    assert {(e.size, e.index) for e in maps[0]} == {(e.size, e.index) for e in maps[1]} == {(2, 2), (4, 4)}
+    reports = wf_check(strategy, RESERVED, HEAP, trials=200, seed=0)
+    assert all(r.passed for r in reports), [(r.clause, r.witness.detail) for r in reports if not r.passed]
 
 
 def test_check_history_clean_on_explicit_history():
@@ -461,3 +507,63 @@ def test_no_entry_point_changes_the_callers_heap(strategy, base, monkeypatch):
             pass
         assert list(heap.items()) == before
     assert len(made) == 1 and list(made[0][0].items()) == made[0][1]
+
+
+ORACLE_CASES = [(lambda s=s: s, reserved) for s in default_family()
+                for reserved in (RESERVED, frozenset(range(DEFAULT_ENV_BASE, DEFAULT_ENV_BASE + 8)))] + [
+    (make, RESERVED) for make in (OverlappingAlloc, FlakyInit, MovingNull, ReservedSmasher, ClientPeeker,
+                                  lambda: MallocWrites(3), lambda: MallocWrites(9), EveryThirdMallocFails,
+                                  ClientPlaced)
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ORACLE_CASES), st.integers(0, 2**32), st.integers(0, 12))
+def test_the_walker_judges_every_step_as_the_from_scratch_check(case, seed, max_len):
+    """The walker judges most clauses only where a step changed something;
+    after every step of a drawn history, its first violations (clauses,
+    details and order) equal those of the from-scratch check.  Each walk
+    gets a fresh strategy, so the nondeterministic ones replay too."""
+    make, reserved = case
+    heap = Heap(dict.fromkeys(reserved, 0))
+
+    def walk(plan):
+        strategy, judge = make(), {}
+        sigma, updates = _walk(strategy, reserved, strategy.init(heap.copy()), plan, judge)[3:]
+        return list(judge.items()), sigma, updates
+
+    drawn, sigma, updates = walk(_draw(random.Random(seed), max_len))
+    strategy = make()
+    steps = judged_steps(strategy, reserved, strategy.init(heap.copy()), sigma, updates)
+    expected = [list(judge.items()) for judge in steps]
+    assert drawn == expected[-1]
+    for k in range(len(sigma)):
+        assert walk(_replay(updates[:k], sigma[:k]))[0] == expected[k], k
+
+
+def test_wf_check_walker_cost_per_step(monkeypatch):
+    """A step costs what it changed: the walker tests no allowed cell for
+    membership in the heap and builds ``addresses_of`` only at a free.  The
+    eager strategy's first-fit probes make about 4 membership tests per
+    step; testing the allowed cells after every judged step made about 11,
+    and building ``addresses_of`` at every malloc and free about 0.9."""
+    from gai_lab import alloc_model
+
+    calls = {"contains": 0, "addresses_of": 0, "steps": 0}
+
+    def counted(key, real):
+        def wrapper(*args):
+            calls[key] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(Heap, "__contains__", counted("contains", Heap.__contains__))
+    monkeypatch.setattr(alloc_model, "addresses_of", counted("addresses_of", alloc_model.addresses_of))
+    monkeypatch.setattr(alloc_model, "play_step", counted("steps", alloc_model.play_step))
+    reserved = frozenset(range(DEFAULT_ENV_BASE, DEFAULT_ENV_BASE + 8))
+    heap = Heap(dict.fromkeys(reserved, 0))
+    reports = wf_check(eager(*DEFAULT_EAGER_SEGMENT), reserved, heap, trials=200, seed=0)
+    assert all(r.passed for r in reports)
+    assert calls["steps"] > 2000
+    assert calls["contains"] <= 5 * calls["steps"]
+    assert calls["addresses_of"] <= 0.5 * calls["steps"]
