@@ -114,18 +114,6 @@ def back_index(seq: Sequence[SymbolicEvent], i: int) -> int:
     return sum(1 for p in range(i, len(seq)) if isinstance(seq[p], SymMalloc))
 
 
-def symseq_well_formed(seq: Sequence[SymbolicEvent]) -> bool:
-    """No double frees, and every free resolves to some malloc."""
-    matched = []
-    for j, ev in enumerate(seq, start=1):
-        if isinstance(ev, SymFree):
-            i = free_index(seq[: j - 1], ev.back)
-            if i is None:
-                return False
-            matched.append(i)
-    return len(matched) == len(set(matched))
-
-
 # ---------------------------------------------------------------------------
 # Allocation maps
 

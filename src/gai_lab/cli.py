@@ -105,7 +105,7 @@ def main():
 @main.command("run")
 @click.argument("program_path")
 @click.option("--alloc", default="eager:2048,2112,6208", show_default=True, help="Allocator spec.")
-@click.option("--fuel", default=100_000, show_default=True, type=NATURAL)
+@click.option("--fuel", default=notac.DEFAULT_FUEL, show_default=True, type=NATURAL)
 @click.option("--base", default=None, type=NATURAL,
               help="Variable base address (default: the allocator's reserved window).")
 @click.option("--init", "inits", multiple=True, help="Initial variable value, name=int.")
@@ -194,7 +194,7 @@ def cmd_filter(trace_path, sigma, as_json):
 @click.argument("program_path")
 @click.option("--family", default="default", show_default=True,
               help="Allocator specs separated by ';' (or 'default').")
-@click.option("--fuel", default=100_000, show_default=True, type=NATURAL)
+@click.option("--fuel", default=notac.DEFAULT_FUEL, show_default=True, type=NATURAL)
 @click.option("--base", default=DEFAULT_ENV_BASE, show_default=True, type=NATURAL)
 @click.option("--init", "inits", multiple=True)
 @click.option("--seed", default=0, show_default=True, help="Well-formedness check seed.")
@@ -269,7 +269,7 @@ def cmd_wf(alloc_spec, trials, seed, maxlen, reserved, as_json):
 
 @main.command("ms-run")
 @click.argument("program_path")
-@click.option("--fuel", default=100_000, show_default=True, type=NATURAL)
+@click.option("--fuel", default=notac.DEFAULT_FUEL, show_default=True, type=NATURAL)
 @click.option("--init", "inits", multiple=True)
 def cmd_ms_run(program_path, fuel, inits):
     """Run a Memsafe program and print its final store."""
@@ -304,7 +304,7 @@ def cmd_translate(program_path, out_path):
 
 @main.command("corpus")
 @click.option("--family", default="default", show_default=True)
-@click.option("--fuel", default=100_000, show_default=True, type=NATURAL)
+@click.option("--fuel", default=notac.DEFAULT_FUEL, show_default=True, type=NATURAL)
 @click.option("--wf-trials", default=10, show_default=True, type=NATURAL)
 @click.option("--json", "as_json", is_flag=True)
 def cmd_corpus(family, fuel, wf_trials, as_json):

@@ -201,7 +201,7 @@ class CorpusResult:
 
 def run_corpus(
     family=None,
-    fuel: int = 100_000,
+    fuel: int = notac.DEFAULT_FUEL,
     wf_trials: int = 10,
     names: Optional[Sequence[str]] = None,
 ) -> list[CorpusResult]:

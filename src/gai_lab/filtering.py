@@ -24,8 +24,9 @@ length.  It rests on two facts of the filter:
   two addresses, and a free left in the residue only constrains the next
   pass of its own trace, which must free a different address.
 
-``similar_bruteforce`` is the independent oracle, enumerating all
-pass/residue labelings of the first trace.
+The independent oracle, ``similar_bruteforce``, enumerates all
+pass/residue labelings of the first trace; it lives with the tests, in
+``tests/similarity_oracle.py``, apart from the search it judges.
 """
 
 from __future__ import annotations
@@ -273,64 +274,6 @@ def similar_prefixes(t1: Sequence[Event], t2: Sequence[Event]) -> set[int]:
     """
     m = min(len(t1), len(t2))
     return {i1 for (i1, i2, *_), _ in _lockstep(tuple(t1[:m]), tuple(t2[:m])) if i1 == i2}
-
-
-def _sigma_candidates(trace: Trace) -> list:
-    """All symbolic sequences that could filter ``trace``.
-
-    Enumerates pass/residue labelings of the trace's frees (and for passes,
-    the matching allocation entries).  Every sequence accepted by
-    ``sym_filter(trace, .)`` arises from some labeling, so validating the
-    candidates against the deterministic filter is exhaustive.
-    """
-    results: list = []
-
-    def go(i: int, sigma: list, phi: list):
-        if i == len(trace):
-            results.append(tuple(sigma))
-            return
-        ev = trace[i]
-        if isinstance(ev, MallocEv):
-            sigma.append(SymMalloc(ev.size))
-            phi.append((len(sigma), ev.addr))
-            go(i + 1, sigma, phi)
-            phi.pop()
-            sigma.pop()
-        elif isinstance(ev, MallocFailEv):
-            sigma.append(SymFail(ev.size))
-            go(i + 1, sigma, phi)
-            sigma.pop()
-        elif isinstance(ev, FreeEv):
-            go(i + 1, sigma, phi)  # residue labeling
-            for pos, addr in phi:
-                if addr == ev.addr:
-                    sigma.append(SymFree(back_index(sigma, pos)))
-                    go(i + 1, sigma, phi)
-                    sigma.pop()
-        else:
-            go(i + 1, sigma, phi)
-
-    go(0, [], [])
-    return results
-
-
-def similar_bruteforce(t1: Sequence[Event], t2: Sequence[Event], bound: int = 10) -> bool:
-    """Ground-truth similarity by exhaustive filter enumeration."""
-    t1, t2 = tuple(t1), tuple(t2)
-    if max(len(t1), len(t2)) > bound:
-        raise ValueError(f"traces longer than the brute-force bound {bound}")
-    seen = set()
-    for sigma in _sigma_candidates(t1):
-        if sigma in seen:
-            continue
-        seen.add(sigma)
-        f1 = sym_filter(t1, sigma)
-        if f1 is None:
-            continue
-        f2 = sym_filter(t2, sigma)
-        if f2 is not None and f1.residue == f2.residue:
-            return True
-    return False
 
 
 def prefixes_similar_to(t: Sequence[Event], run: Sequence[Event]) -> list[int]:

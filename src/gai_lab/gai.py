@@ -50,6 +50,7 @@ from .alloc_model import Strategy, wf_check
 from .core import Heap
 from .filtering import similar_prefixes
 from .notac import (
+    DEFAULT_FUEL,
     CastEv,
     Event,
     MallocEv,
@@ -200,7 +201,7 @@ def gai_check(
     env: dict,
     heap: Heap,
     family: Optional[Sequence[Strategy]] = None,
-    fuel: int = 100_000,
+    fuel: int = DEFAULT_FUEL,
     wf_trials: int = 25,
     wf_seed: int = 0,
 ) -> GaiReport:

@@ -40,6 +40,7 @@ from . import notac
 from .alloc_model import Strategy
 from .gai import DEFAULT_ENV_BASE, GaiReport, gai_check
 from .notac import (
+    DEFAULT_FUEL,
     MAX_BLOCK_DEPTH,
     MAX_EXPR_DEPTH,
     Assign,
@@ -75,13 +76,6 @@ class MsPtr:
 
 
 class _Nil:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "nil"
 
@@ -328,7 +322,7 @@ class _Guard:
     loop: While
 
 
-def ms_eval_cmd(state: MsState, cmd: Cmd, fuel: int = 100_000) -> MsOutcome:
+def ms_eval_cmd(state: MsState, cmd: Cmd, fuel: int = DEFAULT_FUEL) -> MsOutcome:
     """Run a command; fuel bounds the number of executed commands.
 
     Every command node, ``Seq`` included, costs one unit, and so does every
@@ -389,7 +383,7 @@ def _ms_read(state: MsState, p: MsValue, access: str) -> MsValue:
     return block.cells.get(p.offset, 0)
 
 
-def ms_run(cmd: Cmd, store: Optional[dict] = None, fuel: int = 100_000) -> MsOutcome:
+def ms_run(cmd: Cmd, store: Optional[dict] = None, fuel: int = DEFAULT_FUEL) -> MsOutcome:
     state = MsState(dict(store) if store else {}, {}, 0)
     return ms_eval_cmd(state, cmd, fuel)
 
@@ -544,7 +538,7 @@ class DiffReport:
 
 def differential_check(
     cmd: Cmd,
-    fuel: int = 100_000,
+    fuel: int = DEFAULT_FUEL,
     family: Optional[Sequence[Strategy]] = None,
     initial_store: Optional[dict] = None,
     wf_trials: int = 25,

@@ -694,7 +694,6 @@ class Outcome:
     kind: str  # "terminated" | "stuck" | "out-of-fuel"
     trace: Trace
     heap: Optional[Heap] = None
-    state: object = None
     reason: Optional[str] = None
     pos: Optional[Pos] = None
 
@@ -707,12 +706,9 @@ class Outcome:
         return self.kind == "stuck"
 
 
-def eval_expr(env: dict, strategy: Strategy, state: object, heap: Heap, e: Expr) -> Val:
-    """The value of ``e``, from the closure it compiles into once (see :class:`_Compiled`)."""
-    return _code(e)(env, strategy, state, heap)
-
-
 def _code(e: Expr) -> Callable:
+    """The closure ``(env, strategy, state, heap) -> value`` that ``e`` compiles
+    into once (see :class:`_Compiled`)."""
     if not isinstance(e, Expr):
         raise TypeError(f"not an expression: {e!r}")
     return e.code
@@ -839,12 +835,15 @@ def step(env: dict, strategy: Strategy, cfg: Config) -> Optional[tuple[Config, O
         raise Stuck(exc.reason, cmd.pos) from None
 
 
+DEFAULT_FUEL = 100_000  # the default step bound of every run, Notac or Memsafe
+
+
 def run(
     env: dict,
     strategy: Strategy,
     program: Program,
     heap: Heap,
-    fuel: int = 100_000,
+    fuel: int = DEFAULT_FUEL,
 ) -> Outcome:
     """Initialize the strategy and iterate small steps until done.
 
@@ -866,10 +865,10 @@ def run(
         try:
             res = step(env, strategy, cfg)
         except Stuck as exc:
-            return Outcome("stuck", tuple(trace), cfg.heap, cfg.state, exc.reason, exc.pos)
+            return Outcome("stuck", tuple(trace), cfg.heap, exc.reason, exc.pos)
         if res is None:
-            return Outcome("terminated", tuple(trace), cfg.heap, cfg.state)
+            return Outcome("terminated", tuple(trace), cfg.heap)
         cfg, ev = res
         if ev is not None:
             trace.append(ev)
-    return Outcome("out-of-fuel", tuple(trace), cfg.heap, cfg.state)
+    return Outcome("out-of-fuel", tuple(trace), cfg.heap)

@@ -26,7 +26,6 @@ from gai_lab.alloc_model import (
     free_index,
     parse_symseq,
     replay_wf_witness,
-    symseq_well_formed,
     wf_check,
 )
 from gai_lab.allocators import (
@@ -39,10 +38,12 @@ from gai_lab.allocators import (
     null_alloc,
 )
 from gai_lab.core import Heap
-from gai_lab.filtering import similar, similar_bruteforce, sym_filter
+from gai_lab.filtering import similar, sym_filter
 from gai_lab.gai import DEFAULT_BUMP_SEGMENT, DEFAULT_EAGER_SEGMENT, DEFAULT_ENV_BASE, gai_check
 from gai_lab.memsafe import differential_check, ms_parse
 from gai_lab.notac import FreeEv, MallocEv, MallocFailEv, ObsEv
+from similarity_oracle import similar_bruteforce
+from wf_oracle import symseq_well_formed
 
 
 def report(criterion: str, ok: bool, detail: str = ""):

@@ -1,11 +1,13 @@
 """CLI surface: subcommands, formats, exit codes."""
 
+import inspect
 import json
 
 import pytest
 
 from click.testing import CliRunner
 
+from gai_lab import corpus, gai, memsafe, notac
 from gai_lab.cli import main
 from test_memsafe import BAD_SOURCES
 
@@ -391,6 +393,13 @@ def test_run_out_of_fuel_exits_2_and_names_the_fuel(tmp_path):
     assert res.stderr == "inconclusive: ran out of fuel (50 steps)\n"
     res = invoke("run", prog, "--fuel", "50", "--json")
     assert res.exit_code == 2 and json.loads(res.stdout)["outcome"] == "out-of-fuel"
+    # One default bound: every function and option that takes fuel defaults to DEFAULT_FUEL.
+    for fn in (notac.run, gai.gai_check, memsafe.ms_run, memsafe.ms_eval_cmd,
+               memsafe.differential_check, corpus.run_corpus):
+        assert inspect.signature(fn).parameters["fuel"].default is notac.DEFAULT_FUEL, fn.__name__
+    for command in ("run", "gai", "ms-run", "corpus"):
+        fuel = next(p for p in main.commands[command].params if p.name == "fuel")
+        assert fuel.default is notac.DEFAULT_FUEL, command
 
 
 def test_ms_run_out_of_fuel_exits_2_and_names_the_fuel(tmp_path):

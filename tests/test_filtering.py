@@ -14,17 +14,17 @@ from gai_lab.alloc_model import (
     SymMalloc,
     feasible_run,
     parse_symseq,
-    symseq_well_formed,
 )
 from gai_lab.allocators import eager
 from gai_lab.filtering import (
     prefixes_similar_to,
     similar,
-    similar_bruteforce,
     similar_prefixes,
     sym_filter,
 )
 from gai_lab.notac import CastEv, FreeEv, MallocEv, MallocFailEv, ObsEv, make_env, parse, run
+from similarity_oracle import similar_bruteforce
+from wf_oracle import symseq_well_formed
 
 
 class TestXFilterFree:

@@ -10,9 +10,9 @@ not just the similarity decision.
 """
 
 from gai_lab import corpus, notac
-from gai_lab.filtering import similar_bruteforce
 from gai_lab.gai import default_family, gai_check
 from gai_lab.notac import CastEv, MallocEv, MallocFailEv
+from similarity_oracle import similar_bruteforce
 
 
 def bruteforce_prefixes_similar(t, run_trace):

@@ -1,0 +1,54 @@
+"""The package ships only what the checker runs.
+
+Every module-level function or class in ``src/gai_lab`` must be named
+somewhere in ``src/`` (by an ``ast.Name`` or an ``ast.Attribute``).  A
+definition that only the tests reach belongs with the tests, as the
+brute-force oracles in ``tests/similarity_oracle.py`` and
+``tests/wf_oracle.py`` do.  Decorated definitions (click commands,
+dataclasses) are skipped: a decorator may register what nothing names.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gai_lab"
+
+# Entry points that nothing in the package calls yet.
+ALLOWED = {
+    # The perfbench worker calls it, and the planned ``gai-lab ms-check``
+    # command will.
+    "differential_check",
+    # The perfbench worker builds its XOR-list items with it.
+    "xor_script",
+    # ``perfbench/tracer.py`` wraps it by name, and ``test_bench_worker``
+    # asserts that a traced worker leaves no notes; it leaves with the tracer.
+    "prefixes_similar_to",
+}
+
+
+def unreferenced_definitions(package: Path) -> dict[str, str]:
+    """Name -> ``module:line`` of each undecorated module-level function or
+    class that no ``ast.Name`` or ``ast.Attribute`` in the package names."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return {
+        node.name: f"{module}:{node.lineno}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.decorator_list
+        and node.name not in referenced
+    }
+
+
+def test_every_definition_in_the_package_has_a_caller_in_the_package():
+    found = unreferenced_definitions(PACKAGE)
+    assert {name: where for name, where in found.items() if name not in ALLOWED} == {}
+    # An allowance lapses once its name gains a caller or leaves the package.
+    assert ALLOWED <= found.keys()

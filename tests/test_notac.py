@@ -33,7 +33,6 @@ from gai_lab.notac import (
     Seq,
     While,
     dump_trace,
-    eval_expr,
     format_trace,
     load_trace,
     make_env,
@@ -44,6 +43,10 @@ from gai_lab.notac import (
     to_source,
 )
 from test_core import count_copied_cells
+
+
+def eval_expr(env, strategy, state, heap, e):
+    return notac._code(e)(env, strategy, state, heap)
 
 
 def setup_run(src, alloc, base=10, fuel=100_000, inits=None):

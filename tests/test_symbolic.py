@@ -18,8 +18,8 @@ from gai_lab.alloc_model import (
     free_index,
     _gen_update,
     parse_symseq,
-    symseq_well_formed,
 )
+from wf_oracle import symseq_well_formed
 
 FIG_SEQ = parse_symseq("M100,MF800,M200,F0,F1")
 SIZES = (0, 1, 2, 3, 5, 8)

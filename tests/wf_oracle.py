@@ -3,7 +3,8 @@
 ``alloc_model._walk`` carries its facts from step to step and judges most
 per-state clauses only where a step changed something.  The helpers here
 recompute everything at every step, so the tests can hold the walker to
-them.
+them.  ``symseq_well_formed`` is the definition of a well-formed symbolic
+sequence that the generators here and the tests hold sequences to.
 """
 
 import itertools
@@ -17,10 +18,22 @@ from gai_lab.alloc_model import (
     _draw,
     _walk,
     addresses_of,
+    free_index,
     play_step,
-    symseq_well_formed,
 )
 from gai_lab.core import Heap
+
+
+def symseq_well_formed(seq: SymbolicSeq) -> bool:
+    """No double frees, and every free resolves to some malloc."""
+    matched = []
+    for j, ev in enumerate(seq, start=1):
+        if isinstance(ev, SymFree):
+            i = free_index(seq[: j - 1], ev.back)
+            if i is None:
+                return False
+            matched.append(i)
+    return len(matched) == len(set(matched))
 
 
 def _single_exec_violations(
