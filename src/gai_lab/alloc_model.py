@@ -13,11 +13,15 @@ The harness checks the ten allocator post-conditions
 
 on pseudo-random feasible histories, two runs per trial (see
 :func:`wf_check`).  One walker is the only loop over the steps of a
-history: it draws a history or replays one, and may judge it as it goes.
-It carries its facts from step to step, so a step pays for what it
-changed (see :func:`_walk`).  The harness is sound for rejection (a
-reported failure replays from its stored witness) and incomplete for
-acceptance; passing means "no violation found in the given trials".
+history and the only place that realizes a symbolic event; it draws or
+replays a history, may judge it as it goes, and carries its facts from
+step to step, so a step costs one strategy call (see :func:`_walk`).
+Draws go through :func:`_below`, which consumes a trial's
+``random.Random`` exactly as ``randrange`` would.  The harness is sound
+for rejection (a reported failure replays from its stored witness) and
+incomplete for acceptance; passing means "no violation found in the given
+trials".  The play relation by its definition is the test oracle
+``tests/wf_oracle.py``.
 """
 
 from __future__ import annotations
@@ -91,25 +95,12 @@ def parse_symseq(text: str) -> SymbolicSeq:
     return tuple(events)
 
 
-def free_index(seq: Sequence[SymbolicEvent], back: int) -> Optional[int]:
-    """1-based index of the ``back``-th successful malloc counting backwards.
-
-    ``None`` when the recursion bottoms out (not enough mallocs).
-    """
-    z = back
-    for n in range(len(seq), 0, -1):
-        if isinstance(seq[n - 1], SymMalloc):
-            if z == 0:
-                return n
-            z -= 1
-    return None
-
-
 def back_index(seq: Sequence[SymbolicEvent], i: int) -> int:
     """The ``back`` with which a free appended to ``seq`` releases position ``i``.
 
-    Counts the successful mallocs after the 1-based position ``i``; the
-    inverse of :func:`free_index`.
+    Counts the successful mallocs after the 1-based position ``i``: a free
+    with that ``back`` names the ``back``-th successful malloc counting
+    backwards from the end of ``seq``.
     """
     return sum(1 for p in range(i, len(seq)) if isinstance(seq[p], SymMalloc))
 
@@ -189,44 +180,6 @@ class Infeasible(Exception):
 # Feasibility relations
 
 
-def play_step(
-    strategy: Strategy,
-    m: AllocationMap,
-    heap: Heap,
-    state: object,
-    prefix: Sequence[SymbolicEvent],
-    ev: SymbolicEvent | int,
-) -> tuple[Heap, object, AllocationMap]:
-    """One step of the play relation: realize ``ev`` after ``prefix``.
-
-    ``ev`` may also be a size: a malloc that is realized as M if it
-    succeeds and as MF if it fails.  The strategy changes ``heap``, which is
-    returned.  Raises :class:`Infeasible` when the strategy cannot produce
-    the event.
-    """
-    pos = len(prefix) + 1
-    if isinstance(ev, SymFree):
-        i = free_index(prefix, ev.back)
-        if i is None:
-            raise Infeasible(f"free {ev} has no matching malloc", pos)
-        entry = next((e for e in m if e.index == i), None)
-        if entry is None:
-            raise Infeasible(f"free {ev} targets a non-live allocation (index {i})", pos)
-        return heap, strategy.free(heap, state, entry.addr)[1], m - {entry}
-    if not isinstance(ev, (SymMalloc, SymFail, int)):
-        raise TypeError(f"not a symbolic event: {ev!r}")
-    size = ev if isinstance(ev, int) else ev.size
-    null = strategy.null(state)
-    _, st2, a = strategy.malloc(heap, state, size)
-    if a == null:
-        if isinstance(ev, SymMalloc):
-            raise Infeasible(f"malloc({size}) failed where success was demanded", pos)
-        return heap, st2, m
-    if isinstance(ev, SymFail):
-        raise Infeasible(f"malloc({size}) succeeded where failure was demanded", pos)
-    return heap, st2, m | {AllocEntry(a, size, pos)}
-
-
 @dataclass(frozen=True)
 class ClientUpdate:
     """Slot-indexed writes into the sorted allowed address set.
@@ -274,19 +227,25 @@ def _replay(updates: Sequence[ClientUpdate], seq: Sequence[SymbolicEvent]):
     """The plan that demands ``seq[i]`` after ``updates[i]``."""
     if len(updates) != len(seq):
         raise ValueError(f"{len(updates)} updates for {len(seq)} events")
-    return lambda m, sigma: (updates[len(sigma)], seq[len(sigma)]) if len(sigma) < len(seq) else None
+    return lambda live, sigma: (updates[len(sigma)], seq[len(sigma)]) if len(sigma) < len(seq) else None
 
 
 def _walk(strategy: Strategy, reserved: frozenset, start: tuple, plan, judge: Optional[dict] = None) -> tuple:
-    """The one loop over the steps of a history; returns ``(heap, state, m,
-    sigma, updates)``.
+    """The one loop over the steps of a history, and the only place that
+    realizes a symbolic event; returns ``(heap, state, m, sigma, updates)``.
 
-    ``plan(m, sigma)`` gives each step's ``(update, request)``, the request
-    being what :func:`play_step` takes, or ``None`` at the end.  The walk
-    copies ``start``'s heap once (see :mod:`gai_lab.core` for the cost),
-    and the updates and the strategy change that copy.  It carries the
-    allowed set ``addresses_of(m) | reserved``, its sorted cells and the
-    live entries: a malloc adds its block, a free recomputes the set.
+    ``plan(live, sigma)`` gives each step's ``(update, request)``, or
+    ``None`` at the end; ``live`` holds the live entries in index order.
+    A request is a symbolic event, or a size: a malloc realized as M if it
+    succeeds and as MF if it fails.  The walk copies ``start``'s heap once
+    (see :mod:`gai_lab.core` for the cost), and the updates and the
+    strategy change that copy.  It carries the live map (index -> entry),
+    the 1-based positions of the successful mallocs, where a free
+    ``F_back`` finds its index at ``[-1 - back]``, and the allowed set
+    ``addresses_of(m) | reserved`` with its sorted cells: a malloc adds its
+    block, a free recomputes the set.  ``m`` is built only to be returned.
+    Raises :class:`Infeasible` when the strategy cannot produce a demanded
+    event, ``TypeError`` on a request that is not one.
 
     A ``judge`` dict gets each clause's first violation.  Basic-4 and
     Basic-2 come from reads of the allowed cells before and after each
@@ -296,40 +255,56 @@ def _walk(strategy: Strategy, reserved: frozenset, start: tuple, plan, judge: Op
     entries never change.  Basic-6 and Zero-Alloc-2 are judged in full.
     """
     heap, state = start[0].copy(), start[1]
-    m, live = frozenset(), {}  # live maps index -> entry of m, in index order
+    live, mallocs = {}, []  # live: index -> entry, in index order; mallocs: positions of the Ms
+    entries = live.values()
     allowed, cells = reserved, sorted(reserved)  # allowed is addresses_of(m) | reserved
     sigma, updates = [], []
-    while (step := plan(m, sigma)) is not None:
+    while (step := plan(entries, sigma)) is not None:
         upd, ev = step
         if upd.writes:  # an update without writes needs no allowed cells
             upd.apply(heap, cells)
         if judge is not None:
             before = heap.read_many(cells)
-        _, state, m2 = play_step(strategy, m, heap, state, sigma, ev)
-        if isinstance(ev, int):
-            ev = SymMalloc(ev) if len(m2) > len(m) else SymFail(ev)
-        sigma.append(ev)
-        updates.append(upd)
+        pos = len(sigma) + 1
         new, fresh, allowed2 = None, (), allowed  # fresh: new cells outside allowed
         if isinstance(ev, SymFree):
-            (gone,) = m - m2
-            del live[gone.index]
-            allowed2 = addresses_of(m2) | reserved
-        elif m2 is not m:
-            (new,) = m2 - m
-            live[new.index] = new
-            block = interval(new.addr, new.addr + new.size)
-            if fresh := frozenset(block) - allowed:
-                allowed2 = allowed | fresh
+            if not 0 <= ev.back < len(mallocs):
+                raise Infeasible(f"free {ev} has no matching malloc", pos)
+            i = mallocs[-1 - ev.back]
+            if i not in live:
+                raise Infeasible(f"free {ev} targets a non-live allocation (index {i})", pos)
+            state = strategy.free(heap, state, live.pop(i).addr)[1]
+            allowed2 = addresses_of(entries) | reserved
+        elif isinstance(ev, (SymMalloc, SymFail, int)):
+            size = ev if isinstance(ev, int) else ev.size
+            null = strategy.null(state)
+            _, state, a = strategy.malloc(heap, state, size)
+            if a == null:
+                if isinstance(ev, SymMalloc):
+                    raise Infeasible(f"malloc({size}) failed where success was demanded", pos)
+            elif isinstance(ev, SymFail):
+                raise Infeasible(f"malloc({size}) succeeded where failure was demanded", pos)
+            else:
+                new = live[pos] = AllocEntry(a, size, pos)
+                mallocs.append(pos)
+                block = interval(a, a + size)
+                if fresh := frozenset(block) - allowed:
+                    allowed2 = allowed | fresh
+            if isinstance(ev, int):
+                ev = SymFail(size) if new is None else SymMalloc(size)
+        else:
+            raise TypeError(f"not a symbolic event: {ev!r}")
+        sigma.append(ev)
+        updates.append(upd)
         if judge is not None:  # messages are formatted only on a violation
             after = heap.read_many(cells)
             if after != before:
                 window = allowed2 if isinstance(ev, SymFree) else allowed
                 if diff := [a for a, x, y in zip(cells, before, after) if x != y and a in window]:
-                    judge.setdefault("Basic-4", f"step {len(sigma)} ({ev}) modified client cells {diff[:8]}")
+                    judge.setdefault("Basic-4", f"step {pos} ({ev}) modified client cells {diff[:8]}")
             found = []
             if new is not None:
-                for e in itertools.islice(live.values(), len(live) - 1):  # the entries before new
+                for e in itertools.islice(entries, len(live) - 1):  # the entries before new
                     if max(e.addr, new.addr) < min(e.addr + e.size, new.addr + new.size):
                         found.append(("Basic-1", f"allocations {e} and {new} overlap"))
                     if e.addr == new.addr:
@@ -343,14 +318,13 @@ def _walk(strategy: Strategy, reserved: frozenset, start: tuple, plan, judge: Op
                 found.append(("Basic-5", f"allocations overlap reserved memory: {sorted(hit)[:8]}"))
             if (null := strategy.null(state)) in allowed2:
                 found.append(("Basic-6", f"null address {null} is client-accessible"))
-            if zero := next((e for e in live.values() if e.size == 0 and e.addr in allowed2), None):
+            if zero := next((e for e in entries if e.size == 0 and e.addr in allowed2), None):
                 found.append(("Zero-Alloc-2", f"zero-sized allocation {zero} inside client memory"))
             for clause, detail in found:
-                judge.setdefault(clause, f"after step {len(sigma)} ({ev}): {detail}")
+                judge.setdefault(clause, f"after step {pos} ({ev}): {detail}")
         if allowed2 is not allowed:
             allowed, cells = allowed2, sorted(allowed2)
-        m = m2
-    return heap, state, m, tuple(sigma), tuple(updates)
+    return heap, state, frozenset(entries), tuple(sigma), tuple(updates)
 
 
 # ---------------------------------------------------------------------------
@@ -464,25 +438,42 @@ _SIZES = (0, 1, 2, 3, 5, 8)
 _HUGE = 10**6
 
 
+def _below(bits, n: int) -> int:
+    """A draw from ``range(n)`` by ``bits``, a ``getrandbits``, made as
+    CPython's ``randrange``, ``randint`` and ``choice`` make it
+    (``Random._randbelow_with_getrandbits``), so it consumes the same bits."""
+    if n <= 0:
+        raise ValueError(f"empty range for a draw below {n}")
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _gen_update(rng: random.Random) -> ClientUpdate:
-    """Up to two slot writes; :data:`NO_UPDATE` when it draws none."""
-    n = rng.randrange(0, 3)
-    return ClientUpdate(tuple([(rng.randrange(0, 64), rng.randint(-9, 9)) for _ in range(n)])) if n else NO_UPDATE
+    """Up to two slot writes, each to a slot below 64 of a value in -9..9;
+    :data:`NO_UPDATE` when it draws none."""
+    bits = rng.getrandbits
+    n = _below(bits, 3)
+    return ClientUpdate(tuple([(_below(bits, 64), _below(bits, 19) - 9) for _ in range(n)])) if n else NO_UPDATE
 
 
 def _draw(rng: random.Random, max_len: int):
-    """The plan of a random history: a length, then per step an update and
-    a free of a live allocation or a malloc whose outcome is recorded."""
-    n = rng.randint(0, max_len)
+    """The plan of a random history: a length up to ``max_len``, then per
+    step an update and a free of a live allocation or a malloc whose
+    outcome is recorded."""
+    bits = rng.getrandbits
+    n = _below(bits, max_len + 1)
 
-    def plan(m: AllocationMap, sigma: list):
+    def plan(live, sigma: list):
         if len(sigma) == n:
             return None
         upd = _gen_update(rng)
-        if m and rng.random() < 0.4:
-            entry = rng.choice(sorted(m, key=lambda e: e.index))
+        if live and rng.random() < 0.4:
+            entry = list(live)[_below(bits, len(live))]
             return upd, SymFree(back_index(sigma, entry.index))
-        return upd, _HUGE if rng.random() < 0.12 else rng.choice(_SIZES)
+        return upd, _HUGE if rng.random() < 0.12 else _SIZES[_below(bits, len(_SIZES))]
 
     return plan
 
@@ -507,8 +498,13 @@ def wf_check(
     :func:`check_history` reproduces; each is replayed, from a fresh
     ``init``, before it is reported, and ``RuntimeError`` is raised when one
     does not reproduce, which would mean a nondeterministic strategy.
-    Acceptance is bounded by ``trials``.
+    Acceptance is bounded by ``trials``; a negative ``trials`` or
+    ``max_len`` raises ``ValueError``.
     """
+    if trials < 0:
+        raise ValueError(f"trials must not be negative, got {trials}")
+    if max_len < 0:
+        raise ValueError(f"max_len must not be negative, got {max_len}")
     if any(a not in heap for a in reserved):
         raise ValueError("reserved memory must be inside the heap domain")
     start = strategy.init(heap.copy())

@@ -220,8 +220,8 @@ def gai_check(
     ``v[j]`` decide reach at ``j`` (module docstring).  A trace's row
     against itself is every length and rows are symmetric, so a passing
     check runs d * (d - 1) / 2 searches for d distinct traces.  Raises
-    ``ValueError`` on an empty family, and :class:`FamilyNotWellFormed` when
-    a member fails the well-formedness check.
+    ``ValueError`` on an empty family or a negative ``wf_trials``, and
+    :class:`FamilyNotWellFormed` when a member flunks well-formedness.
     """
     family = list(default_family() if family is None else family)
     if not family:

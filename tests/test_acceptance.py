@@ -23,7 +23,6 @@ import time
 
 from gai_lab import corpus, notac
 from gai_lab.alloc_model import (
-    free_index,
     parse_symseq,
     replay_wf_witness,
     wf_check,
@@ -43,7 +42,7 @@ from gai_lab.gai import DEFAULT_BUMP_SEGMENT, DEFAULT_EAGER_SEGMENT, DEFAULT_ENV
 from gai_lab.memsafe import differential_check, ms_parse
 from gai_lab.notac import FreeEv, MallocEv, MallocFailEv, ObsEv
 from similarity_oracle import similar_bruteforce
-from wf_oracle import symseq_well_formed
+from wf_oracle import free_index, symseq_well_formed
 
 
 def report(criterion: str, ok: bool, detail: str = ""):

@@ -1,6 +1,8 @@
 """The play and fast-forward feasibility relations."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gai_lab.alloc_model import (
     NO_UPDATE,
@@ -13,10 +15,11 @@ from gai_lab.alloc_model import (
     addresses_of,
     feasible_run,
     parse_symseq,
-    play_step,
 )
 from gai_lab.allocators import bump, eager
 from gai_lab.core import Heap
+from gai_lab.gai import DEFAULT_ENV_BASE, default_family
+from wf_oracle import play_step
 
 RESERVED = frozenset(range(0, 100))
 
@@ -129,3 +132,51 @@ def test_no_op_updates_match_plain_play():
     for i, ev in enumerate(seq):
         h, s, m = play_step(e, m, h, s, seq[:i], ev)
     assert via_run == (h, s, m)
+
+
+PLAY_CASES = [(s, frozenset(range(DEFAULT_ENV_BASE, DEFAULT_ENV_BASE + 8))) for s in default_family()] + [
+    (eager(0, 100, 200), RESERVED), (bump(0, 100, 120), RESERVED)
+]
+# Weighted towards feasible steps; MF1 and M1000000 are demands that the
+# roomy members refuse, and F0..F4 free dead or missing entries as often as
+# live ones.
+EVENTS = [SymMalloc(n) for n in (0, 1, 2, 3, 5, 8)] * 2 + [SymMalloc(10**6), SymFail(10**6), SymFail(10**6), SymFail(1)] + [
+    SymFree(back) for back in (0, 0, 0, 1, 1, 2, 4)
+]
+UPDATES = st.builds(ClientUpdate, st.lists(st.tuples(st.integers(0, 63), st.integers(-9, 9)), max_size=2).map(tuple))
+
+
+def fold_play_step(strategy, reserved, heap, state, updates, seq):
+    """The fast-forward relation by its definition: before each event the
+    update runs over ``addresses_of(m) | reserved``, then one play step."""
+    h, s, m = heap.copy(), state, frozenset()
+    for i, (upd, ev) in enumerate(zip(updates, seq)):
+        upd.apply(h, sorted(addresses_of(m) | reserved))
+        h, s, m = play_step(strategy, m, h, s, seq[:i], ev)
+    return h, s, m
+
+
+def outcome(run):
+    try:
+        h, s, m = run()
+    except Infeasible as exc:
+        return "infeasible", exc.reason, exc.position
+    return "feasible", sorted(h.items()), s, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PLAY_CASES), st.lists(st.tuples(UPDATES, st.sampled_from(EVENTS)), max_size=10))
+@example(PLAY_CASES[-2], [(NO_UPDATE, SymMalloc(4)), (NO_UPDATE, SymFree(0)), (NO_UPDATE, SymFree(0))])
+@example(PLAY_CASES[-2], [(NO_UPDATE, SymFree(-1))])
+@example(PLAY_CASES[-2], [(NO_UPDATE, SymFail(1))])
+@example(PLAY_CASES[-1], [(NO_UPDATE, SymMalloc(8)), (NO_UPDATE, SymMalloc(8)), (NO_UPDATE, SymMalloc(8))])
+def test_feasible_run_is_the_fold_of_play_step(case, steps):
+    """The walker resolves a free through its list of malloc positions and
+    keeps a live map; the oracle rescans the prefix and rebuilds a set.
+    Both reach the same heap, state and map, or the same infeasible step
+    for the same reason."""
+    strategy, reserved = case
+    h0, st0 = strategy.init(Heap(dict.fromkeys(reserved, 0)))
+    updates, seq = tuple(u for u, _ in steps), tuple(ev for _, ev in steps)
+    walked = outcome(lambda: feasible_run(strategy, reserved, h0, st0, updates, seq))
+    assert walked == outcome(lambda: fold_play_step(strategy, reserved, h0, st0, updates, seq))

@@ -62,6 +62,27 @@ def test_reserved_must_be_in_heap():
         wf_check(bump(0, 8, 72), frozenset({999}), HEAP, trials=1)
 
 
+@pytest.mark.parametrize("bound", [{"trials": -3}, {"max_len": -1}], ids=["trials", "max_len"])
+def test_a_negative_bound_is_rejected_by_name(bound):
+    # unchecked, a negative trial count would read as a bound that was
+    # checked, and a negative max_len would fail inside the first draw
+    (name,) = bound
+    with pytest.raises(ValueError, match=f"^{name} must not be negative"):
+        wf_check(bump(0, 8, 72), RESERVED, HEAP, **bound)
+
+
+def test_zero_bounds_check_nothing_or_empty_histories():
+    assert all(r.passed and r.trials == 0 for r in wf_check(bump(0, 8, 72), RESERVED, HEAP, trials=0))
+    assert all(r.passed for r in wf_check(bump(0, 8, 72), RESERVED, HEAP, trials=20, max_len=0))
+
+
+def test_gai_check_rejects_negative_wf_trials():
+    prog = notac.parse("x = 1; observe(x);")
+    env, heap, _ = notac.make_env(prog, DEFAULT_ENV_BASE)
+    with pytest.raises(ValueError, match="^trials must not be negative"):
+        gai_check(prog, env, heap, wf_trials=-1)
+
+
 class OverlappingAlloc(Strategy):
     """Deliberately broken: hands out the same address for every request."""
 
@@ -559,7 +580,14 @@ def test_wf_check_walker_cost_per_step(monkeypatch):
 
     monkeypatch.setattr(Heap, "__contains__", counted("contains", Heap.__contains__))
     monkeypatch.setattr(alloc_model, "addresses_of", counted("addresses_of", alloc_model.addresses_of))
-    monkeypatch.setattr(alloc_model, "play_step", counted("steps", alloc_model.play_step))
+    real_walk = alloc_model._walk
+
+    def counted_walk(*args):  # a walk makes one strategy step per event of its sigma
+        out = real_walk(*args)
+        calls["steps"] += len(out[3])
+        return out
+
+    monkeypatch.setattr(alloc_model, "_walk", counted_walk)
     reserved = frozenset(range(DEFAULT_ENV_BASE, DEFAULT_ENV_BASE + 8))
     heap = Heap(dict.fromkeys(reserved, 0))
     reports = wf_check(eager(*DEFAULT_EAGER_SEGMENT), reserved, heap, trials=200, seed=0)

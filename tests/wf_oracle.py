@@ -3,25 +3,82 @@
 ``alloc_model._walk`` carries its facts from step to step and judges most
 per-state clauses only where a step changed something.  The helpers here
 recompute everything at every step, so the tests can hold the walker to
-them.  ``symseq_well_formed`` is the definition of a well-formed symbolic
-sequence that the generators here and the tests hold sequences to.
+them.  ``free_index`` and ``play_step`` are the definition of the play
+relation: a free resolves by rescanning the prefix, and the allocation map
+is a set rebuilt at every step.  ``symseq_well_formed`` is the definition
+of a well-formed symbolic sequence that the generators here and the tests
+hold sequences to.
 """
 
 import itertools
 import random
 
+from typing import Optional, Sequence
+
 from gai_lab.alloc_model import (
     AllocationMap,
+    AllocEntry,
+    Infeasible,
     Strategy,
+    SymbolicEvent,
     SymbolicSeq,
+    SymFail,
     SymFree,
+    SymMalloc,
     _draw,
     _walk,
     addresses_of,
-    free_index,
-    play_step,
 )
 from gai_lab.core import Heap
+
+
+def free_index(seq: Sequence[SymbolicEvent], back: int) -> Optional[int]:
+    """1-based index of the ``back``-th successful malloc counting backwards.
+
+    ``None`` when the recursion bottoms out (not enough mallocs).
+    """
+    z = back
+    for n in range(len(seq), 0, -1):
+        if isinstance(seq[n - 1], SymMalloc):
+            if z == 0:
+                return n
+            z -= 1
+    return None
+
+
+def play_step(
+    strategy: Strategy,
+    m: AllocationMap,
+    heap: Heap,
+    state: object,
+    prefix: Sequence[SymbolicEvent],
+    ev: SymbolicEvent,
+) -> tuple[Heap, object, AllocationMap]:
+    """One step of the play relation: realize ``ev`` after ``prefix``.
+
+    The strategy changes ``heap``, which is returned.  Raises
+    :class:`Infeasible` when the strategy cannot produce the event.
+    """
+    pos = len(prefix) + 1
+    if isinstance(ev, SymFree):
+        i = free_index(prefix, ev.back)
+        if i is None:
+            raise Infeasible(f"free {ev} has no matching malloc", pos)
+        entry = next((e for e in m if e.index == i), None)
+        if entry is None:
+            raise Infeasible(f"free {ev} targets a non-live allocation (index {i})", pos)
+        return heap, strategy.free(heap, state, entry.addr)[1], m - {entry}
+    if not isinstance(ev, (SymMalloc, SymFail)):
+        raise TypeError(f"not a symbolic event: {ev!r}")
+    null = strategy.null(state)
+    _, st2, a = strategy.malloc(heap, state, ev.size)
+    if a == null:
+        if isinstance(ev, SymMalloc):
+            raise Infeasible(f"malloc({ev.size}) failed where success was demanded", pos)
+        return heap, st2, m
+    if isinstance(ev, SymFail):
+        raise Infeasible(f"malloc({ev.size}) succeeded where failure was demanded", pos)
+    return heap, st2, m | {AllocEntry(a, ev.size, pos)}
 
 
 def symseq_well_formed(seq: SymbolicSeq) -> bool:
