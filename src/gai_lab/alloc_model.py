@@ -30,40 +30,45 @@ import itertools
 import random
 import re
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import Addr, Heap, InaccessibleWrite, interval
+from .core import Addr, Heap, InaccessibleWrite, Record, interval
 
 # ---------------------------------------------------------------------------
 # Symbolic allocation events
 
 
-@dataclass(frozen=True)
-class SymMalloc:
+class SymMalloc(Record, frozen=True):
     """Successful allocation of ``size`` cells."""
 
     size: int
+
+    def __init__(self, size: int):
+        object.__setattr__(self, "size", size)
 
     def __str__(self) -> str:
         return f"M{self.size}"
 
 
-@dataclass(frozen=True)
-class SymFail:
+class SymFail(Record, frozen=True):
     """Failed allocation of ``size`` cells."""
 
     size: int
+
+    def __init__(self, size: int):
+        object.__setattr__(self, "size", size)
 
     def __str__(self) -> str:
         return f"MF{self.size}"
 
 
-@dataclass(frozen=True)
-class SymFree:
+class SymFree(Record, frozen=True):
     """Frees the allocation made ``back`` successful mallocs earlier."""
 
     back: int
+
+    def __init__(self, back: int):
+        object.__setattr__(self, "back", back)
 
     def __str__(self) -> str:
         return f"F{self.back}"
@@ -109,13 +114,17 @@ def back_index(seq: Sequence[SymbolicEvent], i: int) -> int:
 # Allocation maps
 
 
-@dataclass(frozen=True)
-class AllocEntry:
+class AllocEntry(Record, frozen=True):
     """A live allocation: address, size, and 1-based sequence position."""
 
     addr: Addr
     size: int
     index: int
+
+    def __init__(self, addr: Addr, size: int, index: int):
+        object.__setattr__(self, "addr", addr)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "index", index)
 
 
 AllocationMap = frozenset  # frozenset[AllocEntry]
@@ -180,8 +189,7 @@ class Infeasible(Exception):
 # Feasibility relations
 
 
-@dataclass(frozen=True)
-class ClientUpdate:
+class ClientUpdate(Record, frozen=True):
     """Slot-indexed writes into the sorted allowed address set.
 
     Slot indexing keeps the same abstract update applicable to different
@@ -189,6 +197,9 @@ class ClientUpdate:
     """
 
     writes: tuple  # tuple[tuple[int, int], ...] of (slot, value)
+
+    def __init__(self, writes: tuple):
+        object.__setattr__(self, "writes", writes)
 
     def apply(self, heap: Heap, cells: Sequence[Addr]) -> None:
         """Make the writes in ``heap`` into ``cells``, the sorted allowed
@@ -344,8 +355,7 @@ WF_CLAUSES = (
 )
 
 
-@dataclass
-class WfWitness:
+class WfWitness(Record):
     """Everything needed to replay a clause violation."""
 
     sigma: SymbolicSeq
@@ -362,8 +372,7 @@ class WfWitness:
         )
 
 
-@dataclass
-class WfReport:
+class WfReport(Record):
     strategy_name: str
     clause: str
     passed: bool
@@ -371,6 +380,11 @@ class WfReport:
     trials: int
     failed_trial: Optional[int] = None
     witness: Optional[WfWitness] = None
+
+    def __init__(self, strategy_name: str, clause: str, passed: bool, seed: int, trials: int,
+                 failed_trial: Optional[int] = None, witness: Optional[WfWitness] = None):
+        self.strategy_name, self.clause, self.passed, self.seed = strategy_name, clause, passed, seed
+        self.trials, self.failed_trial, self.witness = trials, failed_trial, witness
 
     def format_line(self) -> str:
         status = "pass" if self.passed else "fail"

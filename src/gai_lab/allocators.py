@@ -17,15 +17,13 @@ to separate programs that depend on allocator internals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .alloc_model import Strategy
-from .core import H_MAX_DEFAULT, MAX_SPEC_CELLS, Addr, Heap, interval, parse_int
+from .core import H_MAX_DEFAULT, MAX_SPEC_CELLS, Addr, Heap, Record, interval, parse_int
 
 
-@dataclass(frozen=True)
-class SegmentParams:
+class SegmentParams(Record, frozen=True):
     """Memory segment [n1, n3) whose initial part [n1, n2) is reserved.
 
     The segment and its null address n2 lie below the heap's address bound

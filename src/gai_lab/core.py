@@ -30,6 +30,18 @@ cells changed since the base was built, not the size of the heap.  When
 the overlay holds more than ``FLATTEN_SHARE`` (1) times as many cells as
 the base, the copy flattens both into a new base with C-speed dict
 operations instead.
+
+Records.  Every value class of the package (events, syntax, reports) derives
+from :class:`Record`, which does what the standard library's data classes do
+without generating code at import: its fields are the class's annotations,
+after those of a record base, and a class attribute is that field's default.
+``class ObsEv(Record, frozen=True)`` makes instances immutable and hashable,
+and ``uncompared=("pos",)`` leaves a field out of ``==`` and ``hash``.
+``==``, ``hash``, ``repr`` and the class-creation errors (a mutable default,
+a field without a default after one with a default) are those of the data
+class with the same fields.  The methods are plain functions of this module;
+a class built in a hot loop defines its own ``__init__``, which sets each
+field with ``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -67,6 +79,84 @@ def parse_int(text: str, signed: bool = False) -> int:
     if re.fullmatch(r"-?[0-9]+" if signed else r"[0-9]+", text) is None:
         raise ValueError(f"not a decimal number: {text!r}")
     return int(text)
+
+
+class Record:
+    """A class whose annotations are its fields (see the module docstring).
+
+    ``_fields`` names the fields in order and ``_defaults`` maps a field to
+    its default; ``_fill`` maps each accepted number of positional arguments
+    to the defaults that complete it.
+    """
+
+    _fields: tuple = ()
+    _defaults: Mapping = {}
+    _fill: Mapping = {0: ()}
+    _uncompared: frozenset = frozenset()
+    __post_init__ = None
+
+    def __init_subclass__(cls, frozen: bool = False, uncompared: Iterable[str] = (), **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        fields = cls._fields + tuple(name for name in own if name not in cls._fields)
+        defaults = {**cls._defaults, **{name: cls.__dict__[name] for name in own if name in cls.__dict__}}
+        for i, name in enumerate(fields):
+            if name in defaults and type(defaults[name]).__hash__ is None:
+                raise ValueError(f"mutable default {type(defaults[name])} for field {name} is not allowed")
+            if name not in defaults and i and fields[i - 1] in defaults:
+                raise TypeError(f"non-default argument {name!r} follows default argument")
+        tail = tuple(defaults[name] for name in fields if name in defaults)
+        cls._fields, cls._defaults = fields, defaults
+        cls._fill = {len(fields) - k: tail[len(tail) - k:] for k in range(len(tail) + 1)}
+        cls._uncompared = cls._uncompared | frozenset(uncompared)
+        # ``get`` reads the compared fields in C: a tuple of them, or the value
+        # of the only one, which ``hash`` wraps in a tuple as a data class does.
+        compared = [name for name in fields if name not in cls._uncompared]
+        get = operator.attrgetter(*compared) if compared else lambda record: ()
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return get(self) == get(other)
+
+        cls.__eq__ = __eq__
+        if frozen:
+            cls.__hash__ = (lambda self: hash((get(self),))) if len(compared) == 1 else lambda self: hash(get(self))
+            cls.__setattr__ = cls.__delattr__ = _frozen
+        else:
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        fill = None if kwargs else self._fill.get(len(args))
+        for name, value in zip(self._fields, self._bind(args, kwargs) if fill is None else args + fill):
+            object.__setattr__(self, name, value)
+        if self.__post_init__ is not None:
+            self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> tuple:
+        """Every field's value from a call that names fields by keyword;
+        ``TypeError`` where a function with the fields as parameters raises it."""
+        fields, name = self._fields, type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} positional arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields or key in values:
+                raise TypeError(f"{name}() got an unexpected or repeated argument {key!r}")
+            values[key] = value
+        missing = [f for f in fields if f not in values and f not in self._defaults]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
+        return tuple(values[f] if f in values else self._defaults[f] for f in fields)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({inner})"
+
+
+def _frozen(self: Record, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of a frozen record."""
+    raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen record")
 
 
 class InaccessibleWrite(Exception):

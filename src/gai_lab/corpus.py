@@ -12,15 +12,14 @@ the end-of-list sentinel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import notac
+from .core import Record
 from .gai import DEFAULT_ENV_BASE, GaiReport, gai_check
 
 
-@dataclass(frozen=True)
-class CorpusCase:
+class CorpusCase(Record, frozen=True):
     name: str
     expected: str  # "SAFE" | "UNSAFE"
     source: str
@@ -185,8 +184,7 @@ def prepare_case(case: CorpusCase):
     return program, env, heap
 
 
-@dataclass
-class CorpusResult:
+class CorpusResult(Record):
     case: CorpusCase
     report: GaiReport
 

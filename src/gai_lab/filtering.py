@@ -31,18 +31,17 @@ pass/residue labelings of the first trace; it lives with the tests, in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .alloc_model import SymbolicEvent, SymbolicSeq, SymFail, SymFree, SymMalloc, back_index
+from .core import Record
 from .notac import CastEv, Event, FreeEv, MallocEv, MallocFailEv, ObsEv, Trace
 
 # ---------------------------------------------------------------------------
 # The deterministic filter
 
 
-@dataclass(frozen=True)
-class FilterOutcome:
+class FilterOutcome(Record, frozen=True):
     residue: Trace
 
 

@@ -42,12 +42,11 @@ plus casts.  Let ``u[:j]`` be similar to ``v[:j]`` and ``c`` lie in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import allocators
 from .alloc_model import Strategy, wf_check
-from .core import Heap
+from .core import Heap, Record
 from .filtering import similar_prefixes
 from .notac import (
     DEFAULT_FUEL,
@@ -97,8 +96,7 @@ class FamilyNotWellFormed(Exception):
         self.failures = failures
 
 
-@dataclass
-class Violation:
+class Violation(Record):
     producer: str
     witness_member: str
     position: int
@@ -119,12 +117,11 @@ class Violation:
         )
 
 
-@dataclass
-class GaiReport:
+class GaiReport(Record):
     verdict: str  # "pass" | "violation" | "inconclusive"
-    violation: Optional[Violation] = None
-    inconclusive: tuple = ()  # entries naming the members that ran out of fuel
-    outcomes: dict = field(default_factory=dict)  # member name -> its run's Outcome
+    violation: Optional[Violation]
+    inconclusive: tuple  # entries naming the members that ran out of fuel
+    outcomes: dict  # member name -> its run's Outcome
 
     @property
     def runs(self) -> dict:

@@ -33,11 +33,11 @@ Notac cell, and the translated program must satisfy GAI.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import notac
 from .alloc_model import Strategy
+from .core import Record
 from .gai import DEFAULT_ENV_BASE, GaiReport, gai_check
 from .notac import (
     DEFAULT_FUEL,
@@ -68,8 +68,7 @@ from .notac import (
 # Values and state
 
 
-@dataclass(frozen=True)
-class MsPtr:
+class MsPtr(Record, frozen=True):
     block: int
     bound: int
     offset: int
@@ -85,8 +84,7 @@ NIL = _Nil()
 MsValue = object  # int | MsPtr | NIL
 
 
-@dataclass
-class MsBlock:
+class MsBlock(Record):
     """An allocated block: its size and the cells written so far.  An
     unwritten cell in bounds reads 0, so ``alloc`` costs nothing per cell."""
 
@@ -94,15 +92,13 @@ class MsBlock:
     cells: dict  # offset -> MsValue
 
 
-@dataclass
-class MsState:
+class MsState(Record):
     store: dict  # var -> MsValue
     heap: dict  # block id -> MsBlock
     next_id: int = 0
 
 
-@dataclass
-class MsOutcome:
+class MsOutcome(Record):
     kind: str  # "ok" | "error" | "diverged"
     state: Optional[MsState] = None
     reason: str = ""
@@ -315,8 +311,7 @@ def _ms_binop(op: str, l: MsValue, r: MsValue) -> MsValue:
     raise _Undefined(f"{op} undefined on {l!r} and {r!r}")
 
 
-@dataclass(frozen=True)
-class _Guard:
+class _Guard(Record, frozen=True):
     """A pending guard check of a running loop, on ``ms_eval_cmd``'s stack."""
 
     loop: While
@@ -503,16 +498,14 @@ def translate_to_source(cmd: Cmd) -> tuple[str, dict]:
 # Differential validation
 
 
-@dataclass
-class DiffMismatch:
+class DiffMismatch(Record):
     allocator: str
     variable: str
     memsafe_value: int
     notac_value: Optional[int]
 
 
-@dataclass
-class DiffReport:
+class DiffReport(Record):
     ok: bool
     mismatches: list
     runs: dict  # allocator name -> (outcome kind, oom flag)

@@ -34,53 +34,63 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .alloc_model import Strategy
-from .core import Addr, Heap, InaccessibleWrite, Val
+from .core import Addr, Heap, InaccessibleWrite, Record, Val
 
 # ---------------------------------------------------------------------------
 # Events and traces
 
 
-@dataclass(frozen=True)
-class ObsEv:
+class ObsEv(Record, frozen=True):
     val: Val
+
+    def __init__(self, val: Val):
+        object.__setattr__(self, "val", val)
 
     def __str__(self) -> str:
         return f"obs({self.val})"
 
 
-@dataclass(frozen=True)
-class MallocEv:
+class MallocEv(Record, frozen=True):
     size: int
     addr: Addr
+
+    def __init__(self, size: int, addr: Addr):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "addr", addr)
 
     def __str__(self) -> str:
         return f"malloc({self.size},{self.addr})"
 
 
-@dataclass(frozen=True)
-class MallocFailEv:
+class MallocFailEv(Record, frozen=True):
     size: int
+
+    def __init__(self, size: int):
+        object.__setattr__(self, "size", size)
 
     def __str__(self) -> str:
         return f"mfail({self.size})"
 
 
-@dataclass(frozen=True)
-class FreeEv:
+class FreeEv(Record, frozen=True):
     addr: Val  # carries the evaluated value, valid address or not
+
+    def __init__(self, addr: Val):
+        object.__setattr__(self, "addr", addr)
 
     def __str__(self) -> str:
         return f"free({self.addr})"
 
 
-@dataclass(frozen=True)
-class CastEv:
+class CastEv(Record, frozen=True):
     val: Val
+
+    def __init__(self, val: Val):
+        object.__setattr__(self, "val", val)
 
     def __str__(self) -> str:
         return f"cast({self.val})"
@@ -167,121 +177,103 @@ class _Compiled:
     code = cached_property(lambda self: _COMPILERS[type(self)](self))
 
 
-@dataclass(frozen=True)
-class Const(_Compiled):
+class Const(_Compiled, Record, frozen=True):
     value: int
 
 
-@dataclass(frozen=True)
-class Var(_Compiled):
+class Var(_Compiled, Record, frozen=True):
     name: str
 
 
-@dataclass(frozen=True)
-class Binop(_Compiled):
+class Binop(_Compiled, Record, frozen=True):
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Deref(_Compiled):
+class Deref(_Compiled, Record, frozen=True):
     addr: "Expr"
 
 
-@dataclass(frozen=True)
-class AddrOf(_Compiled):
+class AddrOf(_Compiled, Record, frozen=True):
     name: str
 
 
-@dataclass(frozen=True)
-class Null(_Compiled):
+class Null(_Compiled, Record, frozen=True):
     pass
 
 
 Expr = Const | Var | Binop | Deref | AddrOf | Null
 
 
-@dataclass(frozen=True)
-class LVar(_Compiled):
+class LVar(_Compiled, Record, frozen=True):
     name: str
 
 
-@dataclass(frozen=True)
-class LDeref(_Compiled):
+class LDeref(_Compiled, Record, frozen=True):
     addr: Expr
 
 
 Lval = LVar | LDeref
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(Record, frozen=True, uncompared=("pos",)):
     lval: Lval
     expr: Expr
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(frozen=True)
-class CastAssign:
+class CastAssign(Record, frozen=True, uncompared=("pos",)):
     lval: Lval
     expr: Expr
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(frozen=True)
-class MallocAssign:
+class MallocAssign(Record, frozen=True, uncompared=("pos",)):
     lval: Lval
     size: Expr
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(frozen=True)
-class FreeCmd:
+class FreeCmd(Record, frozen=True, uncompared=("pos",)):
     expr: Expr
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(frozen=True)
-class Skip:
-    pos: Pos = field(default=(0, 0), compare=False)
+class Skip(Record, frozen=True, uncompared=("pos",)):
+    pos: Pos = (0, 0)
 
 
-@dataclass(frozen=True)
-class Seq:
+class Seq(Record, frozen=True):
     first: "Cmd"
     second: "Cmd"
 
 
-@dataclass(frozen=True)
-class If:
+class If(Record, frozen=True, uncompared=("pos",)):
     cond: Expr
     then: "Cmd"
     orelse: "Cmd"
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(frozen=True)
-class While:
+class While(Record, frozen=True, uncompared=("pos",)):
     cond: Expr
     body: "Cmd"
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
     # ``if (cond) { body; this loop }``: a loop step pushes it, built once per node.
     unrolled = cached_property(lambda self: If(self.cond, Seq(self.body, self), Skip(self.pos), self.pos))
 
 
-@dataclass(frozen=True)
-class Observe:
+class Observe(Record, frozen=True, uncompared=("pos",)):
     expr: Expr
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
 Cmd = Assign | CastAssign | MallocAssign | FreeCmd | Skip | Seq | If | While | Observe
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record, frozen=True):
     body: Cmd
     variables: tuple  # tuple[str, ...] in first-occurrence order
 
@@ -309,11 +301,13 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"if", "else", "while", "skip", "observe", "free", "malloc", "cast", "NULL", "error"}
 
 
-@dataclass
-class _Tok:
+class _Tok(Record):
     kind: str  # num | name | op | eof
     text: str
     pos: Pos
+
+    def __init__(self, kind: str, text: str, pos: Pos):
+        self.kind, self.text, self.pos = kind, text, pos
 
 
 # Binary operator precedence, loosest first (xor sits between the logical
@@ -556,7 +550,7 @@ def chain(cmds: list) -> Cmd:
 def collect_vars(root) -> list:
     """Variable names in first-occurrence order in a tree of syntax nodes.
 
-    A left-to-right walk over dataclass fields on an explicit stack: a
+    A left-to-right walk over record fields on an explicit stack: a
     program's ``Seq`` chain is as deep as it has statements.  A command's
     target comes before the variables its operand reads.  Caches such as
     ``While.unrolled`` are not fields, so the walk skips them.
@@ -568,7 +562,7 @@ def collect_vars(root) -> list:
         if isinstance(node, (Var, AddrOf, LVar)):
             seen.setdefault(node.name, None)
         else:
-            stack.extend(reversed([v for f in fields(node) if is_dataclass(v := getattr(node, f.name))]))
+            stack.extend(reversed([v for f in node._fields if isinstance(v := getattr(node, f), Record)]))
     return list(seen)
 
 
@@ -689,8 +683,7 @@ class Config(NamedTuple):
     state: object
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(Record, frozen=True):
     kind: str  # "terminated" | "stuck" | "out-of-fuel"
     trace: Trace
     heap: Optional[Heap] = None

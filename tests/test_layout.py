@@ -4,8 +4,9 @@ Every module-level function or class in ``src/gai_lab`` must be named
 somewhere in ``src/`` (by an ``ast.Name`` or an ``ast.Attribute``).  A
 definition that only the tests reach belongs with the tests, as the
 brute-force oracles in ``tests/similarity_oracle.py`` and
-``tests/wf_oracle.py`` do.  Decorated definitions (click commands,
-dataclasses) are skipped: a decorator may register what nothing names.
+``tests/wf_oracle.py`` do.  Decorated definitions (click commands) are
+skipped: a decorator may register what nothing names.  Record classes
+(``core.Record``) carry no decorator, so the scan covers them too.
 """
 
 import ast
