@@ -1,14 +1,17 @@
 """Concrete allocation strategies.
 
-Shipped strategies:
+Each strategy is one class, built from the numbers of the spec that
+:func:`parse_alloc_spec` reads and that the strategy prints as its ``name``:
 
-* ``eager``          -- first-fit over a segment, frees release memory
-* ``bump``           -- bump pointer, frees are no-ops
-* ``curious``        -- commits to a semispace based on client memory
-* ``null``           -- every allocation fails
-* ``nozero(inner)``  -- wrapper failing zero-sized allocations
-* ``lenient-bump``   -- bump, but the null cell stays accessible
-* ``guarded-eager``  -- eager with one-cell guards around each block
+* ``eager:N1,N2,N3``          -- ``EagerAlloc``: first-fit; frees release memory
+* ``bump:N1,N2,N3``           -- ``BumpAlloc``: bump pointer; frees are no-ops
+* ``curious:m,heapMax``       -- ``CuriousAlloc``: semispace chosen by client memory
+* ``null``                    -- ``NullAlloc``: every allocation fails
+* ``nozero(inner)``           -- ``NoZeroAlloc``: fails zero-sized allocations
+* ``lenient-bump:N1,N2,N3``   -- ``LenientBumpAlloc``: bump, null cell accessible
+* ``guarded-eager:N1,N2,N3``  -- ``GuardedEagerAlloc``: eager, one-cell guards
+
+so ``EagerAlloc(2048, 2112, 6208)`` is ``eager:2048,2112,6208``.
 
 The last two are discriminators: deliberately permissive (or defensive)
 behaviors that are still well-formed, used by the differential GAI checker
@@ -20,26 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .alloc_model import Strategy
-from .core import H_MAX_DEFAULT, MAX_SPEC_CELLS, Addr, Heap, Record, interval, parse_int
-
-
-class SegmentParams(Record, frozen=True):
-    """Memory segment [n1, n3) whose initial part [n1, n2) is reserved.
-
-    The segment and its null address n2 lie below the heap's address bound
-    ``H_MAX_DEFAULT``.
-    """
-
-    n1: Addr
-    n2: Addr
-    n3: Addr
-
-    def __post_init__(self):
-        if not (0 <= self.n1 <= self.n2 <= self.n3 <= H_MAX_DEFAULT and self.n2 < H_MAX_DEFAULT):
-            raise ValueError(f"bad segment {self}")
-
-    def __str__(self) -> str:
-        return f"{self.n1},{self.n2},{self.n3}"
+from .core import H_MAX_DEFAULT, MAX_SPEC_CELLS, Addr, Heap, interval, parse_int
 
 
 def _first_fit(heap, lo: Addr, end: Addr, span: int, guard: int = 0, starts=frozenset()) -> Optional[Addr]:
@@ -58,16 +42,20 @@ def _first_fit(heap, lo: Addr, end: Addr, span: int, guard: int = 0, starts=froz
 
 
 class _SegmentAlloc(Strategy):
-    """A strategy over one segment; null is n2, the name is ``kind:params``."""
+    """A strategy over the segment [n1, n3) whose initial part [n1, n2) is
+    reserved; null is n2 and the name is ``kind:n1,n2,n3``.  The segment and
+    n2 lie below the heap's address bound ``H_MAX_DEFAULT``."""
 
     kind: str
 
-    def __init__(self, params: SegmentParams):
-        self.params = params
-        self.name = f"{self.kind}:{params}"
+    def __init__(self, n1: Addr, n2: Addr, n3: Addr):
+        self.name = f"{self.kind}:{n1},{n2},{n3}"
+        if not (0 <= n1 <= n2 <= n3 <= H_MAX_DEFAULT and n2 < H_MAX_DEFAULT):
+            raise ValueError(f"bad segment {self.name}")
+        self.n1, self.n2, self.n3 = n1, n2, n3
 
     def null(self, state) -> Addr:
-        return self.params.n2
+        return self.n2
 
 
 class EagerAlloc(_SegmentAlloc):
@@ -83,14 +71,12 @@ class EagerAlloc(_SegmentAlloc):
     guard = 0  # cells kept free around each block; nonzero in guarded-eager
 
     def init(self, heap: Heap):
-        p = self.params
-        heap.undefine(interval(p.n2, p.n3))
+        heap.undefine(interval(self.n2, self.n3))
         return heap, frozenset()
 
     def malloc(self, heap: Heap, state, size: int):
-        p = self.params
         starts = {a for (a, _s) in state}
-        a = _first_fit(heap, p.n2 + 1, p.n3, max(size, 1), self.guard, starts)
+        a = _first_fit(heap, self.n2 + 1, self.n3, max(size, 1), self.guard, starts)
         if a is None:
             return heap, state, self.null(state)
         if size > 0:
@@ -124,26 +110,25 @@ class BumpAlloc(_SegmentAlloc):
 
     kind = "bump"
 
-    def __init__(self, params: SegmentParams):
-        super().__init__(params)
-        span = params.n3 - params.n2 - 1
+    def __init__(self, n1: Addr, n2: Addr, n3: Addr):
+        super().__init__(n1, n2, n3)
+        span = n3 - n2 - 1
         if span > MAX_SPEC_CELLS:
             raise ValueError(f"{self.name} fills {span} cells, more than MAX_SPEC_CELLS = {MAX_SPEC_CELLS}")
 
     def init(self, heap: Heap):
-        p = self.params
         # The null cell lies outside the filled range, so it goes first, and
         # the flat base that fill_undefined builds already holds it.
         self._init_null_cell(heap)
-        heap.fill_undefined(interval(p.n2 + 1, p.n3), 0)
-        return heap, p.n2 + 1
+        heap.fill_undefined(interval(self.n2 + 1, self.n3), 0)
+        return heap, self.n2 + 1
 
     def _init_null_cell(self, heap: Heap) -> None:
-        heap.undefine([self.params.n2])
+        heap.undefine([self.n2])
 
     def malloc(self, heap: Heap, state: int, size: int):
         bump = state + (1 if size == 0 else size)
-        if bump <= self.params.n3:
+        if bump <= self.n3:
             return heap, bump, state
         return heap, state, self.null(state)
 
@@ -157,7 +142,7 @@ class LenientBumpAlloc(BumpAlloc):
     kind = "lenient-bump"
 
     def _init_null_cell(self, heap: Heap) -> None:
-        heap.define([self.params.n2], 0)
+        heap.define([self.n2], 0)
 
 
 _SEGMENT_KINDS = {cls.kind: cls for cls in (EagerAlloc, GuardedEagerAlloc, BumpAlloc, LenientBumpAlloc)}
@@ -177,6 +162,8 @@ class CuriousAlloc(Strategy):
     def __init__(self, m: int, h_max: int):
         if m < 1:
             raise ValueError("m must be >= 1")
+        if m >= (H_MAX_DEFAULT - 1).bit_length():  # 2**m >= H_MAX_DEFAULT, known before it is built
+            raise ValueError(f"m {m} puts upper_max 2**{m} at or past the heap's address bound {H_MAX_DEFAULT}")
         self.m = m
         self.h_max = h_max
         self.lower_max = 2 ** (m - 1)
@@ -263,38 +250,6 @@ class NoZeroAlloc(Strategy):
         return self.inner.free(heap, state, addr)
 
 
-# ---------------------------------------------------------------------------
-# Constructors matching the CLI selection grammar
-
-
-def eager(n1: Addr, n2: Addr, n3: Addr) -> EagerAlloc:
-    return EagerAlloc(SegmentParams(n1, n2, n3))
-
-
-def guarded_eager(n1: Addr, n2: Addr, n3: Addr) -> GuardedEagerAlloc:
-    return GuardedEagerAlloc(SegmentParams(n1, n2, n3))
-
-
-def bump(n1: Addr, n2: Addr, n3: Addr) -> BumpAlloc:
-    return BumpAlloc(SegmentParams(n1, n2, n3))
-
-
-def lenient_bump(n1: Addr, n2: Addr, n3: Addr) -> LenientBumpAlloc:
-    return LenientBumpAlloc(SegmentParams(n1, n2, n3))
-
-
-def curious(m: int, h_max: int) -> CuriousAlloc:
-    return CuriousAlloc(m, h_max)
-
-
-def null_alloc() -> NullAlloc:
-    return NullAlloc()
-
-
-def no_zero(inner: Strategy) -> NoZeroAlloc:
-    return NoZeroAlloc(inner)
-
-
 def reserved_window(strategy: Strategy) -> Optional[tuple]:
     """The [n1, n2) window a segment strategy preserves, if it has one.
 
@@ -304,7 +259,7 @@ def reserved_window(strategy: Strategy) -> Optional[tuple]:
     if isinstance(strategy, NoZeroAlloc):
         return reserved_window(strategy.inner)
     if isinstance(strategy, _SegmentAlloc):
-        return (strategy.params.n1, strategy.params.n2)
+        return (strategy.n1, strategy.n2)
     return None
 
 
@@ -318,12 +273,12 @@ def parse_alloc_spec(text: str) -> Strategy:
     inner spec of a ``nozero`` is not itself a ``nozero``.
     """
     if text == "null":
-        return null_alloc()
+        return NullAlloc()
     if text.startswith("nozero(") and text.endswith(")"):
         inner = text[len("nozero(") : -1]
         if inner.startswith("nozero("):  # idempotent, and no recursion per level
             raise ValueError(f"bad allocator spec {text!r}: nozero( directly inside nozero(")
-        return no_zero(parse_alloc_spec(inner))
+        return NoZeroAlloc(parse_alloc_spec(inner))
     if ":" not in text:
         raise ValueError(f"bad allocator spec {text!r}")
     kind, _, args = text.partition(":")
@@ -332,7 +287,7 @@ def parse_alloc_spec(text: str) -> Strategy:
     except ValueError:
         raise ValueError(f"bad allocator spec {text!r}") from None
     if kind in _SEGMENT_KINDS and len(nums) == 3:
-        return _SEGMENT_KINDS[kind](SegmentParams(*nums))
+        return _SEGMENT_KINDS[kind](*nums)
     if kind == "curious" and len(nums) == 2:
-        return curious(*nums)
+        return CuriousAlloc(*nums)
     raise ValueError(f"bad allocator spec {text!r}")

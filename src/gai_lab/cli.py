@@ -13,16 +13,18 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 import click
 
 from . import corpus as corpus_mod
 from . import memsafe, notac
 from .alloc_model import format_symseq, parse_symseq, wf_check
-from .allocators import parse_alloc_spec, reserved_window
+from .allocators import EagerAlloc, parse_alloc_spec, reserved_window
 from .core import H_MAX_DEFAULT, MAX_SPEC_CELLS, Heap, parse_int
 from .filtering import similar, sym_filter
-from .gai import DEFAULT_ENV_BASE, FamilyNotWellFormed, default_family, gai_check
+from .gai import DEFAULT_EAGER_SEGMENT, DEFAULT_ENV_BASE, DEFAULT_WF_TRIALS, FamilyNotWellFormed
+from .gai import default_family, gai_check
 
 
 # Counts, bounds and addresses: click rejects a negative one with exit 2.
@@ -71,8 +73,12 @@ def _parse_file(parse, path: str):
         _fail(f"{path}: {exc}")
 
 
-def _load_program(path: str, base: int, inits: dict):
+def _load_program(path: str, base: int, inits: dict, window: Optional[tuple] = None):
+    """``window`` is the allocator's reserved window when ``base`` defaulted to its start."""
     program = _parse_file(notac.parse, path)
+    if window and window[1] - base < len(program.variables):
+        _fail(f"the reserved window [{base}, {window[1]}) holds {window[1] - base} cells,"
+              f" fewer than the program's {len(program.variables)} variables; give --base")
     if base + len(program.variables) > H_MAX_DEFAULT:
         _fail(f"--base {base} puts the program's variables past the last address {H_MAX_DEFAULT - 1}")
     try:
@@ -104,7 +110,7 @@ def main():
 
 @main.command("run")
 @click.argument("program_path")
-@click.option("--alloc", default="eager:2048,2112,6208", show_default=True, help="Allocator spec.")
+@click.option("--alloc", default=EagerAlloc(*DEFAULT_EAGER_SEGMENT).name, show_default=True, help="Allocator spec.")
 @click.option("--fuel", default=notac.DEFAULT_FUEL, show_default=True, type=NATURAL)
 @click.option("--base", default=None, type=NATURAL,
               help="Variable base address (default: the allocator's reserved window).")
@@ -117,10 +123,10 @@ def cmd_run(program_path, alloc, fuel, base, inits, out_path, as_json):
         strategy = parse_alloc_spec(alloc)
     except ValueError as exc:
         _fail(str(exc))
+    window = reserved_window(strategy) if base is None else None
     if base is None:
-        window = reserved_window(strategy)
         base = window[0] if window else DEFAULT_ENV_BASE
-    program, env, heap, _ = _load_program(program_path, base, _parse_inits(inits))
+    program, env, heap, _ = _load_program(program_path, base, _parse_inits(inits), window)
     outcome = notac.run(env, strategy, program, heap, fuel)
     if out_path:
         _write_text(out_path, notac.dump_trace(outcome.trace))
@@ -198,7 +204,7 @@ def cmd_filter(trace_path, sigma, as_json):
 @click.option("--base", default=DEFAULT_ENV_BASE, show_default=True, type=NATURAL)
 @click.option("--init", "inits", multiple=True)
 @click.option("--seed", default=0, show_default=True, help="Well-formedness check seed.")
-@click.option("--wf-trials", default=25, show_default=True, type=NATURAL)
+@click.option("--wf-trials", default=DEFAULT_WF_TRIALS, show_default=True, type=NATURAL)
 @click.option("--json", "as_json", is_flag=True)
 def cmd_gai(program_path, family, fuel, base, inits, seed, wf_trials, as_json):
     """Differential gradual-allocator-independence check."""

@@ -93,7 +93,6 @@ class Record:
     _defaults: Mapping = {}
     _fill: Mapping = {0: ()}
     _uncompared: frozenset = frozenset()
-    __post_init__ = None
 
     def __init_subclass__(cls, frozen: bool = False, uncompared: Iterable[str] = (), **kwargs):
         super().__init_subclass__(**kwargs)
@@ -130,8 +129,6 @@ class Record:
         fill = None if kwargs else self._fill.get(len(args))
         for name, value in zip(self._fields, self._bind(args, kwargs) if fill is None else args + fill):
             object.__setattr__(self, name, value)
-        if self.__post_init__ is not None:
-            self.__post_init__()
 
     def _bind(self, args: tuple, kwargs: dict) -> tuple:
         """Every field's value from a call that names fields by keyword;

@@ -163,13 +163,13 @@ def default_family() -> list[Strategy]:
     sits below the variable block; eager/guarded share a roomy segment.
     """
     return [
-        allocators.eager(*DEFAULT_EAGER_SEGMENT),
-        allocators.guarded_eager(*DEFAULT_EAGER_SEGMENT),
-        allocators.bump(*DEFAULT_BUMP_SEGMENT),
-        allocators.lenient_bump(*DEFAULT_BUMP_SEGMENT),
-        allocators.curious(*DEFAULT_CURIOUS),
-        allocators.null_alloc(),
-        allocators.no_zero(allocators.bump(*DEFAULT_BUMP_SEGMENT)),
+        allocators.EagerAlloc(*DEFAULT_EAGER_SEGMENT),
+        allocators.GuardedEagerAlloc(*DEFAULT_EAGER_SEGMENT),
+        allocators.BumpAlloc(*DEFAULT_BUMP_SEGMENT),
+        allocators.LenientBumpAlloc(*DEFAULT_BUMP_SEGMENT),
+        allocators.CuriousAlloc(*DEFAULT_CURIOUS),
+        allocators.NullAlloc(),
+        allocators.NoZeroAlloc(allocators.BumpAlloc(*DEFAULT_BUMP_SEGMENT)),
     ]
 
 
@@ -177,13 +177,14 @@ DEFAULT_CURIOUS = (9, 2047)  # semispaces [1,256]/[257,512], first region [513,2
 DEFAULT_ENV_BASE = 2048  # variables live just above the curious world
 DEFAULT_EAGER_SEGMENT = (2048, 2112, 6208)
 DEFAULT_BUMP_SEGMENT = (2048, 2112, 2176)
+DEFAULT_WF_TRIALS = 25  # well-formedness trials per family member
 
 
 def check_family_wf(
     family: Sequence[Strategy],
     reserved: frozenset,
     heap: Heap,
-    trials: int = 25,
+    trials: int = DEFAULT_WF_TRIALS,
     seed: int = 0,
 ) -> None:
     """Raise :class:`FamilyNotWellFormed` if any member flunks a clause."""
@@ -199,7 +200,7 @@ def gai_check(
     heap: Heap,
     family: Optional[Sequence[Strategy]] = None,
     fuel: int = DEFAULT_FUEL,
-    wf_trials: int = 25,
+    wf_trials: int = DEFAULT_WF_TRIALS,
     wf_seed: int = 0,
 ) -> GaiReport:
     """Differential GAI verdict for one program under one family.

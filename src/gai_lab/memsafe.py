@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 from . import notac
 from .alloc_model import Strategy
 from .core import Record
-from .gai import DEFAULT_ENV_BASE, GaiReport, gai_check
+from .gai import DEFAULT_ENV_BASE, DEFAULT_WF_TRIALS, GaiReport, gai_check
 from .notac import (
     DEFAULT_FUEL,
     MAX_BLOCK_DEPTH,
@@ -534,7 +534,7 @@ def differential_check(
     fuel: int = DEFAULT_FUEL,
     family: Optional[Sequence[Strategy]] = None,
     initial_store: Optional[dict] = None,
-    wf_trials: int = 25,
+    wf_trials: int = DEFAULT_WF_TRIALS,
 ) -> DiffReport:
     """Validate the translation of one error-free Memsafe program.
 

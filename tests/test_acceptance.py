@@ -28,13 +28,13 @@ from gai_lab.alloc_model import (
     wf_check,
 )
 from gai_lab.allocators import (
-    bump,
-    curious,
-    eager,
-    guarded_eager,
-    lenient_bump,
-    no_zero,
-    null_alloc,
+    BumpAlloc as bump,
+    CuriousAlloc as curious,
+    EagerAlloc as eager,
+    GuardedEagerAlloc as guarded_eager,
+    LenientBumpAlloc as lenient_bump,
+    NoZeroAlloc as no_zero,
+    NullAlloc as null_alloc,
 )
 from gai_lab.core import Heap
 from gai_lab.filtering import similar, sym_filter

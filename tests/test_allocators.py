@@ -1,25 +1,31 @@
 """Unit behavior of the shipped allocation strategies."""
 
+import inspect
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gai_lab import allocators
+from gai_lab.alloc_model import Strategy
 from gai_lab.allocators import (
+    _SEGMENT_KINDS,
+    BumpAlloc,
     CuriousAlloc,
-    SegmentParams,
+    EagerAlloc,
+    LenientBumpAlloc,
     _first_fit,
-    bump,
-    curious,
-    eager,
-    guarded_eager,
-    lenient_bump,
-    no_zero,
-    null_alloc,
+    BumpAlloc as bump,
+    CuriousAlloc as curious,
+    EagerAlloc as eager,
+    GuardedEagerAlloc as guarded_eager,
+    LenientBumpAlloc as lenient_bump,
+    NoZeroAlloc as no_zero,
+    NullAlloc as null_alloc,
     parse_alloc_spec,
 )
-from gai_lab.core import Heap
+from gai_lab.core import H_MAX_DEFAULT, MAX_SPEC_CELLS, Heap
 from gai_lab.gai import default_family
 
 
@@ -29,7 +35,7 @@ def reserved_heap(n=100):
 
 def test_segment_validation():
     with pytest.raises(ValueError):
-        SegmentParams(10, 5, 20)
+        eager(10, 5, 20)
 
 
 @pytest.mark.parametrize("spec", [
@@ -37,6 +43,7 @@ def test_segment_validation():
     "lenient-bump:0,4294967296,4294967296",  # null cell at the bound
     "curious:33,8589934600",  # world past the bound
     "curious:4,4294967296",
+    "curious:10000000000,5",  # 2**m would take gigabytes
 ])
 def test_geometry_must_fit_below_the_address_bound(spec):
     with pytest.raises(ValueError):
@@ -53,6 +60,34 @@ def test_a_bump_span_above_max_spec_cells_is_rejected_when_built(spec):
 def test_bump_spans_up_to_max_spec_cells_are_accepted():
     assert parse_alloc_spec("bump:0,8,1048585").name == "bump:0,8,1048585"
     assert parse_alloc_spec("bump:0,8,1000000").name == "bump:0,8,1000000"  # the largest spec in use
+
+
+# Segment numbers near 0, near MAX_SPEC_CELLS (the bump span bound) and near
+# the address bound 2**32.
+SEGMENT_NUMBERS = st.one_of(st.integers(-2, 10), st.integers(MAX_SPEC_CELLS - 2, MAX_SPEC_CELLS + 12),
+                            st.integers(H_MAX_DEFAULT - 10, H_MAX_DEFAULT + 2))
+
+
+@given(st.sampled_from(list(_SEGMENT_KINDS.values())), SEGMENT_NUMBERS, SEGMENT_NUMBERS, SEGMENT_NUMBERS)
+@example(EagerAlloc, -1, 0, 1)
+@example(EagerAlloc, 1, 0, 5)  # n2 below n1
+@example(EagerAlloc, 0, 5, 4)  # n3 below n2
+@example(EagerAlloc, 0, 8, H_MAX_DEFAULT + 1)  # n3 past the bound
+@example(EagerAlloc, 0, H_MAX_DEFAULT, H_MAX_DEFAULT)  # null at the bound
+@example(EagerAlloc, 0, H_MAX_DEFAULT - 1, H_MAX_DEFAULT)
+@example(BumpAlloc, 0, 0, MAX_SPEC_CELLS + 1)  # a span of MAX_SPEC_CELLS
+@example(LenientBumpAlloc, 0, 0, MAX_SPEC_CELLS + 2)  # one cell more
+def test_a_segment_strategy_is_built_exactly_from_a_good_segment(cls, n1, n2, n3):
+    good = 0 <= n1 <= n2 <= n3 <= H_MAX_DEFAULT and n2 < H_MAX_DEFAULT
+    if issubclass(cls, BumpAlloc):
+        good = good and n3 - n2 - 1 <= MAX_SPEC_CELLS
+    if not good:
+        with pytest.raises(ValueError):
+            cls(n1, n2, n3)
+        return
+    s = cls(n1, n2, n3)
+    assert (s.n1, s.n2, s.n3) == (n1, n2, n3)
+    assert parse_alloc_spec(s.name).name == s.name
 
 
 def test_geometry_up_to_the_address_bound_is_accepted():
@@ -306,12 +341,25 @@ def test_parse_alloc_spec():
             parse_alloc_spec(bad)
 
 
-@pytest.mark.parametrize("spec", [
+SPECS_IN_USE = [
     "bump:0,100,200", "bump:0,300,4096", "bump:0,4,20", "bump:0,8,72", "curious:4,4294967295",
     "curious:9,2047", "eager:0,100,200", "eager:0,64,4096", "eager:0,8,4294967296",
     "eager:2048,2112,6208", "bump:2048,2112,2176", "guarded-eager:0,100,200",
     "lenient-bump:0,100,200", "nozero(bump:0,100,200)", "nozero(bump:0,8,72)", "null",
     *(s.name for s in default_family()),
-])
+]
+
+
+@pytest.mark.parametrize("spec", SPECS_IN_USE)
 def test_specs_in_use_parse_to_their_own_name(spec):
     assert parse_alloc_spec(spec).name == spec
+
+
+def test_every_strategy_class_is_built_from_some_spec():
+    built = set()
+    for spec in SPECS_IN_USE:
+        s = parse_alloc_spec(spec)
+        built |= {type(s), type(getattr(s, "inner", s))}
+    concrete = {c for c in vars(allocators).values()
+                if isinstance(c, type) and issubclass(c, Strategy) and not inspect.isabstract(c)}
+    assert concrete == built

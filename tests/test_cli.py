@@ -78,6 +78,7 @@ def test_init_value_that_is_not_an_int_exits_2(tmp_path, value):
     (("wf", "bump:0,8,72", "--reserved", "4294967290:4294967300"), "bad --reserved"),
     (("run", "{prog}", "--base", "5000000000"), "--base 5000000000"),
     (("gai", "{prog}", "--base", "5000000000"), "--base 5000000000"),
+    (("wf", "curious:10000000000,5", "--trials", "1"), "address bound"),
 ])
 def test_geometry_past_the_address_bound_exits_2(tmp_path, args, message):
     prog = write(tmp_path, "prog.ntc", "x = 1; p = malloc(4); observe(x);")
@@ -400,6 +401,39 @@ def test_run_out_of_fuel_exits_2_and_names_the_fuel(tmp_path):
     for command in ("run", "gai", "ms-run", "corpus"):
         fuel = next(p for p in main.commands[command].params if p.name == "fuel")
         assert fuel.default is notac.DEFAULT_FUEL, command
+
+
+def test_wf_trials_and_the_run_allocator_are_stated_once():
+    for fn, name in ((gai.gai_check, "wf_trials"), (gai.check_family_wf, "trials"),
+                     (memsafe.differential_check, "wf_trials")):
+        assert inspect.signature(fn).parameters[name].default is gai.DEFAULT_WF_TRIALS, fn.__name__
+    wf_trials = next(p for p in main.commands["gai"].params if p.name == "wf_trials")
+    assert wf_trials.default is gai.DEFAULT_WF_TRIALS
+    alloc = next(p for p in main.commands["run"].params if p.name == "alloc")
+    assert alloc.default == "eager:" + ",".join(map(str, gai.DEFAULT_EAGER_SEGMENT)) == "eager:2048,2112,6208"
+
+
+NINE_VARIABLES = "a=1;b=2;c=3;d=4;e=5;f=6;g=7;h=8;i=9;observe(i);"
+
+
+@pytest.mark.parametrize("alloc", ["eager:0,8,72", "bump:0,8,72", "nozero(bump:0,8,72)"])
+def test_run_rejects_a_default_base_whose_window_is_smaller_than_the_variables(tmp_path, alloc):
+    prog = write(tmp_path, "nine.ntc", NINE_VARIABLES)
+    assert_usage_error(invoke("run", prog, "--alloc", alloc),
+                       "the reserved window [0, 8) holds 8 cells, fewer than the program's 9 variables")
+    # Eight variables fit the window.
+    res = invoke("run", write(tmp_path, "eight.ntc", "a=1;b=2;c=3;d=4;e=5;f=6;g=7;h=8;observe(h);"), "--alloc", alloc)
+    assert res.exit_code == 0 and "obs(8)" in res.output
+
+
+@pytest.mark.parametrize("alloc", ["eager:0,8,72", "bump:0,8,72"])
+def test_run_takes_an_explicit_base_as_given(tmp_path, alloc):
+    prog = write(tmp_path, "nine.ntc", NINE_VARIABLES)
+    res = invoke("run", prog, "--alloc", alloc, "--base", "100")
+    assert res.exit_code == 0 and "obs(9)" in res.output
+    # In the window, the ninth variable is the null cell, as before.
+    res = invoke("run", prog, "--alloc", alloc, "--base", "0")
+    assert res.exit_code == 1 and "write to inaccessible address 8" in res.output
 
 
 def test_ms_run_out_of_fuel_exits_2_and_names_the_fuel(tmp_path):

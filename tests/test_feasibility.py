@@ -16,7 +16,7 @@ from gai_lab.alloc_model import (
     feasible_run,
     parse_symseq,
 )
-from gai_lab.allocators import bump, eager
+from gai_lab.allocators import BumpAlloc as bump, EagerAlloc as eager
 from gai_lab.core import Heap
 from gai_lab.gai import DEFAULT_ENV_BASE, default_family
 from wf_oracle import play_step

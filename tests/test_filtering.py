@@ -15,7 +15,7 @@ from gai_lab.alloc_model import (
     feasible_run,
     parse_symseq,
 )
-from gai_lab.allocators import eager
+from gai_lab.allocators import EagerAlloc as eager
 from gai_lab.filtering import (
     prefixes_similar_to,
     similar,

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gai_lab.allocators import bump, eager, lenient_bump, null_alloc
+from gai_lab.allocators import (
+    BumpAlloc as bump,
+    EagerAlloc as eager,
+    LenientBumpAlloc as lenient_bump,
+    NullAlloc as null_alloc,
+)
 from gai_lab.corpus import CASES, prepare_case
 from gai_lab.filtering import prefixes_similar_to, similar_prefixes
 from gai_lab.gai import (
@@ -155,7 +160,7 @@ class TestGaiCheck:
 
     def test_wf_precondition_enforced(self):
         prog, env, heap = prepared("p = malloc(8);")
-        from gai_lab.allocators import BumpAlloc, SegmentParams
+        from gai_lab.allocators import BumpAlloc
 
         class VarSmasher(BumpAlloc):
             # init tramples a program variable: flunks Basic-3
@@ -164,7 +169,7 @@ class TestGaiCheck:
                 h.define([DEFAULT_ENV_BASE], 99)
                 return h, st
 
-        bad = VarSmasher(SegmentParams(2048, 2112, 2176))
+        bad = VarSmasher(2048, 2112, 2176)
         with pytest.raises(FamilyNotWellFormed):
             gai_check(prog, env, heap, family=[bad], wf_trials=20)
 

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gai_lab import memsafe, notac
-from gai_lab.allocators import no_zero, bump, null_alloc
+from gai_lab.allocators import NoZeroAlloc as no_zero, BumpAlloc as bump, NullAlloc as null_alloc
 from gai_lab.gai import DEFAULT_BUMP_SEGMENT, DEFAULT_ENV_BASE
 from gai_lab.memsafe import (
     MAX_MS_BLOCK_DEPTH,

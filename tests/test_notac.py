@@ -12,7 +12,13 @@ from gai_lab.alloc_model import (
     SymMalloc,
     feasible_run,
 )
-from gai_lab.allocators import bump, curious, eager, lenient_bump, null_alloc
+from gai_lab.allocators import (
+    BumpAlloc as bump,
+    CuriousAlloc as curious,
+    EagerAlloc as eager,
+    LenientBumpAlloc as lenient_bump,
+    NullAlloc as null_alloc,
+)
 from gai_lab.core import Heap
 from gai_lab.notac import (
     Assign,

@@ -21,7 +21,15 @@ from gai_lab.alloc_model import (
     replay_wf_witness,
     wf_check,
 )
-from gai_lab.allocators import bump, curious, eager, guarded_eager, lenient_bump, no_zero, null_alloc
+from gai_lab.allocators import (
+    BumpAlloc as bump,
+    CuriousAlloc as curious,
+    EagerAlloc as eager,
+    GuardedEagerAlloc as guarded_eager,
+    LenientBumpAlloc as lenient_bump,
+    NoZeroAlloc as no_zero,
+    NullAlloc as null_alloc,
+)
 from gai_lab.core import Heap, InaccessibleWrite
 from gai_lab.gai import DEFAULT_EAGER_SEGMENT, DEFAULT_ENV_BASE, FamilyNotWellFormed, default_family, gai_check
 from test_core import count_copied_cells

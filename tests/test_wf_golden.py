@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from gai_lab.alloc_model import _below, _draw, _gen_update, _walk, format_symseq, wf_check
-from gai_lab.allocators import eager
+from gai_lab.allocators import EagerAlloc as eager
 from gai_lab.core import Heap, InaccessibleWrite
 from gai_lab.gai import DEFAULT_EAGER_SEGMENT, DEFAULT_ENV_BASE, default_family
 from test_wf import (
