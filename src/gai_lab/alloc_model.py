@@ -492,6 +492,17 @@ def _draw(rng: random.Random, max_len: int):
     return plan
 
 
+def check_wf_args(reserved: frozenset, heap: Heap, trials: int, max_len: int = 12) -> None:
+    """Raise ``ValueError`` on arguments :func:`wf_check` cannot run with:
+    a negative ``trials`` or ``max_len``, or a reserved cell outside ``heap``."""
+    if trials < 0:
+        raise ValueError(f"trials must not be negative, got {trials}")
+    if max_len < 0:
+        raise ValueError(f"max_len must not be negative, got {max_len}")
+    if any(a not in heap for a in reserved):
+        raise ValueError("reserved memory must be inside the heap domain")
+
+
 def wf_check(
     strategy: Strategy,
     reserved: frozenset,
@@ -512,15 +523,10 @@ def wf_check(
     :func:`check_history` reproduces; each is replayed, from a fresh
     ``init``, before it is reported, and ``RuntimeError`` is raised when one
     does not reproduce, which would mean a nondeterministic strategy.
-    Acceptance is bounded by ``trials``; a negative ``trials`` or
-    ``max_len`` raises ``ValueError``.
+    Acceptance is bounded by ``trials``; bad arguments raise ``ValueError``
+    (:func:`check_wf_args`).
     """
-    if trials < 0:
-        raise ValueError(f"trials must not be negative, got {trials}")
-    if max_len < 0:
-        raise ValueError(f"max_len must not be negative, got {max_len}")
-    if any(a not in heap for a in reserved):
-        raise ValueError("reserved memory must be inside the heap domain")
+    check_wf_args(reserved, heap, trials, max_len)
     start = strategy.init(heap.copy())
     init_violations = _init_violations(heap, start[0], reserved)
     failures: dict[str, tuple[int, WfWitness]] = {}

@@ -20,7 +20,7 @@ import click
 from . import corpus as corpus_mod
 from . import memsafe, notac
 from .alloc_model import format_symseq, parse_symseq, wf_check
-from .allocators import EagerAlloc, parse_alloc_spec, reserved_window
+from .allocators import CuriousAlloc, EagerAlloc, NoZeroAlloc, parse_alloc_spec, reserved_window
 from .core import H_MAX_DEFAULT, MAX_SPEC_CELLS, Heap, parse_int
 from .filtering import similar, sym_filter
 from .gai import DEFAULT_EAGER_SEGMENT, DEFAULT_ENV_BASE, DEFAULT_WF_TRIALS, FamilyNotWellFormed
@@ -203,8 +203,10 @@ def cmd_filter(trace_path, sigma, as_json):
 @click.option("--fuel", default=notac.DEFAULT_FUEL, show_default=True, type=NATURAL)
 @click.option("--base", default=DEFAULT_ENV_BASE, show_default=True, type=NATURAL)
 @click.option("--init", "inits", multiple=True)
-@click.option("--seed", default=0, show_default=True, help="Well-formedness check seed.")
-@click.option("--wf-trials", default=DEFAULT_WF_TRIALS, show_default=True, type=NATURAL)
+@click.option("--seed", default=0, show_default=True,
+              help="Well-formedness check seed; used only when a violation is found.")
+@click.option("--wf-trials", default=DEFAULT_WF_TRIALS, show_default=True, type=NATURAL,
+              help="Well-formedness trials for the producer and witness of a violation.")
 @click.option("--json", "as_json", is_flag=True)
 def cmd_gai(program_path, family, fuel, base, inits, seed, wf_trials, as_json):
     """Differential gradual-allocator-independence check."""
@@ -238,13 +240,29 @@ def _wf_report_json(r) -> dict:
     return out
 
 
+WF_RESERVED_CELLS = 8  # cells the wf command reserves by default
+
+
+def _default_reserved(strategy) -> tuple:
+    """[0, 8), or for a curious world [0, heapMax] the 8 cells above it."""
+    inner = strategy.inner if isinstance(strategy, NoZeroAlloc) else strategy
+    if not isinstance(inner, CuriousAlloc):
+        return 0, WF_RESERVED_CELLS
+    lo, hi = inner.h_max + 1, inner.h_max + 1 + WF_RESERVED_CELLS
+    if hi > H_MAX_DEFAULT:
+        _fail(f"the {WF_RESERVED_CELLS} cells above {strategy.name}'s world [0, {inner.h_max}]"
+              f" pass the address bound {H_MAX_DEFAULT}; give --reserved")
+    return lo, hi
+
+
 @main.command("wf")
 @click.argument("alloc_spec")
 @click.option("--trials", default=200, show_default=True, type=NATURAL)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--maxlen", default=12, show_default=True, type=NATURAL)
-@click.option("--reserved", default="0:8", show_default=True,
-              help="Reserved address range lo:hi (heap-seeded with zeros).")
+@click.option("--reserved", default=None,
+              help="Reserved address range lo:hi (heap-seeded with zeros)."
+                   "  [default: 0:8, or the 8 cells above heapMax for a curious spec]")
 @click.option("--json", "as_json", is_flag=True)
 def cmd_wf(alloc_spec, trials, seed, maxlen, reserved, as_json):
     """Randomized allocator well-formedness check (bounded; rejection-sound)."""
@@ -252,12 +270,15 @@ def cmd_wf(alloc_spec, trials, seed, maxlen, reserved, as_json):
         strategy = parse_alloc_spec(alloc_spec)
     except ValueError as exc:
         _fail(str(exc))
-    try:
-        lo, hi = (parse_int(x) for x in reserved.split(":"))
-        if not lo <= hi <= H_MAX_DEFAULT:
-            raise ValueError
-    except ValueError:
-        _fail(f"bad --reserved {reserved!r}, expected lo:hi with 0 <= lo <= hi <= {H_MAX_DEFAULT}")
+    if reserved is None:
+        lo, hi = _default_reserved(strategy)
+    else:
+        try:
+            lo, hi = (parse_int(x) for x in reserved.split(":"))
+            if not lo <= hi <= H_MAX_DEFAULT:
+                raise ValueError
+        except ValueError:
+            _fail(f"bad --reserved {reserved!r}, expected lo:hi with 0 <= lo <= hi <= {H_MAX_DEFAULT}")
     if hi - lo > MAX_SPEC_CELLS:
         _fail(f"--reserved {reserved!r} spans {hi - lo} cells, more than MAX_SPEC_CELLS = {MAX_SPEC_CELLS}")
     rset = frozenset(range(lo, hi))
@@ -311,7 +332,8 @@ def cmd_translate(program_path, out_path):
 @main.command("corpus")
 @click.option("--family", default="default", show_default=True)
 @click.option("--fuel", default=notac.DEFAULT_FUEL, show_default=True, type=NATURAL)
-@click.option("--wf-trials", default=10, show_default=True, type=NATURAL)
+@click.option("--wf-trials", default=corpus_mod.CORPUS_WF_TRIALS, show_default=True, type=NATURAL,
+              help="Well-formedness trials for the producer and witness of a violation.")
 @click.option("--json", "as_json", is_flag=True)
 def cmd_corpus(family, fuel, wf_trials, as_json):
     """Check every corpus case against its expected verdict."""

@@ -197,10 +197,13 @@ class CorpusResult(Record):
         return self.actual == self.case.expected
 
 
+CORPUS_WF_TRIALS = 10  # well-formedness trials per member a violation rests on
+
+
 def run_corpus(
     family=None,
     fuel: int = notac.DEFAULT_FUEL,
-    wf_trials: int = 10,
+    wf_trials: int = CORPUS_WF_TRIALS,
     names: Optional[Sequence[str]] = None,
 ) -> list[CorpusResult]:
     """gai_check every corpus case; results are ordered by case name."""

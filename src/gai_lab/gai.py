@@ -10,6 +10,16 @@ placement).  The verdict is rejection-sound: a reported violation replays;
 a pass means "no violation found within this family and fuel", and that no
 member ran out of fuel.
 
+Well-formedness is checked only where a verdict rests on it.  The property
+quantifies over well-formed allocators, and every obligation the check
+tests names one producer, one witness and one position; a family's
+obligations include those of each of its subfamilies.  So a pass over the
+family is a pass over its well-formed members, and needs no well-formedness
+check.  A violation must come from two well-formed members, so the
+producer and the witness of the first failing obligation are checked just
+before it is reported, and :class:`FamilyNotWellFormed` names the first of
+them that flunks.
+
 For every producer run ``u``, at every event ``u[j]``, each member whose run
 ``v`` has a prefix similar to ``u[:j]`` must reach the event's downgrading
 class: some event ``c`` of the class must make ``u[:j] + (c,)`` similar to
@@ -45,7 +55,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from . import allocators
-from .alloc_model import Strategy, wf_check
+from .alloc_model import Strategy, check_wf_args, wf_check
 from .core import Heap, Record
 from .filtering import similar_prefixes
 from .notac import (
@@ -177,7 +187,7 @@ DEFAULT_CURIOUS = (9, 2047)  # semispaces [1,256]/[257,512], first region [513,2
 DEFAULT_ENV_BASE = 2048  # variables live just above the curious world
 DEFAULT_EAGER_SEGMENT = (2048, 2112, 6208)
 DEFAULT_BUMP_SEGMENT = (2048, 2112, 2176)
-DEFAULT_WF_TRIALS = 25  # well-formedness trials per family member
+DEFAULT_WF_TRIALS = 25  # well-formedness trials per member a violation rests on
 
 
 def check_family_wf(
@@ -217,14 +227,20 @@ def gai_check(
     ``v`` gives the row ``{i : u[:i] is similar to v[:i]}``, and the row and
     ``v[j]`` decide reach at ``j`` (module docstring).  A trace's row
     against itself is every length and rows are symmetric, so a passing
-    check runs d * (d - 1) / 2 searches for d distinct traces.  Raises
-    ``ValueError`` on an empty family or a negative ``wf_trials``, and
-    :class:`FamilyNotWellFormed` when a member flunks well-formedness.
+    check runs d * (d - 1) / 2 searches for d distinct traces.
+
+    A pass or an inconclusive verdict runs no well-formedness check (module
+    docstring): only the producer and the witness of a violation are
+    checked, with ``wf_trials`` and ``wf_seed``, and
+    :class:`FamilyNotWellFormed` is raised when either flunks.  Raises
+    ``ValueError`` before any run on an empty family, a negative
+    ``wf_trials`` or a variable cell outside ``heap``.
     """
     family = list(default_family() if family is None else family)
     if not family:
         raise ValueError("the family is empty")
-    check_family_wf(family, frozenset(env.values()), heap, wf_trials, wf_seed)
+    reserved = frozenset(env.values())
+    check_wf_args(reserved, heap, wf_trials)
 
     outcomes: list[tuple[Strategy, Outcome]] = [
         (beta, run(env, beta, program, heap, fuel)) for beta in family
@@ -254,6 +270,7 @@ def gai_check(
                         f"{beta.name} ran out of fuel while checking event #{j + 1} of {alpha.name}"
                     )
                     continue
+                check_family_wf([alpha, beta], reserved, heap, wf_trials, wf_seed)
                 violation = Violation(
                     producer=alpha.name,
                     witness_member=beta.name,

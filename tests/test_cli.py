@@ -164,6 +164,17 @@ def test_wf_subcommand():
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("spec", ["curious:9,2047", "nozero(curious:9,2047)"])
+def test_wf_default_reserved_lies_outside_a_curious_world(spec):
+    res = invoke("wf", spec, "--trials", "5")
+    assert res.exit_code == 0, res.output
+    assert res.output.count("status=pass") == 10
+
+
+def test_wf_asks_for_reserved_when_the_cells_above_a_curious_world_pass_the_bound():
+    assert_usage_error(invoke("wf", "curious:9,4294967290", "--trials", "1"), "give --reserved")
+
+
 def test_wf_json_carries_the_failing_trial_and_a_witness_that_replays():
     from gai_lab.alloc_model import ClientUpdate, check_history, parse_symseq
     from gai_lab.allocators import parse_alloc_spec
@@ -285,7 +296,8 @@ def test_corpus_contradiction_exits_1_beside_inconclusive_cases():
 
 
 def test_corpus_family_not_well_formed_exits_2():
-    res = invoke("corpus", "--family", "eager:2048,2048,2050")
+    # null's runs differ from the ill-formed member's, so a violation rests on it.
+    res = invoke("corpus", "--family", "eager:2048,2048,2050;null")
     assert_usage_error(res, "error: family member eager:2048,2048,2050 failed well-formedness")
 
 
@@ -409,6 +421,9 @@ def test_wf_trials_and_the_run_allocator_are_stated_once():
         assert inspect.signature(fn).parameters[name].default is gai.DEFAULT_WF_TRIALS, fn.__name__
     wf_trials = next(p for p in main.commands["gai"].params if p.name == "wf_trials")
     assert wf_trials.default is gai.DEFAULT_WF_TRIALS
+    assert inspect.signature(corpus.run_corpus).parameters["wf_trials"].default is corpus.CORPUS_WF_TRIALS
+    wf_trials = next(p for p in main.commands["corpus"].params if p.name == "wf_trials")
+    assert wf_trials.default is corpus.CORPUS_WF_TRIALS == 10
     alloc = next(p for p in main.commands["run"].params if p.name == "alloc")
     assert alloc.default == "eager:" + ",".join(map(str, gai.DEFAULT_EAGER_SEGMENT)) == "eager:2048,2112,6208"
 

@@ -116,6 +116,15 @@ class TestReachesClass:
         assert reaches(t, MallocEv(8, 3000), trace)
 
 
+class VarSmasher(bump):
+    """init tramples the first program variable: flunks Basic-3."""
+
+    def init(self, heap):
+        h, st = super().init(heap)
+        h.define([DEFAULT_ENV_BASE], 99)
+        return h, st
+
+
 class TestGaiCheck:
     def test_family_of_one_always_passes(self):
         prog, env, heap = prepared("p = malloc(87); *(p) = 42; observe(*(p));")
@@ -159,19 +168,21 @@ class TestGaiCheck:
         assert gai_check(prog, env, heap, big, wf_trials=5).verdict == "violation"
 
     def test_wf_precondition_enforced(self):
-        prog, env, heap = prepared("p = malloc(8);")
-        from gai_lab.allocators import BumpAlloc
-
-        class VarSmasher(BumpAlloc):
-            # init tramples a program variable: flunks Basic-3
-            def init(self, heap):
-                h, st = super().init(heap)
-                h.define([DEFAULT_ENV_BASE], 99)
-                return h, st
-
+        # The smashed variable is observed, so a violation rests on the
+        # ill-formed member, as producer or as witness.
+        prog, env, heap = prepared("observe(x);")
         bad = VarSmasher(2048, 2112, 2176)
-        with pytest.raises(FamilyNotWellFormed):
-            gai_check(prog, env, heap, family=[bad], wf_trials=20)
+        for family in ([bad, eager(2048, 2112, 6208)], [eager(2048, 2112, 6208), bad]):
+            with pytest.raises(FamilyNotWellFormed) as info:
+                gai_check(prog, env, heap, family=family, wf_trials=20)
+            assert info.value.strategy_name == bad.name
+            assert [r.clause for r in info.value.failures] == ["Basic-3"]
+
+    def test_an_ill_formed_member_alone_passes(self):
+        # A family of one has no obligation that can fail, so nothing rests
+        # on its member's well-formedness.
+        prog, env, heap = prepared("observe(x);")
+        assert gai_check(prog, env, heap, family=[VarSmasher(2048, 2112, 2176)], wf_trials=20).verdict == "pass"
 
     def test_inconclusive_on_fuel_exhaustion(self):
         src = "p = malloc(8); observe(1); i = 0; while (i < p - 2110) { i = i + 1; } observe(2);"

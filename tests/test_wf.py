@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gai_lab import memsafe, notac
+from gai_lab import gai, memsafe, notac
 from gai_lab.alloc_model import (
     WF_CLAUSES,
     Strategy,
@@ -89,6 +89,15 @@ def test_gai_check_rejects_negative_wf_trials():
     env, heap, _ = notac.make_env(prog, DEFAULT_ENV_BASE)
     with pytest.raises(ValueError, match="^trials must not be negative"):
         gai_check(prog, env, heap, wf_trials=-1)
+
+
+def test_gai_check_rejects_a_variable_outside_the_heap_before_any_run(monkeypatch):
+    # The program passes, so it would never reach the well-formedness check.
+    prog = notac.parse("x = 1; observe(x);")
+    env, heap, _ = notac.make_env(prog, DEFAULT_ENV_BASE)
+    monkeypatch.setattr(gai, "run", lambda *args: pytest.fail("a member ran"))
+    with pytest.raises(ValueError, match="^reserved memory must be inside the heap domain$"):
+        gai_check(prog, {**env, "y": DEFAULT_ENV_BASE + 100}, heap)
 
 
 class OverlappingAlloc(Strategy):
