@@ -251,15 +251,19 @@ class NoZeroAlloc(Strategy):
 
 
 def reserved_window(strategy: Strategy) -> Optional[tuple]:
-    """The [n1, n2) window a segment strategy preserves, if it has one.
+    """The cells ``[lo, hi)`` the strategy leaves to its client, if it names
+    any: a segment strategy's ``[n1, n2)``, or the addresses above a curious
+    world ``[0, h_max]``.
 
-    Used to pick a default variable base address consistent with the
+    Used to pick default variable and reserved cells consistent with the
     allocator's geometry.
     """
     if isinstance(strategy, NoZeroAlloc):
         return reserved_window(strategy.inner)
     if isinstance(strategy, _SegmentAlloc):
         return (strategy.n1, strategy.n2)
+    if isinstance(strategy, CuriousAlloc):
+        return (strategy.h_max + 1, H_MAX_DEFAULT)
     return None
 
 

@@ -20,7 +20,7 @@ import click
 from . import corpus as corpus_mod
 from . import memsafe, notac
 from .alloc_model import format_symseq, parse_symseq, wf_check
-from .allocators import CuriousAlloc, EagerAlloc, NoZeroAlloc, parse_alloc_spec, reserved_window
+from .allocators import EagerAlloc, parse_alloc_spec, reserved_window
 from .core import H_MAX_DEFAULT, MAX_SPEC_CELLS, Heap, parse_int
 from .filtering import similar, sym_filter
 from .gai import DEFAULT_EAGER_SEGMENT, DEFAULT_ENV_BASE, DEFAULT_WF_TRIALS, FamilyNotWellFormed
@@ -73,12 +73,17 @@ def _parse_file(parse, path: str):
         _fail(f"{path}: {exc}")
 
 
-def _load_program(path: str, base: int, inits: dict, window: Optional[tuple] = None):
-    """``window`` is the allocator's reserved window when ``base`` defaulted to its start."""
+def _load_program(path: str, base: Optional[int], inits: dict, strategies: list):
+    """A ``base`` of ``None`` is the start of the window that the reserved
+    windows of the strategies share, or ``DEFAULT_ENV_BASE`` when none has one."""
     program = _parse_file(notac.parse, path)
-    if window and window[1] - base < len(program.variables):
-        _fail(f"the reserved window [{base}, {window[1]}) holds {window[1] - base} cells,"
-              f" fewer than the program's {len(program.variables)} variables; give --base")
+    if base is None:
+        windows = [w for w in map(reserved_window, strategies) if w] or [(DEFAULT_ENV_BASE, H_MAX_DEFAULT)]
+        base = max(w[0] for w in windows)
+        hi = max(base, min(w[1] for w in windows))
+        if hi - base < len(program.variables):
+            _fail(f"the reserved window [{base}, {hi}) holds {hi - base} cells,"
+                  f" fewer than the program's {len(program.variables)} variables; give --base")
     if base + len(program.variables) > H_MAX_DEFAULT:
         _fail(f"--base {base} puts the program's variables past the last address {H_MAX_DEFAULT - 1}")
     try:
@@ -123,10 +128,7 @@ def cmd_run(program_path, alloc, fuel, base, inits, out_path, as_json):
         strategy = parse_alloc_spec(alloc)
     except ValueError as exc:
         _fail(str(exc))
-    window = reserved_window(strategy) if base is None else None
-    if base is None:
-        base = window[0] if window else DEFAULT_ENV_BASE
-    program, env, heap, _ = _load_program(program_path, base, _parse_inits(inits), window)
+    program, env, heap, _ = _load_program(program_path, base, _parse_inits(inits), [strategy])
     outcome = notac.run(env, strategy, program, heap, fuel)
     if out_path:
         _write_text(out_path, notac.dump_trace(outcome.trace))
@@ -185,14 +187,14 @@ def cmd_filter(trace_path, sigma, as_json):
         seq = parse_symseq(sigma)
     except ValueError as exc:
         _fail(str(exc))
-    outcome = sym_filter(trace, seq)
-    if outcome is None:
+    residue = sym_filter(trace, seq)
+    if residue is None:
         click.echo("no match" if not as_json else json.dumps({"match": False}))
         sys.exit(1)
     if as_json:
-        click.echo(json.dumps({"match": True, "residue": [notac.event_to_json(e) for e in outcome.residue]}))
+        click.echo(json.dumps({"match": True, "residue": [notac.event_to_json(e) for e in residue]}))
     else:
-        click.echo(f"residue: {notac.format_trace(outcome.residue)}")
+        click.echo(f"residue: {notac.format_trace(residue)}")
     sys.exit(0)
 
 
@@ -201,7 +203,8 @@ def cmd_filter(trace_path, sigma, as_json):
 @click.option("--family", default="default", show_default=True,
               help="Allocator specs separated by ';' (or 'default').")
 @click.option("--fuel", default=notac.DEFAULT_FUEL, show_default=True, type=NATURAL)
-@click.option("--base", default=DEFAULT_ENV_BASE, show_default=True, type=NATURAL)
+@click.option("--base", default=None, type=NATURAL,
+              help="Variable base address (default: the family's common reserved window).")
 @click.option("--init", "inits", multiple=True)
 @click.option("--seed", default=0, show_default=True,
               help="Well-formedness check seed; used only when a violation is found.")
@@ -210,11 +213,10 @@ def cmd_filter(trace_path, sigma, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_gai(program_path, family, fuel, base, inits, seed, wf_trials, as_json):
     """Differential gradual-allocator-independence check."""
-    program, env, heap, _ = _load_program(program_path, base, _parse_inits(inits))
+    members = _family_from(family)
+    program, env, heap, _ = _load_program(program_path, base, _parse_inits(inits), members)
     try:
-        report = gai_check(
-            program, env, heap, _family_from(family), fuel, wf_trials=wf_trials, wf_seed=seed
-        )
+        report = gai_check(program, env, heap, members, fuel, wf_trials=wf_trials, wf_seed=seed)
     except FamilyNotWellFormed as exc:
         _fail(str(exc))
     if as_json:
@@ -244,15 +246,14 @@ WF_RESERVED_CELLS = 8  # cells the wf command reserves by default
 
 
 def _default_reserved(strategy) -> tuple:
-    """[0, 8), or for a curious world [0, heapMax] the 8 cells above it."""
-    inner = strategy.inner if isinstance(strategy, NoZeroAlloc) else strategy
-    if not isinstance(inner, CuriousAlloc):
-        return 0, WF_RESERVED_CELLS
-    lo, hi = inner.h_max + 1, inner.h_max + 1 + WF_RESERVED_CELLS
-    if hi > H_MAX_DEFAULT:
-        _fail(f"the {WF_RESERVED_CELLS} cells above {strategy.name}'s world [0, {inner.h_max}]"
-              f" pass the address bound {H_MAX_DEFAULT}; give --reserved")
-    return lo, hi
+    """The first 8 cells of the strategy's reserved window, or all of it when
+    smaller; [0, 8) when it has none.  A window that the address bound cuts
+    below 8 cells has no size the spec chose, so the command asks instead."""
+    lo, hi = reserved_window(strategy) or (0, WF_RESERVED_CELLS)
+    if hi == H_MAX_DEFAULT and hi - lo < WF_RESERVED_CELLS:
+        _fail(f"{strategy.name}'s window [{lo}, {hi}) ends at the address bound"
+              f" with fewer than {WF_RESERVED_CELLS} cells; give --reserved")
+    return lo, min(hi, lo + WF_RESERVED_CELLS)
 
 
 @main.command("wf")
@@ -262,7 +263,7 @@ def _default_reserved(strategy) -> tuple:
 @click.option("--maxlen", default=12, show_default=True, type=NATURAL)
 @click.option("--reserved", default=None,
               help="Reserved address range lo:hi (heap-seeded with zeros)."
-                   "  [default: 0:8, or the 8 cells above heapMax for a curious spec]")
+                   "  [default: the first 8 cells of the allocator's reserved window, 0:8 if it has none]")
 @click.option("--json", "as_json", is_flag=True)
 def cmd_wf(alloc_spec, trials, seed, maxlen, reserved, as_json):
     """Randomized allocator well-formedness check (bounded; rejection-sound)."""
@@ -319,7 +320,7 @@ def cmd_translate(program_path, out_path):
     """Translate a Memsafe program to Notac source."""
     cmd = _parse_file(memsafe.ms_parse, program_path)
     try:
-        source, _manifest = memsafe.translate_to_source(cmd)
+        source = memsafe.translate_to_source(cmd)
     except memsafe.ReservedVariableError as exc:
         _fail(f"{program_path}: {exc}")
     if out_path:

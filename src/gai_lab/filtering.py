@@ -34,19 +34,15 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from .alloc_model import SymbolicEvent, SymbolicSeq, SymFail, SymFree, SymMalloc, back_index
-from .core import Record
 from .notac import CastEv, Event, FreeEv, MallocEv, MallocFailEv, ObsEv, Trace
 
 # ---------------------------------------------------------------------------
 # The deterministic filter
 
 
-class FilterOutcome(Record, frozen=True):
-    residue: Trace
-
-
-def sym_filter(trace: Sequence[Event], seq) -> Optional[FilterOutcome]:
-    """Run the filter; ``None`` when the trace and sequence do not match.
+def sym_filter(trace: Sequence[Event], seq) -> Optional[Trace]:
+    """The residue of the trace under the filter, ``()`` when every event
+    passes; ``None`` when the trace and sequence do not match.
 
     ``returned`` holds the addresses the filter's mallocs returned, oldest
     first, so the free item ``SymFree(b)`` names ``returned[-1 - b]``; like
@@ -78,7 +74,7 @@ def sym_filter(trace: Sequence[Event], seq) -> Optional[FilterOutcome]:
             residue.append(ev)
     if k != len(seq):
         return None
-    return FilterOutcome(tuple(residue))
+    return tuple(residue)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +256,7 @@ def similar(t1: Sequence[Event], t2: Sequence[Event]) -> tuple[bool, Optional[Sy
     else:
         return False, None
     f1, f2 = sym_filter(t1, sigma), sym_filter(t2, sigma)
-    if f1 is None or f2 is None or f1.residue != f2.residue:
+    if f1 is None or f2 is None or f1 != f2:
         raise RuntimeError(f"similarity witness failed to validate: {sigma}")
     return True, sigma
 

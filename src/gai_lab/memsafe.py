@@ -456,11 +456,12 @@ class _Translator:
         raise TypeError(f"not a command: {c!r}")
 
 
-def translate(cmd: Cmd) -> tuple[Program, dict]:
+def translate(cmd: Cmd) -> Program:
     """Translate a Memsafe command into a Notac program.
 
-    Returns the program and a manifest naming the translator-owned
-    variables.  Raises :class:`ReservedVariableError` when the source
+    The program's variables are the source's, then the translator's own:
+    ``OOM_VAR``, ``SIZE_VAR`` and the loop guards, named from
+    ``GUARD_PREFIX``.  Raises :class:`ReservedVariableError` when the source
     program uses them.
     """
     tr = _Translator()
@@ -473,25 +474,24 @@ def translate(cmd: Cmd) -> tuple[Program, dict]:
     # Source variables first in the environment layout, in source order; the
     # translator only ever introduces oom, the size temp, and loop guards.
     ordered = source_vars + [OOM_VAR, SIZE_VAR] + guards
-    program = Program(body, tuple(dict.fromkeys(ordered)))
-    manifest = {"oom": OOM_VAR, "size_temp": SIZE_VAR, "loop_guards": guards}
-    return program, manifest
+    return Program(body, tuple(dict.fromkeys(ordered)))
 
 
-def translation_header(manifest: dict) -> str:
+def translation_header(program: Program) -> str:
     lines = [
         "// translated from a Memsafe source",
-        f"// out-of-memory flag: {manifest['oom']}; size temp: {manifest['size_temp']}",
+        f"// out-of-memory flag: {OOM_VAR}; size temp: {SIZE_VAR}",
     ]
-    if manifest["loop_guards"]:
-        lines.append(f"// loop guards: {', '.join(manifest['loop_guards'])}")
+    guards = [v for v in program.variables if v.startswith(GUARD_PREFIX)]
+    if guards:
+        lines.append(f"// loop guards: {', '.join(guards)}")
     lines.append("// note: allocation zero-fill runs from size-1 down to 0")
     return "\n".join(lines) + "\n"
 
 
-def translate_to_source(cmd: Cmd) -> tuple[str, dict]:
-    program, manifest = translate(cmd)
-    return translation_header(manifest) + notac.to_source(program.body) + "\n", manifest
+def translate_to_source(cmd: Cmd) -> str:
+    program = translate(cmd)
+    return translation_header(program) + notac.to_source(program.body) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +553,7 @@ def differential_check(
     if not ms_out.ok:
         raise ValueError(f"Memsafe run did not finish cleanly: {ms_out.kind} ({ms_out.reason})")
 
-    program, _manifest = translate(cmd)
+    program = translate(cmd)
     env, heap, _reserved = notac.make_env(program, DEFAULT_ENV_BASE, store)
 
     # The check runs every member once; its report keeps their outcomes.

@@ -1,9 +1,10 @@
 """Notac: a memory-unsafe imperative language over the flat heap.
 
-Pointers are plain integers; the allocator strategy is part of the run
-configuration and supplies NULL.  Runs produce event traces recording the
-memory-relevant actions: ``observe``, ``malloc``/``mfail``, ``free``,
-``cast``.
+Pointers are plain integers; the allocator strategy supplies NULL.  A run
+owns one heap, which every step changes in place; a step takes the command
+stack and the allocator state and returns the next ones with its event.
+Runs produce event traces recording the memory-relevant actions:
+``observe``, ``malloc``/``mfail``, ``free``, ``cast``.
 
 Concrete grammar (statements end with ``;``, ``//`` starts a line comment)::
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 import json
 import re
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Optional
 
 from .alloc_model import Strategy
 from .core import Addr, Heap, InaccessibleWrite, Record, Val
@@ -677,12 +678,6 @@ class Stuck(Exception):
         self.pos = pos
 
 
-class Config(NamedTuple):
-    stack: tuple  # tuple[Cmd, ...]; head runs first
-    heap: Heap  # every step changes it in place
-    state: object
-
-
 class Outcome(Record, frozen=True):
     kind: str  # "terminated" | "stuck" | "out-of-fuel"
     trace: Trace
@@ -767,7 +762,7 @@ def _assign(env, strategy, cmd, rest, heap, state):
         heap.write(a, v)
     except InaccessibleWrite as exc:
         raise Stuck(str(exc)) from None
-    return Config(rest, heap, state), (CastEv(v) if type(cmd) is CastAssign else None)
+    return rest, state, (CastEv(v) if type(cmd) is CastAssign else None)
 
 
 def _malloc(env, strategy, cmd, rest, heap, state):
@@ -782,37 +777,36 @@ def _malloc(env, strategy, cmd, rest, heap, state):
     except InaccessibleWrite:
         raise Stuck(f"malloc target address {target} is inaccessible") from None
     ev = MallocFailEv(n) if a == strategy.null(state) else MallocEv(n, a)
-    return Config(rest, heap, st2), ev
+    return rest, st2, ev
 
 
 def _free(env, strategy, cmd, rest, heap, state):
     v = cmd.expr.code(env, strategy, state, heap)
-    return Config(rest, heap, strategy.free(heap, state, v)[1]), FreeEv(v)
+    return rest, strategy.free(heap, state, v)[1], FreeEv(v)
 
 
-# Command type -> its rule: (env, strategy, cmd, rest, heap, state) -> (next Config, event or None).
+# Command type -> its rule: (env, strategy, cmd, rest, heap, state) -> (next stack, next state, event or None).
 _RULES = {
-    Skip: lambda env, strategy, cmd, rest, heap, state: (Config(rest, heap, state), None),
-    If: lambda env, strategy, cmd, rest, heap, state: (Config(
-        (cmd.then if cmd.cond.code(env, strategy, state, heap) else cmd.orelse,) + rest, heap, state), None),
-    While: lambda env, strategy, cmd, rest, heap, state: (Config((cmd.unrolled,) + rest, heap, state), None),
+    Skip: lambda env, strategy, cmd, rest, heap, state: (rest, state, None),
+    If: lambda env, strategy, cmd, rest, heap, state: (
+        (cmd.then if cmd.cond.code(env, strategy, state, heap) else cmd.orelse,) + rest, state, None),
+    While: lambda env, strategy, cmd, rest, heap, state: ((cmd.unrolled,) + rest, state, None),
     Observe: lambda env, strategy, cmd, rest, heap, state: (
-        Config(rest, heap, state), ObsEv(cmd.expr.code(env, strategy, state, heap))),
+        rest, state, ObsEv(cmd.expr.code(env, strategy, state, heap))),
     Assign: _assign, CastAssign: _assign, MallocAssign: _malloc, FreeCmd: _free,
 }
 
 
-def step(env: dict, strategy: Strategy, cfg: Config) -> Optional[tuple[Config, Optional[Event]]]:
-    """One small step; ``None`` when the configuration is fully reduced.
+def step(env: dict, strategy: Strategy, heap: Heap, stack: tuple, state) -> Optional[tuple]:
+    """One small step: ``(next stack, next state, event or None)``, or
+    ``None`` when ``stack`` (commands, head first) has nothing left to run.
 
     The head command's type picks its rule from ``_RULES``, and the step
-    builds no syntax (see :func:`run`).  The step changes ``cfg.heap`` in
-    place, through client writes (assignments, casts, and the target cell
-    of a malloc) and the allocator's own changes, and the next
-    configuration holds the same heap.  Raises :class:`Stuck`, at the
-    command's position, when no rule applies.
+    builds no syntax (see :func:`run`).  ``heap`` is the run's and the step
+    changes it in place, through client writes (assignments, casts, and the
+    target cell of a malloc) and the allocator's own changes.  Raises
+    :class:`Stuck`, at the command's position, when no rule applies.
     """
-    stack = cfg.stack
     while stack and type(stack[0]) is Seq:
         head = stack[0]
         stack = (head.first, head.second) + stack[1:]
@@ -823,7 +817,7 @@ def step(env: dict, strategy: Strategy, cfg: Config) -> Optional[tuple[Config, O
     if rule is None:
         raise TypeError(f"not a command: {cmd!r}")
     try:
-        return rule(env, strategy, cmd, stack[1:], cfg.heap, cfg.state)
+        return rule(env, strategy, cmd, stack[1:], heap, state)
     except Stuck as exc:
         raise Stuck(exc.reason, cmd.pos) from None
 
@@ -841,10 +835,11 @@ def run(
     """Initialize the strategy and iterate small steps until done.
 
     ``heap`` is left unchanged: the run copies it once, before
-    ``strategy.init``, and ``init`` and every :func:`step` change that copy.
-    The copy shares the caller's base and copies only its overlay (see
-    :mod:`gai_lab.core`), so it costs the cells changed since that base was
-    built, not the size of the heap.  Expression closures and loop unrollings
+    ``strategy.init``, and keeps that copy as its own heap, which ``init``
+    and every :func:`step` change in place; the loop threads only the
+    command stack and the allocator state.  The copy shares the caller's
+    base and copies only its overlay (see :mod:`gai_lab.core`), so it costs
+    the cells changed since that base was built, not the size of the heap.  Expression closures and loop unrollings
     are cached on the program's nodes, so reruns share them.  The
     accumulated trace is returned in every outcome, and ``Outcome.heap`` is
     the run's heap.
@@ -852,16 +847,17 @@ def run(
     missing = [a for a in env.values() if a not in heap]
     if missing:
         raise CompatibilityError(f"environment cells {sorted(missing)[:8]} not in the heap")
-    cfg = Config((program.body,), *strategy.init(heap.copy()))
+    heap, state = strategy.init(heap.copy())
+    stack = (program.body,)
     trace: list[Event] = []
     for _ in range(fuel):
         try:
-            res = step(env, strategy, cfg)
+            res = step(env, strategy, heap, stack, state)
         except Stuck as exc:
-            return Outcome("stuck", tuple(trace), cfg.heap, exc.reason, exc.pos)
+            return Outcome("stuck", tuple(trace), heap, exc.reason, exc.pos)
         if res is None:
-            return Outcome("terminated", tuple(trace), cfg.heap)
-        cfg, ev = res
+            return Outcome("terminated", tuple(trace), heap)
+        stack, state, ev = res
         if ev is not None:
             trace.append(ev)
-    return Outcome("out-of-fuel", tuple(trace), cfg.heap)
+    return Outcome("out-of-fuel", tuple(trace), heap)

@@ -67,6 +67,6 @@ def similar_bruteforce(t1: Sequence[Event], t2: Sequence[Event], bound: int = 10
         if f1 is None:
             continue
         f2 = sym_filter(t2, sigma)
-        if f2 is not None and f1.residue == f2.residue:
+        if f2 is not None and f1 == f2:
             return True
     return False

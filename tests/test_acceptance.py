@@ -81,11 +81,11 @@ def test_criterion_2_filtering_residues():
     double = sym_filter((MallocEv(8, 0x1000), FreeEv(0x1000), FreeEv(0x1000)), parse_symseq("M8,F0,F0"))
     ok = (
         clean is not None
-        and clean.residue == ()
+        and clean == ()
         and off_by_one is not None
-        and off_by_one.residue == (FreeEv(0x1001),)
+        and off_by_one == (FreeEv(0x1001),)
         and double is not None
-        and double.residue == ()
+        and double == ()
         # strictness: the filter must be consumed exactly
         and sym_filter((MallocEv(8, 0x1000), FreeEv(0x1001)), parse_symseq("M8,F0")) is None
     )

@@ -171,6 +171,13 @@ def test_wf_default_reserved_lies_outside_a_curious_world(spec):
     assert res.output.count("status=pass") == 10
 
 
+def test_wf_default_reserved_is_the_start_of_the_window():
+    # eager:0,2,72 manages [2, 72); a default of 0:8 would overlap it.
+    res = invoke("wf", "eager:0,2,72", "--trials", "50")
+    assert res.exit_code == 0, res.output
+    assert res.output.count("status=pass") == 10
+
+
 def test_wf_asks_for_reserved_when_the_cells_above_a_curious_world_pass_the_bound():
     assert_usage_error(invoke("wf", "curious:9,4294967290", "--trials", "1"), "give --reserved")
 
@@ -180,13 +187,13 @@ def test_wf_json_carries_the_failing_trial_and_a_witness_that_replays():
     from gai_lab.allocators import parse_alloc_spec
     from gai_lab.core import Heap
 
-    res = invoke("wf", "bump:0,4,20", "--json", "--trials", "50")
+    res = invoke("wf", "bump:0,4,20", "--json", "--trials", "50", "--reserved", "0:8")
     assert res.exit_code == 1
     entries = json.loads(res.output)
     assert len(entries) == 10
     failed = [e for e in entries if e["status"] == "fail"]
     assert failed
-    reserved = frozenset(range(0, 8))  # the default --reserved 0:8
+    reserved = frozenset(range(0, 8))  # --reserved 0:8, which overlaps the managed cells [4, 20)
     for entry in entries:
         if entry["status"] == "pass":
             assert set(entry) == {"clause", "status"}
@@ -439,6 +446,23 @@ def test_run_rejects_a_default_base_whose_window_is_smaller_than_the_variables(t
     # Eight variables fit the window.
     res = invoke("run", write(tmp_path, "eight.ntc", "a=1;b=2;c=3;d=4;e=5;f=6;g=7;h=8;observe(h);"), "--alloc", alloc)
     assert res.exit_code == 0 and "obs(8)" in res.output
+
+
+def test_run_places_the_variables_above_a_curious_world(tmp_path):
+    prog = write(tmp_path, "prog.ntc", "x = 1; p = malloc(4); observe(x);")
+    res = invoke("run", prog, "--alloc", "curious:10,4095", "--json")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["trace"][-1] == {"kind": "obs", "val": 1}
+
+
+def test_gai_default_base_is_the_start_of_the_family_window(tmp_path):
+    # The members share [2048, 2050): two cells for three variables.
+    prog = write(tmp_path, "prog.ntc", "x = 1; y = 2; z = 3; observe(x);")
+    family = "bump:2048,2050,2100;eager:2048,2112,6208"
+    assert_usage_error(invoke("gai", prog, "--family", family, "--wf-trials", "5"),
+                       "the reserved window [2048, 2050) holds 2 cells, fewer than the program's 3 variables")
+    res = invoke("gai", prog, "--family", "bump:2050,2058,2100;eager:2048,2112,6208", "--wf-trials", "5")
+    assert res.exit_code == 0, res.output
 
 
 @pytest.mark.parametrize("alloc", ["eager:0,8,72", "bump:0,8,72"])

@@ -7,6 +7,9 @@ brute-force oracles in ``tests/similarity_oracle.py`` and
 ``tests/wf_oracle.py`` do.  Decorated definitions (click commands) are
 skipped: a decorator may register what nothing names.  Record classes
 (``core.Record``) carry no decorator, so the scan covers them too.
+
+Nothing in the package compiles code at import: no ``dataclasses``, no
+named tuples, no call of ``exec``, ``eval`` or ``compile``.
 """
 
 import ast
@@ -53,3 +56,37 @@ def test_every_definition_in_the_package_has_a_caller_in_the_package():
     assert {name: where for name, where in found.items() if name not in ALLOWED} == {}
     # An allowance lapses once its name gains a caller or leaves the package.
     assert ALLOWED <= found.keys()
+
+
+# What builds classes or functions from source text: ``dataclasses`` and the
+# named tuples generate their methods with ``exec``/``eval``.
+CODE_BUILDING_MODULES = {"dataclasses"}
+CODE_BUILDING_NAMES = {"NamedTuple", "namedtuple"}
+CODE_COMPILING_BUILTINS = {"exec", "eval", "compile"}
+
+
+def code_compiling_uses(package: Path) -> list[str]:
+    """``module:line: what`` for each import of a code-building module or
+    name and each call of a compiling builtin in the package.  Attribute
+    calls such as ``re.compile`` compile no Python code and do not count."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                hits = [a.name for a in node.names if a.name.split(".")[0] in CODE_BUILDING_MODULES]
+            elif isinstance(node, ast.ImportFrom):
+                hits = ([node.module] if node.module in CODE_BUILDING_MODULES
+                        else [a.name for a in node.names if a.name in CODE_BUILDING_NAMES])
+            elif isinstance(node, ast.Attribute):
+                hits = [node.attr] if node.attr in CODE_BUILDING_NAMES else []
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in CODE_COMPILING_BUILTINS):
+                hits = [f"{node.func.id}()"]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {hit}" for hit in hits]
+    return found
+
+
+def test_nothing_in_the_package_compiles_code_at_import():
+    assert code_compiling_uses(PACKAGE) == []

@@ -8,6 +8,7 @@ from gai_lab import memsafe, notac
 from gai_lab.allocators import NoZeroAlloc as no_zero, BumpAlloc as bump, NullAlloc as null_alloc
 from gai_lab.gai import DEFAULT_BUMP_SEGMENT, DEFAULT_ENV_BASE
 from gai_lab.memsafe import (
+    GUARD_PREFIX,
     MAX_MS_BLOCK_DEPTH,
     NIL,
     MsParseError,
@@ -195,7 +196,7 @@ class TestEvalCmd:
 class TestTranslate:
     def test_expr_table(self):
         def translated(src):
-            return translate(ms_parse(src))[0].body.orelse.expr  # under the oom guard
+            return translate(ms_parse(src)).body.orelse.expr  # under the oom guard
 
         assert translated("x <- nil") == Null()
         assert translated("x <- 3") == notac.Const(3)
@@ -203,11 +204,11 @@ class TestTranslate:
         assert e == notac.Binop("+", Var("a"), notac.Binop("*", notac.Const(2), Var("b")))
 
     def test_skip_untouched(self):
-        program, _ = translate(ms_parse("skip"))
+        program = translate(ms_parse("skip"))
         assert program.body == Skip()
 
     def test_assignment_guarded(self):
-        program, _ = translate(ms_parse("x <- 1"))
+        program = translate(ms_parse("x <- 1"))
         guard = program.body
         assert isinstance(guard, If) and guard.cond == Var("oom")
         assert isinstance(guard.then, Skip)
@@ -215,7 +216,7 @@ class TestTranslate:
     @pytest.mark.parametrize("src", ["x <- y + 1", "x <- [y]", "[x + 1] <- y"])
     def test_assignment_node_kept_under_the_guard(self, src):
         cmd = ms_parse(src)
-        body = translate(cmd)[0].body
+        body = translate(cmd).body
         assert body == If(Var("oom"), Skip(), cmd) and body.orelse is cmd
 
     @pytest.mark.parametrize("cmd", FOREIGN_COMMANDS)
@@ -224,8 +225,8 @@ class TestTranslate:
             translate(cmd)
 
     def test_while_gets_fresh_guard(self):
-        program, manifest = translate(ms_parse("while x <= 2 do x <- x + 1 end; while 1 do skip end"))
-        assert manifest["loop_guards"] == ["__g0", "__g1"]
+        program = translate(ms_parse("while x <= 2 do x <- x + 1 end; while 1 do skip end"))
+        assert [v for v in program.variables if v.startswith(GUARD_PREFIX)] == ["__g0", "__g1"]
         assert "__g0" in program.variables and "__g1" in program.variables
 
     def test_reserved_collision_rejected(self):
@@ -235,14 +236,14 @@ class TestTranslate:
             translate(ms_parse("__g0 <- 1"))
 
     def test_translated_source_parses(self):
-        src, manifest = translate_to_source(ms_parse("x <- alloc(2); [x] <- 7; y <- [x]"))
+        src = translate_to_source(ms_parse("x <- alloc(2); [x] <- 7; y <- [x]"))
         assert "oom" in src and src.startswith("//")
         reparsed = notac.parse(src)
         assert "oom" in reparsed.variables
 
     def test_zero_fill_stays_in_bounds(self):
         # the fill loop writes exactly size cells under a strict allocator
-        program, _ = translate(ms_parse("x <- alloc(2)"))
+        program = translate(ms_parse("x <- alloc(2)"))
         env, heap, _ = notac.make_env(program, DEFAULT_ENV_BASE)
         out = notac.run(env, bump(*DEFAULT_BUMP_SEGMENT), program, heap)
         assert out.terminated  # a fill loop running size..0 would be stuck here
@@ -294,7 +295,7 @@ class TestDifferential:
 
     def test_stuck_translation_is_a_mismatch(self, monkeypatch):
         stuck = notac.parse("x = 1; oom = 0; error();")
-        monkeypatch.setattr(memsafe, "translate", lambda cmd: (stuck, {}))
+        monkeypatch.setattr(memsafe, "translate", lambda cmd: stuck)
         rep = differential_check(ms_parse("x <- 1"), family=[null_alloc()], wf_trials=2)
         assert not rep.ok and rep.inconclusive == ()
         assert [mm.variable for mm in rep.mismatches] == ["<run did not terminate>"]
@@ -325,7 +326,7 @@ class TestDifferential:
         # program must produce a mismatch report, not silent agreement
         rep_ok = differential_check(ms_parse("x <- 2 + 2"), wf_trials=5)
         assert rep_ok.ok
-        bad_program, _ = translate(ms_parse("x <- 2 + 3"))
+        bad_program = translate(ms_parse("x <- 2 + 3"))
         ms_out = ms_run(ms_parse("x <- 2 + 2"))
         env, heap, _ = notac.make_env(bad_program, DEFAULT_ENV_BASE)
         out = notac.run(env, bump(*DEFAULT_BUMP_SEGMENT), bad_program, heap)
@@ -336,17 +337,17 @@ def test_guarded_commands_do_nothing_after_oom(monkeypatch):
     # once oom is set, translated programs emit no further events and stop
     # touching source-program cells
     cmd = ms_parse("x <- alloc(2); [x] <- 1; y <- alloc(3); [y] <- 2; z <- [x]")
-    program, _ = translate(cmd)
+    program = translate(cmd)
     env, heap, _ = notac.make_env(program, DEFAULT_ENV_BASE)
     strategy = no_zero(bump(2048, 2112, 2117))  # room for the first alloc only
     source_cells = [env[v] for v in ("x", "y", "z")]
     snapshots = []
     step = notac.step
 
-    def snapshot_step(env, strategy, cfg):
-        res = step(env, strategy, cfg)
-        if res is not None and res[0].heap.read(env["oom"]) == 1:
-            snapshots.append((res[1], [res[0].heap.read(a) for a in source_cells]))
+    def snapshot_step(env, strategy, heap, stack, state):
+        res = step(env, strategy, heap, stack, state)
+        if res is not None and heap.read(env["oom"]) == 1:
+            snapshots.append((res[2], [heap.read(a) for a in source_cells]))
         return res
 
     monkeypatch.setattr(notac, "step", snapshot_step)
@@ -366,9 +367,9 @@ class TestLongAndDeepPrograms:
         cmd = ms_parse("x <- 0; " + "; ".join(f"x <- x + 1; v{k % 7} <- x" for k in range(n // 2)))
         out = ms_run(cmd)
         assert out.ok and out.state.store["x"] == n // 2
-        program, _ = translate(cmd)
+        program = translate(cmd)
         assert program.variables == ("x", *(f"v{k}" for k in range(7)), "oom", "__i")
-        src, _ = translate_to_source(cmd)
+        src = translate_to_source(cmd)
         assert src.count("\n") > n
         env, heap, _ = notac.make_env(program, DEFAULT_ENV_BASE)
         assert notac.run(env, null_alloc(), program, heap).heap.read(env["x"]) == n // 2
@@ -412,9 +413,9 @@ class TestLongAndDeepPrograms:
         cmd = ms_parse("x <- 0; " + "while x <= 0 do " * b + body + " end" * b)
         out = ms_run(cmd)
         assert out.ok and out.state.store["y"] == e - 2
-        program, manifest = translate(cmd)
-        assert len(manifest["loop_guards"]) == b
-        assert notac.parse(translate_to_source(cmd)[0]).body == program.body
+        program = translate(cmd)
+        assert len([v for v in program.variables if v.startswith(GUARD_PREFIX)]) == b
+        assert notac.parse(translate_to_source(cmd)).body == program.body
         env, heap, _ = notac.make_env(program, DEFAULT_ENV_BASE)
         ran = notac.run(env, null_alloc(), program, heap)
         assert ran.terminated and ran.heap.read(env["y"]) == e - 2
@@ -458,5 +459,5 @@ def test_accepted_programs_translate_to_notac_that_parses(src):
         cmd = ms_parse(src)
     except MsParseError:
         return
-    text, _ = translate_to_source(cmd)
-    assert notac.parse(text).body == translate(cmd)[0].body
+    text = translate_to_source(cmd)
+    assert notac.parse(text).body == translate(cmd).body

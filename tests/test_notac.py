@@ -25,7 +25,6 @@ from gai_lab.notac import (
     Binop,
     CastEv,
     CompatibilityError,
-    Config,
     Const,
     Deref,
     FreeEv,
@@ -233,16 +232,16 @@ class TestInterpreter:
         env, heap, _ = make_env(prog, 10)
         strategy = eager(0, 100, 200)
         h0, st = strategy.init(heap)
-        cfg = Config((prog.body,), h0, st)
+        start, stack = h0.domain(), (prog.body,)
         while True:
-            before = cfg.heap.domain()
-            res = step(env, strategy, cfg)
+            before = h0.domain()
+            res = step(env, strategy, h0, stack, st)
             if res is None:
                 break
-            cfg, ev = res
+            stack, st, ev = res
             if ev is None or isinstance(ev, (ObsEv, CastEv)):
-                assert cfg.heap.domain() == before
-        assert cfg.heap.domain() == h0.domain()  # malloc's cells freed again
+                assert h0.domain() == before
+        assert h0.domain() == start  # malloc's cells freed again
 
     def test_trace_monotone_in_fuel(self):
         src = "p = malloc(8); observe(1); free(p); observe(2);"
@@ -474,11 +473,11 @@ def test_bad_syntax_nodes_raise_type_error():
         ev(Binop("%", Const(7), Const(2)))
     assert str(info.value) == "unknown operator '%'"
     with pytest.raises(TypeError) as info:
-        step({}, null_alloc(), Config((Const(1),), Heap(), 0))
+        step({}, null_alloc(), Heap(), (Const(1),), 0)
     assert str(info.value) == f"not a command: {Const(1)!r}"
     # the rule is looked up before it runs: its own errors pass unchanged
     with pytest.raises(KeyError):
-        step({}, null_alloc(), Config((notac.Observe(notac.Var("y")),), Heap(), 0))
+        step({}, null_alloc(), Heap(), (notac.Observe(notac.Var("y")),), 0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 20])
@@ -498,10 +497,10 @@ def test_every_iteration_pushes_the_same_unrolled_loop():
     env, heap, _ = make_env(prog, 10)
     pushed = []
     for _ in range(2):  # a second run of the program shares the unrolling
-        cfg = Config((prog.body,), heap.copy(), 0)
-        while (res := step(env, null_alloc(), cfg)) is not None:
-            cfg = res[0]
-            head = cfg.stack[0] if cfg.stack else None
+        h, stack, state = heap.copy(), (prog.body,), 0
+        while (res := step(env, null_alloc(), h, stack, state)) is not None:
+            stack, state, _ = res
+            head = stack[0] if stack else None
             if type(head) is If and type(head.then) is Seq and head.then.second is loop:
                 pushed.append(head)
     assert len(pushed) == 8 and all(u is loop.unrolled for u in pushed)
@@ -542,8 +541,8 @@ def test_run_copies_arena_once_not_per_step(monkeypatch):
     steps = []
     step = notac.step
 
-    def counting_step(env, strategy, cfg):
-        res = step(env, strategy, cfg)
+    def counting_step(env, strategy, heap, stack, state):
+        res = step(env, strategy, heap, stack, state)
         if res is not None:
             steps.append(1)
         return res
