@@ -119,7 +119,7 @@ class MsParseError(notac.ParseError):
 _MS_TOKEN = re.compile(
     r"""
       (?P<ws>\s+|//[^\n]*)
-    | (?P<num>\d+)
+    | (?P<num>[0-9]+)
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op><-|<=|==|=|[-+*;()\[\]])
     """,
@@ -138,8 +138,8 @@ MAX_MS_BLOCK_DEPTH = (MAX_BLOCK_DEPTH - 3) // 2
 class _MsParser(ParserCore):
     token_re = _MS_TOKEN
     error = MsParseError
-    # Binary operator precedence, loosest first; ``=`` spells ``==``.
-    levels = [("==", "=", "<="), ("+", "-"), ("*",)]
+    # Binary operator -> precedence level, loosest first; ``=`` spells ``==``.
+    levels = {"==": 0, "=": 0, "<=": 0, "+": 1, "-": 1, "*": 2}
     aliases = {"=": "=="}
     block_bound = ("MAX_MS_BLOCK_DEPTH", MAX_MS_BLOCK_DEPTH)
 
@@ -148,31 +148,33 @@ class _MsParser(ParserCore):
         e = super().expr(level)
         # a whole expression must reparse when printed, even inside ``*( )``
         if level == self.depth == 0 and printed_depth(Deref(e)) > MAX_EXPR_DEPTH:
-            raise MsParseError(f"expression prints nested deeper than MAX_EXPR_DEPTH = {MAX_EXPR_DEPTH}", start.pos)
+            raise self.error_at(f"expression prints nested deeper than MAX_EXPR_DEPTH = {MAX_EXPR_DEPTH}",
+                                start)
         return e
 
     def operand(self):
         tok = self.next()
-        if tok.text == "(":
+        kind, text = tok[0], tok[1]
+        if text == "(":
             self.nest(tok)
             e = self.expr()
             self.expect(")")
             self.depth -= 1
             return e
-        if tok.text == "-":
+        if text == "-":
             self.nest(tok)  # a level, as in Notac, though only a literal follows
             self.depth -= 1
             num = self.next()
-            if num.kind != "num":
-                raise MsParseError("'-' prefix is only for integer literals", num.pos)
-            return Const(-int(num.text))
-        if tok.kind == "num":
-            return Const(int(tok.text))
-        if tok.text == "nil":
+            if num[0] != "num":
+                raise self.error_at("'-' prefix is only for integer literals", num)
+            return Const(-int(num[1]))
+        if kind == "num":
+            return Const(int(text))
+        if text == "nil":
             return Null()
-        if tok.kind == "name" and tok.text not in _MS_KEYWORDS:
-            return Var(tok.text)
-        raise MsParseError(f"expected an expression, found {tok.text or 'end of input'!r}", tok.pos)
+        if kind == "name" and text not in _MS_KEYWORDS:
+            return Var(text)
+        raise self.error_at(f"expected an expression, found {text or 'end of input'!r}", tok)
 
     def block(self):
         """A command nested in an ``if`` or ``while``."""
@@ -185,17 +187,18 @@ class _MsParser(ParserCore):
         cmds = [self.simple()]
         while self.at(";"):
             self.next()
-            if self.peek().text in ("else", "end", ""):
+            if self.peek()[1] in ("else", "end", ""):
                 break  # tolerate a trailing separator
             cmds.append(self.simple())
         return chain(cmds)
 
     def simple(self):
         tok = self.peek()
-        if tok.text == "skip":
+        kind, text = tok[0], tok[1]
+        if text == "skip":
             self.next()
             return Skip()
-        if tok.text == "if":
+        if text == "if":
             self.next()
             cond = self.expr()
             self.expect("then")
@@ -204,22 +207,22 @@ class _MsParser(ParserCore):
             orelse = self.block()
             self.expect("end")
             return If(cond, then, orelse)
-        if tok.text == "while":
+        if text == "while":
             self.next()
             cond = self.expr()
             self.expect("do")
             body = self.block()
             self.expect("end")
             return While(cond, body)
-        if tok.text == "[":
+        if text == "[":
             self.next()
             addr = self.expr()
             self.expect("]")
             self.expect("<-")
             return Assign(LDeref(addr), self.expr())
-        if tok.kind == "name" and tok.text not in _MS_KEYWORDS:
+        if kind == "name" and text not in _MS_KEYWORDS:
             self.next()
-            target = LVar(tok.text)
+            target = LVar(text)
             self.expect("<-")
             if self.at("["):
                 self.next()
@@ -233,13 +236,13 @@ class _MsParser(ParserCore):
                 self.expect(")")
                 return MallocAssign(target, size)
             return Assign(target, self.expr())
-        raise MsParseError(f"expected a command, found {tok.text or 'end of input'!r}", tok.pos)
+        raise self.error_at(f"expected a command, found {text or 'end of input'!r}", tok)
 
     def program(self):
         cmd = self.command()
         tok = self.peek()
-        if tok.kind != "eof":
-            raise MsParseError(f"trailing input at {tok.text!r}", tok.pos)
+        if tok[0] != "eof":
+            raise self.error_at(f"trailing input at {tok[1]!r}", tok)
         return cmd
 
 

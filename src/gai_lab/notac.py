@@ -27,6 +27,12 @@ xor and is stuck on negative operands.  Dereferencing an inaccessible or
 negative address is stuck, as is writing through one; stuckness is the
 observable signature of memory errors here.
 
+Integer literals are ASCII digits; any other character outside the grammar,
+a non-ASCII digit included, is an ``unexpected character`` error.  Parsing
+costs one regex pass over the source, which keeps tokens as plain tuples,
+and one operator loop per expression; a ``(line, col)`` is computed only for
+a statement's ``pos`` and for an error (see :class:`ParserCore`).
+
 Each expression compiles once, on first use, into a closure cached on its node,
 and each loop caches its unrolling, so an interpreter step builds no syntax.
 """
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
@@ -292,7 +299,7 @@ class ParseError(Exception):
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+|//[^\n]*)
-    | (?P<num>\d+)
+    | (?P<num>[0-9]+)
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op>\|\||&&|==|!=|<=|>=|[-+*^<>=&(){};,!])
     """,
@@ -301,19 +308,11 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"if", "else", "while", "skip", "observe", "free", "malloc", "cast", "NULL", "error"}
 
-
-class _Tok(Record):
-    kind: str  # num | name | op | eof
-    text: str
-    pos: Pos
-
-    def __init__(self, kind: str, text: str, pos: Pos):
-        self.kind, self.text, self.pos = kind, text, pos
-
-
-# Binary operator precedence, loosest first (xor sits between the logical
-# connectives and the comparisons, as in C).
-_BINOP_LEVELS = [["||"], ["&&"], ["^"], ["==", "!="], ["<", "<=", ">", ">="], ["+", "-"], ["*"]]
+# Binary operator -> precedence level, loosest first (xor sits between the
+# logical connectives and the comparisons, as in C).
+_BINOP_LEVELS = {
+    "||": 0, "&&": 1, "^": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4, ">=": 4, "+": 5, "-": 5, "*": 6,
+}
 
 # Deepest expression nesting the parser accepts.  Each parenthesis, prefix
 # operator and chained binary operator adds a level, so the recursive parser,
@@ -328,14 +327,24 @@ MAX_BLOCK_DEPTH = 100
 
 class ParserCore:
     """The front end Notac and Memsafe share: tokenizer, token cursor,
-    nesting bounds and the binary-operator precedence loop.
+    nesting bounds and the binary-operator loop.
 
     A grammar subclasses it and supplies an ``operand`` rule and the grammar
     proper.  The class attributes hold Notac's token regex (groups ``ws``,
-    ``num``, ``name``, ``op``), error class, operator levels (loosest first;
-    ``aliases`` maps other spellings onto a :class:`Binop` operator) and
-    block bound as ``(name, value)``; another language overrides them.
-    Every error carries the ``(line, col)`` of the offending token.
+    ``num``, ``name``, ``op``), error class, operator levels (``{operator:
+    level}``, loosest at 0; ``aliases`` maps other spellings onto a
+    :class:`Binop` operator) and block bound as ``(name, value)``; another
+    language overrides them.  Every error carries the ``(line, col)`` of the
+    offending token.
+
+    Its cost is linear in the source.  The tokenizer is one
+    ``token_re.finditer`` pass that keeps each token as a plain ``(kind,
+    text, offset)`` tuple, ending in an ``eof`` token; a ``(line, col)`` is
+    computed from the offset, by bisection over the line starts, only where
+    a statement stores it or an error reports it.  :meth:`expr` parses an
+    expression in one operator loop (precedence climbing, as in Pratt's
+    *Top Down Operator Precedence*), one call per binary operator rather
+    than one per operator level per operand.
     """
 
     token_re = _TOKEN_RE
@@ -345,68 +354,92 @@ class ParserCore:
     block_bound = ("MAX_BLOCK_DEPTH", MAX_BLOCK_DEPTH)
 
     def __init__(self, src: str):
-        self.toks = []
-        line, col, i = 1, 1, 0
-        while i < len(src):
-            m = self.token_re.match(src, i)
-            if not m:
-                raise self.error(f"unexpected character {src[i]!r}", (line, col))
-            text = m.group(0)
-            if m.lastgroup != "ws":
-                self.toks.append(_Tok(m.lastgroup, text, (line, col)))
-            nl = text.count("\n")
-            if nl:
-                line += nl
-                col = len(text) - text.rfind("\n")
-            else:
-                col += len(text)
-            i = m.end()
-        self.toks.append(_Tok("eof", "", (line, col)))
+        self.src = src
+        # Offsets at which lines start, built on first use.  Not a
+        # ``cached_property``: reading ``__dict__`` would make CPython drop
+        # the inline attribute values that the parser's hot loops read.
+        self.line_starts = None
+        self.toks = toks = []
+        end = 0
+        for m in self.token_re.finditer(src):
+            start = m.start()
+            if start != end:
+                break  # no token starts at ``end``
+            end = m.end()
+            kind = m.lastgroup
+            if kind != "ws":
+                toks.append((kind, m.group(), start))
+        if end != len(src):
+            raise self.error(f"unexpected character {src[end]!r}", self.position(end))
+        toks.append(("eof", "", end))
         self.i = 0
         self.depth = 0  # expression nesting at the current token
         self.blocks = 0  # block nesting at the current token
 
-    def peek(self) -> _Tok:
+    def position(self, offset: int) -> Pos:
+        """The ``(line, col)`` of a source offset, both counted from 1."""
+        starts = self.line_starts
+        if starts is None:
+            starts = self.line_starts = [0, *(m.end() for m in re.finditer("\n", self.src))]
+        line = bisect_right(starts, offset)
+        return line, offset - starts[line - 1] + 1
+
+    def error_at(self, msg: str, tok: tuple) -> ParseError:
+        return self.error(msg, self.position(tok[2]))
+
+    def peek(self) -> tuple:
         return self.toks[self.i]
 
-    def next(self) -> _Tok:
+    def next(self) -> tuple:
         tok = self.toks[self.i]
         self.i += 1
         return tok
 
-    def expect(self, text: str) -> _Tok:
-        tok = self.next()
-        if tok.text != text:
-            raise self.error(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.pos)
+    def expect(self, text: str) -> tuple:
+        tok = self.toks[self.i]
+        self.i += 1
+        if tok[1] != text:
+            raise self.error_at(f"expected {text!r}, found {tok[1] or 'end of input'!r}", tok)
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text
+        return self.toks[self.i][1] == text
 
-    def nest(self, tok: _Tok) -> None:
+    def nest(self, tok: tuple) -> None:
         """Enter one more level of expression nesting at ``tok``."""
         self.depth += 1
         if self.depth > MAX_EXPR_DEPTH:
-            raise self.error(f"expression nested deeper than MAX_EXPR_DEPTH = {MAX_EXPR_DEPTH}", tok.pos)
+            raise self.error_at(f"expression nested deeper than MAX_EXPR_DEPTH = {MAX_EXPR_DEPTH}", tok)
 
-    def enter_block(self, tok: _Tok) -> None:
+    def enter_block(self, tok: tuple) -> None:
         """Enter one more level of block nesting at ``tok``; the caller
         decrements ``blocks`` when the block ends."""
         self.blocks += 1
         name, bound = self.block_bound
         if self.blocks > bound:
-            raise self.error(f"blocks nested deeper than {name} = {bound}", tok.pos)
+            raise self.error_at(f"blocks nested deeper than {name} = {bound}", tok)
 
     def expr(self, level: int = 0) -> Expr:
-        if level == len(self.levels):
-            return self.operand()
-        left = self.expr(level + 1)
-        depth = self.depth
-        while self.peek().text in self.levels[level]:
-            tok = self.next()
+        """An expression of operators at ``level`` or tighter.
+
+        The right operand of an operator at level L is an ``expr(L + 1)``.
+        Operators chained at one level each add a nesting level, and the
+        chain's depth starts again where the operator level changes: the
+        levels of one call form a left spine, all entered at its depth.
+        """
+        left = self.operand()
+        depth, chained, toks, levels = self.depth, None, self.toks, self.levels
+        while True:
+            tok = toks[self.i]
+            op_level = levels.get(tok[1])
+            if op_level is None or op_level < level:
+                break
+            if op_level != chained:
+                self.depth, chained = depth, op_level
+            self.i += 1
             self.nest(tok)  # the chain so far becomes the left operand
-            right = self.expr(level + 1)
-            left = Binop(self.aliases.get(tok.text, tok.text), left, right)
+            right = self.expr(op_level + 1)
+            left = Binop(self.aliases.get(tok[1], tok[1]), left, right)
         self.depth = depth
         return left
 
@@ -416,78 +449,81 @@ class _Parser(ParserCore):
 
     def operand(self) -> Expr:
         tok = self.peek()
-        if tok.text in ("-", "*"):
+        text = tok[1]
+        if text in ("-", "*"):
             self.next()
             self.nest(tok)
             inner = self.operand()
             self.depth -= 1
-            if tok.text == "*":
+            if text == "*":
                 return Deref(inner)
             if isinstance(inner, Const):
                 return Const(-inner.value)
             return Binop("-", Const(0), inner)
-        if tok.text == "&":
+        if text == "&":
             self.next()
             name = self.next()
-            if name.kind != "name" or name.text in _KEYWORDS:
-                raise ParseError("'&' takes a variable", name.pos)
-            return AddrOf(name.text)
+            if name[0] != "name" or name[1] in _KEYWORDS:
+                raise self.error_at("'&' takes a variable", name)
+            return AddrOf(name[1])
         return self.atom()
 
     def atom(self) -> Expr:
         tok = self.next()
-        if tok.text == "(":
+        kind, text = tok[0], tok[1]
+        if kind == "name" and text not in _KEYWORDS:
+            return Var(text)
+        if kind == "num":
+            return Const(int(text))
+        if text == "(":
             self.nest(tok)
             e = self.expr()
             self.expect(")")
             self.depth -= 1
             return e
-        if tok.kind == "num":
-            return Const(int(tok.text))
-        if tok.text == "NULL":
+        if text == "NULL":
             return Null()
-        if tok.kind == "name" and tok.text not in _KEYWORDS:
-            return Var(tok.text)
-        raise ParseError(f"expected an expression, found {tok.text or 'end of input'!r}", tok.pos)
+        raise self.error_at(f"expected an expression, found {text or 'end of input'!r}", tok)
 
     # -- statements
 
-    def lval_from(self, e: Expr, pos: Pos) -> Lval:
+    def lval_from(self, e: Expr, tok: tuple) -> Lval:
         if isinstance(e, Var):
             return LVar(e.name)
         if isinstance(e, Deref):
             return LDeref(e.addr)
-        raise ParseError("left side of '=' must be a variable or *(e)", pos)
+        raise self.error_at("left side of '=' must be a variable or *(e)", tok)
 
     def statement(self) -> Cmd:
         tok = self.peek()
-        pos = tok.pos
-        if tok.text == "skip":
+        text = tok[1]
+        pos = self.position(tok[2])
+        if text == "skip":
             self.next()
             self.expect(";")
             return Skip(pos)
-        if tok.text == "error":
+        if text == "error":
             self.next()
             self.expect("(")
             self.expect(")")
             self.expect(";")
             # Guaranteed-stuck write; Notac has no exit command.
             return Assign(LDeref(Const(-1)), Const(0), pos)
-        if tok.text == "observe":
+        if text == "observe":
             self.next()
             self.expect("(")
             e = self.expr()
             self.expect(")")
             self.expect(";")
             return Observe(e, pos)
-        if tok.text == "free":
+        if text == "free":
             self.next()
             self.expect("(")
             e = self.expr()
             self.expect(")")
             self.expect(";")
             return FreeCmd(e, pos)
-        if tok.text == "if":
+        if text == "if":
             self.next()
             self.expect("(")
             cond = self.expr()
@@ -498,7 +534,7 @@ class _Parser(ParserCore):
                 self.next()
                 orelse = self.block()
             return If(cond, then, orelse, pos)
-        if tok.text == "while":
+        if text == "while":
             self.next()
             self.expect("(")
             cond = self.expr()
@@ -506,10 +542,10 @@ class _Parser(ParserCore):
             body = self.block()
             return While(cond, body, pos)
         # assignment forms: lval = e | cast(e) | malloc(e)
-        target = self.lval_from(self.operand(), pos)
+        target = self.lval_from(self.operand(), tok)
         self.expect("=")
-        if self.peek().text in ("malloc", "cast"):
-            kind = self.next().text
+        if self.peek()[1] in ("malloc", "cast"):
+            kind = self.next()[1]
             self.expect("(")
             e = self.expr()
             self.expect(")")
@@ -532,10 +568,13 @@ class _Parser(ParserCore):
 
     def program(self) -> Program:
         cmds = []
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             cmds.append(self.statement())
-        body = chain(cmds)
-        return Program(body, tuple(collect_vars(body)))
+        # Each non-keyword name token is exactly one Var, AddrOf or LVar, and
+        # the nodes' fields follow the source, so the tokens list the
+        # variables in the order collect_vars(body) finds them.
+        names = dict.fromkeys(text for kind, text, _ in self.toks if kind == "name" and text not in _KEYWORDS)
+        return Program(chain(cmds), tuple(names))
 
 
 def chain(cmds: list) -> Cmd:
@@ -551,10 +590,13 @@ def chain(cmds: list) -> Cmd:
 def collect_vars(root) -> list:
     """Variable names in first-occurrence order in a tree of syntax nodes.
 
-    A left-to-right walk over record fields on an explicit stack: a
-    program's ``Seq`` chain is as deep as it has statements.  A command's
-    target comes before the variables its operand reads.  Caches such as
-    ``While.unrolled`` are not fields, so the walk skips them.
+    It serves trees that have no source: the Memsafe commands that
+    :func:`gai_lab.memsafe.translate` lays out.  :func:`parse` reads the
+    same list off its tokens instead.  A left-to-right walk over record
+    fields on an explicit stack: a program's ``Seq`` chain is as deep as it
+    has statements.  A command's target comes before the variables its
+    operand reads.  Caches such as ``While.unrolled`` are not fields, so the
+    walk skips them.
     """
     seen: dict = {}
     stack = [root]

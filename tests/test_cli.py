@@ -246,6 +246,11 @@ def test_memsafe_parse_errors_exit_2_with_line_and_column(tmp_path, command, tex
     assert f"{ms}: {pos[0]}:{pos[1]}: " in res.output and message in res.output
 
 
+def test_run_rejects_a_non_ascii_digit_with_line_and_column(tmp_path):
+    prog = write(tmp_path, "prog.ntc", "x = 1;\nobserve(\u0667\u0662);")  # Arabic-Indic 72
+    assert_usage_error(invoke("run", prog), f"{prog}: 2:9: unexpected character '\u0667'")
+
+
 def test_ms_run_error_exit(tmp_path):
     ms = write(tmp_path, "bad.ms", "x <- 5; y <- [x]")
     res = invoke("ms-run", ms)

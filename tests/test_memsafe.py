@@ -93,6 +93,8 @@ class TestParser:
 # Memsafe sources with one parse error each, its (line, col) and message.
 BAD_SOURCES = [
     pytest.param("x <- 1;\ny <- 2 ! 3", (2, 8), "unexpected character '!'", id="character"),
+    # Literals are ASCII digits: an Arabic-Indic seven is no number.
+    pytest.param("x <- 1;\ny <- 4\u0667", (2, 7), "unexpected character '\u0667'", id="non-ascii-digit"),
     pytest.param("x <- 1;\ny <- 2;\nif x then skip end", (3, 16), "expected 'else', found 'end'", id="grammar"),
     pytest.param("x <- 1;\n  y <- " + "(" * 60 + "1" + ")" * 60, (2, 58), "nested deeper than MAX_EXPR_DEPTH",
                  id="nesting"),

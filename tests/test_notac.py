@@ -111,6 +111,16 @@ class TestParser:
         prog = parse("a = 1; b = a; c = &b;")
         assert prog.variables == ("a", "b", "c")
 
+    @pytest.mark.parametrize("src, pos", [
+        ("x = \u0667\u0662;", (1, 5)),  # Arabic-Indic seven, two
+        ("x = 1;\ny = 3\u0667;", (2, 6)),
+        ("observe(\uff11);", (1, 9)),  # fullwidth one
+    ])
+    def test_literals_are_ascii_digits(self, src, pos):
+        with pytest.raises(ParseError, match="unexpected character") as exc:
+            parse(src)
+        assert exc.value.pos == pos
+
     def test_roundtrip_through_pretty_printer(self):
         src = "p = malloc(8);\nif (p != NULL) {\n*(p) = 1;\n} else {\nskip;\n}\nwhile (x < 3) {\nx = x + 1;\n}\nfree(p);\ny = cast(p);\nobserve(y);"
         prog = parse(src)
@@ -383,17 +393,17 @@ _LEAVES = st.sampled_from([Const(3), Const(-4), notac.Var("x"), notac.AddrOf("x"
 
 
 @st.composite
-def spines(draw):
+def spines(draw, leaves=_LEAVES):
     """An expression built by wrapping a leaf up to 35 times, each time as the
     left or right operand of a binary operation or inside ``*( )``."""
-    e = draw(_LEAVES)
+    e = draw(leaves)
     for _ in range(draw(st.integers(0, 35))):
         wrap = draw(st.sampled_from(["left", "right", "deref"]))
         if wrap == "deref":
             e = Deref(e)
             continue
         op = draw(st.sampled_from(["+", "-", "*", "^", "==", "!=", "<", "<=", ">", ">=", "&&", "||"]))
-        other = draw(_LEAVES)
+        other = draw(leaves)
         e = Binop(op, e, other) if wrap == "left" else Binop(op, other, e)
     return e
 
@@ -407,6 +417,49 @@ def test_printed_depth_is_the_depth_the_parser_counts(e):
     else:
         with pytest.raises(ParseError, match="MAX_EXPR_DEPTH"):
             parse(src)
+
+
+# The spine leaves over several names, and the spines whose printed form,
+# even as the ``*( )`` of a target, stays inside MAX_EXPR_DEPTH.
+_NAMED_LEAVES = st.sampled_from([Const(3), Const(-4), notac.Var("x"), notac.Var("y"), notac.AddrOf("z"),
+                                 notac.AddrOf("x"), notac.Null()])
+_PRINTABLE = spines(_NAMED_LEAVES).filter(lambda e: printed_depth(Deref(e)) <= notac.MAX_EXPR_DEPTH)
+_NAMES = st.sampled_from(["x", "y", "p", "q"])
+
+
+@st.composite
+def commands(draw, depth=0):
+    """A statement over the printable spines: an assignment to a variable or
+    through ``*( )``, ``malloc``, ``cast``, ``free``, ``observe``, ``skip``, and,
+    up to two blocks deep, ``if`` and ``while`` around 1-3 statements."""
+    kinds = ["assign", "malloc", "cast", "free", "observe", "skip"] + (["if", "while"] if depth < 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    e = draw(_PRINTABLE)
+    if kind in ("if", "while"):
+        body = notac.chain(draw(st.lists(commands(depth + 1), min_size=1, max_size=3)))
+        if kind == "while":
+            return While(e, body)
+        return If(e, body, notac.chain(draw(st.lists(commands(depth + 1), max_size=3))))
+    if kind in ("free", "observe", "skip"):
+        return {"free": notac.FreeCmd(e), "observe": notac.Observe(e), "skip": notac.Skip()}[kind]
+    target = draw(st.one_of(_NAMES.map(notac.LVar), _PRINTABLE.map(LDeref)))
+    return {"assign": Assign, "malloc": MallocAssign, "cast": notac.CastAssign}[kind](target, e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(commands(), min_size=1, max_size=6))
+def test_the_variables_read_off_the_tokens_are_the_trees(cmds):
+    prog = parse(to_source(notac.chain(cmds)))
+    assert prog.body == notac.chain(cmds)
+    assert prog.variables == tuple(notac.collect_vars(prog.body))
+
+
+def test_the_corpus_variables_read_off_the_tokens_are_the_trees():
+    from gai_lab.corpus import CASES, XOR_SCRIPTS, xor_script
+
+    for src in [case.source for case in CASES] + [xor_script(ops) for ops in XOR_SCRIPTS.values()]:
+        prog = parse(src)
+        assert prog.variables == tuple(notac.collect_vars(prog.body))
 
 
 def _reference_eval(env, state, heap, e):
