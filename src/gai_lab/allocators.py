@@ -16,29 +16,65 @@ so ``EagerAlloc(2048, 2112, 6208)`` is ``eager:2048,2112,6208``.
 The last two are discriminators: deliberately permissive (or defensive)
 behaviors that are still well-formed, used by the differential GAI checker
 to separate programs that depend on allocator internals.
+
+First fit is one helper, :func:`_first_fit`.  Eager, guarded-eager and
+curious hand it their live blocks' merged extents in address order, and it
+jumps over an extent in one step (address-ordered first fit, as surveyed by
+Wilson, Johnstone, Neely & Boles, *Dynamic Storage Allocation: A Survey and
+Critical Review*, 1995).  It still tests each candidate window cell by cell
+in the heap, so the fit is exactly the scan of every cell: a block's cells
+are defined by its malloc and undefined only by its own free, and any other
+cell defined inside the segment, such as a reserved cell that a client
+update defined, is still avoided.  A malloc or free costs O(log live
+blocks) Python steps, an O(live blocks) C-level tuple copy, and its own
+cells; a malloc also takes one step per extent whose gap is too small for it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Optional
 
 from .alloc_model import Strategy
 from .core import H_MAX_DEFAULT, MAX_SPEC_CELLS, Addr, Heap, interval, parse_int
 
 
-def _first_fit(heap, lo: Addr, end: Addr, span: int, guard: int = 0, starts=frozenset()) -> Optional[Addr]:
-    """The least ``a >= lo`` with ``a + span <= end`` and no cell of
-    ``[a - guard, a + span + guard)`` in ``heap`` or ``starts``."""
-    a = lo
+def _first_fit(heap, lo: Addr, end: Addr, span: int, guard: int = 0, runs: tuple = ()) -> Optional[Addr]:
+    """The least ``a >= lo`` with ``a + span <= end`` such that ``[a, a + span)``
+    meets no run and no cell of ``[a - guard, a + span + guard)`` is in ``heap``.
+
+    ``runs`` is a flat ascending tuple ``(x0, y0, x1, y1, ...)`` of disjoint,
+    non-touching runs ``[x, y)``.  A window that meets a run jumps past it in
+    one step; every other candidate window tests its ``span + 2 * guard``
+    cells in ``heap``, where a clash at ``c`` skips to ``c + guard + 1``.
+    """
+    a, i = lo, bisect_right(runs, lo)
     while a + span <= end:
-        for c in range(a - guard, a + span + guard):
-            if c in heap or c in starts:
-                # Every start up to c + guard still covers c.
-                a = c + guard + 1
-                break
+        if i & 1:  # a lies in the run that ends at runs[i]
+            a, i = runs[i], i + 1
+        elif i < len(runs) and runs[i] < a + span:  # the window reaches the next run
+            a, i = runs[i + 1], i + 2
         else:
-            return a
+            for c in range(a - guard, a + span + guard):
+                if c in heap:
+                    a = c + guard + 1
+                    i = bisect_right(runs, a, i)
+                    break
+            else:
+                return a
     return None
+
+
+def _paint(runs: tuple, x: Addr, y: Addr, on: bool) -> tuple:
+    """``runs`` (as :func:`_first_fit` reads them) with the cells ``[x, y)``
+    covered when ``on``, uncovered otherwise; touching runs merge.
+
+    ``x`` becomes a bound unless the cell ``x - 1`` is already painted so,
+    and ``y`` unless the cell ``y`` is: ``i`` counts the bounds below ``x``
+    and ``j`` those up to ``y``, and an odd count means that cell is in a run.
+    """
+    i, j = bisect_left(runs, x), bisect_right(runs, y)
+    return runs[:i] + ((x,) if (i & 1) != on else ()) + ((y,) if (j & 1) != on else ()) + runs[j:]
 
 
 class _SegmentAlloc(Strategy):
@@ -62,9 +98,18 @@ class EagerAlloc(_SegmentAlloc):
     """First-fit allocator; frees undefine the freed block.
 
     A block at ``a`` takes ``[a, a+max(s,1))``, which must avoid both the
-    heap domain and the addresses of live allocations (the latter covers
-    zero-sized allocations, whose addresses occupy no heap cells), and fit
-    inside the segment.
+    heap domain and the cells of live blocks (the latter covers zero-sized
+    allocations, whose addresses occupy no heap cells), and fit inside the
+    segment; guarded-eager also keeps ``guard`` free cells on each side.
+
+    The state is ``(blocks, runs)``: the live ``(a, size)`` blocks in address
+    order, and the merged extents ``[a - guard, a + max(size, 1) + guard)``
+    of those blocks as :func:`_first_fit` runs, where no new block's cell
+    may lie.  The runs skip only windows that a live block's cells or a
+    zero-sized block's address rule out, so the fit is exact (see the module
+    docstring).  A malloc or free costs O(log live blocks) Python steps, an
+    O(live blocks) C-level tuple copy, and its own cells; a malloc also
+    tests ``max(size, 1) + 2 * guard`` heap cells per window it tries.
     """
 
     kind = "eager"
@@ -72,25 +117,37 @@ class EagerAlloc(_SegmentAlloc):
 
     def init(self, heap: Heap):
         heap.undefine(interval(self.n2, self.n3))
-        return heap, frozenset()
+        return heap, ((), ())
 
     def malloc(self, heap: Heap, state, size: int):
-        starts = {a for (a, _s) in state}
-        a = _first_fit(heap, self.n2 + 1, self.n3, max(size, 1), self.guard, starts)
+        blocks, runs = state
+        span, g = max(size, 1), self.guard
+        a = _first_fit(heap, self.n2 + 1, self.n3, span, g, runs)
         if a is None:
             return heap, state, self.null(state)
         if size > 0:
-            heap.define(interval(a, a + size), 0)
-        return heap, state | {(a, size)}, a
+            heap.define(range(a, a + size), 0)
+        i = bisect_left(blocks, (a,))
+        return heap, (blocks[:i] + ((a, size),) + blocks[i:], _paint(runs, a - g, a + span + g, True)), a
 
     def free(self, heap: Heap, state, addr: Addr):
-        entry = next((e for e in state if e[0] == addr), None)
-        if entry is None:
+        blocks, runs = state
+        i = bisect_left(blocks, (addr,))
+        if i == len(blocks) or blocks[i][0] != addr:
             # Unregistered frees are ignored.
             return heap, state
-        a, size = entry
+        a, size = blocks[i]
         heap.undefine(interval(a, a + size))
-        return heap, state - {entry}
+        # The runs lose the cells within guard of this block and of no
+        # other; only the neighbours in address order can share them.
+        g = self.guard
+        lo, hi = a - g, a + max(size, 1) + g
+        if i:
+            p, p_size = blocks[i - 1]
+            lo = max(lo, p + max(p_size, 1) + g)
+        if i + 1 < len(blocks):
+            hi = min(hi, blocks[i + 1][0] - g)
+        return heap, (blocks[:i] + blocks[i + 1 :], _paint(runs, lo, hi, False))
 
 
 class GuardedEagerAlloc(EagerAlloc):
@@ -157,6 +214,12 @@ class CuriousAlloc(Strategy):
     client-visible first cell of the first allocation, and all later
     allocations are served from the chosen semispace.  Zero-sized
     allocations fail; frees are no-ops.
+
+    The committed state ``("span", lo, hi, runs)`` names the semispace
+    ``[lo, hi]`` and carries the blocks placed there as merged
+    :func:`_first_fit` runs.  Their cells stay defined, since frees are
+    no-ops, so the runs only skip windows the heap test would reject, and a
+    malloc costs what an eager one does.
     """
 
     def __init__(self, m: int, h_max: int):
@@ -195,13 +258,13 @@ class CuriousAlloc(Strategy):
             v = heap.read(state[1])
             upper = v is not None and v > 0
             # Committed regardless of whether this allocation succeeds.
-            state = ("span", self.lower_max + 1, self.upper_max) if upper else ("span", 1, self.lower_max)
-        lo, hi = state[1], state[2]
-        a = _first_fit(heap, lo, hi + 1, size)
+            state = ("span", self.lower_max + 1, self.upper_max, ()) if upper else ("span", 1, self.lower_max, ())
+        _, lo, hi, runs = state
+        a = _first_fit(heap, lo, hi + 1, size, 0, runs)
         if a is None:
             return heap, state, 0
-        heap.define(interval(a, a + size), 0)
-        return heap, state, a
+        heap.define(range(a, a + size), 0)
+        return heap, ("span", lo, hi, _paint(runs, a, a + size, True)), a
 
     def free(self, heap: Heap, state, addr: Addr):
         return heap, state

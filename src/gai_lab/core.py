@@ -167,10 +167,13 @@ class InaccessibleWrite(Exception):
 def _checked(addrs: Iterable[Addr], h_max: int) -> Sequence[Addr]:
     """``addrs`` as a sequence whose every address lies in ``[0, h_max)``.
 
-    A ``range`` is monotone, so checking its two ends checks every cell.
+    A ``range`` is monotone, so checking its two ends checks every cell,
+    and one that passes is returned without building anything.
     """
     if isinstance(addrs, range):
-        ends = (addrs[0], addrs[-1]) if addrs else ()
+        if not addrs or (0 <= addrs.start < h_max and 0 <= addrs[-1] < h_max):
+            return addrs
+        ends = (addrs.start, addrs[-1])
     else:
         addrs = ends = list(addrs)
     for a in ends:

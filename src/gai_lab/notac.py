@@ -42,7 +42,6 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_right
-from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from .alloc_model import Strategy
@@ -178,11 +177,33 @@ def load_trace(text: str) -> Trace:
 Pos = tuple  # (line, col)
 
 
+class _lazy:
+    """An attribute built from its object on first read and then stored on
+    it with ``object.__setattr__``, also on a frozen record, so every later
+    read finds a plain instance attribute.  Not ``functools.cached_property``,
+    which takes a lock on first use and writes into the instance
+    ``__dict__``: from then on CPython 3.11 reads every field of the object
+    through the dict instead of its inline values, about three times slower."""
+
+    def __init__(self, build: Callable):
+        self.build = build
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner: type = None):
+        if obj is None:
+            return self
+        value = self.build(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
 class _Compiled:
     """Expression and lvalue nodes: ``code`` is the node compiled, on first use, into
-    a closure ``(env, strategy, state, heap) -> value`` kept in the ``__dict__``."""
+    a closure ``(env, strategy, state, heap) -> value`` stored on the node."""
 
-    code = cached_property(lambda self: _COMPILERS[type(self)](self))
+    code = _lazy(lambda self: _COMPILERS[type(self)](self))
 
 
 class Const(_Compiled, Record, frozen=True):
@@ -270,7 +291,7 @@ class While(Record, frozen=True, uncompared=("pos",)):
     pos: Pos = (0, 0)
 
     # ``if (cond) { body; this loop }``: a loop step pushes it, built once per node.
-    unrolled = cached_property(lambda self: If(self.cond, Seq(self.body, self), Skip(self.pos), self.pos))
+    unrolled = _lazy(lambda self: If(self.cond, Seq(self.body, self), Skip(self.pos), self.pos))
 
 
 class Observe(Record, frozen=True, uncompared=("pos",)):
@@ -353,12 +374,11 @@ class ParserCore:
     aliases: dict = {}
     block_bound = ("MAX_BLOCK_DEPTH", MAX_BLOCK_DEPTH)
 
+    # Offsets at which lines start, built on first use.
+    line_starts = _lazy(lambda self: [0, *(m.end() for m in re.finditer("\n", self.src))])
+
     def __init__(self, src: str):
         self.src = src
-        # Offsets at which lines start, built on first use.  Not a
-        # ``cached_property``: reading ``__dict__`` would make CPython drop
-        # the inline attribute values that the parser's hot loops read.
-        self.line_starts = None
         self.toks = toks = []
         end = 0
         for m in self.token_re.finditer(src):
@@ -379,8 +399,6 @@ class ParserCore:
     def position(self, offset: int) -> Pos:
         """The ``(line, col)`` of a source offset, both counted from 1."""
         starts = self.line_starts
-        if starts is None:
-            starts = self.line_starts = [0, *(m.end() for m in re.finditer("\n", self.src))]
         line = bisect_right(starts, offset)
         return line, offset - starts[line - 1] + 1
 

@@ -9,7 +9,9 @@ skipped: a decorator may register what nothing names.  Record classes
 (``core.Record``) carry no decorator, so the scan covers them too.
 
 Nothing in the package compiles code at import: no ``dataclasses``, no
-named tuples, no call of ``exec``, ``eval`` or ``compile``.
+named tuples, no call of ``exec``, ``eval`` or ``compile``.  Nothing in it
+caches with ``functools.cached_property``, which slows every later attribute
+read of the object.
 """
 
 import ast
@@ -63,24 +65,28 @@ def test_every_definition_in_the_package_has_a_caller_in_the_package():
 CODE_BUILDING_MODULES = {"dataclasses"}
 CODE_BUILDING_NAMES = {"NamedTuple", "namedtuple"}
 CODE_COMPILING_BUILTINS = {"exec", "eval", "compile"}
+# ``functools.cached_property`` takes a lock on first use and writes into the
+# instance ``__dict__``, after which CPython 3.11 reads every attribute of
+# that object through the dict, about three times slower; ``notac._lazy``
+# caches with ``object.__setattr__`` instead.
+SLOW_CACHE_NAMES = {"cached_property"}
 
 
-def code_compiling_uses(package: Path) -> list[str]:
-    """``module:line: what`` for each import of a code-building module or
-    name and each call of a compiling builtin in the package.  Attribute
-    calls such as ``re.compile`` compile no Python code and do not count."""
+def banned_uses(package: Path, modules=frozenset(), names=frozenset(), builtins=frozenset()) -> list[str]:
+    """``module:line: what`` for each import of one of ``modules`` or
+    ``names``, each attribute named in ``names`` and each call of one of
+    ``builtins`` in the package.  Attribute calls such as ``re.compile``
+    are not calls of a builtin and do not count."""
     found = []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
-                hits = [a.name for a in node.names if a.name.split(".")[0] in CODE_BUILDING_MODULES]
+                hits = [a.name for a in node.names if a.name.split(".")[0] in modules]
             elif isinstance(node, ast.ImportFrom):
-                hits = ([node.module] if node.module in CODE_BUILDING_MODULES
-                        else [a.name for a in node.names if a.name in CODE_BUILDING_NAMES])
+                hits = [node.module] if node.module in modules else [a.name for a in node.names if a.name in names]
             elif isinstance(node, ast.Attribute):
-                hits = [node.attr] if node.attr in CODE_BUILDING_NAMES else []
-            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                  and node.func.id in CODE_COMPILING_BUILTINS):
+                hits = [node.attr] if node.attr in names else []
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in builtins:
                 hits = [f"{node.func.id}()"]
             else:
                 continue
@@ -89,4 +95,8 @@ def code_compiling_uses(package: Path) -> list[str]:
 
 
 def test_nothing_in_the_package_compiles_code_at_import():
-    assert code_compiling_uses(PACKAGE) == []
+    assert banned_uses(PACKAGE, CODE_BUILDING_MODULES, CODE_BUILDING_NAMES, CODE_COMPILING_BUILTINS) == []
+
+
+def test_nothing_in_the_package_caches_with_cached_property():
+    assert banned_uses(PACKAGE, names=SLOW_CACHE_NAMES) == []

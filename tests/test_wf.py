@@ -582,9 +582,10 @@ def test_the_walker_judges_every_step_as_the_from_scratch_check(case, seed, max_
 def test_wf_check_walker_cost_per_step(monkeypatch):
     """A step costs what it changed: the walker tests no allowed cell for
     membership in the heap and builds ``addresses_of`` only at a free.  The
-    eager strategy's first-fit probes make about 4 membership tests per
-    step; testing the allowed cells after every judged step made about 11,
-    and building ``addresses_of`` at every malloc and free about 0.9."""
+    eager strategy's first-fit probes make about 2 membership tests per
+    step (about 4 when they tested every cell of the live blocks); testing
+    the allowed cells after every judged step made about 11, and building
+    ``addresses_of`` at every malloc and free about 0.9."""
     from gai_lab import alloc_model
 
     calls = {"contains": 0, "addresses_of": 0, "steps": 0}
