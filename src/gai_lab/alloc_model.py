@@ -159,6 +159,7 @@ class Strategy(ABC):
     """
 
     name: str = "strategy"
+    window: Optional[tuple] = None  # cells [lo, hi) left to the client, if any; see gai.variable_base
 
     @abstractmethod
     def init(self, heap: Heap) -> tuple[Heap, object]: ...
@@ -380,11 +381,6 @@ class WfReport(Record):
     trials: int
     failed_trial: Optional[int] = None
     witness: Optional[WfWitness] = None
-
-    def __init__(self, strategy_name: str, clause: str, passed: bool, seed: int, trials: int,
-                 failed_trial: Optional[int] = None, witness: Optional[WfWitness] = None):
-        self.strategy_name, self.clause, self.passed, self.seed = strategy_name, clause, passed, seed
-        self.trials, self.failed_trial, self.witness = trials, failed_trial, witness
 
     def format_line(self) -> str:
         status = "pass" if self.passed else "fail"

@@ -79,8 +79,8 @@ def _paint(runs: tuple, x: Addr, y: Addr, on: bool) -> tuple:
 
 class _SegmentAlloc(Strategy):
     """A strategy over the segment [n1, n3) whose initial part [n1, n2) is
-    reserved; null is n2 and the name is ``kind:n1,n2,n3``.  The segment and
-    n2 lie below the heap's address bound ``H_MAX_DEFAULT``."""
+    its client window; null is n2 and the name is ``kind:n1,n2,n3``.  The
+    segment and n2 lie below the heap's address bound ``H_MAX_DEFAULT``."""
 
     kind: str
 
@@ -89,6 +89,7 @@ class _SegmentAlloc(Strategy):
         if not (0 <= n1 <= n2 <= n3 <= H_MAX_DEFAULT and n2 < H_MAX_DEFAULT):
             raise ValueError(f"bad segment {self.name}")
         self.n1, self.n2, self.n3 = n1, n2, n3
+        self.window = (n1, n2)
 
     def null(self, state) -> Addr:
         return self.n2
@@ -236,6 +237,7 @@ class CuriousAlloc(Strategy):
         if h_max >= H_MAX_DEFAULT:
             raise ValueError(f"h_max {h_max} is not below the heap's address bound {H_MAX_DEFAULT}")
         self.name = f"curious:{m},{h_max}"
+        self.window = (h_max + 1, H_MAX_DEFAULT)
 
     def init(self, heap: Heap):
         heap.undefine(range(0, self.h_max + 1))
@@ -297,6 +299,7 @@ class NoZeroAlloc(Strategy):
     def __init__(self, inner: Strategy):
         self.inner = inner
         self.name = f"nozero({inner.name})"
+        self.window = inner.window
 
     def init(self, heap: Heap):
         return self.inner.init(heap)
@@ -311,23 +314,6 @@ class NoZeroAlloc(Strategy):
 
     def free(self, heap: Heap, state, addr: Addr):
         return self.inner.free(heap, state, addr)
-
-
-def reserved_window(strategy: Strategy) -> Optional[tuple]:
-    """The cells ``[lo, hi)`` the strategy leaves to its client, if it names
-    any: a segment strategy's ``[n1, n2)``, or the addresses above a curious
-    world ``[0, h_max]``.
-
-    Used to pick default variable and reserved cells consistent with the
-    allocator's geometry.
-    """
-    if isinstance(strategy, NoZeroAlloc):
-        return reserved_window(strategy.inner)
-    if isinstance(strategy, _SegmentAlloc):
-        return (strategy.n1, strategy.n2)
-    if isinstance(strategy, CuriousAlloc):
-        return (strategy.h_max + 1, H_MAX_DEFAULT)
-    return None
 
 
 def parse_alloc_spec(text: str) -> Strategy:

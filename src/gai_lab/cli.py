@@ -20,11 +20,11 @@ import click
 from . import corpus as corpus_mod
 from . import memsafe, notac
 from .alloc_model import format_symseq, parse_symseq, wf_check
-from .allocators import EagerAlloc, parse_alloc_spec, reserved_window
+from .allocators import EagerAlloc, parse_alloc_spec
 from .core import H_MAX_DEFAULT, MAX_SPEC_CELLS, Heap, parse_int
 from .filtering import similar, sym_filter
-from .gai import DEFAULT_EAGER_SEGMENT, DEFAULT_ENV_BASE, DEFAULT_WF_TRIALS, FamilyNotWellFormed
-from .gai import default_family, gai_check
+from .gai import DEFAULT_EAGER_SEGMENT, DEFAULT_WF_TRIALS, FamilyNotWellFormed
+from .gai import default_family, gai_check, variable_base
 
 
 # Counts, bounds and addresses: click rejects a negative one with exit 2.
@@ -74,16 +74,13 @@ def _parse_file(parse, path: str):
 
 
 def _load_program(path: str, base: Optional[int], inits: dict, strategies: list):
-    """A ``base`` of ``None`` is the start of the window that the reserved
-    windows of the strategies share, or ``DEFAULT_ENV_BASE`` when none has one."""
+    """A ``base`` of ``None`` is :func:`gai_lab.gai.variable_base` of the strategies."""
     program = _parse_file(notac.parse, path)
     if base is None:
-        windows = [w for w in map(reserved_window, strategies) if w] or [(DEFAULT_ENV_BASE, H_MAX_DEFAULT)]
-        base = max(w[0] for w in windows)
-        hi = max(base, min(w[1] for w in windows))
-        if hi - base < len(program.variables):
-            _fail(f"the reserved window [{base}, {hi}) holds {hi - base} cells,"
-                  f" fewer than the program's {len(program.variables)} variables; give --base")
+        try:
+            base = variable_base(strategies, len(program.variables))
+        except ValueError as exc:
+            _fail(f"{exc}; give --base")
     if base + len(program.variables) > H_MAX_DEFAULT:
         _fail(f"--base {base} puts the program's variables past the last address {H_MAX_DEFAULT - 1}")
     try:
@@ -249,7 +246,7 @@ def _default_reserved(strategy) -> tuple:
     """The first 8 cells of the strategy's reserved window, or all of it when
     smaller; [0, 8) when it has none.  A window that the address bound cuts
     below 8 cells has no size the spec chose, so the command asks instead."""
-    lo, hi = reserved_window(strategy) or (0, WF_RESERVED_CELLS)
+    lo, hi = strategy.window or (0, WF_RESERVED_CELLS)
     if hi == H_MAX_DEFAULT and hi - lo < WF_RESERVED_CELLS:
         _fail(f"{strategy.name}'s window [{lo}, {hi}) ends at the address bound"
               f" with fewer than {WF_RESERVED_CELLS} cells; give --reserved")
@@ -340,7 +337,7 @@ def cmd_corpus(family, fuel, wf_trials, as_json):
     """Check every corpus case against its expected verdict."""
     try:
         results = corpus_mod.run_corpus(_family_from(family), fuel, wf_trials)
-    except FamilyNotWellFormed as exc:
+    except (FamilyNotWellFormed, ValueError) as exc:
         _fail(str(exc))
     mismatches = [r for r in results if not r.matches]
     contradictions = [r for r in mismatches if r.actual != "INCONCLUSIVE"]

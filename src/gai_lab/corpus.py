@@ -15,8 +15,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from . import notac
+from .alloc_model import Strategy
 from .core import Record
-from .gai import DEFAULT_ENV_BASE, GaiReport, gai_check
+from .gai import GaiReport, default_family, gai_check, variable_base
 
 
 class CorpusCase(Record, frozen=True):
@@ -177,10 +178,11 @@ CASES: tuple[CorpusCase, ...] = (
 )
 
 
-def prepare_case(case: CorpusCase):
-    """Parse a case and build its (program, env, seeded heap)."""
+def prepare_case(case: CorpusCase, family: Sequence[Strategy]):
+    """Parse a case and build its (program, env, seeded heap), with the
+    variables where ``gai`` puts them: at ``variable_base`` of ``family``."""
     program = notac.parse(case.source)
-    env, heap, _reserved = notac.make_env(program, DEFAULT_ENV_BASE, case.init)
+    env, heap, _reserved = notac.make_env(program, variable_base(family, len(program.variables)), case.init)
     return program, env, heap
 
 
@@ -206,11 +208,13 @@ def run_corpus(
     wf_trials: int = CORPUS_WF_TRIALS,
     names: Optional[Sequence[str]] = None,
 ) -> list[CorpusResult]:
-    """gai_check every corpus case; results are ordered by case name."""
+    """gai_check every corpus case; results are ordered by case name.  Raises
+    ``ValueError`` when a case's variables do not fit the family's window."""
+    family = default_family() if family is None else family
     selected = [c for c in CASES if names is None or c.name in names]
     results = []
     for case in sorted(selected, key=lambda c: c.name):
-        program, env, heap = prepare_case(case)
+        program, env, heap = prepare_case(case, family)
         report = gai_check(program, env, heap, family, fuel, wf_trials=wf_trials)
         results.append(CorpusResult(case, report))
     return results

@@ -56,7 +56,7 @@ from typing import Optional, Sequence
 
 from . import allocators
 from .alloc_model import Strategy, check_wf_args, wf_check
-from .core import Heap, Record
+from .core import H_MAX_DEFAULT, Heap, Record
 from .filtering import similar_prefixes
 from .notac import (
     DEFAULT_FUEL,
@@ -166,7 +166,7 @@ class GaiReport(Record):
 
 
 def default_family() -> list[Strategy]:
-    """Discriminating strategies for programs laid out by ``default_env``.
+    """Discriminating strategies; ``variable_base`` puts variables in their shared window.
 
     The bump window is deliberately small (capacity 63) so that large
     requests fail in-family while moderate ones succeed; the curious world
@@ -188,6 +188,19 @@ DEFAULT_ENV_BASE = 2048  # variables live just above the curious world
 DEFAULT_EAGER_SEGMENT = (2048, 2112, 6208)
 DEFAULT_BUMP_SEGMENT = (2048, 2112, 2176)
 DEFAULT_WF_TRIALS = 25  # well-formedness trials per member a violation rests on
+
+
+def variable_base(family: Sequence[Strategy], count: int) -> int:
+    """Where ``count`` variables start: at the start of the window that every
+    member's ``window`` shares, or ``DEFAULT_ENV_BASE`` (the default family's
+    start) when none names one.  ``ValueError`` when that window is too small."""
+    windows = [s.window for s in family if s.window] or [(DEFAULT_ENV_BASE, H_MAX_DEFAULT)]
+    base = max(lo for lo, _ in windows)
+    hi = max(base, min(hi for _, hi in windows))
+    if hi - base < count:
+        raise ValueError(f"the reserved window [{base}, {hi}) holds {hi - base} cells,"
+                         f" fewer than the program's {count} variables")
+    return base
 
 
 def check_family_wf(

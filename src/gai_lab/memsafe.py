@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 from . import notac
 from .alloc_model import Strategy
 from .core import Record
-from .gai import DEFAULT_ENV_BASE, DEFAULT_WF_TRIALS, GaiReport, gai_check
+from .gai import DEFAULT_WF_TRIALS, GaiReport, default_family, gai_check, variable_base
 from .notac import (
     DEFAULT_FUEL,
     MAX_BLOCK_DEPTH,
@@ -546,7 +546,8 @@ def differential_check(
     variable must equal its Notac cell.  The translated program must also
     satisfy GAI (bounded check).  A translated run that runs out of fuel
     proves nothing: the report names it, is not ``ok``, and reads
-    inconclusive unless something else failed.
+    inconclusive unless something else failed.  The variables go where ``gai``
+    puts them, at ``variable_base``; too many for its window raise ``ValueError``.
     """
     store = dict(initial_store) if initial_store else {}
     for name, value in store.items():
@@ -557,7 +558,8 @@ def differential_check(
         raise ValueError(f"Memsafe run did not finish cleanly: {ms_out.kind} ({ms_out.reason})")
 
     program = translate(cmd)
-    env, heap, _reserved = notac.make_env(program, DEFAULT_ENV_BASE, store)
+    family = default_family() if family is None else family
+    env, heap, _reserved = notac.make_env(program, variable_base(family, len(program.variables)), store)
 
     # The check runs every member once; its report keeps their outcomes.
     gai_report = gai_check(program, env, heap, family, fuel, wf_trials=wf_trials)
@@ -565,7 +567,7 @@ def differential_check(
     inconclusive: list[str] = []
     runs: dict = {}
     for member, out in gai_report.outcomes.items():
-        oom = out.heap.read(env[OOM_VAR]) if out.heap is not None else None
+        oom = out.heap.read(env[OOM_VAR])
         runs[member] = (out.kind, oom)
         if out.kind == "out-of-fuel":
             inconclusive.append(f"{member} ran out of fuel ({fuel} steps)")

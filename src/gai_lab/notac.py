@@ -741,7 +741,7 @@ class Stuck(Exception):
 class Outcome(Record, frozen=True):
     kind: str  # "terminated" | "stuck" | "out-of-fuel"
     trace: Trace
-    heap: Optional[Heap] = None
+    heap: Heap
     reason: Optional[str] = None
     pos: Optional[Pos] = None
 

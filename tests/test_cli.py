@@ -7,9 +7,10 @@ import pytest
 
 from click.testing import CliRunner
 
-from gai_lab import corpus, gai, memsafe, notac
+from gai_lab import cli, corpus, gai, memsafe, notac
 from gai_lab.cli import main
 from test_memsafe import BAD_SOURCES
+from test_wf import OverlappingAlloc
 
 
 def invoke(*args):
@@ -307,10 +308,27 @@ def test_corpus_contradiction_exits_1_beside_inconclusive_cases():
     assert "MISMATCH" in res.output and " inconclusive" in res.output
 
 
-def test_corpus_family_not_well_formed_exits_2():
-    # null's runs differ from the ill-formed member's, so a violation rests on it.
-    res = invoke("corpus", "--family", "eager:2048,2048,2050;null")
-    assert_usage_error(res, "error: family member eager:2048,2048,2050 failed well-formedness")
+def test_corpus_family_not_well_formed_exits_2(monkeypatch):
+    # eager's runs differ from the ill-formed member's, so a violation rests on it.
+    real = cli.parse_alloc_spec
+    monkeypatch.setattr(cli, "parse_alloc_spec",
+                        lambda text: OverlappingAlloc() if text == "overlapping" else real(text))
+    res = invoke("corpus", "--family", "overlapping;eager:2048,2112,6208")
+    assert_usage_error(res, "error: family member overlapping failed well-formedness")
+
+
+def test_corpus_places_variables_in_the_window_the_family_shares():
+    # The shared window is [0, 8), where gai puts the variables too; at 2048
+    # they would lie inside the eager segment, which then looks ill-formed.
+    res = invoke("corpus", "--family", "eager:0,8,4096;bump:0,8,72", "--wf-trials", "5")
+    assert res.exit_code == 1, res.output
+    assert "well-formedness" not in res.output
+    assert len(res.output.splitlines()) == 11 and res.output.endswith("/10 verdicts match\n")
+
+
+def test_corpus_exits_2_when_the_windows_of_the_family_do_not_meet():
+    res = invoke("corpus", "--family", "eager:0,8,4096;bump:100,108,200")
+    assert_usage_error(res, "error: the reserved window [100, 100) holds 0 cells, fewer than the program's")
 
 
 def assert_usage_error(res, message):

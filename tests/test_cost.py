@@ -10,14 +10,17 @@ holds exactly and cannot flake on a loaded machine.
   guarded-eager and curious do not grow with the blocks already live.  A
   cell-by-cell scan made 41 / 73 / 137 (eager and curious) and 62.5 / 110.5
   / 206.5 (guarded-eager) per malloc at 16 / 32 / 64 live blocks.
+* The whole check, loop iterations: ``gai_check`` of an alloc/free loop
+  under the default family makes interpreter steps, heap membership tests
+  and ``_lockstep`` states linear in the iterations, exponent 1.
 """
 
 import pytest
 
-from gai_lab import notac
+from gai_lab import filtering, notac
 from gai_lab.allocators import CuriousAlloc, EagerAlloc, GuardedEagerAlloc
 from gai_lab.core import Heap
-from gai_lab.gai import DEFAULT_CURIOUS, DEFAULT_EAGER_SEGMENT
+from gai_lab.gai import DEFAULT_CURIOUS, DEFAULT_EAGER_SEGMENT, DEFAULT_ENV_BASE, gai_check
 
 
 @pytest.fixture
@@ -108,3 +111,46 @@ def test_a_failing_curious_malloc_on_a_full_semispace_is_cheap(contains_calls):
     _heap, _state, a = strategy.malloc(heap, state, span)
     assert a == strategy.null(state)
     assert contains_calls[0] <= span + 2
+
+
+@pytest.fixture
+def step_and_state_counts(monkeypatch):
+    """The ``notac.step`` calls and ``_lockstep`` states so far, read by
+    wrapping the module globals."""
+    counts = {"steps": 0, "states": 0}
+    step, lockstep = notac.step, filtering._lockstep
+
+    def counted_step(*args):
+        counts["steps"] += 1
+        return step(*args)
+
+    def counted_lockstep(*args):
+        for state in lockstep(*args):
+            counts["states"] += 1
+            yield state
+
+    monkeypatch.setattr(notac, "step", counted_step)
+    monkeypatch.setattr(filtering, "_lockstep", counted_lockstep)
+    return counts
+
+
+def test_check_work_grows_linearly_with_loop_iterations(step_and_state_counts, contains_calls):
+    """Measured at k = 64 / 128 / 256: steps 2,275 / 4,515 / 8,995 (35 per
+    iteration), membership tests 337 / 657 / 1,297 (5 per iteration) and
+    search states 389 / 517 / 773 (2 per iteration).  Each is a positive
+    start-up term plus a fixed cost per iteration, so the top doubling at
+    most doubles it: the slack is 0.  Work that rescanned the trace or the
+    live blocks per iteration would grow 4x."""
+    counts = step_and_state_counts
+    per_size = []
+    for k in (64, 128, 256):
+        program = notac.parse(f"i = 0; while (i < {k}) {{ p = malloc(1); free(p); i = i + 1; }}")
+        env, heap, _ = notac.make_env(program, DEFAULT_ENV_BASE)
+        counts.update(steps=0, states=0)
+        contains_calls[0] = 0
+        assert gai_check(program, env, heap).verdict == "pass"
+        per_size.append((counts["steps"], contains_calls[0], counts["states"]))
+    slack = 0
+    _, middle, top = per_size
+    for counter, mid, hi in zip(("steps", "contains", "states"), middle, top):
+        assert mid < hi <= 2 * mid + slack, (counter, per_size)

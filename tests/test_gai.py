@@ -31,7 +31,7 @@ def prepared(src, base=DEFAULT_ENV_BASE, inits=None):
 
 
 def corpus_case(name):
-    return prepare_case(next(case for case in CASES if case.name == name))
+    return prepare_case(next(case for case in CASES if case.name == name), default_family())
 
 
 class TestClauseName:

@@ -62,7 +62,7 @@ def gai_verdict_oracle(program, env, heap, family, fuel=100_000):
 def test_oracle_agrees_on_every_corpus_case():
     family = default_family()
     for case in corpus.CASES:
-        program, env, heap = corpus.prepare_case(case)
+        program, env, heap = corpus.prepare_case(case, family)
         fast = corpus.run_corpus(names=[case.name], wf_trials=5)[0].report.verdict
         slow = gai_verdict_oracle(program, env, heap, family)
         assert fast == slow, case.name

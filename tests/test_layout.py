@@ -100,3 +100,21 @@ def test_nothing_in_the_package_compiles_code_at_import():
 
 def test_nothing_in_the_package_caches_with_cached_property():
     assert banned_uses(PACKAGE, names=SLOW_CACHE_NAMES) == []
+
+
+def modules_naming(package: Path, name: str) -> set[str]:
+    """The modules whose code names ``name``, as a variable, an attribute or an import."""
+    return {
+        path.name
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.alias) and node.name == name
+    }
+
+
+def test_only_gai_names_the_default_variable_base():
+    # Every other module places a program's variables with ``gai.variable_base``,
+    # so the placement rule has one copy.
+    assert modules_naming(PACKAGE, "DEFAULT_ENV_BASE") == {"gai.py"}

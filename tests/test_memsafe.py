@@ -319,6 +319,16 @@ class TestDifferential:
         assert rep.ok
         assert members == [beta.name for beta in gai.default_family()]
 
+    def test_variables_that_overflow_the_window_are_rejected(self):
+        # 70 variables, oom and the fill loop's counter: placed at 2048, the
+        # last eight lay inside the segments and every run there was stuck.
+        cmd = ms_parse("; ".join(f"x{i} <- {i}" for i in range(70)))
+        assert len(translate(cmd).variables) == 72
+        message = r"^the reserved window \[2048, 2112\) holds 64 cells, fewer than the program's 72 variables$"
+        with pytest.raises(ValueError, match=message):
+            differential_check(cmd, wf_trials=2)
+        assert differential_check(cmd, family=[bump(0, 72, 136), null_alloc()], wf_trials=2).ok
+
     def test_memsafe_error_rejected(self):
         with pytest.raises(ValueError):
             differential_check(ms_parse("x <- 5; y <- [x]"))

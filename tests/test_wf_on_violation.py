@@ -46,7 +46,7 @@ SOURCES = {
 def prepared(name):
     source = SOURCES[name]
     if isinstance(source, corpus.CorpusCase):
-        return corpus.prepare_case(source)
+        return corpus.prepare_case(source, default_family())
     program = parse(source)
     env, heap, _ = make_env(program, DEFAULT_ENV_BASE)
     return program, env, heap
