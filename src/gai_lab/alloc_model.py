@@ -488,7 +488,11 @@ def _draw(rng: random.Random, max_len: int):
     return plan
 
 
-def check_wf_args(reserved: frozenset, heap: Heap, trials: int, max_len: int = 12) -> None:
+WF_TRIALS = 200  # the default trials of a well-formedness check
+WF_MAX_LEN = 12  # the default bound on the length of a trial's history
+
+
+def check_wf_args(reserved: frozenset, heap: Heap, trials: int, max_len: int = WF_MAX_LEN) -> None:
     """Raise ``ValueError`` on arguments :func:`wf_check` cannot run with:
     a negative ``trials`` or ``max_len``, or a reserved cell outside ``heap``."""
     if trials < 0:
@@ -503,9 +507,9 @@ def wf_check(
     strategy: Strategy,
     reserved: frozenset,
     heap: Heap,
-    trials: int = 200,
+    trials: int = WF_TRIALS,
     seed: int = 0,
-    max_len: int = 12,
+    max_len: int = WF_MAX_LEN,
 ) -> list[WfReport]:
     """Randomized allocator well-formedness check: one report per clause.
 

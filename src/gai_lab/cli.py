@@ -19,7 +19,7 @@ import click
 
 from . import corpus as corpus_mod
 from . import memsafe, notac
-from .alloc_model import format_symseq, parse_symseq, wf_check
+from .alloc_model import WF_MAX_LEN, WF_TRIALS, format_symseq, parse_symseq, wf_check
 from .allocators import EagerAlloc, parse_alloc_spec
 from .core import H_MAX_DEFAULT, MAX_SPEC_CELLS, Heap, parse_int
 from .filtering import similar, sym_filter
@@ -31,9 +31,9 @@ from .gai import default_family, gai_check, variable_base
 NATURAL = click.IntRange(min=0)
 
 
-def _fail(msg: str, code: int = 2):
+def _fail(msg: str):
     click.echo(f"error: {msg}", err=True)
-    sys.exit(code)
+    sys.exit(2)
 
 
 def _read_text(path: str) -> str:
@@ -255,9 +255,9 @@ def _default_reserved(strategy) -> tuple:
 
 @main.command("wf")
 @click.argument("alloc_spec")
-@click.option("--trials", default=200, show_default=True, type=NATURAL)
+@click.option("--trials", default=WF_TRIALS, show_default=True, type=NATURAL)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--maxlen", default=12, show_default=True, type=NATURAL)
+@click.option("--maxlen", default=WF_MAX_LEN, show_default=True, type=NATURAL)
 @click.option("--reserved", default=None,
               help="Reserved address range lo:hi (heap-seeded with zeros)."
                    "  [default: the first 8 cells of the allocator's reserved window, 0:8 if it has none]")

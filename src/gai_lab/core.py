@@ -164,21 +164,21 @@ class InaccessibleWrite(Exception):
         self.addr = addr
 
 
-def _checked(addrs: Iterable[Addr], h_max: int) -> Sequence[Addr]:
-    """``addrs`` as a sequence whose every address lies in ``[0, h_max)``.
+def _checked(addrs: Iterable[Addr]) -> Sequence[Addr]:
+    """``addrs`` as a sequence whose every address lies in ``[0, H_MAX_DEFAULT)``.
 
     A ``range`` is monotone, so checking its two ends checks every cell,
     and one that passes is returned without building anything.
     """
     if isinstance(addrs, range):
-        if not addrs or (0 <= addrs.start < h_max and 0 <= addrs[-1] < h_max):
+        if not addrs or (0 <= addrs.start < H_MAX_DEFAULT and 0 <= addrs[-1] < H_MAX_DEFAULT):
             return addrs
         ends = (addrs.start, addrs[-1])
     else:
         addrs = ends = list(addrs)
     for a in ends:
-        if not isinstance(a, int) or a < 0 or a >= h_max:
-            raise ValueError(f"address {a!r} outside [0, {h_max})")
+        if not isinstance(a, int) or a < 0 or a >= H_MAX_DEFAULT:
+            raise ValueError(f"address {a!r} outside [0, {H_MAX_DEFAULT})")
     return addrs
 
 
@@ -194,14 +194,13 @@ class Heap:
     way to get a second heap (see the module docstring for the cost).
     """
 
-    __slots__ = ("_base", "_over", "h_max")
+    __slots__ = ("_base", "_over")
 
-    def __init__(self, entries: Optional[Mapping[Addr, Val]] = None, h_max: int = H_MAX_DEFAULT):
+    def __init__(self, entries: Optional[Mapping[Addr, Val]] = None):
         base = dict(entries) if entries else {}
-        _checked(base, h_max)
+        _checked(base)
         self._base = base
         self._over: dict = {}
-        self.h_max = h_max
 
     def read(self, a: Addr) -> Optional[Val]:
         """Mapped value, or ``None`` when the address is inaccessible."""
@@ -221,14 +220,14 @@ class Heap:
 
     def define(self, addrs: Iterable[Addr], v: Val) -> None:
         """Allocator-side domain extension: map every address in ``addrs`` to ``v``."""
-        self._over.update(dict.fromkeys(_checked(addrs, self.h_max), v))
+        self._over.update(dict.fromkeys(_checked(addrs), v))
 
     def fill_undefined(self, addrs: Iterable[Addr], v: Val) -> None:
         """Map the addresses of ``addrs`` outside the domain to ``v``.
 
         Defined cells keep their values.  The heap gets one new flat base.
         """
-        base = dict.fromkeys(_checked(addrs, self.h_max), v)
+        base = dict.fromkeys(_checked(addrs), v)
         base.update(self._cells())
         self._base, self._over = base, {}
 
@@ -248,7 +247,7 @@ class Heap:
         if len(over) > FLATTEN_SHARE * len(base):
             base, over = _flat(base, over), {}
         h = Heap.__new__(Heap)
-        h._base, h._over, h.h_max = base, over.copy(), self.h_max
+        h._base, h._over = base, over.copy()
         return h
 
     def _cells(self) -> dict:

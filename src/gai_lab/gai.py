@@ -131,11 +131,11 @@ class GaiReport(Record):
     verdict: str  # "pass" | "violation" | "inconclusive"
     violation: Optional[Violation]
     inconclusive: tuple  # entries naming the members that ran out of fuel
-    outcomes: dict  # member name -> its run's Outcome
+    outcomes: dict  # member name, ``name#k`` for its k-th copy -> its run's Outcome
 
     @property
     def runs(self) -> dict:
-        """Member name -> (outcome kind, trace)."""
+        """Member name, as in ``outcomes`` -> (outcome kind, trace)."""
         return {name: (o.kind, o.trace) for name, o in self.outcomes.items()}
 
     @property
@@ -245,8 +245,10 @@ def gai_check(
     A pass or an inconclusive verdict runs no well-formedness check (module
     docstring): only the producer and the witness of a violation are
     checked, with ``wf_trials`` and ``wf_seed``, and
-    :class:`FamilyNotWellFormed` is raised when either flunks.  Raises
-    ``ValueError`` before any run on an empty family, a negative
+    :class:`FamilyNotWellFormed` is raised when either flunks.  The report
+    names the k-th copy of a member name (k >= 2) ``name#k``, so it keeps
+    every run; a copy never fails first, as its earlier copy fails there too.
+    Raises ``ValueError`` before any run on an empty family, a negative
     ``wf_trials`` or a variable cell outside ``heap``.
     """
     family = list(default_family() if family is None else family)
@@ -255,17 +257,19 @@ def gai_check(
     reserved = frozenset(env.values())
     check_wf_args(reserved, heap, wf_trials)
 
+    names = [beta.name for beta in family]
+    labels = [f"{n}#{k}" if (k := names[: i + 1].count(n)) > 1 else n for i, n in enumerate(names)]
     outcomes: list[tuple[Strategy, Outcome]] = [
         (beta, run(env, beta, program, heap, fuel)) for beta in family
     ]
-    by_name = {beta.name: o for beta, o in outcomes}
+    by_label = {label: o for label, (_, o) in zip(labels, outcomes)}
     index: dict = {}  # distinct trace -> its position in ``traces``
     member_trace = [index.setdefault(o.trace, len(index)) for _, o in outcomes]
     traces = list(index)
     rows: dict = {}  # a producer's distinct trace -> its row against each of ``traces``
     inconclusive: list[str] = []
 
-    for (alpha, out_a), a in zip(outcomes, member_trace):
+    for (alpha, out_a), a, alpha_label in zip(outcomes, member_trace, labels):
         u = out_a.trace
         if a not in rows:  # rows are symmetric, and a trace is similar to itself everywhere
             rows[a] = [rows[b][a] if b in rows else set(range(len(u) + 1)) if b == a else similar_prefixes(u, v)
@@ -275,18 +279,18 @@ def gai_check(
                 j in row and j + 1 not in row and not (j < len(v) and same_class(v[j], ev))
                 for row, v in zip(rows[a], traces)
             ]
-            for (beta, out_b), d in zip(outcomes, member_trace):
+            for (beta, out_b), d, beta_label in zip(outcomes, member_trace, labels):
                 if not unreached[d]:
                     continue
                 if out_b.kind == "out-of-fuel":
                     inconclusive.append(
-                        f"{beta.name} ran out of fuel while checking event #{j + 1} of {alpha.name}"
+                        f"{beta_label} ran out of fuel while checking event #{j + 1} of {alpha_label}"
                     )
                     continue
                 check_family_wf([alpha, beta], reserved, heap, wf_trials, wf_seed)
                 violation = Violation(
-                    producer=alpha.name,
-                    witness_member=beta.name,
+                    producer=alpha_label,
+                    witness_member=beta_label,
                     position=j,
                     clause=clause_name(ev),
                     prefix=u[:j],
@@ -294,9 +298,9 @@ def gai_check(
                     producer_trace=u,
                     witness_trace=out_b.trace,
                 )
-                return GaiReport("violation", violation, tuple(inconclusive), by_name)
+                return GaiReport("violation", violation, tuple(inconclusive), by_label)
     if not inconclusive:
         inconclusive = [
-            f"{beta.name} ran out of fuel ({fuel} steps)" for beta, o in outcomes if o.kind == "out-of-fuel"
+            f"{label} ran out of fuel ({fuel} steps)" for label, o in by_label.items() if o.kind == "out-of-fuel"
         ]
-    return GaiReport("inconclusive" if inconclusive else "pass", None, tuple(inconclusive), by_name)
+    return GaiReport("inconclusive" if inconclusive else "pass", None, tuple(inconclusive), by_label)

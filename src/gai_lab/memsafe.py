@@ -17,9 +17,11 @@ reads as ``==``).  Its commands are ``Skip``, ``Seq``, ``If``, ``While``,
 ``x <- e`` = ``Assign(LVar(x), e)``, ``x <- [e]`` = ``Assign(LVar(x),
 Deref(e))``, ``[e1] <- e2`` = ``Assign(LDeref(e1), e2)`` and ``x <- alloc(e)``
 = ``MallocAssign(LVar(x), e)``.  Its parser is a :class:`notac.ParserCore`
-grammar, so a parse error is a :class:`notac.ParseError` carrying
-``line:col``, and its variables come from :func:`notac.collect_vars`.  Only
-the evaluation, which follows Memsafe's semantics, is its own.
+grammar that reads Notac's token groups, atoms and parenthesized arguments
+and states only its operators, keywords, ``-n`` literals and commands; a
+parse error is a :class:`notac.ParseError` carrying ``line:col``, and its
+variables come from :func:`notac.collect_vars`.  Only the evaluation, which
+follows Memsafe's semantics, is its own.
 
 The translator keeps every command and adds what Memsafe implies: every
 effectful command is guarded by the out-of-memory flag, loops get a fresh
@@ -32,7 +34,6 @@ Notac cell, and the translated program must satisfy GAI.
 
 from __future__ import annotations
 
-import re
 from typing import Optional, Sequence
 
 from . import notac
@@ -62,6 +63,7 @@ from .notac import (
     While,
     chain,
     printed_depth,
+    token_pattern,
 )
 
 # ---------------------------------------------------------------------------
@@ -116,17 +118,7 @@ class MsParseError(notac.ParseError):
     pass
 
 
-_MS_TOKEN = re.compile(
-    r"""
-      (?P<ws>\s+|//[^\n]*)
-    | (?P<num>[0-9]+)
-    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<op><-|<=|==|=|[-+*;()\[\]])
-    """,
-    re.VERBOSE,
-)
-
-_MS_KEYWORDS = {"skip", "if", "then", "else", "end", "while", "do", "alloc", "nil"}
+_MS_TOKEN = token_pattern(r"<-|<=|==|=|[-+*;()\[\]]")
 
 
 # Deepest Memsafe block nesting.  Each ``if`` and ``while`` prints as two
@@ -138,6 +130,8 @@ MAX_MS_BLOCK_DEPTH = (MAX_BLOCK_DEPTH - 3) // 2
 class _MsParser(ParserCore):
     token_re = _MS_TOKEN
     error = MsParseError
+    keywords = frozenset({"skip", "if", "then", "else", "end", "while", "do", "alloc", "nil"})
+    null_word = "nil"
     # Binary operator -> precedence level, loosest first; ``=`` spells ``==``.
     levels = {"==": 0, "=": 0, "<=": 0, "+": 1, "-": 1, "*": 2}
     aliases = {"=": "=="}
@@ -153,28 +147,16 @@ class _MsParser(ParserCore):
         return e
 
     def operand(self):
-        tok = self.next()
-        kind, text = tok[0], tok[1]
-        if text == "(":
-            self.nest(tok)
-            e = self.expr()
-            self.expect(")")
-            self.depth -= 1
-            return e
-        if text == "-":
-            self.nest(tok)  # a level, as in Notac, though only a literal follows
-            self.depth -= 1
-            num = self.next()
-            if num[0] != "num":
-                raise self.error_at("'-' prefix is only for integer literals", num)
-            return Const(-int(num[1]))
-        if kind == "num":
-            return Const(int(text))
-        if text == "nil":
-            return Null()
-        if kind == "name" and text not in _MS_KEYWORDS:
-            return Var(text)
-        raise self.error_at(f"expected an expression, found {text or 'end of input'!r}", tok)
+        tok = self.peek()
+        if tok[1] != "-":
+            return self.atom()
+        self.next()
+        self.nest(tok)  # a level, as in Notac, though only a literal follows
+        self.depth -= 1
+        num = self.next()
+        if num[0] != "num":
+            raise self.error_at("'-' prefix is only for integer literals", num)
+        return Const(-int(num[1]))
 
     def block(self):
         """A command nested in an ``if`` or ``while``."""
@@ -220,7 +202,7 @@ class _MsParser(ParserCore):
             self.expect("]")
             self.expect("<-")
             return Assign(LDeref(addr), self.expr())
-        if kind == "name" and text not in _MS_KEYWORDS:
+        if kind == "name" and text not in self.keywords:
             self.next()
             target = LVar(text)
             self.expect("<-")
@@ -231,10 +213,7 @@ class _MsParser(ParserCore):
                 return Assign(target, Deref(addr))
             if self.at("alloc"):
                 self.next()
-                self.expect("(")
-                size = self.expr()
-                self.expect(")")
-                return MallocAssign(target, size)
+                return MallocAssign(target, self.parenthesized())
             return Assign(target, self.expr())
         raise self.error_at(f"expected a command, found {text or 'end of input'!r}", tok)
 

@@ -317,17 +317,14 @@ class ParseError(Exception):
         self.pos = pos
 
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+|//[^\n]*)
-    | (?P<num>[0-9]+)
-    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<op>\|\||&&|==|!=|<=|>=|[-+*^<>=&(){};,!])
-    """,
-    re.VERBOSE,
-)
+def token_pattern(ops: str) -> re.Pattern:
+    """A token regex: the groups Notac and Memsafe share, layout (``ws``: blanks
+    and ``//`` comments), ASCII-digit literals (``num``) and names (``name``),
+    then ``op``, one language's operator alternatives ``ops``."""
+    return re.compile(rf"(?P<ws>\s+|//[^\n]*)|(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>{ops})")
 
-_KEYWORDS = {"if", "else", "while", "skip", "observe", "free", "malloc", "cast", "NULL", "error"}
+
+_TOKEN_RE = token_pattern(r"\|\||&&|==|!=|<=|>=|[-+*^<>=&(){};,!]")
 
 # Binary operator -> precedence level, loosest first (xor sits between the
 # logical connectives and the comparisons, as in C).
@@ -348,14 +345,18 @@ MAX_BLOCK_DEPTH = 100
 
 class ParserCore:
     """The front end Notac and Memsafe share: tokenizer, token cursor,
-    nesting bounds and the binary-operator loop.
+    nesting bounds, the binary-operator loop, the expression atoms and
+    parenthesized statement arguments.
 
-    A grammar subclasses it and supplies an ``operand`` rule and the grammar
-    proper.  The class attributes hold Notac's token regex (groups ``ws``,
-    ``num``, ``name``, ``op``), error class, operator levels (``{operator:
-    level}``, loosest at 0; ``aliases`` maps other spellings onto a
-    :class:`Binop` operator) and block bound as ``(name, value)``; another
-    language overrides them.  Every error carries the ``(line, col)`` of the
+    A grammar subclasses it and supplies an ``operand`` rule, which ends in
+    :meth:`atom`, and the grammar proper; it defines no ``atom`` or
+    ``parenthesized`` of its own.  The class attributes hold Notac's token
+    regex (built by :func:`token_pattern`, so both languages share its
+    ``ws``, ``num`` and ``name`` groups), error class, keywords (names that
+    are not variables), null word, operator levels (``{operator: level}``,
+    loosest at 0; ``aliases`` maps other spellings onto a :class:`Binop`
+    operator) and block bound as ``(name, value)``; another language
+    overrides them.  Every error carries the ``(line, col)`` of the
     offending token.
 
     Its cost is linear in the source.  The tokenizer is one
@@ -370,6 +371,8 @@ class ParserCore:
 
     token_re = _TOKEN_RE
     error = ParseError
+    keywords = frozenset({"if", "else", "while", "skip", "observe", "free", "malloc", "cast", "NULL", "error"})
+    null_word = "NULL"
     levels = _BINOP_LEVELS
     aliases: dict = {}
     block_bound = ("MAX_BLOCK_DEPTH", MAX_BLOCK_DEPTH)
@@ -461,6 +464,31 @@ class ParserCore:
         self.depth = depth
         return left
 
+    def atom(self) -> Expr:
+        """A literal, a variable, the null word, or ``( e )`` one nesting level deeper."""
+        tok = self.next()
+        kind, text = tok[0], tok[1]
+        if kind == "name" and text not in self.keywords:
+            return Var(text)
+        if kind == "num":
+            return Const(int(text))
+        if text == "(":
+            self.nest(tok)
+            e = self.expr()
+            self.expect(")")
+            self.depth -= 1
+            return e
+        if text == self.null_word:
+            return Null()
+        raise self.error_at(f"expected an expression, found {text or 'end of input'!r}", tok)
+
+    def parenthesized(self) -> Expr:
+        """``( e )`` as a statement's argument; its parentheses add no nesting level."""
+        self.expect("(")
+        e = self.expr()
+        self.expect(")")
+        return e
+
 
 class _Parser(ParserCore):
     # -- expressions
@@ -481,27 +509,10 @@ class _Parser(ParserCore):
         if text == "&":
             self.next()
             name = self.next()
-            if name[0] != "name" or name[1] in _KEYWORDS:
+            if name[0] != "name" or name[1] in self.keywords:
                 raise self.error_at("'&' takes a variable", name)
             return AddrOf(name[1])
         return self.atom()
-
-    def atom(self) -> Expr:
-        tok = self.next()
-        kind, text = tok[0], tok[1]
-        if kind == "name" and text not in _KEYWORDS:
-            return Var(text)
-        if kind == "num":
-            return Const(int(text))
-        if text == "(":
-            self.nest(tok)
-            e = self.expr()
-            self.expect(")")
-            self.depth -= 1
-            return e
-        if text == "NULL":
-            return Null()
-        raise self.error_at(f"expected an expression, found {text or 'end of input'!r}", tok)
 
     # -- statements
 
@@ -527,25 +538,14 @@ class _Parser(ParserCore):
             self.expect(";")
             # Guaranteed-stuck write; Notac has no exit command.
             return Assign(LDeref(Const(-1)), Const(0), pos)
-        if text == "observe":
+        if text in ("observe", "free"):
             self.next()
-            self.expect("(")
-            e = self.expr()
-            self.expect(")")
+            e = self.parenthesized()
             self.expect(";")
-            return Observe(e, pos)
-        if text == "free":
-            self.next()
-            self.expect("(")
-            e = self.expr()
-            self.expect(")")
-            self.expect(";")
-            return FreeCmd(e, pos)
+            return (Observe if text == "observe" else FreeCmd)(e, pos)
         if text == "if":
             self.next()
-            self.expect("(")
-            cond = self.expr()
-            self.expect(")")
+            cond = self.parenthesized()
             then = self.block()
             orelse: Cmd = Skip(pos)
             if self.at("else"):
@@ -554,9 +554,7 @@ class _Parser(ParserCore):
             return If(cond, then, orelse, pos)
         if text == "while":
             self.next()
-            self.expect("(")
-            cond = self.expr()
-            self.expect(")")
+            cond = self.parenthesized()
             body = self.block()
             return While(cond, body, pos)
         # assignment forms: lval = e | cast(e) | malloc(e)
@@ -564,9 +562,7 @@ class _Parser(ParserCore):
         self.expect("=")
         if self.peek()[1] in ("malloc", "cast"):
             kind = self.next()[1]
-            self.expect("(")
-            e = self.expr()
-            self.expect(")")
+            e = self.parenthesized()
             self.expect(";")
             return MallocAssign(target, e, pos) if kind == "malloc" else CastAssign(target, e, pos)
         e = self.expr()
@@ -591,7 +587,8 @@ class _Parser(ParserCore):
         # Each non-keyword name token is exactly one Var, AddrOf or LVar, and
         # the nodes' fields follow the source, so the tokens list the
         # variables in the order collect_vars(body) finds them.
-        names = dict.fromkeys(text for kind, text, _ in self.toks if kind == "name" and text not in _KEYWORDS)
+        keywords = self.keywords
+        names = dict.fromkeys(text for kind, text, _ in self.toks if kind == "name" and text not in keywords)
         return Program(chain(cmds), tuple(names))
 
 

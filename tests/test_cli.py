@@ -156,6 +156,15 @@ def test_gai_custom_family(tmp_path):
     assert res.exit_code == 0, res.output
 
 
+def test_gai_reports_every_run_of_a_repeated_member(tmp_path):
+    prog = write(tmp_path, "prog.ntc", "p = malloc(4); observe(p == NULL);")
+    res = invoke("gai", prog, "--family", "null;null;eager:2048,2112,6208", "--json")
+    assert res.exit_code == 0, res.output
+    runs = json.loads(res.output)["runs"]
+    assert sorted(runs) == ["eager:2048,2112,6208", "null", "null#2"]
+    assert runs["null"] == runs["null#2"]
+
+
 def test_wf_subcommand():
     res = invoke("wf", "bump:0,8,72", "--trials", "50")
     assert res.exit_code == 0

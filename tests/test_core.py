@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gai_lab.core import FLATTEN_SHARE, Heap, InaccessibleWrite, interval, parse_int
+from gai_lab.core import FLATTEN_SHARE, H_MAX_DEFAULT, Heap, InaccessibleWrite, interval, parse_int
 
 
 def count_copied_cells(monkeypatch) -> list:
@@ -84,10 +84,13 @@ def test_address_validation():
 
 # -- mutators against a plain-dict model ------------------------------------
 
-H_MAX_SMALL = 64
-# Addresses on both sides of [0, H_MAX_SMALL), so some cells are out of range.
-model_addrs = st.integers(-3, H_MAX_SMALL + 3)
-model_ranges = st.builds(range, model_addrs, model_addrs)
+# Addresses on both sides of 0 and on both sides of H_MAX_DEFAULT, so some
+# cells are out of range at each bound.  A range stays near one bound.
+low_addrs = st.integers(-3, 67)
+high_addrs = st.integers(H_MAX_DEFAULT - 4, H_MAX_DEFAULT + 3)
+PROBE_CELLS = [*range(-3, 68), *range(H_MAX_DEFAULT - 4, H_MAX_DEFAULT + 4)]
+model_addrs = st.one_of(low_addrs, high_addrs)
+model_ranges = st.one_of(st.builds(range, low_addrs, low_addrs), st.builds(range, high_addrs, high_addrs))
 model_cells = st.one_of(model_ranges, st.lists(model_addrs, max_size=6))
 values = st.integers(-9, 9)
 heap_ops = st.one_of(
@@ -104,7 +107,7 @@ def _model_step(model: dict, op: tuple) -> dict:
     out = dict(model)
     if name in ("define", "fill_undefined"):
         cells, v = args
-        if any(not 0 <= a < H_MAX_SMALL for a in cells):
+        if any(not 0 <= a < H_MAX_DEFAULT for a in cells):
             raise ValueError("out of range")
         for a in cells:
             if name == "define" or a not in out:
@@ -138,16 +141,15 @@ def _apply(heap: Heap, model: dict, op: tuple) -> dict:
 
 def _assert_matches(heap: Heap, model: dict) -> None:
     assert dict(heap.items()) == model and len(heap) == len(model)
-    assert heap.domain() == frozenset(model) and heap == Heap(model, h_max=H_MAX_SMALL)
-    cells = range(-3, H_MAX_SMALL + 4)
-    assert heap.read_many(cells) == [model.get(a) for a in cells]
+    assert heap.domain() == frozenset(model) and heap == Heap(model)
+    assert heap.read_many(PROBE_CELLS) == [model.get(a) for a in PROBE_CELLS]
 
 
 @given(st.lists(heap_ops, max_size=12))
 def test_mutators_match_dict_model(ops):
     """Each mutator changes its receiver as the model says, and never a copy
     taken before it."""
-    heap, model = Heap(h_max=H_MAX_SMALL), {}
+    heap, model = Heap(), {}
     for op in ops:
         before, snapshot = model, heap.copy()
         model = _apply(heap, model, op)
@@ -162,12 +164,13 @@ pool_ops = st.one_of(
     st.tuples(st.just("copy")),
     heap_ops,
     # At least 32 cells: more than FLATTEN_SHARE times any first base.
-    st.tuples(st.just("define"), st.builds(range, st.integers(0, 8), st.integers(40, H_MAX_SMALL)), values),
+    st.tuples(st.just("define"), st.builds(range, st.integers(0, 8), st.integers(40, 64)), values),
 )
 
 
 @given(
-    st.dictionaries(st.integers(0, H_MAX_SMALL - 1), values, max_size=FIRST_BASE_MAX),
+    st.dictionaries(st.one_of(st.integers(0, 67), st.integers(H_MAX_DEFAULT - 4, H_MAX_DEFAULT - 1)), values,
+                    max_size=FIRST_BASE_MAX),
     st.lists(st.tuples(st.integers(0, 10**6), pool_ops), max_size=30),
 )
 @example(  # undefine base cells, define them again, and copy across a flatten
@@ -180,7 +183,7 @@ def test_sibling_heaps_stay_isolated(base, steps):
     sequence on either heap may reach the other, whichever side of the
     flatten rule the copy fell on."""
     assert 32 > FLATTEN_SHARE * FIRST_BASE_MAX
-    pool = [(Heap(base, h_max=H_MAX_SMALL), dict(base))]
+    pool = [(Heap(base), dict(base))]
     for pick, op in steps:
         i = pick % len(pool)
         heap, model = pool[i]
@@ -191,7 +194,7 @@ def test_sibling_heaps_stay_isolated(base, steps):
         for h, m in pool:
             _assert_matches(h, m)
     for h, m in pool:
-        for a in range(-3, H_MAX_SMALL + 4):
+        for a in PROBE_CELLS:
             assert h.read(a) == m.get(a) and (a in h) == (a in m)
 
 

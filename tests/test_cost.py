@@ -13,14 +13,23 @@ holds exactly and cannot flake on a loaded machine.
 * The whole check, loop iterations: ``gai_check`` of an alloc/free loop
   under the default family makes interpreter steps, heap membership tests
   and ``_lockstep`` states linear in the iterations, exponent 1.
+* Similarity, trace length: ``similar_prefixes`` of two equal runs of n
+  observes takes 2n + 1 ``_lockstep`` states, exponent 1.  Without the
+  search's rule 1 it took (n + 1)^2, 10,201 at n = 100.
+* Arena size: the heap membership tests of a malloc do not grow with the
+  segment, exponent 0, for every default-family kind (eager 2,
+  guarded-eager 4, curious 2, the others 0).  The heap cells after
+  ``init`` do not grow either, except under the bump kinds, which fill
+  their segment: 4,103 / 8,199 / 16,391 cells at 4,096 / 8,192 / 16,384
+  (ROADMAP item 13, ``xfail``).
 """
 
 import pytest
 
 from gai_lab import filtering, notac
-from gai_lab.allocators import CuriousAlloc, EagerAlloc, GuardedEagerAlloc
+from gai_lab.allocators import CuriousAlloc, EagerAlloc, GuardedEagerAlloc, parse_alloc_spec
 from gai_lab.core import Heap
-from gai_lab.gai import DEFAULT_CURIOUS, DEFAULT_EAGER_SEGMENT, DEFAULT_ENV_BASE, gai_check
+from gai_lab.gai import DEFAULT_CURIOUS, DEFAULT_EAGER_SEGMENT, DEFAULT_ENV_BASE, gai_check, variable_base
 
 
 @pytest.fixture
@@ -154,3 +163,62 @@ def test_check_work_grows_linearly_with_loop_iterations(step_and_state_counts, c
     _, middle, top = per_size
     for counter, mid, hi in zip(("steps", "contains", "states"), middle, top):
         assert mid < hi <= 2 * mid + slack, (counter, per_size)
+
+
+def test_similarity_work_grows_linearly_with_trace_length(step_and_state_counts):
+    states = []
+    for n in (100, 200, 400):
+        trace = tuple(notac.ObsEv(k) for k in range(n))
+        step_and_state_counts["states"] = 0
+        assert filtering.similar_prefixes(trace, trace) == set(range(n + 1))
+        states.append(step_and_state_counts["states"])
+    assert states == [201, 401, 801]  # 2n + 1 by rule 1
+    assert states[2] <= 2 * states[1]
+
+
+ARENA_CELLS = (4096, 8192, 16384)
+WINDOW_CELLS = 8
+BUMP_FILLS = pytest.mark.xfail(strict=True, reason="bump fills its segment at init (ROADMAP item 13)")
+
+
+def arena_spec(kind: str, cells: int) -> str:
+    """A spec of a default-family kind whose segment past an 8-cell window
+    at 0 holds ``cells`` cells; for curious, each semispace does."""
+    if kind == "curious":
+        m = cells.bit_length()  # lower_max = 2 ** (m - 1) = cells
+        return f"curious:{m},{2 ** m + WINDOW_CELLS}"
+    if kind == "null":
+        return "null"
+    segment = f"0,{WINDOW_CELLS},{WINDOW_CELLS + cells}"
+    return f"nozero(bump:{segment})" if kind == "nozero(bump)" else f"{kind}:{segment}"
+
+
+def arena_init(kind: str, cells: int):
+    """The strategy and its ``init`` of a heap holding its window's cells."""
+    strategy = parse_alloc_spec(arena_spec(kind, cells))
+    base = variable_base([strategy], WINDOW_CELLS)
+    return (strategy, *strategy.init(Heap(dict.fromkeys(range(base, base + WINDOW_CELLS), 0))))
+
+
+@pytest.mark.parametrize("kind, per_malloc", [
+    ("eager", 2), ("guarded-eager", 4), ("curious", 2),
+    ("bump", 0), ("lenient-bump", 0), ("nozero(bump)", 0), ("null", 0),
+])
+def test_malloc_work_does_not_grow_with_the_arena(kind, per_malloc, contains_calls):
+    counts = []
+    for cells in ARENA_CELLS:
+        strategy, heap, state = arena_init(kind, cells)
+        contains_calls[0] = 0
+        for _ in range(8):
+            heap, state, _a = strategy.malloc(heap, state, 2)
+        counts.append(contains_calls[0] / 8)
+    assert counts == [per_malloc] * 3
+
+
+@pytest.mark.parametrize("kind", [
+    "eager", "guarded-eager", "curious", "null",
+    *(pytest.param(kind, marks=BUMP_FILLS) for kind in ("bump", "lenient-bump", "nozero(bump)")),
+])
+def test_init_cells_do_not_grow_with_the_arena(kind):
+    cells = [len(arena_init(kind, n)[1]) for n in ARENA_CELLS]
+    assert cells == [cells[0]] * 3, cells

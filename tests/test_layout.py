@@ -118,3 +118,31 @@ def test_only_gai_names_the_default_variable_base():
     # Every other module places a program's variables with ``gai.variable_base``,
     # so the placement rule has one copy.
     assert modules_naming(PACKAGE, "DEFAULT_ENV_BASE") == {"gai.py"}
+
+
+# The token groups Notac and Memsafe share; ``notac.token_pattern`` builds
+# both languages' token regexes from them.
+SHARED_TOKEN_GROUPS = ("(?P<ws>", "(?P<num>", "(?P<name>")
+# The rules of ``notac.ParserCore`` that every grammar reads, none redefines.
+SHARED_PARSER_RULES = {"atom", "parenthesized"}
+
+
+def test_only_notac_spells_the_shared_token_groups():
+    for group in SHARED_TOKEN_GROUPS:
+        assert {path.name for path in PACKAGE.glob("*.py") if group in path.read_text()} == {"notac.py"}, group
+
+
+def test_no_grammar_redefines_a_shared_parser_rule():
+    classes = {}  # class name -> (its base names, its method names)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", None) for b in node.bases}
+                classes[node.name] = bases, {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+
+    def is_grammar(name: str) -> bool:
+        return any(b == "ParserCore" or b in classes and is_grammar(b) for b in classes[name][0])
+
+    grammars = {name for name in classes if is_grammar(name)}
+    assert {"_Parser", "_MsParser"} <= grammars
+    assert {f"{name}.{rule}" for name in grammars for rule in SHARED_PARSER_RULES & classes[name][1]} == set()

@@ -8,18 +8,31 @@ HKUST-CS98-01, 1998):
 * a permutation of the family keeps the verdict;
 * appending a copy of one member keeps the verdict;
 * wrapping the program in ``if (1) { ... }`` keeps the verdict and every
-  member's outcome and trace.
+  member's outcome and trace;
+* unrolling the first loop once, ``while (c) B`` to
+  ``if (c) { B while (c) B }``, keeps the verdict and every member's
+  outcome and trace.
 
-Each runs on every corpus case and every XOR script.
+The first three run on every corpus case and every XOR script; unrolling
+runs on every one of those with a loop and on the loop and XOR-list sources
+of the benchmark's ``scaling`` workload.
 """
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
-from gai_lab import corpus
+from gai_lab import corpus, notac
 from gai_lab.allocators import parse_alloc_spec
 from gai_lab.gai import default_family, gai_check
+
+_spec = importlib.util.spec_from_file_location(
+    "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+)
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 PROGRAMS = {
     **{case.name: case for case in corpus.CASES},
@@ -50,3 +63,62 @@ def test_verdict_keeps_its_relations(name):
     wrapped_report = check(wrapped, family)
     assert wrapped_report.verdict == report.verdict
     assert wrapped_report.runs == report.runs
+
+
+SCALING = {
+    f"scaling/{item['name']}": corpus.CorpusCase(
+        f"scaling/{item['name']}", "SAFE", item["args"].get("source") or corpus.xor_script(item["args"]["ops"]))
+    for item in workloads.build("scaling", 0)
+    if item["kind"] == "gai"
+}
+
+
+def unroll_first_loop(source: str):
+    """``source`` with its first ``while (c) B`` rewritten as
+    ``if (c) { B while (c) B }``, or ``None`` when it has no loop."""
+    toks = notac._Parser(source).toks
+    loops = [i for i, tok in enumerate(toks) if tok[1] == "while"]
+    if not loops:
+        return None
+
+    def closing(j: int) -> int:
+        """The index of the token that closes the bracket at ``toks[j]``."""
+        depth = 0
+        for k in range(j, len(toks)):
+            depth += {"(": 1, "{": 1, ")": -1, "}": -1}.get(toks[k][1], 0)
+            if depth == 0:
+                return k
+        raise ValueError("unbalanced brackets")
+
+    start = loops[0]
+    cond_end = closing(start + 1)
+    body_end = closing(cond_end + 1)
+    cond = source[toks[start + 1][2]:toks[cond_end][2] + 1]
+    body = source[toks[cond_end + 1][2] + 1:toks[body_end][2]]
+    loop = source[toks[start][2]:toks[body_end][2] + 1]
+    return f"{source[:toks[start][2]]}if {cond} {{{body}\n{loop}\n}}{source[toks[body_end][2] + 1:]}"
+
+
+def test_unroll_first_loop_rewrites_only_the_first():
+    assert unroll_first_loop("i = 0; while (i < (2)) { i = i + 1; } while (1) { skip; }") == (
+        "i = 0; if (i < (2)) { i = i + 1; \nwhile (i < (2)) { i = i + 1; }\n} while (1) { skip; }")
+    assert unroll_first_loop("observe(1);") is None
+
+
+LOOP_PROGRAMS = {
+    name: case for name, case in {**PROGRAMS, **SCALING}.items() if unroll_first_loop(case.source) is not None
+}
+
+
+def test_the_unroll_relation_covers_every_program_with_a_loop():
+    assert len(LOOP_PROGRAMS) == 14 and len(SCALING) == 10
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_PROGRAMS))
+def test_unrolling_the_first_loop_keeps_every_run(name):
+    case, family = LOOP_PROGRAMS[name], default_family()
+    report = check(case, family)
+    unrolled = corpus.CorpusCase(name, case.expected, unroll_first_loop(case.source), case.init)
+    unrolled_report = check(unrolled, family)
+    assert unrolled_report.verdict == report.verdict
+    assert unrolled_report.runs == report.runs
