@@ -3,8 +3,10 @@ step/run feasibility relations, and the randomized well-formedness harness.
 
 A strategy exposes ``null``/``init``/``malloc``/``free`` over a heap and an
 opaque state.  Symbolic sequences abstract the malloc/free history: a free
-names the malloc it releases by counting successful mallocs backwards.  The
-feasibility relations replay a symbolic sequence against a concrete
+names the malloc it releases by counting successful mallocs backwards.
+Each symbolic event class declares its tag (``M``, ``MF``, ``F``) once, and
+printing and parsing a sequence such as ``M8,F0,MF8`` read it from there.
+The feasibility relations replay a symbolic sequence against a concrete
 strategy, interleaved with client updates of the allocated memory.
 
 The harness checks the ten allocator post-conditions
@@ -38,40 +40,42 @@ from .core import Addr, Heap, InaccessibleWrite, Record, interval
 # Symbolic allocation events
 
 
-class SymMalloc(Record, frozen=True):
+class _SymEvent:
+    """Symbolic events: ``tag`` names the event in a written sequence, and
+    ``str`` prints the tag and the one field, as in ``M8``."""
+
+    def __str__(self) -> str:
+        return f"{self.tag}{getattr(self, self._fields[0])}"
+
+
+class SymMalloc(_SymEvent, Record, frozen=True):
     """Successful allocation of ``size`` cells."""
 
+    tag = "M"
     size: int
 
     def __init__(self, size: int):
         object.__setattr__(self, "size", size)
 
-    def __str__(self) -> str:
-        return f"M{self.size}"
 
-
-class SymFail(Record, frozen=True):
+class SymFail(_SymEvent, Record, frozen=True):
     """Failed allocation of ``size`` cells."""
 
+    tag = "MF"
     size: int
 
     def __init__(self, size: int):
         object.__setattr__(self, "size", size)
 
-    def __str__(self) -> str:
-        return f"MF{self.size}"
 
-
-class SymFree(Record, frozen=True):
+class SymFree(_SymEvent, Record, frozen=True):
     """Frees the allocation made ``back`` successful mallocs earlier."""
 
+    tag = "F"
     back: int
 
     def __init__(self, back: int):
         object.__setattr__(self, "back", back)
-
-    def __str__(self) -> str:
-        return f"F{self.back}"
 
 
 SymbolicEvent = SymMalloc | SymFail | SymFree
@@ -82,8 +86,9 @@ def format_symseq(seq: Sequence[SymbolicEvent]) -> str:
     return ",".join(str(e) for e in seq) if seq else "(empty)"
 
 
+# ``MF`` is tried before ``M``.
 _SYM_TOKEN = re.compile(r"(MF|M|F)([0-9]+)")
-_SYM_EVENT = {"MF": SymFail, "M": SymMalloc, "F": SymFree}
+_SYM_EVENT = {cls.tag: cls for cls in (SymMalloc, SymFail, SymFree)}
 
 
 def parse_symseq(text: str) -> SymbolicSeq:

@@ -210,11 +210,12 @@ class CuriousAlloc(Strategy):
     """Two-semispace allocator whose placement depends on client memory.
 
     The heap world is [0, h_max]; null is 0.  The first allocation lands at
-    upper_max+1.  The second commits to one of the equally sized semispaces
-    [1, lower_max] / [lower_max+1, upper_max] depending on the sign of the
-    client-visible first cell of the first allocation, and all later
-    allocations are served from the chosen semispace.  Zero-sized
-    allocations fail; frees are no-ops.
+    the first fit in [upper_max+1, h_max], which is upper_max+1 after
+    ``init``, and fails when no block fits there.  The second commits to one
+    of the equally sized semispaces [1, lower_max] / [lower_max+1, upper_max]
+    depending on the sign of the client-visible first cell of the first
+    allocation, and all later allocations are served from the chosen
+    semispace.  Zero-sized allocations fail; frees are no-ops.
 
     The committed state ``("span", lo, hi, runs)`` names the semispace
     ``[lo, hi]`` and carries the blocks placed there as merged
@@ -251,11 +252,11 @@ class CuriousAlloc(Strategy):
             return heap, state, 0
         tag = state[0]
         if tag == "none":
-            if _first_fit(heap, self.upper_max + 1, self.h_max + 1, size) is None:
+            a = _first_fit(heap, self.upper_max + 1, self.h_max + 1, size)
+            if a is None:
                 return heap, state, 0
-            a = self.upper_max + 1
             heap.define(interval(a, a + size), 0)
-            return heap, ("first", a, size), a
+            return heap, ("first", a), a
         if tag == "first":
             v = heap.read(state[1])
             upper = v is not None and v > 0

@@ -84,10 +84,10 @@ def _load_program(path: str, base: Optional[int], inits: dict, strategies: list)
     if base + len(program.variables) > H_MAX_DEFAULT:
         _fail(f"--base {base} puts the program's variables past the last address {H_MAX_DEFAULT - 1}")
     try:
-        env, heap, reserved = notac.make_env(program, base, inits)
+        env, heap, _reserved = notac.make_env(program, base, inits)
     except ValueError as exc:
         _fail(f"--init names {exc}")
-    return program, env, heap, reserved
+    return program, env, heap
 
 
 def _family_from(spec: str):
@@ -125,7 +125,7 @@ def cmd_run(program_path, alloc, fuel, base, inits, out_path, as_json):
         strategy = parse_alloc_spec(alloc)
     except ValueError as exc:
         _fail(str(exc))
-    program, env, heap, _ = _load_program(program_path, base, _parse_inits(inits), [strategy])
+    program, env, heap = _load_program(program_path, base, _parse_inits(inits), [strategy])
     outcome = notac.run(env, strategy, program, heap, fuel)
     if out_path:
         _write_text(out_path, notac.dump_trace(outcome.trace))
@@ -211,7 +211,7 @@ def cmd_filter(trace_path, sigma, as_json):
 def cmd_gai(program_path, family, fuel, base, inits, seed, wf_trials, as_json):
     """Differential gradual-allocator-independence check."""
     members = _family_from(family)
-    program, env, heap, _ = _load_program(program_path, base, _parse_inits(inits), members)
+    program, env, heap = _load_program(program_path, base, _parse_inits(inits), members)
     try:
         report = gai_check(program, env, heap, members, fuel, wf_trials=wf_trials, wf_seed=seed)
     except FamilyNotWellFormed as exc:

@@ -25,11 +25,9 @@ may be shared by many heaps, plus a private overlay holding this heap's
 own writes and undefines.  Reads look in the overlay, then in the base, so
 a mutator changes only the overlay, or for :meth:`Heap.fill_undefined`
 swaps in a new flat base, and never a base that another heap can see.
-:meth:`Heap.copy` shares the base and copies the overlay: it costs the
-cells changed since the base was built, not the size of the heap.  When
-the overlay holds more than ``FLATTEN_SHARE`` (1) times as many cells as
-the base, the copy flattens both into a new base with C-speed dict
-operations instead.
+One rule copies: :meth:`Heap.copy` shares the base and copies the overlay,
+so it costs the cells changed since the base was built, not the size of
+the heap.
 
 Records.  Every value class of the package (events, syntax, reports) derives
 from :class:`Record`, which does what the standard library's data classes do
@@ -63,11 +61,6 @@ H_MAX_DEFAULT = 2**32
 # cells would need hundreds of gigabytes; this bound keeps a build in the
 # order of 100 MB.
 MAX_SPEC_CELLS = 2**20
-
-# A copy of a heap whose overlay holds more than FLATTEN_SHARE times as many
-# cells as its base gets a flat base instead.
-FLATTEN_SHARE = 1
-
 
 def parse_int(text: str, signed: bool = False) -> int:
     """``text`` read as a decimal number of ASCII digits, with one leading
@@ -242,20 +235,15 @@ class Heap:
         over.update(dict.fromkeys(addrs))
 
     def copy(self) -> "Heap":
-        """An equal heap that no later change to either heap can reach."""
-        base, over = self._base, self._over
-        if len(over) > FLATTEN_SHARE * len(base):
-            base, over = _flat(base, over), {}
+        """An equal heap that no later change to either heap can reach: it
+        shares the base and copies the overlay."""
         h = Heap.__new__(Heap)
-        h._base, h._over = base, over.copy()
+        h._base, h._over = self._base, self._over.copy()
         return h
 
     def _cells(self) -> dict:
         """The merged view; never change it, it may be the shared base."""
         return _flat(self._base, self._over)
-
-    def domain(self) -> frozenset:
-        return frozenset(self._cells())
 
     def items(self) -> Iterator[tuple[Addr, Val]]:
         return iter(sorted(self._cells().items()))

@@ -308,8 +308,8 @@ def xor_script(ops: Sequence[tuple]) -> str:
     """Compose list operations into one program.
 
     Ops: ("new", elem) | ("push", elem) | ("pop",) | ("get", index)
-    | ("insert", index, elem) | ("delete", index) | ("observe",) which
-    observes the last result.  Pop and get observe their result themselves.
+    | ("insert", index, elem) | ("delete", index).  Pop and get observe
+    their result themselves.
     """
     parts = []
     for op in ops:
@@ -326,8 +326,6 @@ def xor_script(ops: Sequence[tuple]) -> str:
             parts.append(f"i = {op[1]}; elem = {op[2]};" + _XOR_INSERT)
         elif kind == "delete":
             parts.append(f"i = {op[1]};" + _XOR_DELETE)
-        elif kind == "observe":
-            parts.append("observe(result);")
         else:
             raise ValueError(f"unknown list op {op!r}")
     return "\n".join(parts)

@@ -54,14 +54,12 @@ def sym_filter(trace: Sequence[Event], seq) -> Optional[Trace]:
     k = 0  # cursor into seq
     for ev in trace:
         item = seq[k] if k < len(seq) else None
-        if isinstance(ev, MallocEv):
-            if item != SymMalloc(ev.size):
+        alloc = _alloc_item(ev)
+        if alloc is not None:
+            if item != alloc:
                 return None
-            returned.append(ev.addr)
-            k += 1
-        elif isinstance(ev, MallocFailEv):
-            if item != SymFail(ev.size):
-                return None
+            if isinstance(ev, MallocEv):
+                returned.append(ev.addr)
             k += 1
         elif (
             isinstance(ev, FreeEv)

@@ -4,7 +4,10 @@ Pointers are plain integers; the allocator strategy supplies NULL.  A run
 owns one heap, which every step changes in place; a step takes the command
 stack and the allocator state and returns the next ones with its event.
 Runs produce event traces recording the memory-relevant actions:
-``observe``, ``malloc``/``mfail``, ``free``, ``cast``.
+``observe``, ``malloc``/``mfail``, ``free``, ``cast``.  Each event class
+declares its kind (``obs``, ``malloc``, ``mfail``, ``free``, ``cast``) once,
+and printing, JSON and reading JSON back are derived from that declaration
+and the class's fields (see :class:`_Event`).
 
 Concrete grammar (statements end with ``;``, ``//`` starts a line comment)::
 
@@ -51,17 +54,30 @@ from .core import Addr, Heap, InaccessibleWrite, Record, Val
 # Events and traces
 
 
-class ObsEv(Record, frozen=True):
+class _Event:
+    """Trace events: ``kind`` names the event in traces and in JSON, and
+    ``non_negative`` names its fields that are never negative, the sizes and
+    the allocated addresses; a free carries whatever value its expression
+    had, and observed or cast values are any integer.  ``str`` prints
+    ``kind(f1,f2)`` from the record's fields."""
+
+    non_negative = ()
+
+    def __str__(self) -> str:
+        return f"{self.kind}({','.join(str(getattr(self, f)) for f in self._fields)})"
+
+
+class ObsEv(_Event, Record, frozen=True):
+    kind = "obs"
     val: Val
 
     def __init__(self, val: Val):
         object.__setattr__(self, "val", val)
 
-    def __str__(self) -> str:
-        return f"obs({self.val})"
 
-
-class MallocEv(Record, frozen=True):
+class MallocEv(_Event, Record, frozen=True):
+    kind = "malloc"
+    non_negative = ("size", "addr")
     size: int
     addr: Addr
 
@@ -69,62 +85,44 @@ class MallocEv(Record, frozen=True):
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "addr", addr)
 
-    def __str__(self) -> str:
-        return f"malloc({self.size},{self.addr})"
 
-
-class MallocFailEv(Record, frozen=True):
+class MallocFailEv(_Event, Record, frozen=True):
+    kind = "mfail"
+    non_negative = ("size",)
     size: int
 
     def __init__(self, size: int):
         object.__setattr__(self, "size", size)
 
-    def __str__(self) -> str:
-        return f"mfail({self.size})"
 
-
-class FreeEv(Record, frozen=True):
+class FreeEv(_Event, Record, frozen=True):
+    kind = "free"
     addr: Val  # carries the evaluated value, valid address or not
 
     def __init__(self, addr: Val):
         object.__setattr__(self, "addr", addr)
 
-    def __str__(self) -> str:
-        return f"free({self.addr})"
 
-
-class CastEv(Record, frozen=True):
+class CastEv(_Event, Record, frozen=True):
+    kind = "cast"
     val: Val
 
     def __init__(self, val: Val):
         object.__setattr__(self, "val", val)
 
-    def __str__(self) -> str:
-        return f"cast({self.val})"
-
 
 Event = ObsEv | MallocEv | MallocFailEv | FreeEv | CastEv
 Trace = tuple  # tuple[Event, ...]
 
-
-# JSON kind -> (event class, its integer fields in constructor order).
-_EVENT_KINDS = {
-    "obs": (ObsEv, ("val",)),
-    "malloc": (MallocEv, ("size", "addr")),
-    "mfail": (MallocFailEv, ("size",)),
-    "free": (FreeEv, ("addr",)),
-    "cast": (CastEv, ("val",)),
-}
-# Sizes and allocated addresses are never negative; a free carries whatever
-# value its expression had, and observed or cast values are any integer.
-_NON_NEGATIVE = {("malloc", "size"), ("malloc", "addr"), ("mfail", "size")}
+# JSON kind -> event class.
+_EVENT_KINDS = {cls.kind: cls for cls in (ObsEv, MallocEv, MallocFailEv, FreeEv, CastEv)}
 
 
 def event_to_json(ev: Event) -> dict:
-    for kind, (cls, fields) in _EVENT_KINDS.items():
-        if type(ev) is cls:
-            return {"kind": kind, **{f: getattr(ev, f) for f in fields}}
-    raise TypeError(f"not an event: {ev!r}")
+    cls = type(ev)
+    if cls not in _EVENT_KINDS.values():
+        raise TypeError(f"not an event: {ev!r}")
+    return {"kind": cls.kind, **{f: getattr(ev, f) for f in cls._fields}}
 
 
 def event_from_json(obj: dict) -> Event:
@@ -132,15 +130,15 @@ def event_from_json(obj: dict) -> Event:
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, found {obj!r}")
     kind = obj.get("kind")
-    if kind not in _EVENT_KINDS:
+    if not isinstance(kind, str) or kind not in _EVENT_KINDS:  # a list or an object is unhashable
         raise ValueError(f"unknown event kind {kind!r}")
-    cls, fields = _EVENT_KINDS[kind]
+    cls = _EVENT_KINDS[kind]
     values = []
-    for f in fields:
+    for f in cls._fields:
         v = obj.get(f)
         if not isinstance(v, int) or isinstance(v, bool):
             raise ValueError(f"{kind} event needs an integer {f!r}, found {v!r}")
-        if v < 0 and (kind, f) in _NON_NEGATIVE:
+        if v < 0 and f in cls.non_negative:
             raise ValueError(f"{kind} event has negative {f!r} {v}")
         values.append(v)
     return cls(*values)

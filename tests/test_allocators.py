@@ -154,9 +154,9 @@ class BruteCurious:
         if size <= 0:
             return 0
         if self.first is None:
-            if brute_first_fit(heap, (), s.upper_max + 1, s.h_max + 1, size) is None:
+            a = self.first = brute_first_fit(heap, (), s.upper_max + 1, s.h_max + 1, size)
+            if a is None:
                 return 0
-            a = self.first = s.upper_max + 1
         else:
             if self.span is None:
                 v = heap.read(self.first)
@@ -189,6 +189,7 @@ HISTORY_STEP = st.one_of(
 @example("guarded-eager", [("malloc", 2, None), ("malloc", 2, None), ("malloc", 0, None), ("free", 1, True),
                             ("malloc", 1, None)])
 @example("eager", [("malloc", 0, None), ("foreign", 10, 1), ("malloc", 3, None), ("free", 0, True), ("malloc", 2, None)])
+@example("curious", [("foreign", 33, 0), ("malloc", 1, None)])  # a defined cell at upper_max + 1
 def test_first_fit_matches_the_brute_force_scan(kind, history):
     """Every address and every heap of a history of mallocs, frees and
     foreign defines inside the segment equals the cell-by-cell scan's."""
@@ -342,6 +343,18 @@ class TestCurious:
         h, st, a = c.malloc(h, st, 4)
         assert a == 513
         assert [h.read(x) for x in range(513, 517)] == [0, 0, 0, 0]
+
+    def test_first_allocation_takes_the_first_fit_above_upper_max(self):
+        c = curious(9, 2047)
+        h, st = c.init(Heap())
+        h.define([513], 7)
+        h, st, a = c.malloc(h, st, 2)
+        assert (a, h.read(513), h.read(514)) == (514, 7, 0)  # cell 513 keeps its value
+        c = curious(4, 47)  # [17, 47] above upper_max 16
+        h, st = c.init(Heap())
+        h.define(range(17, 46), 1)
+        assert c.malloc(h, st, 3)[1:] == (("none",), 0)  # no 3 free cells there
+        assert c.malloc(h, st, 2)[2] == 46
 
     def test_second_commits_by_cell_sign(self):
         c = curious(9, 2047)

@@ -127,6 +127,9 @@ def test_malformed_trace_files_exit_2(tmp_path):
         assert res.exit_code == 2
         assert "bad.jsonl: bad trace file (line 2: malloc event needs an integer 'size'" in res.output
         assert "Traceback" not in res.output
+    unhashable = write(tmp_path, "kind.jsonl", '{"kind": ["obs"], "val": 1}\n')
+    res = invoke("filter", unhashable, "--sigma", "M8")
+    assert res.exit_code == 2 and "kind.jsonl: bad trace file (line 1: unknown event kind ['obs'])" in res.output
 
 
 def test_similar_identical_files(tmp_path):

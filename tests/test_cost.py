@@ -16,6 +16,13 @@ holds exactly and cannot flake on a loaded machine.
 * Similarity, trace length: ``similar_prefixes`` of two equal runs of n
   observes takes 2n + 1 ``_lockstep`` states, exponent 1.  Without the
   search's rule 1 it took (n + 1)^2, 10,201 at n = 100.
+* Distinct traces d: a family of d eager members with d distinct traces
+  makes d(d - 1) / 2 ``similar_prefixes`` calls, 6 / 28 / 120 at
+  d = 4 / 8 / 16, exponent 2.
+* Well-formedness, trials and history length: the allocator calls of
+  ``wf_check`` of eager grow linearly in ``trials`` (1,120 / 2,284 / 4,572
+  at 100 / 200 / 400) and in ``max_len`` (1,120 / 2,284 / 4,514 at
+  12 / 24 / 48), exponent 1.
 * Arena size: the heap membership tests of a malloc do not grow with the
   segment, exponent 0, for every default-family kind (eager 2,
   guarded-eager 4, curious 2, the others 0).  The heap cells after
@@ -26,7 +33,7 @@ holds exactly and cannot flake on a loaded machine.
 
 import pytest
 
-from gai_lab import filtering, notac
+from gai_lab import alloc_model, filtering, gai, notac
 from gai_lab.allocators import CuriousAlloc, EagerAlloc, GuardedEagerAlloc, parse_alloc_spec
 from gai_lab.core import Heap
 from gai_lab.gai import DEFAULT_CURIOUS, DEFAULT_EAGER_SEGMENT, DEFAULT_ENV_BASE, gai_check, variable_base
@@ -222,3 +229,73 @@ def test_malloc_work_does_not_grow_with_the_arena(kind, per_malloc, contains_cal
 def test_init_cells_do_not_grow_with_the_arena(kind):
     cells = [len(arena_init(kind, n)[1]) for n in ARENA_CELLS]
     assert cells == [cells[0]] * 3, cells
+
+
+@pytest.fixture
+def similar_prefixes_calls(monkeypatch):
+    """A one-element list holding the number of ``gai.similar_prefixes`` calls so far."""
+    calls = [0]
+    inner = gai.similar_prefixes
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(gai, "similar_prefixes", counted)
+    return calls
+
+
+def test_searches_grow_with_the_pairs_of_distinct_traces(similar_prefixes_calls):
+    """A family of d eager members whose segments start one cell apart gives
+    d distinct traces, and the check searches each pair once: d(d - 1) / 2
+    searches, exponent 2.  At 2d that is 4 times the count at d, plus d, so
+    the slack of the top doubling is the middle d."""
+    program = notac.parse("p = malloc(1); if (p != NULL) { free(p); } observe(1);")
+    calls = []
+    for d in (4, 8, 16):
+        family = [EagerAlloc(0, 8 + i, 4096) for i in range(d)]
+        env, heap, _ = notac.make_env(program, variable_base(family, len(program.variables)))
+        similar_prefixes_calls[0] = 0
+        report = gai_check(program, env, heap, family)
+        assert report.verdict == "pass" and len(set(report.runs.values())) == d
+        calls.append(similar_prefixes_calls[0])
+    assert calls == [6, 28, 120]
+    assert calls[2] <= 4 * calls[1] + 8
+
+
+class CountingEager(EagerAlloc):
+    """The default family's eager member, counting its malloc and free calls."""
+
+    calls = 0
+
+    def malloc(self, heap, state, size):
+        self.calls += 1
+        return super().malloc(heap, state, size)
+
+    def free(self, heap, state, addr):
+        self.calls += 1
+        return super().free(heap, state, addr)
+
+
+def wf_strategy_calls(trials: int, max_len: int) -> int:
+    """The malloc and free calls of ``wf_check`` of eager at reserved 2048..2055, seed 0."""
+    strategy = CountingEager(*DEFAULT_EAGER_SEGMENT)
+    reserved = frozenset(range(2048, 2056))
+    reports = alloc_model.wf_check(strategy, reserved, Heap(dict.fromkeys(reserved, 0)), trials, 0, max_len)
+    assert all(r.passed for r in reports)
+    return strategy.calls
+
+
+@pytest.mark.parametrize("axis, sizes, expected", [
+    ("trials", (100, 200, 400), [1120, 2284, 4572]),
+    ("max_len", (12, 24, 48), [1120, 2284, 4514]),
+], ids=["trials", "max_len"])
+def test_wf_work_grows_linearly_with_trials_and_history_length(axis, sizes, expected):
+    """Allocator calls of ``wf_check``, exponent 1 on both axes (``max_len``
+    at 100 trials).  Histories are drawn, so a doubling may land a few calls
+    above 2x: the slack is 1% of the middle count."""
+    calls = [wf_strategy_calls(n, alloc_model.WF_MAX_LEN) if axis == "trials" else wf_strategy_calls(100, n)
+             for n in sizes]
+    assert calls == expected
+    _, mid, top = calls
+    assert mid < top <= 2 * mid + mid // 100

@@ -119,7 +119,7 @@ def test_updates_only_touch_allowed_cells():
     upd = ClientUpdate(((0, 42), (1, -3)))
     h, _, m = feasible_run(e, RESERVED, h0, st, (NO_UPDATE, upd), parse_symseq("M4,M2"))
     allowed = addresses_of({AllocEntry(101, 4, 1)}) | RESERVED
-    changed = {a for a in h.domain() | h0.domain() if h.read(a) != h0.read(a)}
+    changed = {a for a, _v in [*h.items(), *h0.items()] if h.read(a) != h0.read(a)}
     assert changed - allowed <= addresses_of(m)  # the second malloc's zeroed cells
 
 

@@ -1,12 +1,14 @@
 """The package ships only what the checker runs.
 
-Every module-level function or class in ``src/gai_lab`` must be named
-somewhere in ``src/`` (by an ``ast.Name`` or an ``ast.Attribute``).  A
-definition that only the tests reach belongs with the tests, as the
-brute-force oracles in ``tests/similarity_oracle.py`` and
-``tests/wf_oracle.py`` do.  Decorated definitions (click commands) are
-skipped: a decorator may register what nothing names.  Record classes
-(``core.Record``) carry no decorator, so the scan covers them too.
+Every module-level function or class in ``src/gai_lab``, and every method
+or property of a module-level class, must be named somewhere in ``src/``
+(by an ``ast.Name`` or an ``ast.Attribute``).  A definition that only the
+tests reach belongs with the tests, as the brute-force oracles in
+``tests/similarity_oracle.py`` and ``tests/wf_oracle.py`` do.  Decorated
+module-level definitions (click commands) are skipped: a decorator may
+register what nothing names.  Record classes (``core.Record``) carry no
+decorator, so the scan covers them too.  Dunder methods are skipped, since
+Python calls them by protocol.
 
 Nothing in the package compiles code at import: no ``dataclasses``, no
 named tuples, no call of ``exec``, ``eval`` or ``compile``.  Nothing in it
@@ -34,7 +36,9 @@ ALLOWED = {
 
 def unreferenced_definitions(package: Path) -> dict[str, str]:
     """Name -> ``module:line`` of each undecorated module-level function or
-    class that no ``ast.Name`` or ``ast.Attribute`` in the package names."""
+    class, and ``Class.method`` -> ``module:line`` of each method or property
+    of a module-level class other than a dunder, that no ``ast.Name`` or
+    ``ast.Attribute`` in the package names."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     referenced = set()
     for tree in trees.values():
@@ -43,14 +47,18 @@ def unreferenced_definitions(package: Path) -> dict[str, str]:
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    return {
-        node.name: f"{module}:{node.lineno}"
-        for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.decorator_list
-        and node.name not in referenced
-    }
+    found = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.decorator_list:
+                if node.name not in referenced:
+                    found[node.name] = f"{module}:{node.lineno}"
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if (isinstance(member, ast.FunctionDef) and not member.name.startswith("__")
+                            and member.name not in referenced):
+                        found[f"{node.name}.{member.name}"] = f"{module}:{member.lineno}"
+    return found
 
 
 def test_every_definition_in_the_package_has_a_caller_in_the_package():

@@ -11,11 +11,14 @@ HKUST-CS98-01, 1998):
   member's outcome and trace;
 * unrolling the first loop once, ``while (c) B`` to
   ``if (c) { B while (c) B }``, keeps the verdict and every member's
-  outcome and trace.
+  outcome and trace;
+* dropping one member keeps a pass a pass, and a violation of the
+  subfamily is a violation of the family: each obligation of the subfamily
+  is one of the family's.
 
-The first three run on every corpus case and every XOR script; unrolling
-runs on every one of those with a loop and on the loop and XOR-list sources
-of the benchmark's ``scaling`` workload.
+The first three and the subfamily relation run on every corpus case and
+every XOR script; unrolling runs on every one of those with a loop and on
+the loop and XOR-list sources of the benchmark's ``scaling`` workload.
 """
 
 import importlib.util
@@ -63,6 +66,22 @@ def test_verdict_keeps_its_relations(name):
     wrapped_report = check(wrapped, family)
     assert wrapped_report.verdict == report.verdict
     assert wrapped_report.runs == report.runs
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_dropping_a_member_keeps_a_pass_and_no_new_violation(name):
+    """The variables stay where the whole family puts them, so each
+    subfamily checks the same program, environment and heap."""
+    case, family = PROGRAMS[name], default_family()
+    inputs = corpus.prepare_case(case, family)
+    verdict = gai_check(*inputs, family, wf_trials=WF_TRIALS).verdict
+    for i in range(len(family)):
+        subfamily = family[:i] + family[i + 1:]
+        sub_verdict = gai_check(*inputs, subfamily, wf_trials=WF_TRIALS).verdict
+        if verdict == "pass":
+            assert sub_verdict == "pass", family[i].name
+        if sub_verdict == "violation":
+            assert verdict == "violation", family[i].name
 
 
 SCALING = {

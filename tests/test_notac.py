@@ -47,7 +47,7 @@ from gai_lab.notac import (
     step,
     to_source,
 )
-from test_core import count_copied_cells
+from test_core import count_copied_cells, domain
 
 
 def eval_expr(env, strategy, state, heap, e):
@@ -242,16 +242,16 @@ class TestInterpreter:
         env, heap, _ = make_env(prog, 10)
         strategy = eager(0, 100, 200)
         h0, st = strategy.init(heap)
-        start, stack = h0.domain(), (prog.body,)
+        start, stack = domain(h0), (prog.body,)
         while True:
-            before = h0.domain()
+            before = domain(h0)
             res = step(env, strategy, h0, stack, st)
             if res is None:
                 break
             stack, st, ev = res
             if ev is None or isinstance(ev, (ObsEv, CastEv)):
-                assert h0.domain() == before
-        assert h0.domain() == start  # malloc's cells freed again
+                assert domain(h0) == before
+        assert domain(h0) == start  # malloc's cells freed again
 
     def test_trace_monotone_in_fuel(self):
         src = "p = malloc(8); observe(1); free(p); observe(2);"
@@ -343,6 +343,32 @@ def test_trace_serialization_roundtrip():
     assert "malloc(8,101)" in format_trace(trace)
 
 
+EVENT_CLASSES = (ObsEv, MallocEv, MallocFailEv, FreeEv, CastEv)
+
+
+def test_each_event_kind_is_declared_once_on_its_class():
+    """Printing, JSON and reading JSON back all follow the class's ``kind``,
+    ``_fields`` and ``non_negative``; no event class prints itself."""
+    assert [cls.kind for cls in EVENT_CLASSES] == ["obs", "malloc", "mfail", "free", "cast"]
+    assert {(cls.kind, f) for cls in EVENT_CLASSES for f in cls.non_negative} == {
+        ("malloc", "size"), ("malloc", "addr"), ("mfail", "size")}
+    for cls in EVENT_CLASSES:
+        assert "__str__" not in vars(cls)
+        values = range(3, 3 + len(cls._fields))
+        ev = cls(*values)
+        assert str(ev) == f"{cls.kind}({','.join(map(str, values))})"
+        obj = notac.event_to_json(ev)
+        assert list(obj) == ["kind", *cls._fields] and obj == {"kind": cls.kind, **dict(zip(cls._fields, values))}
+        assert notac.event_from_json(obj) == ev
+        for f in cls._fields:
+            negative = {**obj, f: -1}
+            if f in cls.non_negative:
+                with pytest.raises(ValueError, match=f"^{cls.kind} event has negative '{f}' -1$"):
+                    notac.event_from_json(negative)
+            else:
+                assert getattr(notac.event_from_json(negative), f) == -1
+
+
 def test_trace_loader_rejects_malformed_events():
     good = '{"kind": "obs", "val": -3}\n'
     bad_lines = [
@@ -353,6 +379,8 @@ def test_trace_loader_rejects_malformed_events():
         '{"kind": "mfail", "size": 8.0}',
         '{"kind": "free"}',
         '{"kind": "alloc", "size": 8}',
+        '{"kind": ["obs"], "val": 1}',
+        '{"kind": {"obs": 1}, "val": 1}',
         '[1, 2]',
         '{"kind": "obs", "val": 1',
         "[" * 100_000,

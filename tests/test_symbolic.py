@@ -24,6 +24,20 @@ FIG_SEQ = parse_symseq("M100,MF800,M200,F0,F1")
 SIZES = (0, 1, 2, 3, 5, 8)
 
 
+def test_each_symbolic_event_tag_is_declared_once_on_its_class():
+    """Printing and parsing a sequence follow the class's ``tag``; no
+    symbolic event class prints itself."""
+    classes = (SymMalloc, SymFail, SymFree)
+    assert [cls.tag for cls in classes] == ["M", "MF", "F"]
+    for cls in classes:
+        assert "__str__" not in vars(cls) and len(cls._fields) == 1
+        assert str(cls(7)) == f"{cls.tag}7"
+        assert parse_symseq(str(cls(7))) == (cls(7),)
+    seq = tuple(cls(n) for n, cls in enumerate(classes * 2))
+    assert format_symseq(seq) == "M0,MF1,F2,M3,MF4,F5"
+    assert parse_symseq(format_symseq(seq)) == seq
+
+
 def gen_update_seq(seed: int, length: int) -> tuple:
     """Deterministic update sequence of exactly ``length`` client updates."""
     rng = random.Random(seed)
