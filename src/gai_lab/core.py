@@ -212,8 +212,11 @@ class Heap:
         over[a] = v
 
     def define(self, addrs: Iterable[Addr], v: Val) -> None:
-        """Allocator-side domain extension: map every address in ``addrs`` to ``v``."""
-        self._over.update(dict.fromkeys(_checked(addrs), v))
+        """Allocator-side domain extension: map every address in ``addrs`` to
+        ``v``, checked first, at one overlay store per cell."""
+        over = self._over
+        for a in _checked(addrs):
+            over[a] = v
 
     def fill_undefined(self, addrs: Iterable[Addr], v: Val) -> None:
         """Map the addresses of ``addrs`` outside the domain to ``v``.
@@ -227,12 +230,13 @@ class Heap:
     def undefine(self, addrs: Iterable[Addr]) -> None:
         """Drop addresses from the domain (make them inaccessible).
 
-        Walks whichever is smaller, the heap's cells or an address ``range``.
+        Walks whichever is smaller, the heap's cells or an address ``range``, one store per address.
         """
         base, over = self._base, self._over
         if isinstance(addrs, range) and len(base) + len(over) < len(addrs):
             addrs = [a for a in itertools.chain(base, over) if a in addrs]
-        over.update(dict.fromkeys(addrs))
+        for a in addrs:
+            over[a] = None
 
     def copy(self) -> "Heap":
         """An equal heap that no later change to either heap can reach: it

@@ -38,11 +38,14 @@ a statement's ``pos`` and for an error (see :class:`ParserCore`).
 
 Each expression compiles once, on first use, into a closure cached on its node,
 and each loop caches its unrolling, so an interpreter step builds no syntax.
+The closure of ``+``, ``-`` and ``*`` calls the C functions of :mod:`operator`,
+and a literal right operand is bound into it when it compiles.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import re
 from bisect import bisect_right
 from typing import Callable, Iterable, Optional
@@ -782,6 +785,8 @@ def _binop(e: Binop) -> Callable:
     left, right, apply = _code(e.left), _code(e.right), _BINOPS.get(e.op)
     if apply is None:
         raise TypeError(f"unknown operator {e.op!r}")
+    if type(e.right) is Const:
+        return lambda env, strategy, state, heap, r=e.right.value: apply(left(env, strategy, state, heap), r)
     return lambda env, strategy, state, heap: apply(left(env, strategy, state, heap), right(env, strategy, state, heap))
 
 
@@ -792,7 +797,7 @@ def _xor(l: int, r: int) -> int:
 
 
 _BINOPS = {
-    "+": lambda l, r: l + r, "-": lambda l, r: l - r, "*": lambda l, r: l * r, "^": _xor,
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "^": _xor,
     "==": lambda l, r: 1 if l == r else 0, "!=": lambda l, r: 1 if l != r else 0,
     "<": lambda l, r: 1 if l < r else 0, "<=": lambda l, r: 1 if l <= r else 0,
     ">": lambda l, r: 1 if l > r else 0, ">=": lambda l, r: 1 if l >= r else 0,
@@ -856,23 +861,25 @@ def step(env: dict, strategy: Strategy, heap: Heap, stack: tuple, state) -> Opti
     """One small step: ``(next stack, next state, event or None)``, or
     ``None`` when ``stack`` (commands, head first) has nothing left to run.
 
-    The head command's type picks its rule from ``_RULES``, and the step
-    builds no syntax (see :func:`run`).  ``heap`` is the run's and the step
-    changes it in place, through client writes (assignments, casts, and the
-    target cell of a malloc) and the allocator's own changes.  Raises
-    :class:`Stuck`, at the command's position, when no rule applies.
+    Sequences unfold at the head, in a loop that costs no recursion: a
+    :class:`Seq`'s second command goes onto the rest of the stack, which is
+    copied once per step and once per :class:`Seq`.  The head command's type
+    then picks its rule from ``_RULES``, and the step builds no syntax (see
+    :func:`run`).  ``heap`` is the run's and the step changes it in place,
+    through client writes (assignments, casts, and the target cell of a
+    malloc) and the allocator's own changes.  Raises :class:`Stuck`, at the
+    command's position, when no rule applies.
     """
-    while stack and type(stack[0]) is Seq:
-        head = stack[0]
-        stack = (head.first, head.second) + stack[1:]
     if not stack:
         return None
-    cmd = stack[0]
+    cmd, rest = stack[0], stack[1:]
+    while type(cmd) is Seq:
+        cmd, rest = cmd.first, (cmd.second,) + rest
     rule = _RULES.get(type(cmd))
     if rule is None:
         raise TypeError(f"not a command: {cmd!r}")
     try:
-        return rule(env, strategy, cmd, stack[1:], heap, state)
+        return rule(env, strategy, cmd, rest, heap, state)
     except Stuck as exc:
         raise Stuck(exc.reason, cmd.pos) from None
 

@@ -267,7 +267,7 @@ class TestInterpreter:
         out, _ = setup_run("skip;\n*(50) = 1;", bump(0, 100, 200))
         assert out.stuck and out.pos == (2, 1)
 
-    @pytest.mark.parametrize("stmt, reason", [
+    STUCK_STATEMENTS = [
         ("observe(*(x - 5));", "dereference of negative address -4"),
         ("if (1 ^ (0 - x)) { skip; }", "xor on negative operand (1 ^ -1)"),
         ("while (*(x + 100)) { skip; }", "dereference of inaccessible address 101"),
@@ -275,12 +275,23 @@ class TestInterpreter:
         ("p = malloc(0 - x);", "malloc size -1 is negative"),
         ("*(x + 100) = malloc(1);", "malloc target address 101 is inaccessible"),
         ("free(*(0 - x));", "dereference of negative address -1"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("stmt, reason", STUCK_STATEMENTS)
     def test_every_stuck_rule_reports_the_command_position(self, stmt, reason):
         prog = parse(f"x = 1;\n  {stmt}")
         env, heap, _ = make_env(prog, 10)
         out = run(env, bump(0, 8, 9), prog, heap)
         assert (out.kind, out.reason, out.pos) == ("stuck", reason, (2, 3))
+
+    @pytest.mark.parametrize("stmt, reason", STUCK_STATEMENTS)
+    @pytest.mark.parametrize("block", ["if", "while"])
+    def test_a_stuck_statement_first_in_a_block_reports_its_position(self, stmt, reason, block):
+        # The step unfolds the block's Seq before the statement's rule runs.
+        prog = parse(f"x = 1;\n{block} (1) {{\n  {stmt} skip; }}")
+        env, heap, _ = make_env(prog, 10)
+        out = run(env, bump(0, 8, 9), prog, heap)
+        assert (out.kind, out.reason, out.pos) == ("stuck", reason, (3, 3))
 
     def test_malloc_lval_sees_post_malloc_heap(self):
         # the target address only becomes accessible through this very
@@ -556,9 +567,32 @@ def test_bad_syntax_nodes_raise_type_error():
     with pytest.raises(TypeError) as info:
         step({}, null_alloc(), Heap(), (Const(1),), 0)
     assert str(info.value) == f"not a command: {Const(1)!r}"
+    with pytest.raises(TypeError) as info:
+        step({}, null_alloc(), Heap(), (Seq(Const(1), notac.Skip()),), 0)
+    assert str(info.value) == "not a command: Const(value=1)"
     # the rule is looked up before it runs: its own errors pass unchanged
     with pytest.raises(KeyError):
         step({}, null_alloc(), Heap(), (notac.Observe(notac.Var("y")),), 0)
+
+
+def test_every_syntax_class_has_a_rule_or_a_compiler():
+    # Seq has no rule: step unfolds it before looking one up.
+    assert set(notac._RULES) == set(notac.Cmd.__args__) - {Seq}
+    assert set(notac._COMPILERS) == set(notac.Expr.__args__) | set(notac.Lval.__args__)
+
+
+def test_a_left_nested_sequence_unfolds_without_recursion():
+    """5,000 levels, five times the default recursion limit: one step
+    unfolds them all in a loop, and the observes come out in order."""
+    depth = 5000
+    body = notac.Observe(Const(0))
+    for k in range(1, depth + 1):
+        body = Seq(body, notac.Observe(Const(k)))
+    prog = notac.Program(body, ())
+    done = run({}, null_alloc(), prog, Heap())
+    assert done.terminated and done.trace == tuple(ObsEv(k) for k in range(depth + 1))
+    short = run({}, null_alloc(), prog, Heap(), fuel=depth)
+    assert short.kind == "out-of-fuel" and short.trace == done.trace[:-1]
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 20])
