@@ -29,7 +29,9 @@ in its class.  Only prefixes of equal length can be similar, so one search
 per pair of distinct traces (``similar_prefixes``) gives the row
 ``{i : u[:i] is similar to v[:i]}``, and reach needs nothing more: when
 ``j`` is in the row, ``v`` reaches ``u[j]``'s class exactly when ``j + 1`` is
-in the row or ``v[j]`` lies in that class.
+in the row or ``v[j]`` lies in that class.  So each pair of distinct traces
+gives its unreached positions once, and a producer member visits only
+those, in (position, member) order, the order in which reports are made.
 
 Why this is exact.  Every alloc event consumes one filter item; observes
 and casts never consume one and always land in the residue.  So similar
@@ -230,17 +232,19 @@ def gai_check(
 
     For each producer run and event position: every family member whose run
     has a prefix similar to the position's trace prefix must reach the
-    event's downgrading class.  The first failure (producers in family
-    order, positions ascending, witnesses in family order) is reported.  A
+    event's downgrading class, and the first failure is reported.  A
     reaching-check that fails against a fuel-exhausted probe is recorded as
     inconclusive, never as a violation; when no check fails, a member that
     ran out of fuel still makes the verdict inconclusive.
 
     One search per pair of distinct producer trace ``u`` and member trace
     ``v`` gives the row ``{i : u[:i] is similar to v[:i]}``, and the row and
-    ``v[j]`` decide reach at ``j`` (module docstring).  A trace's row
-    against itself is every length and rows are symmetric, so a passing
-    check runs d * (d - 1) / 2 searches for d distinct traces.
+    ``v[j]`` give, once per pair, the positions ``j`` that ``v`` fails to
+    reach (module docstring).  Producers go in family order, and each visits
+    only those positions, in (position, member) order: the order in which
+    reports and probes are made.  A trace reaches itself everywhere and rows
+    are symmetric, so a passing check runs d * (d - 1) / 2 searches for d
+    distinct traces.
 
     A pass or an inconclusive verdict runs no well-formedness check (module
     docstring): only the producer and the witness of a violation are
@@ -267,38 +271,34 @@ def gai_check(
     member_trace = [index.setdefault(o.trace, len(index)) for _, o in outcomes]
     traces = list(index)
     rows: dict = {}  # a producer's distinct trace -> its row against each of ``traces``
+    unreached: dict = {}  # a producer's distinct trace -> the positions each of ``traces`` fails to reach
     inconclusive: list[str] = []
 
     for (alpha, out_a), a, alpha_label in zip(outcomes, member_trace, labels):
         u = out_a.trace
-        if a not in rows:  # rows are symmetric, and a trace is similar to itself everywhere
-            rows[a] = [rows[b][a] if b in rows else set(range(len(u) + 1)) if b == a else similar_prefixes(u, v)
+        if a not in rows:  # rows are symmetric, and a trace reaches itself everywhere
+            rows[a] = [rows[b][a] if b in rows else similar_prefixes(u, v) if b != a else None
                        for b, v in enumerate(traces)]
-        for j, ev in enumerate(u):
-            unreached = [
-                j in row and j + 1 not in row and not (j < len(v) and same_class(v[j], ev))
-                for row, v in zip(rows[a], traces)
-            ]
-            for (beta, out_b), d, beta_label in zip(outcomes, member_trace, labels):
-                if not unreached[d]:
-                    continue
-                if out_b.kind == "out-of-fuel":
-                    inconclusive.append(
-                        f"{beta_label} ran out of fuel while checking event #{j + 1} of {alpha_label}"
-                    )
-                    continue
-                check_family_wf([alpha, beta], reserved, heap, wf_trials, wf_seed)
-                violation = Violation(
-                    producer=alpha_label,
-                    witness_member=beta_label,
-                    position=j,
-                    clause=clause_name(ev),
-                    prefix=u[:j],
-                    event=ev,
-                    producer_trace=u,
-                    witness_trace=out_b.trace,
-                )
-                return GaiReport("violation", violation, tuple(inconclusive), by_label)
+            unreached[a] = [[j for j in row if j < len(u) and j + 1 not in row
+                             and not (j < len(v) and same_class(v[j], u[j]))] if b != a else []
+                            for b, (row, v) in enumerate(zip(rows[a], traces))]
+        for j, i in sorted((j, i) for i, b in enumerate(member_trace) for j in unreached[a][b]):
+            (beta, out_b), beta_label = outcomes[i], labels[i]
+            if out_b.kind == "out-of-fuel":
+                inconclusive.append(f"{beta_label} ran out of fuel while checking event #{j + 1} of {alpha_label}")
+                continue
+            check_family_wf([alpha, beta], reserved, heap, wf_trials, wf_seed)
+            violation = Violation(
+                producer=alpha_label,
+                witness_member=beta_label,
+                position=j,
+                clause=clause_name(u[j]),
+                prefix=u[:j],
+                event=u[j],
+                producer_trace=u,
+                witness_trace=out_b.trace,
+            )
+            return GaiReport("violation", violation, tuple(inconclusive), by_label)
     if not inconclusive:
         inconclusive = [
             f"{label} ran out of fuel ({fuel} steps)" for label, o in by_label.items() if o.kind == "out-of-fuel"

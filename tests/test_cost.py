@@ -26,6 +26,13 @@ holds exactly and cannot flake on a loaded machine.
 * Distinct traces d: a family of d eager members with d distinct traces
   makes d(d - 1) / 2 ``similar_prefixes`` calls, 6 / 28 / 120 at
   d = 4 / 8 / 16, exponent 2.
+* Family size: ``gai_check`` of a 64-iteration alloc/free loop under
+  ``default_family() * k`` makes 6 ``similar_prefixes`` and 10
+  ``same_class`` calls at k = 1 / 2 / 4, exponent 0.  A per-position loop
+  over every member made 18 / 36 / 72 class tests.
+* Similarity, alloc-loop length: the same check of the loop searches its
+  pairs in 775 ``_lockstep`` states at k = 512 / 1,024 / 2,048,
+  exponent 0, because every pair of its traces parts by event #515.
 * Well-formedness, trials and history length: the allocator calls of
   ``wf_check`` of eager grow linearly in ``trials`` (1,120 / 2,284 / 4,572
   at 100 / 200 / 400) and in ``max_len`` (1,120 / 2,284 / 4,514 at
@@ -157,6 +164,14 @@ def step_and_state_counts(monkeypatch):
     return counts
 
 
+def alloc_free_loop(k: int):
+    """``(program, env, heap)`` of k iterations of malloc(1) and free, with
+    the variables where the default family puts them."""
+    program = notac.parse(f"i = 0; while (i < {k}) {{ p = malloc(1); free(p); i = i + 1; }}")
+    env, heap, _ = notac.make_env(program, DEFAULT_ENV_BASE)
+    return program, env, heap
+
+
 def test_check_work_grows_linearly_with_loop_iterations(step_and_state_counts, contains_calls):
     """Measured at k = 64 / 128 / 256: steps 2,275 / 4,515 / 8,995 (35 per
     iteration), membership tests 337 / 657 / 1,297 (5 per iteration) and
@@ -167,8 +182,7 @@ def test_check_work_grows_linearly_with_loop_iterations(step_and_state_counts, c
     counts = step_and_state_counts
     per_size = []
     for k in (64, 128, 256):
-        program = notac.parse(f"i = 0; while (i < {k}) {{ p = malloc(1); free(p); i = i + 1; }}")
-        env, heap, _ = notac.make_env(program, DEFAULT_ENV_BASE)
+        program, env, heap = alloc_free_loop(k)
         counts.update(steps=0, states=0)
         contains_calls[0] = 0
         assert gai_check(program, env, heap).verdict == "pass"
@@ -280,18 +294,30 @@ def test_init_cells_do_not_grow_with_the_arena(kind):
     assert cells == [cells[0]] * 3, cells
 
 
-@pytest.fixture
-def similar_prefixes_calls(monkeypatch):
-    """A one-element list holding the number of ``gai.similar_prefixes`` calls so far."""
+def counted_gai_global(monkeypatch, name: str) -> list:
+    """A one-element list holding the number of calls so far of the ``gai``
+    module global ``name``, which is wrapped to count them."""
     calls = [0]
-    inner = gai.similar_prefixes
+    inner = getattr(gai, name)
 
     def counted(*args):
         calls[0] += 1
         return inner(*args)
 
-    monkeypatch.setattr(gai, "similar_prefixes", counted)
+    monkeypatch.setattr(gai, name, counted)
     return calls
+
+
+@pytest.fixture
+def similar_prefixes_calls(monkeypatch):
+    """A one-element list holding the number of ``gai.similar_prefixes`` calls so far."""
+    return counted_gai_global(monkeypatch, "similar_prefixes")
+
+
+@pytest.fixture
+def same_class_calls(monkeypatch):
+    """A one-element list holding the number of ``gai.same_class`` calls so far."""
+    return counted_gai_global(monkeypatch, "same_class")
 
 
 def test_searches_grow_with_the_pairs_of_distinct_traces(similar_prefixes_calls):
@@ -310,6 +336,39 @@ def test_searches_grow_with_the_pairs_of_distinct_traces(similar_prefixes_calls)
         calls.append(similar_prefixes_calls[0])
     assert calls == [6, 28, 120]
     assert calls[2] <= 4 * calls[1] + 8
+
+
+def test_judging_work_does_not_grow_with_copies_of_the_family(similar_prefixes_calls, same_class_calls):
+    """``default_family() * k`` gives the same 4 distinct traces at every k,
+    and reach is judged once per pair of distinct traces, so the searches
+    (6) and the class tests (10) do not grow with k, exponent 0.  A loop
+    over every position of every member, copies included, made 18 / 36 / 72
+    class tests at k = 1 / 2 / 4."""
+    program, env, heap = alloc_free_loop(64)
+    counts = []
+    for k in (1, 2, 4):
+        similar_prefixes_calls[0] = same_class_calls[0] = 0
+        report = gai_check(program, env, heap, gai.default_family() * k)
+        assert report.verdict == "pass" and len(report.runs) == 7 * k
+        counts.append((similar_prefixes_calls[0], same_class_calls[0]))
+    assert counts == [(6, 10)] * 3
+
+
+def test_similarity_states_do_not_grow_with_alloc_loop_length(step_and_state_counts, similar_prefixes_calls):
+    """The default-family check of the alloc/free loop searches its 6 pairs
+    of distinct traces in 775 ``_lockstep`` states at k = 512 / 1,024 /
+    2,048 (773 at k = 256), exponent 0, although the traces grow with k:
+    a search stops where its pair of traces parts, and the last pair to
+    part, eager and curious, parts at event #515, when curious's first
+    failed malloc follows its full 256-cell semispace."""
+    states = []
+    for k in (512, 1024, 2048):
+        program, env, heap = alloc_free_loop(k)
+        step_and_state_counts["states"] = similar_prefixes_calls[0] = 0
+        assert gai_check(program, env, heap).verdict == "pass"
+        assert similar_prefixes_calls[0] == 6
+        states.append(step_and_state_counts["states"])
+    assert states == [775] * 3
 
 
 class CountingEager(EagerAlloc):
