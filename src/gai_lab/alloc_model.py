@@ -34,7 +34,7 @@ import re
 from abc import ABC, abstractmethod
 from typing import Iterable, Optional, Sequence
 
-from .core import Addr, Heap, InaccessibleWrite, Record, interval
+from .core import Addr, Heap, InaccessibleWrite, Record
 
 # ---------------------------------------------------------------------------
 # Symbolic allocation events
@@ -139,7 +139,7 @@ def addresses_of(m: Iterable[AllocEntry]) -> frozenset:
     """Union of the intervals [addr, addr+size) over all entries."""
     out: set[int] = set()
     for e in m:
-        out.update(interval(e.addr, e.addr + e.size))
+        out.update(range(e.addr, e.addr + e.size))
     return frozenset(out)
 
 
@@ -304,7 +304,7 @@ def _walk(strategy: Strategy, reserved: frozenset, start: tuple, plan, judge: Op
             else:
                 new = live[pos] = AllocEntry(a, size, pos)
                 mallocs.append(pos)
-                block = interval(a, a + size)
+                block = range(a, a + size)
                 if fresh := frozenset(block) - allowed:
                     allowed2 = allowed | fresh
             if isinstance(ev, int):

@@ -36,7 +36,7 @@ from bisect import bisect_left, bisect_right
 from typing import Optional
 
 from .alloc_model import Strategy
-from .core import H_MAX_DEFAULT, MAX_SPEC_CELLS, Addr, Heap, interval, parse_int
+from .core import H_MAX_DEFAULT, MAX_SPEC_CELLS, Addr, Heap, parse_int
 
 
 def _first_fit(heap, lo: Addr, end: Addr, span: int, guard: int = 0, runs: tuple = ()) -> Optional[Addr]:
@@ -117,7 +117,7 @@ class EagerAlloc(_SegmentAlloc):
     guard = 0  # cells kept free around each block; nonzero in guarded-eager
 
     def init(self, heap: Heap):
-        heap.undefine(interval(self.n2, self.n3))
+        heap.undefine(range(self.n2, self.n3))
         return heap, ((), ())
 
     def malloc(self, heap: Heap, state, size: int):
@@ -138,7 +138,7 @@ class EagerAlloc(_SegmentAlloc):
             # Unregistered frees are ignored.
             return heap, state
         a, size = blocks[i]
-        heap.undefine(interval(a, a + size))
+        heap.undefine(range(a, a + size))
         # The runs lose the cells within guard of this block and of no
         # other; only the neighbours in address order can share them.
         g = self.guard
@@ -178,7 +178,7 @@ class BumpAlloc(_SegmentAlloc):
         # The null cell lies outside the filled range, so it goes first, and
         # the flat base that fill_undefined builds already holds it.
         self._init_null_cell(heap)
-        heap.fill_undefined(interval(self.n2 + 1, self.n3), 0)
+        heap.fill_undefined(range(self.n2 + 1, self.n3), 0)
         return heap, self.n2 + 1
 
     def _init_null_cell(self, heap: Heap) -> None:
@@ -255,7 +255,7 @@ class CuriousAlloc(Strategy):
             a = _first_fit(heap, self.upper_max + 1, self.h_max + 1, size)
             if a is None:
                 return heap, state, 0
-            heap.define(interval(a, a + size), 0)
+            heap.define(range(a, a + size), 0)
             return heap, ("first", a), a
         if tag == "first":
             v = heap.read(state[1])

@@ -298,8 +298,8 @@ def cmd_wf(alloc_spec, trials, seed, maxlen, reserved, as_json):
 @click.option("--init", "inits", multiple=True)
 def cmd_ms_run(program_path, fuel, inits):
     """Run a Memsafe program and print its final store."""
-    cmd = _parse_file(memsafe.ms_parse, program_path)
-    outcome = memsafe.ms_run(cmd, _parse_inits(inits), fuel)
+    program = _parse_file(memsafe.ms_parse, program_path)
+    outcome = memsafe.ms_run(program, _parse_inits(inits), fuel)
     click.echo(f"outcome: {outcome.kind}" + (f" ({outcome.reason})" if outcome.reason else ""))
     if outcome.ok:
         for name, value in sorted(outcome.state.store.items()):
@@ -315,9 +315,9 @@ def cmd_ms_run(program_path, fuel, inits):
 @click.option("-o", "out_path", default=None, help="Output .ntc path (default: stdout).")
 def cmd_translate(program_path, out_path):
     """Translate a Memsafe program to Notac source."""
-    cmd = _parse_file(memsafe.ms_parse, program_path)
+    program = _parse_file(memsafe.ms_parse, program_path)
     try:
-        source = memsafe.translate_to_source(cmd)
+        source = memsafe.translate_to_source(program)
     except memsafe.ReservedVariableError as exc:
         _fail(f"{program_path}: {exc}")
     if out_path:

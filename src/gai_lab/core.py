@@ -284,8 +284,3 @@ def _flat(base: dict, over: dict) -> dict:
             if v is None:
                 del m[a]
     return m
-
-
-def interval(lo: Addr, hi: Addr) -> range:
-    """The half-open address interval [lo, hi)."""
-    return range(lo, max(lo, hi))

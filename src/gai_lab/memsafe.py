@@ -19,8 +19,9 @@ Deref(e))``, ``[e1] <- e2`` = ``Assign(LDeref(e1), e2)`` and ``x <- alloc(e)``
 = ``MallocAssign(LVar(x), e)``.  Its parser is a :class:`notac.ParserCore`
 grammar that reads Notac's token groups, atoms and parenthesized arguments
 and states only its operators, keywords, ``-n`` literals and commands; a
-parse error is a :class:`notac.ParseError` carrying ``line:col``, and its
-variables come from :func:`notac.collect_vars`.  Only the evaluation, which
+parse error is a :class:`notac.ParseError` carrying ``line:col``.  A parse
+is a :class:`notac.Program` whose variables come from the rule Notac's parse
+uses, :meth:`notac.ParserCore.variables`.  Only the evaluation, which
 follows Memsafe's semantics, is its own.
 
 The translator keeps every command and adds what Memsafe implies: every
@@ -217,15 +218,15 @@ class _MsParser(ParserCore):
             return Assign(target, self.expr())
         raise self.error_at(f"expected a command, found {text or 'end of input'!r}", tok)
 
-    def program(self):
+    def program(self) -> Program:
         cmd = self.command()
         tok = self.peek()
         if tok[0] != "eof":
             raise self.error_at(f"trailing input at {tok[1]!r}", tok)
-        return cmd
+        return Program(cmd, self.variables())
 
 
-def ms_parse(source: str) -> Cmd:
+def ms_parse(source: str) -> Program:
     return _MsParser(source).program()
 
 
@@ -360,9 +361,9 @@ def _ms_read(state: MsState, p: MsValue, access: str) -> MsValue:
     return block.cells.get(p.offset, 0)
 
 
-def ms_run(cmd: Cmd, store: Optional[dict] = None, fuel: int = DEFAULT_FUEL) -> MsOutcome:
+def ms_run(program: Program, store: Optional[dict] = None, fuel: int = DEFAULT_FUEL) -> MsOutcome:
     state = MsState(dict(store) if store else {}, {}, 0)
-    return ms_eval_cmd(state, cmd, fuel)
+    return ms_eval_cmd(state, program.body, fuel)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +439,8 @@ class _Translator:
         raise TypeError(f"not a command: {c!r}")
 
 
-def translate(cmd: Cmd) -> Program:
-    """Translate a Memsafe command into a Notac program.
+def translate(source: Program) -> Program:
+    """Translate a Memsafe program into a Notac program.
 
     The program's variables are the source's, then the translator's own:
     ``OOM_VAR``, ``SIZE_VAR`` and the loop guards, named from
@@ -447,16 +448,14 @@ def translate(cmd: Cmd) -> Program:
     program uses them.
     """
     tr = _Translator()
-    body = tr.cmd(cmd)
+    body = tr.cmd(source.body)
     guards = [f"{GUARD_PREFIX}{k}" for k in range(tr.guards)]
-    source_vars = notac.collect_vars(cmd)
-    clashes = [v for v in source_vars if v == OOM_VAR or v == SIZE_VAR or v.startswith(GUARD_PREFIX)]
+    clashes = [v for v in source.variables if v == OOM_VAR or v == SIZE_VAR or v.startswith(GUARD_PREFIX)]
     if clashes:
         raise ReservedVariableError(f"program uses translator variables: {clashes}")
     # Source variables first in the environment layout, in source order; the
     # translator only ever introduces oom, the size temp, and loop guards.
-    ordered = source_vars + [OOM_VAR, SIZE_VAR] + guards
-    return Program(body, tuple(dict.fromkeys(ordered)))
+    return Program(body, (*source.variables, OOM_VAR, SIZE_VAR, *guards))
 
 
 def translation_header(program: Program) -> str:
@@ -471,8 +470,8 @@ def translation_header(program: Program) -> str:
     return "\n".join(lines) + "\n"
 
 
-def translate_to_source(cmd: Cmd) -> str:
-    program = translate(cmd)
+def translate_to_source(source: Program) -> str:
+    program = translate(source)
     return translation_header(program) + notac.to_source(program.body) + "\n"
 
 
@@ -512,7 +511,7 @@ class DiffReport(Record):
 
 
 def differential_check(
-    cmd: Cmd,
+    source: Program,
     fuel: int = DEFAULT_FUEL,
     family: Optional[Sequence[Strategy]] = None,
     initial_store: Optional[dict] = None,
@@ -532,11 +531,11 @@ def differential_check(
     for name, value in store.items():
         if not isinstance(value, int):
             raise ValueError(f"initial store must hold integers only ({name}={value!r})")
-    ms_out = ms_run(cmd, store, fuel)
+    ms_out = ms_run(source, store, fuel)
     if not ms_out.ok:
         raise ValueError(f"Memsafe run did not finish cleanly: {ms_out.kind} ({ms_out.reason})")
 
-    program = translate(cmd)
+    program = translate(source)
     family = default_family() if family is None else family
     env, heap, _reserved = notac.make_env(program, variable_base(family, len(program.variables)), store)
 

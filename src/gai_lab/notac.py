@@ -304,8 +304,11 @@ Cmd = Assign | CastAssign | MallocAssign | FreeCmd | Skip | Seq | If | While | O
 
 
 class Program(Record, frozen=True):
+    """A program of either language: its body and its variables in
+    first-occurrence order, which a parse reads off with :meth:`ParserCore.variables`."""
+
     body: Cmd
-    variables: tuple  # tuple[str, ...] in first-occurrence order
+    variables: tuple  # tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +349,20 @@ MAX_BLOCK_DEPTH = 100
 
 class ParserCore:
     """The front end Notac and Memsafe share: tokenizer, token cursor,
-    nesting bounds, the binary-operator loop, the expression atoms and
-    parenthesized statement arguments.
+    nesting bounds, the binary-operator loop, the expression atoms,
+    parenthesized statement arguments and a program's variables.
 
     A grammar subclasses it and supplies an ``operand`` rule, which ends in
-    :meth:`atom`, and the grammar proper; it defines no ``atom`` or
-    ``parenthesized`` of its own.  The class attributes hold Notac's token
-    regex (built by :func:`token_pattern`, so both languages share its
-    ``ws``, ``num`` and ``name`` groups), error class, keywords (names that
-    are not variables), null word, operator levels (``{operator: level}``,
-    loosest at 0; ``aliases`` maps other spellings onto a :class:`Binop`
-    operator) and block bound as ``(name, value)``; another language
-    overrides them.  Every error carries the ``(line, col)`` of the
-    offending token.
+    :meth:`atom`, and the grammar proper, whose ``program`` returns a
+    :class:`Program` with :meth:`variables`; it defines no ``atom``,
+    ``parenthesized`` or ``variables`` of its own.  The class attributes
+    hold Notac's token regex (built by :func:`token_pattern`, so both
+    languages share its ``ws``, ``num`` and ``name`` groups), error class,
+    keywords (names that are not variables), null word, operator levels
+    (``{operator: level}``, loosest at 0; ``aliases`` maps other spellings
+    onto a :class:`Binop` operator) and block bound as ``(name, value)``;
+    another language overrides them.  Every error carries the ``(line,
+    col)`` of the offending token.
 
     Its cost is linear in the source.  The tokenizer is one
     ``token_re.finditer`` pass that keeps each token as a plain ``(kind,
@@ -490,6 +494,14 @@ class ParserCore:
         self.expect(")")
         return e
 
+    def variables(self) -> tuple:
+        """The program's variables in first-occurrence order: its name tokens
+        that are not ``keywords``.  Each such token parses to exactly one
+        ``Var``, ``AddrOf`` or ``LVar`` node, and node fields follow the
+        source, so a left-to-right walk of the tree finds the same order."""
+        keywords = self.keywords
+        return tuple(dict.fromkeys(text for kind, text, _ in self.toks if kind == "name" and text not in keywords))
+
 
 class _Parser(ParserCore):
     # -- expressions
@@ -585,12 +597,7 @@ class _Parser(ParserCore):
         cmds = []
         while self.peek()[0] != "eof":
             cmds.append(self.statement())
-        # Each non-keyword name token is exactly one Var, AddrOf or LVar, and
-        # the nodes' fields follow the source, so the tokens list the
-        # variables in the order collect_vars(body) finds them.
-        keywords = self.keywords
-        names = dict.fromkeys(text for kind, text, _ in self.toks if kind == "name" and text not in keywords)
-        return Program(chain(cmds), tuple(names))
+        return Program(chain(cmds), self.variables())
 
 
 def chain(cmds: list) -> Cmd:
@@ -601,28 +608,6 @@ def chain(cmds: list) -> Cmd:
     for c in reversed(cmds[:-1]):
         out = Seq(c, out)
     return out
-
-
-def collect_vars(root) -> list:
-    """Variable names in first-occurrence order in a tree of syntax nodes.
-
-    It serves trees that have no source: the Memsafe commands that
-    :func:`gai_lab.memsafe.translate` lays out.  :func:`parse` reads the
-    same list off its tokens instead.  A left-to-right walk over record
-    fields on an explicit stack: a program's ``Seq`` chain is as deep as it
-    has statements.  A command's target comes before the variables its
-    operand reads.  Caches such as ``While.unrolled`` are not fields, so the
-    walk skips them.
-    """
-    seen: dict = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Var, AddrOf, LVar)):
-            seen.setdefault(node.name, None)
-        else:
-            stack.extend(reversed([v for f in node._fields if isinstance(v := getattr(node, f), Record)]))
-    return list(seen)
 
 
 def parse(source: str) -> Program:

@@ -53,6 +53,15 @@ def test_run_stuck_exits_1(tmp_path):
     assert "stuck" in res.output
 
 
+def test_run_json_of_a_stuck_run_carries_its_reason_and_position(tmp_path):
+    prog = write(tmp_path, "prog.ntc", "x = 1;\nerror();")
+    res = invoke("run", prog, "--json")
+    assert res.exit_code == 1
+    data = json.loads(res.output)
+    assert data["outcome"] == "stuck" and data["position"] == [2, 1]
+    assert data["reason"] == "write to inaccessible address -1"
+
+
 def test_run_init_override(tmp_path):
     prog = write(tmp_path, "prog.ntc", "observe(flag);")
     res = invoke("run", prog, "--init", "flag=7")
@@ -118,6 +127,17 @@ def test_similar_and_filter(tmp_path):
     assert res.exit_code == 1 and "no match" in res.output
 
 
+def test_similar_and_filter_json(tmp_path):
+    prog = write(tmp_path, "prog.ntc", "p = malloc(8); free(p); observe(1);")
+    ta, tb = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
+    invoke("run", prog, "--alloc", "eager:0,64,4096", "--out", ta)
+    invoke("run", prog, "--alloc", "bump:0,300,4096", "--out", tb)  # different placement
+    res = invoke("similar", ta, tb, "--json")
+    assert res.exit_code == 0 and json.loads(res.output) == {"similar": True, "witness": "M8,F0"}
+    res = invoke("filter", ta, "--sigma", "M8,F0", "--json")
+    assert res.exit_code == 0 and json.loads(res.output) == {"match": True, "residue": [{"kind": "obs", "val": 1}]}
+
+
 def test_malformed_trace_files_exit_2(tmp_path):
     good = write(tmp_path, "good.jsonl", '{"kind": "obs", "val": 1}\n')
     bad = write(tmp_path, "bad.jsonl",
@@ -166,6 +186,27 @@ def test_gai_reports_every_run_of_a_repeated_member(tmp_path):
     runs = json.loads(res.output)["runs"]
     assert sorted(runs) == ["eager:2048,2112,6208", "null", "null#2"]
     assert runs["null"] == runs["null#2"]
+
+
+def test_gai_family_not_well_formed_exits_2(tmp_path, monkeypatch):
+    # the members observe different addresses, so the violation rests on the ill-formed one
+    real = cli.parse_alloc_spec
+    monkeypatch.setattr(cli, "parse_alloc_spec",
+                        lambda text: OverlappingAlloc() if text == "overlapping" else real(text))
+    prog = write(tmp_path, "prog.ntc", "p = malloc(8); observe(p);")
+    res = invoke("gai", prog, "--family", "overlapping;eager:2048,2112,6208")
+    assert_usage_error(res, "error: family member overlapping failed well-formedness")
+
+
+def test_gai_lists_the_probes_of_an_inconclusive_verdict(tmp_path):
+    prog = write(tmp_path, "prog.ntc", "i = 0; while (1) { i = i + 1; }")
+    probes = [f"{beta.name} ran out of fuel (50 steps)" for beta in gai.default_family()]
+    res = invoke("gai", prog, "--fuel", "50")
+    assert res.exit_code == 2 and res.output.startswith("verdict: inconclusive\n")
+    assert [line for line in res.output.splitlines() if "inconclusive: " in line] == \
+        [f"  inconclusive: {probe}" for probe in probes]
+    res = invoke("gai", prog, "--fuel", "50", "--json")
+    assert res.exit_code == 2 and json.loads(res.output)["inconclusive_probes"] == probes
 
 
 def test_wf_subcommand():
@@ -269,6 +310,11 @@ def test_ms_run_error_exit(tmp_path):
     res = invoke("ms-run", ms)
     assert res.exit_code == 1
     assert "error" in res.output
+
+
+def test_translate_of_a_program_using_translator_variables_exits_2(tmp_path):
+    ms = write(tmp_path, "prog.ms", "x <- 1; oom <- x")
+    assert_usage_error(invoke("translate", ms), f"error: {ms}: program uses translator variables: ['oom']")
 
 
 def test_nesting_past_the_bounds_exits_2(tmp_path):

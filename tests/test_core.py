@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gai_lab.core import H_MAX_DEFAULT, Heap, InaccessibleWrite, interval, parse_int
+from gai_lab.core import H_MAX_DEFAULT, Heap, InaccessibleWrite, parse_int
 
 
 def count_copied_cells(monkeypatch) -> list:
@@ -62,15 +62,15 @@ def test_write_to_a_copy_leaves_the_original():
 
 
 def test_define():
-    assert domain(_changed(Heap(), lambda h: h.define(interval(2, 4), 0))) == {2, 3}
-    assert _changed(Heap({2: 5}), lambda h: h.define(interval(2, 3), 0)).read(2) == 0
+    assert domain(_changed(Heap(), lambda h: h.define(range(2, 4), 0))) == {2, 3}
+    assert _changed(Heap({2: 5}), lambda h: h.define(range(2, 3), 0)).read(2) == 0
     assert _changed(Heap({9: 1}), lambda h: h.define([], 0)) == Heap({9: 1})
 
 
 def test_undefine():
-    assert domain(_changed(Heap({2: 0, 3: 0}), lambda h: h.undefine(interval(2, 4)))) == set()
-    assert domain(_changed(Heap({2: 0}), lambda h: h.undefine(interval(5, 6)))) == {2}
-    assert domain(_changed(Heap({2: 0, 3: 1}), lambda h: h.undefine(interval(3, 4)))) == {2}
+    assert domain(_changed(Heap({2: 0, 3: 0}), lambda h: h.undefine(range(2, 4)))) == set()
+    assert domain(_changed(Heap({2: 0}), lambda h: h.undefine(range(5, 6)))) == {2}
+    assert domain(_changed(Heap({2: 0, 3: 1}), lambda h: h.undefine(range(3, 4)))) == {2}
 
 
 def test_domain_algebra():

@@ -11,6 +11,7 @@ from gai_lab.memsafe import (
     GUARD_PREFIX,
     MAX_MS_BLOCK_DEPTH,
     NIL,
+    DiffMismatch,
     MsParseError,
     MsPtr,
     MsState,
@@ -38,6 +39,7 @@ from gai_lab.notac import (
     MallocFailEv,
     Null,
     Observe,
+    Program,
     Seq,
     Skip,
     Var,
@@ -73,7 +75,7 @@ class TestParser:
 
     @pytest.mark.parametrize("src, node", COMMAND_FORMS)
     def test_command_forms_are_notac_nodes(self, src, node):
-        assert ms_parse(src) == node
+        assert ms_parse(src).body == node
 
     def test_if_needs_end(self):
         ms_parse("if 1 then x <- 1 else x <- 2 end")
@@ -116,7 +118,12 @@ def test_parse_errors_carry_line_and_column(src, pos, message):
 class TestEvalExpr:
     def test_nil_equality(self):
         st = MsState({}, {}, 0)
-        assert ms_eval_expr(st, ms_parse("x <- nil == nil").expr) == 1
+        assert ms_eval_expr(st, ms_parse("x <- nil == nil").body.expr) == 1
+
+    def test_integer_equality(self):
+        st = MsState({}, {}, 0)
+        assert ms_eval_expr(st, ms_parse("x <- 1 == 1").body.expr) == 1
+        assert ms_eval_expr(st, ms_parse("x <- 1 = 2").body.expr) == 0
 
     def test_pointer_shift(self):
         assert _ms_binop("+", MsPtr(3, 4, 1), 2) == MsPtr(3, 4, 3)
@@ -184,7 +191,7 @@ class TestEvalCmd:
     @pytest.mark.parametrize("cmd", FOREIGN_COMMANDS)
     def test_commands_without_memsafe_syntax_are_rejected(self, cmd):
         with pytest.raises(TypeError):
-            ms_run(cmd, {"x": 1})
+            ms_run(Program(cmd, ()), {"x": 1})
 
     def test_huge_block_costs_only_the_cells_written(self):
         n, k = 10**12, 10**11
@@ -217,14 +224,14 @@ class TestTranslate:
 
     @pytest.mark.parametrize("src", ["x <- y + 1", "x <- [y]", "[x + 1] <- y"])
     def test_assignment_node_kept_under_the_guard(self, src):
-        cmd = ms_parse(src)
-        body = translate(cmd).body
-        assert body == If(Var("oom"), Skip(), cmd) and body.orelse is cmd
+        source = ms_parse(src)
+        body = translate(source).body
+        assert body == If(Var("oom"), Skip(), source.body) and body.orelse is source.body
 
     @pytest.mark.parametrize("cmd", FOREIGN_COMMANDS)
     def test_commands_without_memsafe_syntax_are_rejected(self, cmd):
         with pytest.raises(TypeError):
-            translate(cmd)
+            translate(Program(cmd, ()))
 
     def test_while_gets_fresh_guard(self):
         program = translate(ms_parse("while x <= 2 do x <- x + 1 end; while 1 do skip end"))
@@ -272,6 +279,11 @@ class TestDifferential:
         assert rep.runs["null"][1] == 1  # oom flag set
         assert rep.runs[f"bump:{','.join(map(str, DEFAULT_BUMP_SEGMENT))}"][1] == 0
 
+    def test_integer_equality(self):
+        source = ms_parse("x <- 3; e <- x == 3; n <- x = 4; if e then y <- 1 else y <- 2 end")
+        assert ms_run(source).state.store == {"x": 3, "e": 1, "n": 0, "y": 1}
+        assert differential_check(source, wf_trials=5).ok
+
     def test_initial_store_flows_through(self):
         rep = differential_check(
             ms_parse("y <- x0 * 2"), initial_store={"x0": 21}, wf_trials=5
@@ -297,7 +309,7 @@ class TestDifferential:
 
     def test_stuck_translation_is_a_mismatch(self, monkeypatch):
         stuck = notac.parse("x = 1; oom = 0; error();")
-        monkeypatch.setattr(memsafe, "translate", lambda cmd: stuck)
+        monkeypatch.setattr(memsafe, "translate", lambda source: stuck)
         rep = differential_check(ms_parse("x <- 1"), family=[null_alloc()], wf_trials=2)
         assert not rep.ok and rep.inconclusive == ()
         assert [mm.variable for mm in rep.mismatches] == ["<run did not terminate>"]
@@ -333,16 +345,20 @@ class TestDifferential:
         with pytest.raises(ValueError):
             differential_check(ms_parse("x <- 5; y <- [x]"))
 
-    def test_pointer_store_disagreement_is_caught(self):
-        # sanity-check the harness itself: translating with a wrong source
-        # program must produce a mismatch report, not silent agreement
-        rep_ok = differential_check(ms_parse("x <- 2 + 2"), wf_trials=5)
-        assert rep_ok.ok
-        bad_program = translate(ms_parse("x <- 2 + 3"))
-        ms_out = ms_run(ms_parse("x <- 2 + 2"))
-        env, heap, _ = notac.make_env(bad_program, DEFAULT_ENV_BASE)
-        out = notac.run(env, bump(*DEFAULT_BUMP_SEGMENT), bad_program, heap)
-        assert out.heap.read(env["x"]) != ms_out.state.store["x"]
+    def test_pointer_store_disagreement_is_caught(self, monkeypatch):
+        # sanity-check the harness itself: a translation that computes another
+        # value must be reported under every member that finishes with oom
+        # clear, not pass as agreement
+        assert differential_check(ms_parse("x <- 2 + 2"), wf_trials=5).ok
+        wrong = translate(ms_parse("x <- 2 + 3"))
+        monkeypatch.setattr(memsafe, "translate", lambda source: wrong)
+        rep = differential_check(ms_parse("x <- 2 + 2"), wf_trials=5)
+        clear = [member for member, (kind, oom) in rep.runs.items() if kind == "terminated" and oom == 0]
+        assert len(clear) == 7 and rep.mismatches == [DiffMismatch(member, "x", 4, 5) for member in clear]
+        assert not rep.ok
+        text = rep.describe()
+        assert text.startswith("differential: FAILED\n")
+        assert f"  mismatch under {clear[0]}: x = 4 (memsafe) vs 5 (notac)" in text.splitlines()
 
 
 def test_guarded_commands_do_nothing_after_oom(monkeypatch):

@@ -19,7 +19,7 @@ from gai_lab.allocators import (
     LenientBumpAlloc as lenient_bump,
     NullAlloc as null_alloc,
 )
-from gai_lab.core import Heap
+from gai_lab.core import Heap, Record
 from gai_lab.notac import (
     Assign,
     Binop,
@@ -485,12 +485,32 @@ def commands(draw, depth=0):
     return {"assign": Assign, "malloc": MallocAssign, "cast": notac.CastAssign}[kind](target, e)
 
 
+def collect_vars(root) -> list:
+    """Variable names in first-occurrence order in a tree of syntax nodes:
+    the oracle for ``ParserCore.variables``, which reads them off the tokens.
+
+    A left-to-right walk over record fields on an explicit stack: a
+    program's ``Seq`` chain is as deep as it has statements.  A command's
+    target comes before the variables its operand reads.  Caches such as
+    ``While.unrolled`` are not fields, so the walk skips them.
+    """
+    seen: dict = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (notac.Var, notac.AddrOf, notac.LVar)):
+            seen.setdefault(node.name, None)
+        else:
+            stack.extend(reversed([v for f in node._fields if isinstance(v := getattr(node, f), Record)]))
+    return list(seen)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(commands(), min_size=1, max_size=6))
 def test_the_variables_read_off_the_tokens_are_the_trees(cmds):
     prog = parse(to_source(notac.chain(cmds)))
     assert prog.body == notac.chain(cmds)
-    assert prog.variables == tuple(notac.collect_vars(prog.body))
+    assert prog.variables == tuple(collect_vars(prog.body))
 
 
 def test_the_corpus_variables_read_off_the_tokens_are_the_trees():
@@ -498,7 +518,7 @@ def test_the_corpus_variables_read_off_the_tokens_are_the_trees():
 
     for src in [case.source for case in CASES] + [xor_script(ops) for ops in XOR_SCRIPTS.values()]:
         prog = parse(src)
-        assert prog.variables == tuple(notac.collect_vars(prog.body))
+        assert prog.variables == tuple(collect_vars(prog.body))
 
 
 def _reference_eval(env, state, heap, e):
@@ -622,7 +642,7 @@ def test_every_iteration_pushes_the_same_unrolled_loop():
     assert loop.unrolled == If(loop.cond, Seq(loop.body, loop), notac.Skip(), loop.pos)
     fresh = While(loop.cond, loop.body, loop.pos)  # the cache is not a field
     assert (loop, hash(loop), repr(loop)) == (fresh, hash(fresh), repr(fresh))
-    assert notac.collect_vars(prog.body) == ["i"]
+    assert collect_vars(prog.body) == ["i"]
 
 
 def test_block_nesting_is_bounded():

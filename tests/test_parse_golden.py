@@ -22,6 +22,7 @@ from pathlib import Path
 from gai_lab import corpus
 from gai_lab.memsafe import ms_parse, translate_to_source
 from gai_lab.notac import MAX_EXPR_DEPTH, ParseError, Program, Seq, parse
+from test_notac import collect_vars
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "parse_golden.txt"
 
@@ -209,6 +210,15 @@ def test_every_parse_is_the_committed_one():
     assert len(got) == len(want)
     bad = [(k, src, g, w) for k, ((_, src), g, w) in enumerate(zip(inputs(), got, want)) if g != w]
     assert not bad, f"{len(bad)} inputs differ; the first: {bad[0]}"
+
+
+def test_both_grammars_read_the_variables_the_tree_holds():
+    for parser, src in inputs():
+        try:
+            program = parser(src)
+        except ParseError:
+            continue
+        assert program.variables == tuple(collect_vars(program.body)), src
 
 
 if __name__ == "__main__":
