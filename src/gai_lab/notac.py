@@ -2,7 +2,8 @@
 
 Pointers are plain integers; the allocator strategy supplies NULL.  A run
 owns one heap, which every step changes in place; a step takes the command
-stack and the allocator state and returns the next ones with its event.
+stack, a chain of ``(head, rest)`` pairs that push and pop in O(1), and
+the allocator state, and returns the next ones with its event.
 Runs produce event traces recording the memory-relevant actions:
 ``observe``, ``malloc``/``mfail``, ``free``, ``cast``.  Each event class
 declares its kind (``obs``, ``malloc``, ``mfail``, ``free``, ``cast``) once,
@@ -834,32 +835,35 @@ def _free(env, strategy, cmd, rest, heap, state):
 _RULES = {
     Skip: lambda env, strategy, cmd, rest, heap, state: (rest, state, None),
     If: lambda env, strategy, cmd, rest, heap, state: (
-        (cmd.then if cmd.cond.code(env, strategy, state, heap) else cmd.orelse,) + rest, state, None),
-    While: lambda env, strategy, cmd, rest, heap, state: ((cmd.unrolled,) + rest, state, None),
+        (cmd.then if cmd.cond.code(env, strategy, state, heap) else cmd.orelse, rest), state, None),
+    While: lambda env, strategy, cmd, rest, heap, state: ((cmd.unrolled, rest), state, None),
     Observe: lambda env, strategy, cmd, rest, heap, state: (
         rest, state, ObsEv(cmd.expr.code(env, strategy, state, heap))),
     Assign: _assign, CastAssign: _assign, MallocAssign: _malloc, FreeCmd: _free,
 }
 
 
-def step(env: dict, strategy: Strategy, heap: Heap, stack: tuple, state) -> Optional[tuple]:
+def step(env: dict, strategy: Strategy, heap: Heap, stack: Optional[tuple], state) -> Optional[tuple]:
     """One small step: ``(next stack, next state, event or None)``, or
-    ``None`` when ``stack`` (commands, head first) has nothing left to run.
+    ``None`` when ``stack`` is ``None``, the empty stack.
 
-    Sequences unfold at the head, in a loop that costs no recursion: a
-    :class:`Seq`'s second command goes onto the rest of the stack, which is
-    copied once per step and once per :class:`Seq`.  The head command's type
-    then picks its rule from ``_RULES``, and the step builds no syntax (see
+    A stack is a persistent list: ``None``, or a pair ``(head, rest)`` whose
+    ``rest`` is again a stack.  Popping the head and pushing a command each
+    build at most one pair and copy nothing, and two stacks share the
+    pairs below their heads.  Sequences unfold at the head, in a loop that
+    costs no recursion: a :class:`Seq`'s second command is pushed onto the
+    rest, so each level costs one pair.  The head command's type then picks
+    its rule from ``_RULES``, and the step builds no syntax (see
     :func:`run`).  ``heap`` is the run's and the step changes it in place,
     through client writes (assignments, casts, and the target cell of a
     malloc) and the allocator's own changes.  Raises :class:`Stuck`, at the
     command's position, when no rule applies.
     """
-    if not stack:
+    if stack is None:
         return None
-    cmd, rest = stack[0], stack[1:]
+    cmd, rest = stack
     while type(cmd) is Seq:
-        cmd, rest = cmd.first, (cmd.second,) + rest
+        cmd, rest = cmd.first, (cmd.second, rest)
     rule = _RULES.get(type(cmd))
     if rule is None:
         raise TypeError(f"not a command: {cmd!r}")
@@ -884,18 +888,19 @@ def run(
     ``heap`` is left unchanged: the run copies it once, before
     ``strategy.init``, and keeps that copy as its own heap, which ``init``
     and every :func:`step` change in place; the loop threads only the
-    command stack and the allocator state.  The copy shares the caller's
-    base and copies only its overlay (see :mod:`gai_lab.core`), so it costs
-    the cells changed since that base was built, not the size of the heap.  Expression closures and loop unrollings
-    are cached on the program's nodes, so reruns share them.  The
-    accumulated trace is returned in every outcome, and ``Outcome.heap`` is
-    the run's heap.
+    command stack, a chain of ``(head, rest)`` pairs from
+    ``(program.body, None)``, and the allocator state.  The copy shares the
+    caller's base and copies only its overlay (see :mod:`gai_lab.core`), so
+    it costs the cells changed since that base was built, not the size of
+    the heap.  Expression closures and loop unrollings are cached on the
+    program's nodes, so reruns share them.  The accumulated trace is
+    returned in every outcome, and ``Outcome.heap`` is the run's heap.
     """
     missing = [a for a in env.values() if a not in heap]
     if missing:
         raise CompatibilityError(f"environment cells {sorted(missing)[:8]} not in the heap")
     heap, state = strategy.init(heap.copy())
-    stack = (program.body,)
+    stack = (program.body, None)
     trace: list[Event] = []
     for _ in range(fuel):
         try:

@@ -50,6 +50,11 @@ def test_geometry_must_fit_below_the_address_bound(spec):
         parse_alloc_spec(spec)
 
 
+def test_curious_needs_a_semispace_exponent_of_at_least_1():
+    with pytest.raises(ValueError, match="^m must be >= 1$"):
+        parse_alloc_spec("curious:0,2047")
+
+
 @pytest.mark.parametrize("spec", ["bump:0,8,1048586", "lenient-bump:0,8,1048586", "nozero(bump:0,8,1048586)"])
 def test_a_bump_span_above_max_spec_cells_is_rejected_when_built(spec):
     # 1048577 cells: one more than MAX_SPEC_CELLS; init is never called.

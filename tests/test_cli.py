@@ -95,6 +95,10 @@ def test_geometry_past_the_address_bound_exits_2(tmp_path, args, message):
     assert_usage_error(invoke(*(a.format(prog=prog) for a in args)), message)
 
 
+def test_wf_of_a_curious_spec_with_m_0_exits_2():
+    assert_usage_error(invoke("wf", "curious:0,2047", "--trials", "1"), "m must be >= 1")
+
+
 def test_filter_takes_an_empty_witness_and_rejects_a_negative_count(tmp_path):
     prog = write(tmp_path, "prog.ntc", "observe(1);")
     trace = str(tmp_path / "a.jsonl")

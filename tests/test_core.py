@@ -201,6 +201,12 @@ def test_sibling_heaps_stay_isolated(base, steps):
             assert h.read(a) == m.get(a) and (a in h) == (a in m)
 
 
+def test_repr_lists_the_first_12_cells_in_address_order():
+    assert repr(Heap({2: 0, 1: 7})) == "Heap({1:7, 2:0})"
+    cells = ", ".join(f"{a}:0" for a in range(12))
+    assert repr(Heap(dict.fromkeys(range(20), 0))) == f"Heap({{{cells}, ... (20 entries)}})"
+
+
 def test_range_checks_cover_both_ends():
     with pytest.raises(ValueError):
         Heap().define(range(-1, 5), 0)

@@ -13,6 +13,13 @@ holds exactly and cannot flake on a loaded machine.
   block of B statements takes 279 / 535 / 1,047 steps at B = 64 / 128 /
   256 and a longest stack of 4.  Pushing every sequence flat onto the
   stack read longest stacks of 2,000 / 4,000 / 8,000 and 66 / 130 / 258.
+  A stack's depth is the ``(head, rest)`` pairs walked to ``None``.
+* Interpreter, sequence nesting: a hand-built left-nested chain of 100,000
+  ``Seq`` levels runs to ``terminated`` in under 5 s.  This is the one
+  wall-time contract: no exact counter sees a stack being copied, so it
+  bounds time with a margin of more than 10 times.  A stack kept as a
+  tuple, sliced at every step and copied at every push, cost O(d^2) to
+  unfold d levels and ran out of the default fuel after 64 s.
 * First fit, live blocks: the heap membership tests of a malloc of eager,
   guarded-eager and curious do not grow with the blocks already live.  A
   cell-by-cell scan made 41 / 73 / 137 (eager and curious) and 62.5 / 110.5
@@ -44,6 +51,8 @@ holds exactly and cannot flake on a loaded machine.
   their segment: 4,103 / 8,199 / 16,391 cells at 4,096 / 8,192 / 16,384
   (ROADMAP item 13, ``xfail``).
 """
+
+import time
 
 import pytest
 
@@ -204,15 +213,23 @@ def test_similarity_work_grows_linearly_with_trace_length(step_and_state_counts)
     assert states[2] <= 2 * states[1]
 
 
+def stack_depth(stack) -> int:
+    """The number of commands on a stack of ``(head, rest)`` pairs: the pairs walked to ``None``."""
+    depth = 0
+    while stack is not None:
+        depth, stack = depth + 1, stack[1]
+    return depth
+
+
 @pytest.fixture
 def step_stacks(monkeypatch):
-    """The length of the stack passed to each ``notac.step`` call so far, read
+    """The depth of the stack passed to each ``notac.step`` call so far, read
     by wrapping the module global."""
     lengths = []
     step = notac.step
 
     def counted_step(env, strategy, heap, stack, state):
-        lengths.append(len(stack))
+        lengths.append(stack_depth(stack))
         return step(env, strategy, heap, stack, state)
 
     monkeypatch.setattr(notac, "step", counted_step)
@@ -244,6 +261,29 @@ def test_interpreter_work_grows_linearly_with_program_length(step_stacks, source
         stacks.append(max(step_stacks))
     assert steps == expected_steps
     assert stacks == [longest] * 3
+
+
+def test_a_deep_left_nested_chain_runs_in_linear_time(monkeypatch):
+    """100,000 levels of ``Seq(Seq(..., Skip()), Skip())``, built by hand (the
+    parser nests to the right).  Every step receives ``None`` or one
+    ``(head, rest)`` pair, and the run ends within a wall-time bound (see the
+    module docstring)."""
+    depth = 100_000
+    body = notac.Skip()
+    for _ in range(depth):
+        body = notac.Seq(body, notac.Skip())
+    step = notac.step
+
+    def checked_step(env, strategy, heap, stack, state):
+        assert stack is None or (type(stack) is tuple and len(stack) == 2)
+        return step(env, strategy, heap, stack, state)
+
+    monkeypatch.setattr(notac, "step", checked_step)
+    start = time.perf_counter()
+    out = notac.run({}, parse_alloc_spec("null"), notac.Program(body, ()), Heap(), fuel=200_000)
+    elapsed = time.perf_counter() - start
+    assert out.terminated
+    assert elapsed < 5.0, elapsed
 
 
 ARENA_CELLS = (4096, 8192, 16384)

@@ -10,7 +10,7 @@ from gai_lab.allocators import (
     LenientBumpAlloc as lenient_bump,
     NullAlloc as null_alloc,
 )
-from gai_lab.corpus import CASES, prepare_case
+from gai_lab.corpus import CASES, prepare_case, xor_script
 from gai_lab.filtering import prefixes_similar_to, similar_prefixes
 from gai_lab.gai import (
     DEFAULT_ENV_BASE,
@@ -398,3 +398,8 @@ def test_empty_family_is_rejected():
     prog, env, heap = prepared("p = malloc(8); observe(1);")
     with pytest.raises(ValueError, match="empty"):
         gai_check(prog, env, heap, family=[], wf_trials=5)
+
+
+def test_an_unknown_xor_list_op_raises():
+    with pytest.raises(ValueError, match=r"^unknown list op \('bogus',\)$"):
+        xor_script([("bogus",)])

@@ -91,6 +91,14 @@ class TestParser:
         with pytest.raises(MsParseError):
             ms_parse("x <- !")
 
+    @pytest.mark.parametrize("src, plain", [
+        ("x <- 1;", "x <- 1"),
+        ("if 1 then x <- 1; else x <- 2; end", "if 1 then x <- 1 else x <- 2 end"),
+        ("while 0 do skip; end;", "while 0 do skip end"),
+    ])
+    def test_a_trailing_separator_is_tolerated(self, src, plain):
+        assert ms_parse(src) == ms_parse(plain)
+
 
 # Memsafe sources with one parse error each, its (line, col) and message.
 BAD_SOURCES = [
@@ -142,6 +150,10 @@ class TestEvalExpr:
         with pytest.raises(_Undefined):
             _ms_binop("==", 4, MsPtr(0, 2, 0))
 
+    def test_a_non_expression_raises_type_error(self):
+        with pytest.raises(TypeError, match=r"^not an expression: Skip\("):
+            ms_eval_expr(MsState({}, {}, 0), Skip())
+
     def test_leq_ints_only(self):
         assert _ms_binop("<=", 2, 3) == 1
         with pytest.raises(_Undefined):
@@ -172,6 +184,11 @@ class TestEvalCmd:
 
     def test_while_diverges_on_fuel(self):
         assert ms_run(ms_parse("while 1 do skip end"), fuel=60).kind == "diverged"
+
+    @pytest.mark.parametrize("src", ["if nil then skip else skip end", "while nil do skip end"])
+    def test_a_non_integer_guard_is_an_error(self, src):
+        out = ms_run(ms_parse(src))
+        assert out.kind == "error" and out.reason == "guard is not an integer: nil"
 
     def test_unbound_variable_errors(self):
         assert ms_run(ms_parse("x <- y + 1")).kind == "error"
@@ -262,6 +279,10 @@ class TestDifferential:
     def test_pure_arithmetic(self):
         rep = differential_check(ms_parse("x <- 1 + 2"), wf_trials=5)
         assert rep.ok
+
+    def test_a_non_integer_initial_store_value_raises(self):
+        with pytest.raises(ValueError, match=r"^initial store must hold integers only \(y=nil\)$"):
+            differential_check(ms_parse("x <- y"), initial_store={"y": NIL})
 
     def test_alloc_store_load(self):
         rep = differential_check(ms_parse("x <- alloc(2); [x] <- 7; y <- [x]"), wf_trials=5)

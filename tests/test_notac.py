@@ -242,7 +242,7 @@ class TestInterpreter:
         env, heap, _ = make_env(prog, 10)
         strategy = eager(0, 100, 200)
         h0, st = strategy.init(heap)
-        start, stack = domain(h0), (prog.body,)
+        start, stack = domain(h0), (prog.body, None)
         while True:
             before = domain(h0)
             res = step(env, strategy, h0, stack, st)
@@ -585,14 +585,28 @@ def test_bad_syntax_nodes_raise_type_error():
         ev(Binop("%", Const(7), Const(2)))
     assert str(info.value) == "unknown operator '%'"
     with pytest.raises(TypeError) as info:
-        step({}, null_alloc(), Heap(), (Const(1),), 0)
+        step({}, null_alloc(), Heap(), (Const(1), None), 0)
     assert str(info.value) == f"not a command: {Const(1)!r}"
     with pytest.raises(TypeError) as info:
-        step({}, null_alloc(), Heap(), (Seq(Const(1), notac.Skip()),), 0)
+        step({}, null_alloc(), Heap(), (Seq(Const(1), notac.Skip()), None), 0)
     assert str(info.value) == "not a command: Const(value=1)"
     # the rule is looked up before it runs: its own errors pass unchanged
     with pytest.raises(KeyError):
-        step({}, null_alloc(), Heap(), (notac.Observe(notac.Var("y")),), 0)
+        step({}, null_alloc(), Heap(), (notac.Observe(notac.Var("y")), None), 0)
+
+
+def test_printing_or_dumping_a_non_node_raises_type_error():
+    with pytest.raises(TypeError, match=r"^not an event: 5$"):
+        notac.event_to_json(5)
+    with pytest.raises(TypeError, match=r"^not an expression: Skip\("):
+        notac._expr_src(notac.Skip())
+    with pytest.raises(TypeError, match=r"^not a command: Const\(value=1\)$"):
+        to_source(Const(1))
+
+
+def test_a_lazy_attribute_read_on_its_class_is_its_descriptor():
+    for cls, name in ((While, "unrolled"), (Const, "code")):
+        assert isinstance(getattr(cls, name), notac._lazy) and getattr(cls, name).name == name
 
 
 def test_every_syntax_class_has_a_rule_or_a_compiler():
@@ -632,7 +646,7 @@ def test_every_iteration_pushes_the_same_unrolled_loop():
     env, heap, _ = make_env(prog, 10)
     pushed = []
     for _ in range(2):  # a second run of the program shares the unrolling
-        h, stack, state = heap.copy(), (prog.body,), 0
+        h, stack, state = heap.copy(), (prog.body, None), 0
         while (res := step(env, null_alloc(), h, stack, state)) is not None:
             stack, state, _ = res
             head = stack[0] if stack else None

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gai_lab import gai, memsafe, notac
 from gai_lab.alloc_model import (
     WF_CLAUSES,
+    ClientUpdate,
     Strategy,
     SymMalloc,
     _draw,
@@ -577,6 +578,18 @@ def test_the_walker_judges_every_step_as_the_from_scratch_check(case, seed, max_
     assert drawn == expected[-1]
     for k in range(len(sigma)):
         assert walk(_replay(updates[:k], sigma[:k]))[0] == expected[k], k
+
+
+def test_the_walker_rejects_a_request_that_is_no_event():
+    strategy = eager(0, 8, 72)
+    plan = _replay([ClientUpdate(())], ["bogus"])
+    with pytest.raises(TypeError, match="^not a symbolic event: 'bogus'$"):
+        _walk(strategy, RESERVED, strategy.init(HEAP.copy()), plan)
+
+
+def test_a_passing_report_does_not_replay():
+    passed = wf_check(eager(0, 8, 72), RESERVED, HEAP, trials=2, seed=0)[0]
+    assert passed.passed and not replay_wf_witness(eager(0, 8, 72), RESERVED, HEAP, passed)
 
 
 def test_wf_check_walker_cost_per_step(monkeypatch):
