@@ -15,11 +15,14 @@ holds exactly and cannot flake on a loaded machine.
   stack read longest stacks of 2,000 / 4,000 / 8,000 and 66 / 130 / 258.
   A stack's depth is the ``(head, rest)`` pairs walked to ``None``.
 * Interpreter, sequence nesting: a hand-built left-nested chain of 100,000
-  ``Seq`` levels runs to ``terminated`` in under 5 s.  This is the one
-  wall-time contract: no exact counter sees a stack being copied, so it
-  bounds time with a margin of more than 10 times.  A stack kept as a
-  tuple, sliced at every step and copied at every push, cost O(d^2) to
-  unfold d levels and ran out of the default fuel after 64 s.
+  ``Seq`` levels runs to ``terminated``, and every step returns a stack
+  that reaches, by identity, the ``rest`` of the stack it was given
+  after only the pairs it pushed: 100,000 in the whole run, one per
+  level.  So no step copies the stack below its head.  The run is also
+  bounded in wall time, under 5 s, a margin of more than 10 times; this
+  is the one wall-time contract.  A stack kept as a tuple, sliced at
+  every step and copied at every push, cost O(d^2) to unfold d levels
+  and ran out of the default fuel after 64 s.
 * First fit, live blocks: the heap membership tests of a malloc of eager,
   guarded-eager and curious do not grow with the blocks already live.  A
   cell-by-cell scan made 41 / 73 / 137 (eager and curious) and 62.5 / 110.5
@@ -266,23 +269,35 @@ def test_interpreter_work_grows_linearly_with_program_length(step_stacks, source
 def test_a_deep_left_nested_chain_runs_in_linear_time(monkeypatch):
     """100,000 levels of ``Seq(Seq(..., Skip()), Skip())``, built by hand (the
     parser nests to the right).  Every step receives ``None`` or one
-    ``(head, rest)`` pair, and the run ends within a wall-time bound (see the
-    module docstring)."""
+    ``(head, rest)`` pair and returns a stack that shares that ``rest``:
+    the first step pushes one pair per level and every later one pushes
+    none.  The run also ends within a wall-time bound (see the module
+    docstring)."""
     depth = 100_000
     body = notac.Skip()
     for _ in range(depth):
         body = notac.Seq(body, notac.Skip())
     step = notac.step
+    pushed = []
 
     def checked_step(env, strategy, heap, stack, state):
         assert stack is None or (type(stack) is tuple and len(stack) == 2)
-        return step(env, strategy, heap, stack, state)
+        res = step(env, strategy, heap, stack, state)
+        if res is not None:
+            tail, count = res[0], 0
+            while tail is not stack[1]:
+                assert tail is not None, "the next stack does not share the rest"
+                tail, count = tail[1], count + 1
+            pushed.append(count)
+        return res
 
     monkeypatch.setattr(notac, "step", checked_step)
     start = time.perf_counter()
     out = notac.run({}, parse_alloc_spec("null"), notac.Program(body, ()), Heap(), fuel=200_000)
     elapsed = time.perf_counter() - start
     assert out.terminated
+    assert pushed[0] == depth and sum(pushed) == depth
+    assert len(pushed) == depth + 1
     assert elapsed < 5.0, elapsed
 
 
