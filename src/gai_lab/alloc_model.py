@@ -231,7 +231,7 @@ def feasible_run(
     seq: Sequence[SymbolicEvent],
 ) -> tuple[Heap, object, AllocationMap]:
     """Fold the fast-forward relation over ``seq``: an unjudged
-    :func:`_walk` from ``(heap, state)``, which stays unchanged.
+    :func:`_walk` from ``(heap, state)``, left unchanged: the walk copies it.
 
     Before each event the matching client update runs over
     ``addresses_of(m) | reserved``.  Raises :class:`Infeasible` when a step
@@ -254,10 +254,10 @@ def _walk(strategy: Strategy, reserved: frozenset, start: tuple, plan, judge: Op
     ``plan(live, sigma)`` gives each step's ``(update, request)``, or
     ``None`` at the end; ``live`` holds the live entries in index order.
     A request is a symbolic event, or a size: a malloc realized as M if it
-    succeeds and as MF if it fails.  The walk copies ``start``'s heap once
-    (see :mod:`gai_lab.core` for the cost), and the updates and the
-    strategy change that copy.  It carries the live map (index -> entry),
-    the 1-based positions of the successful mallocs, where a free
+    succeeds and as MF if it fails.  The walk copies ``start``'s heap once,
+    sharing its filled intervals (see :mod:`gai_lab.core`), and the updates
+    and the strategy change that copy.  It carries the live map (index ->
+    entry), the 1-based positions of the successful mallocs, where a free
     ``F_back`` finds its index at ``[-1 - back]``, and the allowed set
     ``addresses_of(m) | reserved`` with its sorted cells: a malloc adds its
     block, a free recomputes the set.  ``m`` is built only to be returned.

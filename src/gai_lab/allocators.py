@@ -161,9 +161,9 @@ class GuardedEagerAlloc(EagerAlloc):
 class BumpAlloc(_SegmentAlloc):
     """Bump-pointer allocator; frees are no-ops.
 
-    Init zero-fills the undefined cells of (n2, n3) and undefines the null
-    cell; zero-sized requests bump by one.  Init builds every cell of that
-    span, so a span wider than ``MAX_SPEC_CELLS`` is rejected here.
+    Init zero-fills the undefined cells of (n2, n3) as one heap interval and
+    undefines the null cell; zero-sized requests bump by one.  The wf walker
+    builds each block's cells, so a span over ``MAX_SPEC_CELLS`` is rejected.
     """
 
     kind = "bump"
@@ -175,8 +175,8 @@ class BumpAlloc(_SegmentAlloc):
             raise ValueError(f"{self.name} fills {span} cells, more than MAX_SPEC_CELLS = {MAX_SPEC_CELLS}")
 
     def init(self, heap: Heap):
-        # The null cell lies outside the filled range, so it goes first, and
-        # the flat base that fill_undefined builds already holds it.
+        # The null cell lies outside the filled range, which fill_undefined
+        # adds as one interval without building its cells.
         self._init_null_cell(heap)
         heap.fill_undefined(range(self.n2 + 1, self.n3), 0)
         return heap, self.n2 + 1

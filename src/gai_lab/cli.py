@@ -280,7 +280,8 @@ def cmd_wf(alloc_spec, trials, seed, maxlen, reserved, as_json):
     if hi - lo > MAX_SPEC_CELLS:
         _fail(f"--reserved {reserved!r} spans {hi - lo} cells, more than MAX_SPEC_CELLS = {MAX_SPEC_CELLS}")
     rset = frozenset(range(lo, hi))
-    heap = Heap({a: 0 for a in rset})
+    heap = Heap()
+    heap.fill_undefined(range(lo, hi), 0)  # one interval, which no walk copies
     reports = wf_check(strategy, rset, heap, trials, seed, maxlen)
     failed = [r for r in reports if not r.passed]
     if as_json:

@@ -20,14 +20,12 @@ first.  Three places copy:
 * the well-formedness harness's walker copies the heap ``init`` left at the
   start of every walk over a history.
 
-Cost model.  A heap is a base dict that is never changed once built and
-may be shared by many heaps, plus a private overlay holding this heap's
-own writes and undefines.  Reads look in the overlay, then in the base, so
-a mutator changes only the overlay, or for :meth:`Heap.fill_undefined`
-swaps in a new flat base, and never a base that another heap can see.
-One rule copies: :meth:`Heap.copy` shares the base and copies the overlay,
-so it costs the cells changed since the base was built, not the size of
-the heap.
+Cost model.  A heap is a dict of the cells it owns plus a tuple of disjoint
+filled intervals ``(range, value)``, which copies share and no heap changes
+in place.  :meth:`Heap.fill_undefined` over an address range adds intervals
+and builds no cell, so a zero-filled segment costs the same at any size.
+:meth:`Heap.copy` copies the dict and shares the intervals, so it costs the
+heap's own cells, not its filled ones.
 
 Records.  Every value class of the package (events, syntax, reports) derives
 from :class:`Record`, which does what the standard library's data classes do
@@ -44,10 +42,9 @@ field with ``object.__setattr__``.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import re
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 Addr = int
 Val = int
@@ -56,10 +53,10 @@ Val = int
 # explicit segments well below this; the bound just keeps heaps finite.
 H_MAX_DEFAULT = 2**32
 
-# The most cells a spec may make the program build: the zero-filled span of
-# a bump segment, or the reserved window of ``gai-lab wf``.  A spec of 2**32
-# cells would need hundreds of gigabytes; this bound keeps a build in the
-# order of 100 MB.
+# The most cells a spec may span: a bump segment's zero-filled span, or the
+# reserved window of ``gai-lab wf``.  The wf walker builds the cells of the
+# window and of each block a request gets, and from 2 * 10**6 cells on,
+# ``alloc_model._HUGE`` = 10**6 could succeed more than once in a history.
 MAX_SPEC_CELLS = 2**20
 
 def parse_int(text: str, signed: bool = False) -> int:
@@ -178,109 +175,111 @@ def _checked(addrs: Iterable[Addr]) -> Sequence[Addr]:
 class Heap:
     """Finite partial map ``Addr -> Val``, changed in place by its holder.
 
-    A heap is a base dict, never changed once built and shared by the heaps
-    copied from it, plus a private overlay that maps each cell this heap
-    changed to its value, or to ``None`` where the heap undefined it.  Reads
-    look in the overlay, then in the base.  :meth:`write`, :meth:`define`,
-    :meth:`undefine` and :meth:`fill_undefined` change the receiver and
-    return ``None``; a failed one changes nothing.  :meth:`copy` is the only
-    way to get a second heap (see the module docstring for the cost).
+    A heap is a dict of the cells it owns, which shadow a shared tuple of
+    disjoint filled intervals ``(range, value)`` that is never changed in
+    place, so :meth:`copy` costs the heap's own cells.  The mutators change
+    the receiver and return ``None``; a failed one changes nothing.
     """
 
-    __slots__ = ("_base", "_over")
+    __slots__ = ("_cells", "_fills")
 
     def __init__(self, entries: Optional[Mapping[Addr, Val]] = None):
-        base = dict(entries) if entries else {}
-        _checked(base)
-        self._base = base
-        self._over: dict = {}
+        self._cells, self._fills = dict(entries or {}), ()
+        _checked(self._cells)
 
     def read(self, a: Addr) -> Optional[Val]:
-        """Mapped value, or ``None`` when the address is inaccessible."""
-        return self._base.get(a) if a not in self._over else self._over[a]
+        """Mapped value, or ``None`` when the address is inaccessible: one
+        dict lookup, and a scan of the intervals only on a miss."""
+        v = self._cells.get(a)
+        if v is None:
+            for r, v in self._fills:
+                if a in r:
+                    return v
+            return None
+        return v
 
-    def read_many(self, addrs: Iterable[Addr]) -> list:
-        """:meth:`read` of each address of ``addrs``, in order."""
-        over, base = self._over, self._base
-        return [over[a] if a in over else base.get(a) for a in addrs]
+    def read_many(self, addrs: Collection[Addr]) -> list:
+        """:meth:`read` of each address of ``addrs``, in order: one pass with the
+        first interval's value as the default inside it, one per further one."""
+        get, fills = self._cells.get, self._fills
+        if not fills:
+            return list(map(get, addrs))
+        r, v = fills[0]
+        lo, hi = r.start, r.stop
+        out = [get(a) if a < lo or a >= hi else get(a, v) for a in addrs]
+        for r, v in fills[1:]:  # disjoint intervals: a cell takes at most one default
+            lo, hi = r.start, r.stop
+            out = [x if a < lo or a >= hi else get(a, v) for a, x in zip(addrs, out)]
+        return out
 
     def write(self, a: Addr, v: Val) -> None:
         """Remap an existing address.  The domain never changes here."""
-        over = self._over
-        if over.get(a, self._base.get(a)) is None:
+        if a not in self._cells and self.read(a) is None:
             raise InaccessibleWrite(a)
-        over[a] = v
+        self._cells[a] = v
 
     def define(self, addrs: Iterable[Addr], v: Val) -> None:
         """Allocator-side domain extension: map every address in ``addrs`` to
-        ``v``, checked first, at one overlay store per cell."""
-        over = self._over
+        ``v``, checked first, at one dict store per cell."""
+        cells = self._cells
         for a in _checked(addrs):
-            over[a] = v
+            cells[a] = v
 
     def fill_undefined(self, addrs: Iterable[Addr], v: Val) -> None:
-        """Map the addresses of ``addrs`` outside the domain to ``v``.
-
-        Defined cells keep their values.  The heap gets one new flat base.
-        """
-        base = dict.fromkeys(_checked(addrs), v)
-        base.update(self._cells())
-        self._base, self._over = base, {}
+        """Map the addresses of ``addrs`` outside the domain to ``v``.  A
+        non-empty ascending unit-step range adds its cells outside the
+        intervals as intervals; anything else is filled cell by cell."""
+        addrs = _checked(addrs)
+        if isinstance(addrs, range) and addrs.step == 1 and addrs:
+            new = ((addrs, v),)
+            for r, _v in self._fills:
+                new = _cut(new, r)
+            self._fills += new
+        else:
+            self._cells.update((a, v) for a in addrs if a not in self)
 
     def undefine(self, addrs: Iterable[Addr]) -> None:
-        """Drop addresses from the domain (make them inaccessible).
-
-        Walks whichever is smaller, the heap's cells or an address ``range``, one store per address.
-        """
-        base, over = self._base, self._over
-        if isinstance(addrs, range) and len(base) + len(over) < len(addrs):
-            addrs = [a for a in itertools.chain(base, over) if a in addrs]
-        for a in addrs:
-            over[a] = None
+        """Drop addresses from the domain.  An ascending unit-step range pops its
+        cells from the dict, or walks the dict when that is smaller, and cuts
+        the intervals once; anything else goes one cell at a time."""
+        if not (isinstance(addrs, range) and addrs.step == 1):
+            for a in addrs:
+                self.undefine(range(a, a + 1))
+            return
+        cells = self._cells
+        for a in [a for a in cells if a in addrs] if len(cells) < len(addrs) else addrs:
+            cells.pop(a, None)
+        if self._fills and addrs:
+            self._fills = _cut(self._fills, addrs)
 
     def copy(self) -> "Heap":
         """An equal heap that no later change to either heap can reach: it
-        shares the base and copies the overlay."""
+        copies the dict and shares the intervals."""
         h = Heap.__new__(Heap)
-        h._base, h._over = self._base, self._over.copy()
+        h._cells, h._fills = self._cells.copy(), self._fills
         return h
 
-    def _cells(self) -> dict:
-        """The merged view; never change it, it may be the shared base."""
-        return _flat(self._base, self._over)
-
     def items(self) -> Iterator[tuple[Addr, Val]]:
-        return iter(sorted(self._cells().items()))
+        return iter(sorted(({a: v for r, v in self._fills for a in r} | self._cells).items()))
 
     def __contains__(self, a: Addr) -> bool:
-        return a in self._base if a not in self._over else self._over[a] is not None
+        return a in self._cells or (self._fills != () and self.read(a) is not None)
 
     def __len__(self) -> int:
-        # Base cells the overlay does not mention, plus overlay cells that
-        # hold a value; C-speed set operations over the overlay.
-        base, over = self._base, self._over
-        if not over:
-            return len(base)
-        return len(base) - len(base.keys() & over.keys()) + len(over) - operator.countOf(over.values(), None)
+        # Intervals are disjoint, so each dict cell is shadowed by at most one.
+        return len(self._cells) + sum(len(r) - sum(map(r.__contains__, self._cells)) for r, _v in self._fills)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Heap) and self._cells() == other._cells()
+        return isinstance(other, Heap) and list(self.items()) == list(other.items())
 
     def __repr__(self) -> str:
-        m = self._cells()
-        inner = ", ".join(f"{a}:{v}" for a, v in sorted(m.items())[:12])
+        m = list(self.items())
         more = "" if len(m) <= 12 else f", ... ({len(m)} entries)"
-        return f"Heap({{{inner}{more}}})"
+        return "Heap({" + ", ".join(f"{a}:{v}" for a, v in m[:12]) + more + "})"
 
 
-def _flat(base: dict, over: dict) -> dict:
-    """``base`` under ``over`` as one dict; ``base`` itself when ``over`` is
-    empty, so callers must not change the result."""
-    if not over:
-        return base
-    m = base | over
-    if None in over.values():
-        for a, v in over.items():
-            if v is None:
-                del m[a]
-    return m
+def _cut(fills: tuple, hole: range) -> tuple:
+    """The intervals ``fills`` without the cells of ``hole``, a non-empty
+    ascending unit-step range; no interval comes out empty."""
+    return tuple((part, v) for r, v in fills
+                 for part in (range(r.start, min(r.stop, hole.start)), range(max(r.start, hole.stop), r.stop)) if part)

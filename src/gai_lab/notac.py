@@ -890,9 +890,9 @@ def run(
     and every :func:`step` change in place; the loop threads only the
     command stack, a chain of ``(head, rest)`` pairs from
     ``(program.body, None)``, and the allocator state.  The copy shares the
-    caller's base and copies only its overlay (see :mod:`gai_lab.core`), so
-    it costs the cells changed since that base was built, not the size of
-    the heap.  Expression closures and loop unrollings are cached on the
+    caller's filled intervals and copies only its own cells (see
+    :mod:`gai_lab.core`), and a bump ``init`` adds its arena as one
+    interval.  Expression closures and loop unrollings are cached on the
     program's nodes, so reruns share them.  The accumulated trace is
     returned in every outcome, and ``Outcome.heap`` is the run's heap.
     """

@@ -6,23 +6,28 @@ from gai_lab.core import H_MAX_DEFAULT, Heap, InaccessibleWrite, parse_int
 
 
 def count_copied_cells(monkeypatch) -> list:
-    """Make every heap copy and every new flat base append the cells it
-    copied to the returned list: a copy's overlay, and its base unless it
-    shares the base of the heap it came from; all of a new flat base."""
+    """Make every heap copy append the cells it copied to the returned list,
+    and every mutator the cells it materialized: a copy copies the heap's
+    own cells and shares its filled intervals, and a mutator materializes
+    the cells it adds to the heap's own cells."""
     copied = []
-    copy, fill_undefined = Heap.copy, Heap.fill_undefined
+    copy = Heap.copy
 
     def counting_copy(self):
         h = copy(self)
-        copied.append(len(h._over) + (0 if h._base is self._base else len(h._base)))
+        copied.append(len(h._cells))
         return h
 
-    def counting_fill_undefined(self, addrs, v):
-        fill_undefined(self, addrs, v)
-        copied.append(len(self._base))
+    def counting(mutate):
+        def counted(self, *args):
+            before = len(self._cells)
+            mutate(self, *args)
+            copied.append(max(len(self._cells) - before, 0))
+        return counted
 
     monkeypatch.setattr(Heap, "copy", counting_copy)
-    monkeypatch.setattr(Heap, "fill_undefined", counting_fill_undefined)
+    for name in ("write", "define", "undefine", "fill_undefined"):
+        monkeypatch.setattr(Heap, name, counting(getattr(Heap, name)))
     return copied
 
 
@@ -90,18 +95,23 @@ def test_address_validation():
 # -- mutators against a plain-dict model ------------------------------------
 
 # Addresses on both sides of 0 and on both sides of H_MAX_DEFAULT, so some
-# cells are out of range at each bound.  A range stays near one bound.
+# cells are out of range at each bound.  A range stays near one bound, or
+# inside the first 12 cells, so that fills, writes and undefines there
+# overlap often.  A range may be empty, descending or stepped: only an
+# ascending unit-step one becomes a filled interval.
 low_addrs = st.integers(-3, 67)
 high_addrs = st.integers(H_MAX_DEFAULT - 4, H_MAX_DEFAULT + 3)
+near_addrs = st.integers(0, 11)
 PROBE_CELLS = [*range(-3, 68), *range(H_MAX_DEFAULT - 4, H_MAX_DEFAULT + 4)]
-model_addrs = st.one_of(low_addrs, high_addrs)
-model_ranges = st.one_of(st.builds(range, low_addrs, low_addrs), st.builds(range, high_addrs, high_addrs))
+model_addrs = st.one_of(low_addrs, high_addrs, near_addrs)
+range_steps = st.one_of(st.just(1), st.sampled_from([-1, 2, -3]))
+model_ranges = st.one_of(*(st.builds(range, ends, ends, range_steps) for ends in (low_addrs, high_addrs, near_addrs)))
 model_cells = st.one_of(model_ranges, st.lists(model_addrs, max_size=6))
 values = st.integers(-9, 9)
 heap_ops = st.one_of(
     st.tuples(st.just("define"), model_cells, values),
     st.tuples(st.just("undefine"), model_cells),
-    st.tuples(st.just("fill_undefined"), model_ranges, values),
+    st.tuples(st.just("fill_undefined"), model_cells, values),
     st.tuples(st.just("write"), model_addrs, values),
 )
 
@@ -151,6 +161,7 @@ def _assert_matches(heap: Heap, model: dict) -> None:
 
 
 @given(st.lists(heap_ops, max_size=12))
+@example([("fill_undefined", range(0, 1), 0), ("undefine", range(1, 0))])  # an empty cut keeps one interval
 def test_mutators_match_dict_model(ops):
     """Each mutator changes its receiver as the model says, and never a copy
     taken before it."""
@@ -162,13 +173,13 @@ def test_mutators_match_dict_model(ops):
         _assert_matches(snapshot, before)
 
 
-# -- sibling heaps that share a base -----------------------------------------
+# -- sibling heaps that share filled intervals ------------------------------
 
 FIRST_BASE_MAX = 24  # cells in the first heap of a pool
 pool_ops = st.one_of(
     st.tuples(st.just("copy")),
     heap_ops,
-    # At least 32 cells: an overlay larger than any first base.
+    # At least 32 cells: more own cells than any first heap has.
     st.tuples(st.just("define"), st.builds(range, st.integers(0, 8), st.integers(40, 64)), values),
 )
 
@@ -178,14 +189,19 @@ pool_ops = st.one_of(
                     max_size=FIRST_BASE_MAX),
     st.lists(st.tuples(st.integers(0, 10**6), pool_ops), max_size=30),
 )
-@example(  # undefine base cells, define them again, and copy after a define larger than the base
+@example(  # undefine first cells, define them again, and copy after a define larger than the first heap
     {0: 1, 1: 2, 2: 3},
     [(0, ("copy",)), (0, ("undefine", [0, 1])), (1, ("define", [0], 7)), (0, ("copy",)),
      (2, ("define", range(0, 40), 5)), (2, ("copy",)), (1, ("write", 0, 9)), (3, ("undefine", range(0, 2)))],
 )
+@example(  # fill, write inside the fill, undefine a middle cell, copy, then write the copy
+    {},
+    [(0, ("fill_undefined", range(0, 10), 3)), (0, ("write", 4, 7)), (0, ("undefine", [5])), (0, ("copy",)),
+     (1, ("write", 6, 9))],
+)
 def test_sibling_heaps_stay_isolated(base, steps):
-    """Heaps copied from one another share bases: after a copy, no mutator
-    sequence on either heap may reach the other."""
+    """Heaps copied from one another share filled intervals: after a copy, no
+    mutator sequence on either heap may reach the other."""
     pool = [(Heap(base), dict(base))]
     for pick, op in steps:
         i = pick % len(pool)

@@ -128,6 +128,14 @@ def test_only_gai_names_the_default_variable_base():
     assert modules_naming(PACKAGE, "DEFAULT_ENV_BASE") == {"gai.py"}
 
 
+def test_only_core_names_the_private_fields_of_a_heap():
+    # Every other module goes through ``Heap``'s methods, so the heap's
+    # representation (its own cells and its filled intervals) can change in
+    # one module.
+    for field in ("_cells", "_fills"):
+        assert modules_naming(PACKAGE, field) <= {"core.py"}, field
+
+
 # The token groups Notac and Memsafe share; ``notac.token_pattern`` builds
 # both languages' token regexes from them.
 SHARED_TOKEN_GROUPS = ("(?P<ws>", "(?P<num>", "(?P<name>")
