@@ -160,7 +160,8 @@ class Strategy(ABC):
     ``init``, ``malloc`` and ``free`` change the heap they are given and
     return it, and keep no reference to it: the heap belongs to the caller,
     which writes client cells into it between calls (see
-    :mod:`gai_lab.core`).
+    :mod:`gai_lab.core`).  They change it through ``define``, ``undefine``
+    and ``fill_undefined``, each over one ascending unit-step ``range``.
     """
 
     name: str = "strategy"
@@ -216,7 +217,7 @@ class ClientUpdate(Record, frozen=True):
             try:
                 heap.write(cell, value)
             except InaccessibleWrite:
-                heap.define([cell], value)
+                heap.define(range(cell, cell + 1), value)
 
 
 NO_UPDATE = ClientUpdate(())

@@ -182,7 +182,7 @@ class BumpAlloc(_SegmentAlloc):
         return heap, self.n2 + 1
 
     def _init_null_cell(self, heap: Heap) -> None:
-        heap.undefine([self.n2])
+        heap.undefine(range(self.n2, self.n2 + 1))
 
     def malloc(self, heap: Heap, state: int, size: int):
         bump = state + (1 if size == 0 else size)
@@ -200,7 +200,7 @@ class LenientBumpAlloc(BumpAlloc):
     kind = "lenient-bump"
 
     def _init_null_cell(self, heap: Heap) -> None:
-        heap.define([self.n2], 0)
+        heap.define(range(self.n2, self.n2 + 1), 0)
 
 
 _SEGMENT_KINDS = {cls.kind: cls for cls in (EagerAlloc, GuardedEagerAlloc, BumpAlloc, LenientBumpAlloc)}

@@ -22,10 +22,13 @@ first.  Three places copy:
 
 Cost model.  A heap is a dict of the cells it owns plus a tuple of disjoint
 filled intervals ``(range, value)``, which copies share and no heap changes
-in place.  :meth:`Heap.fill_undefined` over an address range adds intervals
-and builds no cell, so a zero-filled segment costs the same at any size.
-:meth:`Heap.copy` copies the dict and shares the intervals, so it costs the
-heap's own cells, not its filled ones.
+in place.  Outside :meth:`Heap.write`, a heap changes by one ascending
+unit-step ``range`` of addresses: :meth:`Heap.define` costs one dict store
+per cell, :meth:`Heap.fill_undefined` one interval and no cell, so a
+zero-filled segment costs the same at any size, and :meth:`Heap.undefine`
+the smaller of the range and the dict.  :meth:`Heap.copy` copies the dict
+and shares the intervals, so it costs the heap's own cells, not its filled
+ones.
 
 Records.  Every value class of the package (events, syntax, reports) derives
 from :class:`Record`, which does what the standard library's data classes do
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Optional
 
 Addr = int
 Val = int
@@ -154,21 +157,17 @@ class InaccessibleWrite(Exception):
         self.addr = addr
 
 
-def _checked(addrs: Iterable[Addr]) -> Sequence[Addr]:
-    """``addrs`` as a sequence whose every address lies in ``[0, H_MAX_DEFAULT)``.
+def _checked(addrs: range) -> range:
+    """``addrs`` if it is an ascending unit-step range inside ``[0, H_MAX_DEFAULT)``.
 
-    A ``range`` is monotone, so checking its two ends checks every cell,
-    and one that passes is returned without building anything.
+    Raises ``TypeError`` for anything but a ``range`` and ``ValueError`` for a
+    stepped, descending or out-of-bounds one.  An empty unit-step range
+    passes: it names no cell.  Checking a range's two ends checks every cell.
     """
-    if isinstance(addrs, range):
-        if not addrs or (0 <= addrs.start < H_MAX_DEFAULT and 0 <= addrs[-1] < H_MAX_DEFAULT):
-            return addrs
-        ends = (addrs.start, addrs[-1])
-    else:
-        addrs = ends = list(addrs)
-    for a in ends:
-        if not isinstance(a, int) or a < 0 or a >= H_MAX_DEFAULT:
-            raise ValueError(f"address {a!r} outside [0, {H_MAX_DEFAULT})")
+    if not isinstance(addrs, range):
+        raise TypeError(f"heap addresses must be a range, not {type(addrs).__name__}")
+    if addrs.step != 1 or (addrs and not (0 <= addrs.start and addrs.stop <= H_MAX_DEFAULT)):
+        raise ValueError(f"{addrs!r} is not an ascending unit-step range inside [0, {H_MAX_DEFAULT})")
     return addrs
 
 
@@ -185,7 +184,9 @@ class Heap:
 
     def __init__(self, entries: Optional[Mapping[Addr, Val]] = None):
         self._cells, self._fills = dict(entries or {}), ()
-        _checked(self._cells)
+        for a in self._cells:
+            if not isinstance(a, int) or a < 0 or a >= H_MAX_DEFAULT:
+                raise ValueError(f"address {a!r} outside [0, {H_MAX_DEFAULT})")
 
     def read(self, a: Addr) -> Optional[Val]:
         """Mapped value, or ``None`` when the address is inaccessible: one
@@ -218,35 +219,28 @@ class Heap:
             raise InaccessibleWrite(a)
         self._cells[a] = v
 
-    def define(self, addrs: Iterable[Addr], v: Val) -> None:
-        """Allocator-side domain extension: map every address in ``addrs`` to
-        ``v``, checked first, at one dict store per cell."""
+    def define(self, addrs: range, v: Val) -> None:
+        """Allocator-side domain extension: map every address of ``addrs``, one
+        ascending unit-step range, to ``v``, at one dict store per cell."""
         cells = self._cells
         for a in _checked(addrs):
             cells[a] = v
 
-    def fill_undefined(self, addrs: Iterable[Addr], v: Val) -> None:
-        """Map the addresses of ``addrs`` outside the domain to ``v``.  A
-        non-empty ascending unit-step range adds its cells outside the
-        intervals as intervals; anything else is filled cell by cell."""
-        addrs = _checked(addrs)
-        if isinstance(addrs, range) and addrs.step == 1 and addrs:
+    def fill_undefined(self, addrs: range, v: Val) -> None:
+        """Map the addresses of ``addrs``, one ascending unit-step range, that lie
+        outside the domain to ``v`` as one interval, less the earlier ones:
+        the dict cells shadow it, and no cell is built."""
+        if _checked(addrs):
             new = ((addrs, v),)
             for r, _v in self._fills:
                 new = _cut(new, r)
             self._fills += new
-        else:
-            self._cells.update((a, v) for a in addrs if a not in self)
 
-    def undefine(self, addrs: Iterable[Addr]) -> None:
-        """Drop addresses from the domain.  An ascending unit-step range pops its
-        cells from the dict, or walks the dict when that is smaller, and cuts
-        the intervals once; anything else goes one cell at a time."""
-        if not (isinstance(addrs, range) and addrs.step == 1):
-            for a in addrs:
-                self.undefine(range(a, a + 1))
-            return
-        cells = self._cells
+    def undefine(self, addrs: range) -> None:
+        """Drop the addresses of ``addrs``, one ascending unit-step range, from
+        the domain at the cost of the smaller of the range and the dict, and
+        cut the intervals once."""
+        cells, addrs = self._cells, _checked(addrs)
         for a in [a for a in cells if a in addrs] if len(cells) < len(addrs) else addrs:
             cells.pop(a, None)
         if self._fills and addrs:

@@ -213,8 +213,8 @@ def test_first_fit_matches_the_brute_force_scan(kind, history):
             brute.free(model_heap, addr)
         else:
             cell = cells[n % len(cells)]
-            heap.define([cell], arg)
-            model_heap.define([cell], arg)
+            heap.define(range(cell, cell + 1), arg)
+            model_heap.define(range(cell, cell + 1), arg)
         assert heap == model_heap
 
 
@@ -264,8 +264,8 @@ class TestEager:
     def test_init_preserves_reserved_and_outside(self):
         e = eager(0, 100, 200)
         seed = reserved_heap()
-        seed.define([300], 9)
-        seed.define([150], 5)
+        seed.define(range(300, 301), 9)
+        seed.define(range(150, 151), 5)
         h, st = e.init(seed)
         assert h.read(50) == 0  # reserved kept
         assert h.read(300) == 9  # outside the segment kept
@@ -352,7 +352,7 @@ class TestCurious:
     def test_first_allocation_takes_the_first_fit_above_upper_max(self):
         c = curious(9, 2047)
         h, st = c.init(Heap())
-        h.define([513], 7)
+        h.define(range(513, 514), 7)
         h, st, a = c.malloc(h, st, 2)
         assert (a, h.read(513), h.read(514)) == (514, 7, 0)  # cell 513 keeps its value
         c = curious(4, 47)  # [17, 47] above upper_max 16

@@ -69,7 +69,7 @@ def test_write_to_a_copy_leaves_the_original():
 def test_define():
     assert domain(_changed(Heap(), lambda h: h.define(range(2, 4), 0))) == {2, 3}
     assert _changed(Heap({2: 5}), lambda h: h.define(range(2, 3), 0)).read(2) == 0
-    assert _changed(Heap({9: 1}), lambda h: h.define([], 0)) == Heap({9: 1})
+    assert _changed(Heap({9: 1}), lambda h: h.define(range(4, 4), 0)) == Heap({9: 1})
 
 
 def test_undefine():
@@ -81,15 +81,15 @@ def test_undefine():
 def test_domain_algebra():
     h = Heap({1: 1, 2: 2})
     assert domain(_changed(h.copy(), lambda c: c.write(1, 5))) == domain(h)
-    assert domain(_changed(h.copy(), lambda c: c.define([7], 0))) == domain(h) | {7}
-    assert domain(_changed(h.copy(), lambda c: c.undefine([1]))) == domain(h) - {1}
+    assert domain(_changed(h.copy(), lambda c: c.define(range(7, 8), 0))) == domain(h) | {7}
+    assert domain(_changed(h.copy(), lambda c: c.undefine(range(1, 2)))) == domain(h) - {1}
 
 
 def test_address_validation():
     with pytest.raises(ValueError):
         Heap({-1: 0})
     with pytest.raises(ValueError):
-        Heap().define([2**40], 0)
+        Heap().define(range(2**40, 2**40 + 1), 0)
 
 
 # -- mutators against a plain-dict model ------------------------------------
@@ -97,21 +97,19 @@ def test_address_validation():
 # Addresses on both sides of 0 and on both sides of H_MAX_DEFAULT, so some
 # cells are out of range at each bound.  A range stays near one bound, or
 # inside the first 12 cells, so that fills, writes and undefines there
-# overlap often.  A range may be empty, descending or stepped: only an
-# ascending unit-step one becomes a filled interval.
+# overlap often.  Every range ascends by one, as the mutators require, and
+# may be empty.
 low_addrs = st.integers(-3, 67)
 high_addrs = st.integers(H_MAX_DEFAULT - 4, H_MAX_DEFAULT + 3)
 near_addrs = st.integers(0, 11)
 PROBE_CELLS = [*range(-3, 68), *range(H_MAX_DEFAULT - 4, H_MAX_DEFAULT + 4)]
 model_addrs = st.one_of(low_addrs, high_addrs, near_addrs)
-range_steps = st.one_of(st.just(1), st.sampled_from([-1, 2, -3]))
-model_ranges = st.one_of(*(st.builds(range, ends, ends, range_steps) for ends in (low_addrs, high_addrs, near_addrs)))
-model_cells = st.one_of(model_ranges, st.lists(model_addrs, max_size=6))
+model_ranges = st.one_of(*(st.builds(range, ends, ends) for ends in (low_addrs, high_addrs, near_addrs)))
 values = st.integers(-9, 9)
 heap_ops = st.one_of(
-    st.tuples(st.just("define"), model_cells, values),
-    st.tuples(st.just("undefine"), model_cells),
-    st.tuples(st.just("fill_undefined"), model_cells, values),
+    st.tuples(st.just("define"), model_ranges, values),
+    st.tuples(st.just("undefine"), model_ranges),
+    st.tuples(st.just("fill_undefined"), model_ranges, values),
     st.tuples(st.just("write"), model_addrs, values),
 )
 
@@ -120,10 +118,10 @@ def _model_step(model: dict, op: tuple) -> dict:
     """What ``op`` makes of the map ``model``; raises like the heap does."""
     name, *args = op
     out = dict(model)
+    if name != "write" and any(not 0 <= a < H_MAX_DEFAULT for a in args[0]):
+        raise ValueError("out of range")
     if name in ("define", "fill_undefined"):
         cells, v = args
-        if any(not 0 <= a < H_MAX_DEFAULT for a in cells):
-            raise ValueError("out of range")
         for a in cells:
             if name == "define" or a not in out:
                 out[a] = v
@@ -191,12 +189,12 @@ pool_ops = st.one_of(
 )
 @example(  # undefine first cells, define them again, and copy after a define larger than the first heap
     {0: 1, 1: 2, 2: 3},
-    [(0, ("copy",)), (0, ("undefine", [0, 1])), (1, ("define", [0], 7)), (0, ("copy",)),
+    [(0, ("copy",)), (0, ("undefine", range(0, 2))), (1, ("define", range(0, 1), 7)), (0, ("copy",)),
      (2, ("define", range(0, 40), 5)), (2, ("copy",)), (1, ("write", 0, 9)), (3, ("undefine", range(0, 2)))],
 )
 @example(  # fill, write inside the fill, undefine a middle cell, copy, then write the copy
     {},
-    [(0, ("fill_undefined", range(0, 10), 3)), (0, ("write", 4, 7)), (0, ("undefine", [5])), (0, ("copy",)),
+    [(0, ("fill_undefined", range(0, 10), 3)), (0, ("write", 4, 7)), (0, ("undefine", range(5, 6))), (0, ("copy",)),
      (1, ("write", 6, 9))],
 )
 def test_sibling_heaps_stay_isolated(base, steps):
@@ -232,6 +230,22 @@ def test_range_checks_cover_both_ends():
         Heap().fill_undefined(range(5, -2, -1), 0)  # descending, ends at -1
     assert domain(_changed(Heap(), lambda h: h.define(range(2**32 - 2, 2**32), 3))) == {2**32 - 2, 2**32 - 1}
     assert len(_changed(Heap(), lambda h: h.define(range(5, 5), 0))) == 0
+
+
+@pytest.mark.parametrize("name", ["define", "undefine", "fill_undefined"])
+def test_mutators_take_one_ascending_unit_step_range(name):
+    """A mutator raises ``TypeError`` on anything but a range and ``ValueError``
+    on a descending, stepped or out-of-bounds range, and changes nothing."""
+    heap = Heap({1: 1, 3: 3})
+    heap.fill_undefined(range(5, 9), 0)
+    bad = [(TypeError, [1, 2]), (TypeError, {1, 2}), (TypeError, 1),
+           (ValueError, range(5, 0, -1)), (ValueError, range(0, 10, 2)),
+           (ValueError, range(H_MAX_DEFAULT - 2, H_MAX_DEFAULT + 1))]
+    for error, addrs in bad:
+        before = heap.copy()
+        with pytest.raises(error):
+            getattr(heap, name)(addrs, *(() if name == "undefine" else (7,)))
+        assert heap == before
 
 
 def test_parse_int_reads_ascii_digits_only():

@@ -53,6 +53,12 @@ holds exactly and cannot flake on a loaded machine.
   builds into the heap, for every kind: a bump kind adds its segment as
   one filled interval.  A bump ``init`` that built each cell of its
   segment made 4,103 / 8,199 / 16,391 cells at 4,096 / 8,192 / 16,384.
+* Well-formedness walker, block size: a judged ``check_history`` of
+  ``(M n, M 1)`` with no updates under ``bump:0,8,n+10`` asks
+  ``Heap.read_many`` for 3n + 33 cells (3,105 / 6,177 / 12,321 at n =
+  1,024 / 2,048 / 4,096), since it reads every allowed cell before and
+  after each step.  A judged step should read what it changes, exponent
+  0 (ROADMAP item 13, ``xfail``).
 """
 
 import time
@@ -60,7 +66,8 @@ import time
 import pytest
 
 from gai_lab import alloc_model, filtering, gai, notac
-from gai_lab.allocators import CuriousAlloc, EagerAlloc, GuardedEagerAlloc, parse_alloc_spec
+from gai_lab.alloc_model import NO_UPDATE, SymMalloc, check_history
+from gai_lab.allocators import BumpAlloc, CuriousAlloc, EagerAlloc, GuardedEagerAlloc, parse_alloc_spec
 from gai_lab.core import Heap
 from gai_lab.gai import DEFAULT_CURIOUS, DEFAULT_EAGER_SEGMENT, DEFAULT_ENV_BASE, gai_check, variable_base
 
@@ -344,6 +351,29 @@ def test_init_cells_do_not_grow_with_the_arena(kind):
     # The heap's own cells, not ``len``, which also counts filled ones.
     cells = [len(arena_init(kind, n)[1]._cells) for n in ARENA_CELLS]
     assert cells == [cells[0]] * 3, cells
+
+
+@pytest.mark.xfail(strict=True, reason="the wf walker reads every allowed cell at each step (ROADMAP item 13)")
+def test_judged_walker_reads_do_not_grow_with_a_block(monkeypatch):
+    """Cells a judged ``check_history`` of ``(M n, M 1)`` reads through
+    ``Heap.read_many``, exponent 0 in the block size n."""
+    read = [0]
+    inner = Heap.read_many
+
+    def read_many(self, addrs):
+        read[0] += len(addrs)
+        return inner(self, addrs)
+
+    monkeypatch.setattr(Heap, "read_many", read_many)
+    reserved = frozenset(range(0, WINDOW_CELLS))
+    counts = []
+    for n in (1024, 2048, 4096):
+        read[0] = 0
+        sigma, updates = (SymMalloc(n), SymMalloc(1)), (NO_UPDATE, NO_UPDATE)
+        heap = Heap(dict.fromkeys(reserved, 0))
+        assert check_history(BumpAlloc(0, WINDOW_CELLS, n + 10), reserved, heap, sigma, updates, updates) == {}
+        counts.append(read[0])
+    assert counts == [counts[0]] * 3, counts
 
 
 def counted_gai_global(monkeypatch, name: str) -> list:

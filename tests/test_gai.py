@@ -121,7 +121,7 @@ class VarSmasher(bump):
 
     def init(self, heap):
         h, st = super().init(heap)
-        h.define([DEFAULT_ENV_BASE], 99)
+        h.define(range(DEFAULT_ENV_BASE, DEFAULT_ENV_BASE + 1), 99)
         return h, st
 
 

@@ -12,6 +12,7 @@ from gai_lab.alloc_model import (
     ClientUpdate,
     Strategy,
     SymMalloc,
+    WfReport,
     _draw,
     _gen_update,
     _replay,
@@ -204,7 +205,7 @@ class ReservedSmasher(Strategy):
 
     def init(self, heap):
         h, st = self.inner.init(heap)
-        h.define([0], 77)
+        h.define(range(0, 1), 77)
         return h, st
 
     def null(self, state):
@@ -360,6 +361,16 @@ def test_malloc_that_writes_a_client_cell_fails_basic_4(cell):
     basic4 = next(r for r in reports if r.clause == "Basic-4")
     assert f"modified client cells [{cell}]" in basic4.witness.detail
     assert replay_wf_witness(MallocWrites(cell), RESERVED, HEAP, basic4)
+
+
+@pytest.mark.xfail(strict=True, raises=InaccessibleWrite,
+                   reason="a strategy's write outside the heap escapes wf_check (ROADMAP item 3)")
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("make", [FlakyInit, lambda: MallocWrites(3)], ids=["flaky-init", "malloc-writes-3"])
+def test_a_strategy_write_outside_the_heap_is_reported_not_raised(make, seed):
+    reserved = frozenset(range(2048, 2056))
+    reports = wf_check(make(), reserved, Heap(dict.fromkeys(reserved, 0)), trials=60, seed=seed)
+    assert reports and all(isinstance(r, WfReport) for r in reports)
 
 
 class InitRecorder(Strategy):
