@@ -34,7 +34,7 @@ import re
 from abc import ABC, abstractmethod
 from typing import Iterable, Optional, Sequence
 
-from .core import Addr, Heap, InaccessibleWrite, Record
+from .core import H_MAX_DEFAULT, Addr, Heap, InaccessibleWrite, Record
 
 # ---------------------------------------------------------------------------
 # Symbolic allocation events
@@ -271,6 +271,8 @@ def _walk(strategy: Strategy, reserved: frozenset, start: tuple, plan, judge: Op
     Basic-5 compare only a new entry with the live ones and the reserved
     cells, which is exact because a walk starts from an empty map and
     entries never change.  Basic-6 and Zero-Alloc-2 are judged in full.
+    A drawn block holds at most 8 cells; only an explicit history, such as
+    one passed to :func:`check_history`, can hand the walk a bigger one.
     """
     heap, state = start[0].copy(), start[1]
     live, mallocs = {}, []  # live: index -> entry, in index order; mallocs: positions of the Ms
@@ -451,7 +453,9 @@ def check_history(
 # History generation
 
 _SIZES = (0, 1, 2, 3, 5, 8)
-_HUGE = 10**6
+# More cells than there are addresses, so every strategy must fail it, and a
+# drawn block holds at most max(_SIZES) = 8 cells.
+_HUGE = H_MAX_DEFAULT + 1
 
 
 def _below(bits, n: int) -> int:
@@ -478,7 +482,7 @@ def _gen_update(rng: random.Random) -> ClientUpdate:
 def _draw(rng: random.Random, max_len: int):
     """The plan of a random history: a length up to ``max_len``, then per
     step an update and a free of a live allocation or a malloc whose
-    outcome is recorded."""
+    outcome is recorded; a drawn block holds at most 8 cells."""
     bits = rng.getrandbits
     n = _below(bits, max_len + 1)
 

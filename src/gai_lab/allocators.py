@@ -36,7 +36,7 @@ from bisect import bisect_left, bisect_right
 from typing import Optional
 
 from .alloc_model import Strategy
-from .core import H_MAX_DEFAULT, MAX_SPEC_CELLS, Addr, Heap, parse_int
+from .core import H_MAX_DEFAULT, Addr, Heap, parse_int
 
 
 def _first_fit(heap, lo: Addr, end: Addr, span: int, guard: int = 0, runs: tuple = ()) -> Optional[Addr]:
@@ -162,17 +162,10 @@ class BumpAlloc(_SegmentAlloc):
     """Bump-pointer allocator; frees are no-ops.
 
     Init zero-fills the undefined cells of (n2, n3) as one heap interval and
-    undefines the null cell; zero-sized requests bump by one.  The wf walker
-    builds each block's cells, so a span over ``MAX_SPEC_CELLS`` is rejected.
+    undefines the null cell; zero-sized requests bump by one.
     """
 
     kind = "bump"
-
-    def __init__(self, n1: Addr, n2: Addr, n3: Addr):
-        super().__init__(n1, n2, n3)
-        span = n3 - n2 - 1
-        if span > MAX_SPEC_CELLS:
-            raise ValueError(f"{self.name} fills {span} cells, more than MAX_SPEC_CELLS = {MAX_SPEC_CELLS}")
 
     def init(self, heap: Heap):
         # The null cell lies outside the filled range, which fill_undefined

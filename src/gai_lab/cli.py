@@ -21,7 +21,7 @@ from . import corpus as corpus_mod
 from . import memsafe, notac
 from .alloc_model import WF_MAX_LEN, WF_TRIALS, format_symseq, parse_symseq, wf_check
 from .allocators import EagerAlloc, parse_alloc_spec
-from .core import H_MAX_DEFAULT, MAX_SPEC_CELLS, Heap, parse_int
+from .core import H_MAX_DEFAULT, Heap, parse_int
 from .filtering import similar, sym_filter
 from .gai import DEFAULT_EAGER_SEGMENT, DEFAULT_WF_TRIALS, FamilyNotWellFormed
 from .gai import default_family, gai_check, variable_base
@@ -240,6 +240,9 @@ def _wf_report_json(r) -> dict:
 
 
 WF_RESERVED_CELLS = 8  # cells the wf command reserves by default
+# The most cells ``wf --reserved`` may span: the window reaches wf_check as a
+# set of cells, and every judged step reads each of them.
+MAX_SPEC_CELLS = 2**20
 
 
 def _default_reserved(strategy) -> tuple:

@@ -52,15 +52,9 @@ from typing import Collection, Iterable, Iterator, Mapping, Optional
 Addr = int
 Val = int
 
-# Upper bound on representable addresses.  Allocators all work inside
-# explicit segments well below this; the bound just keeps heaps finite.
+# Upper bound on representable addresses, and the only bound on a spec:
+# a segment may reach it, since no layer builds a segment's cells.
 H_MAX_DEFAULT = 2**32
-
-# The most cells a spec may span: a bump segment's zero-filled span, or the
-# reserved window of ``gai-lab wf``.  The wf walker builds the cells of the
-# window and of each block a request gets, and from 2 * 10**6 cells on,
-# ``alloc_model._HUGE`` = 10**6 could succeed more than once in a history.
-MAX_SPEC_CELLS = 2**20
 
 def parse_int(text: str, signed: bool = False) -> int:
     """``text`` read as a decimal number of ASCII digits, with one leading

@@ -7,14 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gai_lab import allocators
+from gai_lab import alloc_model, allocators
 from gai_lab.alloc_model import Strategy
 from gai_lab.allocators import (
     _SEGMENT_KINDS,
-    BumpAlloc,
     CuriousAlloc,
     EagerAlloc,
-    LenientBumpAlloc,
     _first_fit,
     BumpAlloc as bump,
     CuriousAlloc as curious,
@@ -25,7 +23,7 @@ from gai_lab.allocators import (
     NullAlloc as null_alloc,
     parse_alloc_spec,
 )
-from gai_lab.core import H_MAX_DEFAULT, MAX_SPEC_CELLS, Heap
+from gai_lab.core import H_MAX_DEFAULT, Heap
 from gai_lab.gai import default_family
 
 
@@ -55,22 +53,14 @@ def test_curious_needs_a_semispace_exponent_of_at_least_1():
         parse_alloc_spec("curious:0,2047")
 
 
-@pytest.mark.parametrize("spec", ["bump:0,8,1048586", "lenient-bump:0,8,1048586", "nozero(bump:0,8,1048586)"])
-def test_a_bump_span_above_max_spec_cells_is_rejected_when_built(spec):
-    # 1048577 cells: one more than MAX_SPEC_CELLS; init is never called.
-    with pytest.raises(ValueError, match="fills 1048577 cells, more than MAX_SPEC_CELLS = 1048576"):
-        parse_alloc_spec(spec)
+def test_bump_spans_up_to_the_address_bound_are_accepted():
+    for segment in ("0,8,1000000", "0,8,1048586", "0,8,4294967295", "0,8,4294967296"):
+        for spec in (f"bump:{segment}", f"lenient-bump:{segment}", f"nozero(bump:{segment})"):
+            assert parse_alloc_spec(spec).name == spec
 
 
-def test_bump_spans_up_to_max_spec_cells_are_accepted():
-    assert parse_alloc_spec("bump:0,8,1048585").name == "bump:0,8,1048585"
-    assert parse_alloc_spec("bump:0,8,1000000").name == "bump:0,8,1000000"  # the largest spec in use
-
-
-# Segment numbers near 0, near MAX_SPEC_CELLS (the bump span bound) and near
-# the address bound 2**32.
-SEGMENT_NUMBERS = st.one_of(st.integers(-2, 10), st.integers(MAX_SPEC_CELLS - 2, MAX_SPEC_CELLS + 12),
-                            st.integers(H_MAX_DEFAULT - 10, H_MAX_DEFAULT + 2))
+# Segment numbers near 0 and near the address bound 2**32.
+SEGMENT_NUMBERS = st.one_of(st.integers(-2, 10), st.integers(H_MAX_DEFAULT - 10, H_MAX_DEFAULT + 2))
 
 
 @given(st.sampled_from(list(_SEGMENT_KINDS.values())), SEGMENT_NUMBERS, SEGMENT_NUMBERS, SEGMENT_NUMBERS)
@@ -80,12 +70,8 @@ SEGMENT_NUMBERS = st.one_of(st.integers(-2, 10), st.integers(MAX_SPEC_CELLS - 2,
 @example(EagerAlloc, 0, 8, H_MAX_DEFAULT + 1)  # n3 past the bound
 @example(EagerAlloc, 0, H_MAX_DEFAULT, H_MAX_DEFAULT)  # null at the bound
 @example(EagerAlloc, 0, H_MAX_DEFAULT - 1, H_MAX_DEFAULT)
-@example(BumpAlloc, 0, 0, MAX_SPEC_CELLS + 1)  # a span of MAX_SPEC_CELLS
-@example(LenientBumpAlloc, 0, 0, MAX_SPEC_CELLS + 2)  # one cell more
 def test_a_segment_strategy_is_built_exactly_from_a_good_segment(cls, n1, n2, n3):
     good = 0 <= n1 <= n2 <= n3 <= H_MAX_DEFAULT and n2 < H_MAX_DEFAULT
-    if issubclass(cls, BumpAlloc):
-        good = good and n3 - n2 - 1 <= MAX_SPEC_CELLS
     if not good:
         with pytest.raises(ValueError):
             cls(n1, n2, n3)
@@ -98,6 +84,30 @@ def test_a_segment_strategy_is_built_exactly_from_a_good_segment(cls, n1, n2, n3
 def test_geometry_up_to_the_address_bound_is_accepted():
     assert parse_alloc_spec("eager:0,8,4294967296").name == "eager:0,8,4294967296"
     assert parse_alloc_spec("curious:4,4294967295").name == "curious:4,4294967295"
+
+
+GOOD_SEGMENTS = st.lists(st.integers(0, H_MAX_DEFAULT), min_size=3, max_size=3).map(sorted).filter(
+    lambda s: s[1] < H_MAX_DEFAULT)
+UNWRAPPED = st.one_of(
+    st.builds(lambda cls, s: cls(*s), st.sampled_from(list(_SEGMENT_KINDS.values())), GOOD_SEGMENTS),
+    st.integers(1, 31).flatmap(lambda m: st.builds(curious, st.just(m), st.integers(2**m + 1, H_MAX_DEFAULT - 1))),
+    st.builds(null_alloc),
+)
+
+
+@given(st.one_of(UNWRAPPED, UNWRAPPED.map(no_zero), st.sampled_from(default_family())),
+       st.lists(st.sampled_from(alloc_model._SIZES), max_size=4))
+@example(bump(0, 8, H_MAX_DEFAULT), [8])
+@example(eager(0, 8, H_MAX_DEFAULT), [])
+def test_the_huge_request_always_fails(strategy, sizes):
+    """``alloc_model._HUGE`` asks for more cells than there are addresses,
+    so it gets null right after ``init`` and after small mallocs; the wf
+    harness's drawn blocks hold at most 8 cells because of it."""
+    heap, state = strategy.init(Heap())
+    for size in (*sizes, None):
+        assert strategy.malloc(heap.copy(), state, alloc_model._HUGE)[2] == strategy.null(state)
+        if size is not None:
+            heap, state, _a = strategy.malloc(heap, state, size)
 
 
 def free_at(heap, starts, a: int, span: int, guard: int) -> bool:

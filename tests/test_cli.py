@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import tracemalloc
 
 import pytest
 
@@ -433,8 +434,25 @@ def test_wf_rejects_a_reserved_window_above_max_spec_cells():
     assert_usage_error(res, "spans 1048577 cells, more than MAX_SPEC_CELLS = 1048576")
 
 
-def test_wf_rejects_a_bump_span_above_max_spec_cells():
-    assert_usage_error(invoke("wf", "bump:0,8,1048586"), "more than MAX_SPEC_CELLS")
+def test_segments_up_to_the_address_bound_run_in_little_memory(tmp_path):
+    """wf and run finish under segments that reach the address bound, at a
+    ``tracemalloc`` peak under 30 MB: no command builds a segment's cells."""
+    prog = write(tmp_path, "big.ntc",
+                 "p = malloc(1000000); if (p != NULL) { *(p + 999999) = 7; observe(*(p + 999999)); }")
+    for args, out in [
+        (("wf", "bump:0,8,4294967295"), "trials"),
+        (("wf", "eager:0,8,4294967296"), "trials"),
+        (("run", prog, "--alloc", "bump:0,8,4294967295"), "obs(7)"),
+    ]:
+        tracemalloc.start()
+        try:
+            res = invoke(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.exit_code == 0, (args, res.output)
+        assert out in res.output
+        assert peak < 30 * 2**20, (args, peak)
 
 
 def test_empty_family_exits_2(tmp_path):

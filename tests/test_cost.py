@@ -53,8 +53,13 @@ holds exactly and cannot flake on a loaded machine.
   builds into the heap, for every kind: a bump kind adds its segment as
   one filled interval.  A bump ``init`` that built each cell of its
   segment made 4,103 / 8,199 / 16,391 cells at 4,096 / 8,192 / 16,384.
-* Well-formedness walker, block size: a judged ``check_history`` of
-  ``(M n, M 1)`` with no updates under ``bump:0,8,n+10`` asks
+* Well-formedness, segment size: ``wf_check`` of 20 trials with 8
+  reserved cells asks ``Heap.read_many`` for 2,685 cells at n3 = 4,104 /
+  2**21 + 9 / 2**32, exponent 0, under eager, guarded-eager, bump and
+  lenient-bump, since a drawn block holds at most 8 cells.  While the
+  drawn huge request was 10**6 cells, eager read 50,002,682 at 2**21 + 9.
+* Well-formedness walker, block size: a judged ``check_history`` of the
+  explicit history ``(M n, M 1)`` with no updates under ``bump:0,8,n+10`` asks
   ``Heap.read_many`` for 3n + 33 cells (3,105 / 6,177 / 12,321 at n =
   1,024 / 2,048 / 4,096), since it reads every allowed cell before and
   after each step.  A judged step should read what it changes, exponent
@@ -353,10 +358,9 @@ def test_init_cells_do_not_grow_with_the_arena(kind):
     assert cells == [cells[0]] * 3, cells
 
 
-@pytest.mark.xfail(strict=True, reason="the wf walker reads every allowed cell at each step (ROADMAP item 13)")
-def test_judged_walker_reads_do_not_grow_with_a_block(monkeypatch):
-    """Cells a judged ``check_history`` of ``(M n, M 1)`` reads through
-    ``Heap.read_many``, exponent 0 in the block size n."""
+@pytest.fixture
+def read_cells(monkeypatch):
+    """A one-element list holding the number of cells asked of ``Heap.read_many`` so far."""
     read = [0]
     inner = Heap.read_many
 
@@ -365,14 +369,36 @@ def test_judged_walker_reads_do_not_grow_with_a_block(monkeypatch):
         return inner(self, addrs)
 
     monkeypatch.setattr(Heap, "read_many", read_many)
+    return read
+
+
+@pytest.mark.parametrize("kind", ["eager", "guarded-eager", "bump", "lenient-bump"])
+def test_wf_reads_do_not_grow_with_the_segment(kind, read_cells):
+    """Cells a ``wf_check`` of 20 trials reads through ``Heap.read_many``,
+    exponent 0 in the segment, up to the address bound."""
+    reserved = frozenset(range(0, WINDOW_CELLS))
+    counts = []
+    for n3 in (4104, 2**21 + 9, 2**32):
+        read_cells[0] = 0
+        strategy = parse_alloc_spec(f"{kind}:0,{WINDOW_CELLS},{n3}")
+        alloc_model.wf_check(strategy, reserved, Heap(dict.fromkeys(reserved, 0)), trials=20, seed=0)
+        counts.append(read_cells[0])
+    assert counts == [counts[0]] * 3, counts
+
+
+@pytest.mark.xfail(strict=True, reason="a judged step reads every allowed cell, so an explicit history's"
+                                       " big block costs its cells at each later step (ROADMAP item 13)")
+def test_judged_walker_reads_do_not_grow_with_a_block(read_cells):
+    """Cells a judged ``check_history`` of ``(M n, M 1)`` reads through
+    ``Heap.read_many``, exponent 0 in the block size n."""
     reserved = frozenset(range(0, WINDOW_CELLS))
     counts = []
     for n in (1024, 2048, 4096):
-        read[0] = 0
+        read_cells[0] = 0
         sigma, updates = (SymMalloc(n), SymMalloc(1)), (NO_UPDATE, NO_UPDATE)
         heap = Heap(dict.fromkeys(reserved, 0))
         assert check_history(BumpAlloc(0, WINDOW_CELLS, n + 10), reserved, heap, sigma, updates, updates) == {}
-        counts.append(read[0])
+        counts.append(read_cells[0])
     assert counts == [counts[0]] * 3, counts
 
 

@@ -4,8 +4,10 @@
 draws for the default eager member at seed 0, and
 ``tests/data/wf_reports.txt`` every report line of the default family and
 the broken strategies of ``test_wf.py``.  A change that moves the stream
-(a new seeding, a new draw) changes every witness; it must regenerate both
-files openly, from the root of a checkout:
+(a new seeding, a new draw) changes every witness; a change of a drawn
+size's value, such as the huge request's, changes only the witness text
+that prints it.  Either must regenerate both files openly, from the root
+of a checkout:
 
     PYTHONPATH=src:tests python3 tests/test_wf_golden.py
 """
